@@ -8,7 +8,8 @@ files and carries the source-equation checklist used by the coverage check.
 
 Entries whose source display is provably wrong are stored as printed with
 status "disputed" and a witness; statements with unresolved reading issues
-are stored as "check" and their verdict is recorded, not asserted.
+are stored as "check", with the verdict the engine reaches asserted and,
+where it is unequal, a witness.
 """
 
 import argparse
@@ -295,7 +296,8 @@ def entries():
                 ("-1/(n+r)*k*H(n+k)/(k+r)^2", "0", "n-1")],
                expr="H(n)*H(r)-H(n)*(1/(n+r)+r/(n+r)*H(n+r-1))"
                     "-r/(n+r)*(H(n-1+r)-H(r-1))"),
-        status="check", n=[0, 8], grid={"r": ["1"]},
+        status="check", n=[0, 8], grid={"r": ["1"]}, expected="unequal",
+        witness={"n": 2, "params": {"r": "1"}, "lhs": "-1/4", "rhs": "-29/72"},
         notes="Recorded verdict: unequal from n = 2 on (at r = 1 the sides are "
               "-1/4 and -29/72); the H(n+k) factor in the last sum is the "
               "likely misprint.")
@@ -304,7 +306,8 @@ def entries():
         closed([("-1/(n+1)*H(n-k)*H(k)/k", "1", "n"),
                 ("-1/(n+1)*k*H(n+k)/(k+1)^2", "0", "n-1")],
                expr="(n*H(n)-H(n)-H(n)^2)/(n+1)+(H(n)^2+Hm(n,2))/(n+1)"),
-        status="check", n=[0, 8],
+        status="check", n=[0, 8], expected="unequal",
+        witness={"n": 1, "lhs": "-1/2", "rhs": "1/2"},
         notes="The unsubscripted H^2 in the source is read as H(n)^2. "
               "Recorded verdict: unequal from n = 1 on.")
 

@@ -23,83 +23,7 @@ from fractions import Fraction
 from . import dsl, special
 from .errors import DivisionByZero, EvalTypeError, PoleError, ShapeError
 from .field import HalfInt, SymConst
-from .model import (AffineForm, ClosedSide, Identity, StandardSide,
-                    substitute_neg_t)
-
-
-@dataclass(frozen=True)
-class Affine:
-    """Affine combination of k, n, r, s with rational coefficients."""
-
-    k: Fraction = Fraction(0)
-    n: Fraction = Fraction(0)
-    r: Fraction = Fraction(0)
-    s: Fraction = Fraction(0)
-    const: Fraction = Fraction(0)
-
-    def value(self, bindings):
-        # integer fast path in quarter units; coefficients are halves in
-        # every transform this module produces
-        quarters = 0
-        for name in ("k", "n", "r", "s"):
-            c = getattr(self, name)
-            if c:
-                t = 2 * c.numerator * bindings[name].twice
-                if t % c.denominator:
-                    return self._value_slow(bindings)
-                quarters += t // c.denominator
-        t = 4 * self.const.numerator
-        if t % self.const.denominator:
-            return self._value_slow(bindings)
-        quarters += t // self.const.denominator
-        if quarters % 2:
-            return self._value_slow(bindings)
-        return HalfInt(quarters // 2)
-
-    def _value_slow(self, bindings):
-        total = Fraction(self.const)
-        for name in ("k", "n", "r", "s"):
-            c = getattr(self, name)
-            if c:
-                total += c * bindings[name].as_fraction()
-        return HalfInt.from_value(total)
-
-    def derivative(self, param):
-        return getattr(self, param)
-
-    def __sub__(self, other):
-        return Affine(self.k - other.k, self.n - other.n, self.r - other.r,
-                      self.s - other.s, self.const - other.const)
-
-    def render(self):
-        parts = []
-        for name in ("k", "n", "r", "s"):
-            c = getattr(self, name)
-            if c == 0:
-                continue
-            if c == 1:
-                parts.append(name)
-            elif c == -1:
-                parts.append(f"-{name}")
-            else:
-                parts.append(f"{c}*{name}")
-        if self.const or not parts:
-            parts.append(str(self.const))
-        out = parts[0]
-        for p in parts[1:]:
-            out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return out
-
-
-def _affine(t_exp: AffineForm, base_exp: AffineForm = None, r=0, s=0):
-    k = Fraction(t_exp.coef_k)
-    n = Fraction(t_exp.coef_n)
-    c = Fraction(t_exp.constant)
-    if base_exp is not None:
-        k += base_exp.coef_k
-        n += base_exp.coef_n
-        c += base_exp.constant
-    return Affine(k, n, Fraction(r), Fraction(s), c)
+from .model import Affine, substitute_neg_t
 
 
 @dataclass(frozen=True)
@@ -222,9 +146,8 @@ def beta_transform(identity):
     def conv(side):
         out = []
         for term in side.terms:
-            a = term.t_exp
-            top = _affine(a, term.base_exp, r=1)
-            bot = _affine(a, s=1)
+            top = term.t_exp + term.base_exp + Affine(r=1)
+            bot = term.t_exp + Affine(s=1)
             ct = ClosedTerm(term.coeff,
                             factors=(FBinom(top, bot, power=-1),
                                      FRecipAffine(bot)))
@@ -325,9 +248,9 @@ def _central_shape(identity):
         raise ShapeError(f"{identity.name}: central transforms need one summand per side")
     ft = identity.lhs.terms[0]
     gt = identity.rhs.terms[0]
-    if not (ft.base == "1+t" and ft.base_exp == AffineForm(1, 0, 0) and ft.t_exp.is_zero):
+    if not (ft.base == "1+t" and ft.base_exp == Affine(k=1) and ft.t_exp.is_zero):
         raise ShapeError(f"{identity.name}: left side must be sum f(k)*(1+t)^k")
-    if not (gt.t_exp == AffineForm(1, 0, 0) and gt.base_exp.is_zero):
+    if not (gt.t_exp == Affine(k=1) and gt.base_exp.is_zero):
         raise ShapeError(f"{identity.name}: right side must be sum g(k)*t^k")
     return ft.coeff, ft.lower, ft.upper, gt.coeff, gt.lower, gt.upper
 

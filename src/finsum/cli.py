@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 from . import beta, corpus, dsl
@@ -19,7 +20,7 @@ from .errors import (DivisionByZero, DslSyntaxError, EvalTypeError,
                      FinsumError, FormatError, PoleError, ShapeError,
                      UnboundVariable)
 from .field import HalfInt
-from .model import admissible, load_identity
+from .model import load_identity
 
 EXIT_OK, EXIT_MISMATCH, EXIT_USAGE, EXIT_LOAD, EXIT_SHAPE = 0, 1, 2, 3, 4
 
@@ -81,16 +82,16 @@ def _grid_spec_from_args(args):
     return spec
 
 
-def _entry_overrides(document, args):
-    document = dict(document)
-    if args.n:
-        values = parse_grid(args.n)
-        ints = [v.as_int() for v in values]
-        document["n"] = [min(ints), max(ints)]
+def _load_entry(path, args):
+    """A corpus entry whose n values and parameter grid the command line may replace."""
     spec = _grid_spec_from_args(args)
+    n_values = tuple(v.as_int() for v in parse_grid(args.n)) if args.n else None
+    entry = corpus.load_entry(_load_document(path))
     if spec:
-        document["grid"] = spec
-    return document
+        entry = replace(entry, param_grid=corpus._build_grid(spec))
+    if n_values:
+        entry = replace(entry, n_values=n_values)
+    return entry
 
 
 # ---------------------------------------------------------------------------
@@ -99,8 +100,7 @@ def _entry_overrides(document, args):
 def cmd_verify(args):
     reports = []
     for path in args.paths:
-        entry = corpus.load_entry(_entry_overrides(_load_document(path), args))
-        reports.append(corpus.run_entry(entry))
+        reports.append(corpus.run_entry(_load_entry(path, args)))
     _emit_reports(reports, args.format)
     return EXIT_OK if all(r.matched for r in reports) else EXIT_MISMATCH
 
@@ -228,6 +228,8 @@ def cmd_eval(args):
     expr = dsl.parse(args.expr)
     value = dsl.eval_scalar(expr, bindings)
     print(value.render())
+    if args.as_float:
+        print(value.to_float(args.precision))
     return EXIT_OK
 
 
@@ -247,7 +249,6 @@ def build_parser():
     p.add_argument("paths", nargs="+")
     add_grid_flags(p)
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("transform", help="apply Beta/derivative/central transforms")
@@ -257,7 +258,6 @@ def build_parser():
     add_grid_flags(p)
     p.add_argument("--negate-t", action="store_true", help="apply t -> -t first")
     p.add_argument("--check", action="store_true", help="verify the output on a default grid")
-    p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_transform)
 
     p = sub.add_parser("corpus", help="operate on the shipped corpus")
@@ -287,8 +287,6 @@ def main(argv=None):
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        if args.command == "eval" and args.as_float:
-            return _eval_with_float(args)
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -307,19 +305,6 @@ def main(argv=None):
     except FinsumError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MISMATCH
-
-
-def _eval_with_float(args):
-    bindings = {}
-    for item in args.bind or ():
-        name, sep, value = item.partition("=")
-        if not sep or name not in dsl.VAR_NAMES:
-            raise UsageError(f"bad binding {item!r} (want var=halfint)")
-        bindings[name] = corpus.parse_half(value)
-    value = dsl.eval_scalar(dsl.parse(args.expr), bindings)
-    print(value.render())
-    print(value.to_float(args.precision))
-    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -27,7 +27,7 @@ DEFAULT_DIR = Path(__file__).parent / "corpus_data"
 DEFAULT_RS = (Fraction(1, 2), Fraction(1), Fraction(3, 2),
               Fraction(2), Fraction(5, 2), Fraction(3))
 
-EXPECTED = ("equal", "unequal", "recorded")
+EXPECTED = ("equal", "unequal")
 
 
 def corpus_dir(override=None):
@@ -85,8 +85,9 @@ def load_entry(document):
     identity = load_identity(document)
     expected = document.get("expected")
     if expected is None:
-        expected = {"verified": "equal", "check": "recorded",
-                    "disputed": "unequal", "erratum_claimed": "unequal"}[identity.status]
+        if identity.status == "check":
+            raise FormatError(f"{identity.name}: a 'check' entry must state its expected verdict")
+        expected = "equal" if identity.status == "verified" else "unequal"
     if expected not in EXPECTED:
         raise FormatError(f"{identity.name}: unknown expected verdict {expected!r}")
     witness = None
@@ -185,9 +186,7 @@ def run_entry(entry):
 
 def _finish(entry, actual, detail, failure=None):
     expected = entry.expected
-    if expected == "recorded":
-        matched = True
-    elif expected == "unequal":
+    if expected == "unequal":
         matched = actual == "unequal" and _witness_holds(entry)
         if actual == "unequal" and not matched:
             detail += " (stored witness not reproduced)"

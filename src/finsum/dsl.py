@@ -12,8 +12,9 @@ Grammar (whitespace-insensitive)::
 
 ``sum(index, lo, hi, body)`` is the surface form of a bounded sum.  A rational
 literal like 5/2 parses as a division of integers; the two spellings evaluate
-identically.  ``t`` is accepted as a variable so the same ASTs serve the
-polynomial sides; the scalar evaluator rejects it unless bound.
+identically.  ``t`` is accepted as a variable, but not as a sum index, so
+the same ASTs serve the polynomial sides; the scalar evaluator rejects it
+unless bound.
 """
 
 from __future__ import annotations
@@ -231,6 +232,8 @@ class _Parser:
             index = args[0]
             if not isinstance(index, Var):
                 raise DslSyntaxError("sum index must be a variable", off)
+            if index.name == "t":
+                raise DslSyntaxError("sum index cannot be the indeterminate t", off)
             return BoundedSum(index.name, args[1], args[2], args[3])
         if name not in FUNCTIONS:
             raise DslSyntaxError(f"unknown function {name!r}", off, expected=sorted(FUNCTIONS))
@@ -287,53 +290,66 @@ def _wrap(s, prec, parent_prec):
 
 
 # ---------------------------------------------------------------------------
-# free variables
+# traversal
+
+def children(expr):
+    """The direct sub-expressions of a node, in field order.
+
+    A ``BoundedSum``'s body comes last; it is the only place a name is bound.
+    """
+    if isinstance(expr, (Lit, Var)):
+        return ()
+    if isinstance(expr, Neg):
+        return (expr.operand,)
+    if isinstance(expr, (Add, Sub, Mul, Div)):
+        return (expr.left, expr.right)
+    if isinstance(expr, Pow):
+        return (expr.base, expr.exponent)
+    if isinstance(expr, Call):
+        return expr.args
+    if isinstance(expr, BoundedSum):
+        return (expr.lower, expr.upper, expr.body)
+    raise EvalTypeError(f"not an AST node: {expr!r}")
+
 
 def free_vars(expr):
-    if isinstance(expr, (Lit,)):
-        return set()
+    """Names of the variables that occur free in the expression."""
     if isinstance(expr, Var):
         return {expr.name}
-    if isinstance(expr, Neg):
-        return free_vars(expr.operand)
-    if isinstance(expr, (Add, Sub, Mul, Div)):
-        return free_vars(expr.left) | free_vars(expr.right)
-    if isinstance(expr, Pow):
-        return free_vars(expr.base) | free_vars(expr.exponent)
-    if isinstance(expr, Call):
-        out = set()
-        for a in expr.args:
-            out |= free_vars(a)
-        return out
+    names = [free_vars(child) for child in children(expr)]
     if isinstance(expr, BoundedSum):
-        out = free_vars(expr.lower) | free_vars(expr.upper)
-        out |= free_vars(expr.body) - {expr.index}
-        return out
-    raise EvalTypeError(f"not an AST node: {expr!r}")
+        names[-1].discard(expr.index)
+    return set().union(*names)
 
 
 def substitute(expr, name, replacement):
     """Replace every free occurrence of variable ``name`` by an AST."""
-    if isinstance(expr, Lit):
-        return expr
     if isinstance(expr, Var):
         return replacement if expr.name == name else expr
-    if isinstance(expr, Neg):
-        return Neg(substitute(expr.operand, name, replacement))
-    if isinstance(expr, (Add, Sub, Mul, Div)):
-        return type(expr)(substitute(expr.left, name, replacement),
-                          substitute(expr.right, name, replacement))
-    if isinstance(expr, Pow):
-        return Pow(substitute(expr.base, name, replacement),
-                   substitute(expr.exponent, name, replacement))
-    if isinstance(expr, Call):
-        return Call(expr.fn, tuple(substitute(a, name, replacement) for a in expr.args))
+    kids = [substitute(child, name, replacement) for child in children(expr)]
     if isinstance(expr, BoundedSum):
-        lower = substitute(expr.lower, name, replacement)
-        upper = substitute(expr.upper, name, replacement)
-        body = expr.body if expr.index == name else substitute(expr.body, name, replacement)
-        return BoundedSum(expr.index, lower, upper, body)
-    raise EvalTypeError(f"not an AST node: {expr!r}")
+        if expr.index == name:
+            kids[-1] = expr.body
+        return BoundedSum(expr.index, *kids)
+    if isinstance(expr, Call):
+        return Call(expr.fn, tuple(kids))
+    return type(expr)(*kids) if kids else expr
+
+
+def is_polynomial(expr):
+    """True when some node is the indeterminate ``t`` or a ``U(...)`` call.
+
+    The parser refuses ``t`` as a sum index, so every ``t`` is the
+    indeterminate and no binding context is needed.
+    """
+    if isinstance(expr, Var):
+        return expr.name == "t"
+    if isinstance(expr, Call) and expr.fn == "U":
+        return True
+    for child in children(expr):
+        if is_polynomial(child):
+            return True
+    return False
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,8 @@ Both sides must be closed, or both t-bearing.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from fractions import Fraction
 
 from . import dsl
 from .errors import EvalTypeError, FormatError, ShapeError
@@ -23,32 +24,81 @@ STATUSES = ("verified", "check", "disputed", "erratum_claimed")
 
 
 @dataclass(frozen=True)
-class AffineForm:
-    """Integer-affine exponent coef_k*k + coef_n*n + constant."""
+class Affine:
+    """Affine exponent or binomial argument k*k + n*n + r*r + s*s + const.
 
-    coef_k: int = 0
-    coef_n: int = 0
-    constant: int = 0
+    Document exponents have integer coefficients in k and n; the transforms
+    add r and s.  Hand-built terms may use Fraction coefficients.
+    """
 
-    def value(self, k, n):
-        return self.coef_k * k + self.coef_n * n + self.constant
-
-    def to_expr(self):
-        node = dsl.Lit(__import__("fractions").Fraction(self.constant))
-        for coef, name in ((self.coef_k, "k"), (self.coef_n, "n")):
-            if coef == 0:
-                continue
-            mono = dsl.Var(name) if coef == 1 else dsl.Mul(dsl.Lit(__import__("fractions").Fraction(coef)), dsl.Var(name))
-            node = dsl.Add(node, mono) if not _is_zero_lit(node) else mono
-        return node
+    k: int = 0
+    n: int = 0
+    r: int = 0
+    s: int = 0
+    const: int = 0
 
     @property
     def is_zero(self):
-        return self.coef_k == 0 and self.coef_n == 0 and self.constant == 0
+        return not (self.k or self.n or self.r or self.s or self.const)
 
+    def value(self, bindings):
+        """Half-integer value under bindings of the names it mentions."""
+        # integer fast path in quarter units; coefficients are halves in
+        # every transform the engine produces
+        quarters = 0
+        for name in ("k", "n", "r", "s"):
+            c = getattr(self, name)
+            if c:
+                t = 2 * c.numerator * bindings[name].twice
+                if t % c.denominator:
+                    return self._value_slow(bindings)
+                quarters += t // c.denominator
+        t = 4 * self.const.numerator
+        if t % self.const.denominator:
+            return self._value_slow(bindings)
+        quarters += t // self.const.denominator
+        if quarters % 2:
+            return self._value_slow(bindings)
+        return HalfInt(quarters // 2)
 
-def _is_zero_lit(node):
-    return isinstance(node, dsl.Lit) and node.value == 0
+    def _value_slow(self, bindings):
+        total = Fraction(self.const)
+        for name in ("k", "n", "r", "s"):
+            c = getattr(self, name)
+            if c:
+                total += c * bindings[name].as_fraction()
+        return HalfInt.from_value(total)
+
+    def derivative(self, param):
+        return getattr(self, param)
+
+    def __add__(self, other):
+        return Affine(self.k + other.k, self.n + other.n, self.r + other.r,
+                      self.s + other.s, self.const + other.const)
+
+    def __sub__(self, other):
+        return Affine(self.k - other.k, self.n - other.n, self.r - other.r,
+                      self.s - other.s, self.const - other.const)
+
+    def render(self):
+        """DSL text, e.g. ``k + 2*n - 1``."""
+        parts = []
+        for name in ("k", "n", "r", "s"):
+            c = getattr(self, name)
+            if c == 0:
+                continue
+            if c == 1:
+                parts.append(name)
+            elif c == -1:
+                parts.append(f"-{name}")
+            else:
+                parts.append(f"{c}*{name}")
+        if self.const or not parts:
+            parts.append(str(self.const))
+        out = parts[0]
+        for p in parts[1:]:
+            out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
+        return out
 
 
 @dataclass(frozen=True)
@@ -56,9 +106,9 @@ class StdTerm:
     """One standard-form summand: coeff * t^t_exp * base^base_exp, k = lower..upper."""
 
     coeff: object            # SeqExpr over {k, n}
-    t_exp: AffineForm
+    t_exp: Affine
     base: str                # "1-t" or "1+t"
-    base_exp: AffineForm
+    base_exp: Affine
     lower: object            # SeqExpr over {n}
     upper: object            # SeqExpr over {n}
 
@@ -154,24 +204,6 @@ def load_identity(document):
     )
 
 
-def _mentions_cheb(expr):
-    """True when the expression calls U(...), which is a polynomial in t."""
-    if isinstance(expr, (dsl.Lit, dsl.Var)):
-        return False
-    if isinstance(expr, dsl.Neg):
-        return _mentions_cheb(expr.operand)
-    if isinstance(expr, (dsl.Add, dsl.Sub, dsl.Mul, dsl.Div)):
-        return _mentions_cheb(expr.left) or _mentions_cheb(expr.right)
-    if isinstance(expr, dsl.Pow):
-        return _mentions_cheb(expr.base) or _mentions_cheb(expr.exponent)
-    if isinstance(expr, dsl.Call):
-        return expr.fn == "U" or any(_mentions_cheb(a) for a in expr.args)
-    if isinstance(expr, dsl.BoundedSum):
-        return (_mentions_cheb(expr.lower) or _mentions_cheb(expr.upper)
-                or _mentions_cheb(expr.body))
-    return False
-
-
 def _load_side(doc, name):
     if not isinstance(doc, dict) or "kind" not in doc:
         raise FormatError(f"{name}: side must be an object with a 'kind'")
@@ -181,7 +213,7 @@ def _load_side(doc, name):
         return StandardSide(terms)
     if kind == "poly":
         expr = dsl.parse(doc["expr"])
-        if "t" not in dsl.free_vars(expr) and not _mentions_cheb(expr):
+        if not dsl.is_polynomial(expr):
             raise FormatError(f"{name}: poly side contains no t")
         return PolySide(expr)
     if kind == "closed":
@@ -219,10 +251,10 @@ def _load_term(doc, name):
 
 def _load_affine(val, name):
     if isinstance(val, int):
-        return AffineForm(constant=val)
+        return Affine(const=val)
     if (isinstance(val, (list, tuple)) and len(val) == 3
             and all(isinstance(x, int) for x in val)):
-        return AffineForm(*val)
+        return Affine(k=val[0], n=val[1], const=val[2])
     raise FormatError(f"{name}: exponent {val!r} is not an integer affine form [ck, cn, c]")
 
 
@@ -244,9 +276,9 @@ def _save_side(side):
         return {"kind": "standard", "terms": [
             {
                 "coeff": dsl.render(t.coeff),
-                "t_exp": [t.t_exp.coef_k, t.t_exp.coef_n, t.t_exp.constant],
+                "t_exp": [t.t_exp.k, t.t_exp.n, t.t_exp.const],
                 "base": t.base,
-                "base_exp": [t.base_exp.coef_k, t.base_exp.coef_n, t.base_exp.constant],
+                "base_exp": [t.base_exp.k, t.base_exp.n, t.base_exp.const],
                 "lower": dsl.render(t.lower),
                 "upper": dsl.render(t.upper),
             }
@@ -277,7 +309,7 @@ def substitute_neg_t(identity):
         for term in side.terms:
             coeff = term.coeff
             if not term.t_exp.is_zero:
-                coeff = dsl.Mul(dsl.Call("sign", (term.t_exp.to_expr(),)), coeff)
+                coeff = dsl.Mul(dsl.Call("sign", (dsl.parse(term.t_exp.render()),)), coeff)
             base = term.base
             if not term.base_exp.is_zero:
                 base = "1+t" if base == "1-t" else "1-t"

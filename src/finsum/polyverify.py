@@ -136,32 +136,16 @@ def expand_side(side, n, bindings=None):
                 coeff = dsl.eval_scalar(term.coeff, kb)
                 if coeff.is_zero:
                     continue
-                a = term.t_exp.value(k, n)
+                a = term.t_exp.value(kb).as_int()
                 if a < 0:
                     raise NegativeExponent(f"t^{a} at k={k}, n={n}")
-                b = term.base_exp.value(k, n)
+                b = term.base_exp.value(kb).as_int()
                 mono = [SymConst.rational(0)] * a + [coeff]
                 total = total + DensePoly(mono) * binomial_power(term.base, b)
         return total
     if isinstance(side, PolySide):
         return eval_poly(side.expr, base_bindings)
     raise EvalTypeError(f"not a polynomial side: {side!r}")
-
-
-def _has_poly_part(expr):
-    if isinstance(expr, dsl.Var):
-        return expr.name == "t"
-    if isinstance(expr, dsl.Call):
-        return expr.fn == "U" or any(_has_poly_part(a) for a in expr.args)
-    if isinstance(expr, dsl.Neg):
-        return _has_poly_part(expr.operand)
-    if isinstance(expr, (dsl.Add, dsl.Sub, dsl.Mul, dsl.Div)):
-        return _has_poly_part(expr.left) or _has_poly_part(expr.right)
-    if isinstance(expr, dsl.Pow):
-        return _has_poly_part(expr.base) or _has_poly_part(expr.exponent)
-    if isinstance(expr, dsl.BoundedSum):
-        return any(_has_poly_part(e) for e in (expr.lower, expr.upper, expr.body))
-    return False
 
 
 def eval_poly(expr, bindings):
@@ -171,7 +155,7 @@ def eval_poly(expr, bindings):
     evaluator and are lifted to degree 0.  U(m) denotes the Chebyshev
     polynomial U_m in the variable t.  Division is only by scalars.
     """
-    if not _has_poly_part(expr):
+    if not dsl.is_polynomial(expr):
         return DensePoly.constant(dsl.eval_scalar(expr, bindings))
     if isinstance(expr, dsl.Var):  # must be t
         return DensePoly.variable()

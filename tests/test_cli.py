@@ -143,6 +143,25 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", path, "--n", "0..3")
         assert code == 0
 
+    def test_n_list_checks_exactly_those_values(self, capsys, tmp_path, monkeypatch):
+        seen = []
+        run_entry = cli.corpus.run_entry
+
+        def spy(entry):
+            seen.append(entry.n_values)
+            return run_entry(entry)
+
+        monkeypatch.setattr(cli.corpus, "run_entry", spy)
+        path = write(tmp_path, GOOD_CLOSED)
+        assert run(capsys, "verify", path, "--n", "1,2,5")[0] == 0
+        assert seen == [(1, 2, 5)]
+
+    def test_unknown_flags_exit_2(self, capsys, tmp_path):
+        path = write(tmp_path, GOOD_CLOSED)
+        assert run(capsys, "verify", path, "--jobs", "2")[0] == 2
+        path = write(tmp_path, STANDARD)
+        assert run(capsys, "transform", path, "--op", "beta", "--format", "json")[0] == 2
+
 
 class TestTransform:
     def test_beta_prints_weights(self, capsys, tmp_path):

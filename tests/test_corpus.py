@@ -2,7 +2,10 @@
 the coverage checklist."""
 
 import json
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -78,7 +81,8 @@ class TestLoadEntry:
         assert load_entry(BAD_CLOSED).expected == "unequal"
         doc = dict(GOOD_CLOSED)
         doc["status"] = "check"
-        assert load_entry(doc).expected == "recorded"
+        with pytest.raises(FormatError):
+            load_entry(doc)
 
     def test_explicit_expected_overrides(self):
         doc = dict(GOOD_CLOSED)
@@ -141,21 +145,20 @@ class TestRunEntry:
         report = run_entry(load_entry(doc))
         assert report.actual == "unequal" and not report.matched
 
-    def test_recorded_always_matches(self):
-        doc = dict(BAD_CLOSED)
-        doc["status"] = "check"
-        doc["expected"] = "recorded"
+    def test_check_entry_drift_is_unmatched(self):
+        doc = json.loads((corpus.DEFAULT_DIR / "sqharmonic-full-particular.json").read_text())
+        assert doc["status"] == "check"
+        doc["rhs"] = doc["lhs"]
         report = run_entry(load_entry(doc))
-        assert report.actual == "unequal" and report.matched
+        assert report.actual == "equal" and not report.matched
 
     def test_poly_entry(self):
         report = run_entry(load_entry(GOOD_POLY))
         assert report.actual == "equal" and report.matched
         doc = dict(GOOD_POLY)
         doc["rhs"] = {"kind": "poly", "expr": "1 + t"}
-        doc["status"] = "check"
         report = run_entry(load_entry(doc))
-        assert report.actual == "unequal"
+        assert report.actual == "unequal" and not report.matched
         assert "t^1" in report.detail
 
 
@@ -181,6 +184,16 @@ class TestShippedCorpus:
         entries = load_entries()
         assert [e.name for e in entries] == ["alt-binom-basic"]
         assert check_coverage() == []
+
+    def test_generator_reproduces_shipped_corpus(self, tmp_path):
+        script = Path(__file__).resolve().parent.parent / "scripts" / "build_corpus.py"
+        subprocess.run([sys.executable, str(script), "--out", str(tmp_path)],
+                       check=True, capture_output=True)
+        shipped = corpus.DEFAULT_DIR
+        built = sorted(p.name for p in tmp_path.iterdir())
+        assert built == sorted(p.name for p in shipped.iterdir())
+        for name in built:
+            assert (tmp_path / name).read_bytes() == (shipped / name).read_bytes(), name
 
     def test_coverage_check_passes(self):
         assert check_coverage() == []

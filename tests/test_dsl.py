@@ -80,6 +80,17 @@ class TestParsing:
         with pytest.raises(DslSyntaxError):
             dsl.parse("sum(2, 0, n, k)")
 
+    def test_t_is_not_a_sum_index(self):
+        # t is the indeterminate of polynomial sides; a sum binding it would
+        # give the body's t two readings
+        with pytest.raises(DslSyntaxError):
+            dsl.parse("t + sum(t, 0, 2, t)")
+
+    def test_is_polynomial(self):
+        assert dsl.is_polynomial(dsl.parse("binom(n, k)*t^2"))
+        assert dsl.is_polynomial(dsl.parse("sum(k, 0, n, U(k))"))
+        assert not dsl.is_polynomial(dsl.parse("sum(k, 0, n, binom(n, k)*H(k))"))
+
     def test_free_vars(self):
         assert dsl.free_vars(dsl.parse("binom(n, k)*H(j)")) == {"n", "k", "j"}
         assert dsl.free_vars(dsl.parse("sum(j, 1, k, 1/j)")) == {"k"}
@@ -92,6 +103,8 @@ class TestParsing:
         # bound index is untouched
         ast = dsl.substitute(dsl.parse("sum(j, 1, k, j)"), "j", dsl.parse("n"))
         assert ast == dsl.parse("sum(j, 1, k, j)")
+        ast = dsl.substitute(dsl.parse("sum(j, j, k, j)"), "j", dsl.parse("n"))
+        assert ast == dsl.parse("sum(j, n, k, j)")
 
 
 class TestScalarEval:

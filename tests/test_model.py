@@ -9,7 +9,7 @@ import pytest
 from finsum import dsl, model
 from finsum.errors import FormatError, ShapeError
 from finsum.field import HalfInt
-from finsum.model import (AffineForm, ClosedSide, Identity, PolySide,
+from finsum.model import (Affine, ClosedSide, Identity, PolySide,
                           StandardSide, admissible, load_identity,
                           save_identity, substitute_neg_t)
 
@@ -36,21 +36,23 @@ CLOSED_DOC = {
 }
 
 
-class TestAffineForm:
+class TestAffine:
     def test_value(self):
-        a = AffineForm(coef_k=2, coef_n=-1, constant=3)
-        assert a.value(5, 4) == 2 * 5 - 4 + 3
-        assert AffineForm().is_zero
+        a = Affine(k=2, n=-1, const=3)
+        point = {"k": HalfInt.from_value(5), "n": HalfInt.from_value(4)}
+        assert a.value(point) == HalfInt.from_value(2 * 5 - 4 + 3)
+        assert Affine().is_zero
         assert not a.is_zero
+        assert a + Affine(r=1) - a == Affine(r=1)
 
-    def test_to_expr(self):
-        a = AffineForm(coef_k=1, coef_n=2, constant=0)
-        expr = a.to_expr()
-        got = dsl.eval_scalar(expr, {"k": HalfInt.from_value(3),
-                                     "n": HalfInt.from_value(5)})
-        assert got.as_rational() == 13
-        zero = AffineForm().to_expr()
-        assert dsl.eval_scalar(zero, {}).is_zero
+    @pytest.mark.parametrize("affine", [
+        Affine(k=1, n=2), Affine(k=-1, n=1), Affine(k=2, n=-3, const=-1),
+        Affine(n=-1, const=4), Affine(),
+    ])
+    def test_render_parses_to_same_value(self, affine):
+        point = {"k": HalfInt.from_value(3), "n": HalfInt.from_value(5)}
+        got = dsl.eval_scalar(dsl.parse(affine.render()), point)
+        assert got.as_halfint() == affine.value(point)
 
 
 class TestAdmissible:
@@ -78,8 +80,8 @@ class TestLoadSave:
         assert not ident.is_standard  # rhs is a poly side
         term = ident.lhs.terms[0]
         assert term.base == "1-t"
-        assert term.t_exp == AffineForm(1, 0, 0)
-        assert term.base_exp == AffineForm(0, 1, 0)
+        assert term.t_exp == Affine(k=1)
+        assert term.base_exp == Affine(n=1)
         doc = save_identity(ident)
         assert load_identity(doc) == ident
 
@@ -116,8 +118,8 @@ class TestLoadSave:
         doc["lhs"] = {"kind": "standard", "terms": [
             {"coeff": "1", "t_exp": 2, "base_exp": 1}]}
         term = load_identity(doc).lhs.terms[0]
-        assert term.t_exp == AffineForm(constant=2)
-        assert term.base_exp == AffineForm(constant=1)
+        assert term.t_exp == Affine(const=2)
+        assert term.base_exp == Affine(const=1)
 
 
 class TestValidation:
