@@ -12,7 +12,9 @@ Three transform families are implemented:
   one or two free integer parameters.
 
 Closed identities are evaluated exactly over half-integer parameter points;
-a float evaluator (mpmath) backs the derivative cross-check.
+a float evaluator (mpmath) backs the derivative cross-check.  The module's
+one cache, the coefficient memo ``_expr_memo``, lives for the whole process
+and keeps every expression it has evaluated alive.
 """
 
 from __future__ import annotations

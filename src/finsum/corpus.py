@@ -20,12 +20,9 @@ from pathlib import Path
 from . import beta, polyverify
 from .errors import FormatError
 from .field import HalfInt, SymConst
-from .model import admissible, load_identity
+from .model import admissible, is_json_int, load_identity
 
 DEFAULT_DIR = Path(__file__).parent / "corpus_data"
-
-DEFAULT_RS = (Fraction(1, 2), Fraction(1), Fraction(3, 2),
-              Fraction(2), Fraction(5, 2), Fraction(3))
 
 EXPECTED = ("equal", "unequal")
 
@@ -93,6 +90,9 @@ def load_entry(document):
     witness = None
     if "witness" in document:
         w = document["witness"]
+        if not (isinstance(w, dict) and is_json_int(w.get("n"))
+                and isinstance(w.get("lhs"), str) and isinstance(w.get("rhs"), str)):
+            raise FormatError(f"{identity.name}: witness needs an integer n and string lhs, rhs")
         witness = Witness(
             n=w["n"],
             params=tuple(sorted((name, parse_half(v)) for name, v in w.get("params", {}).items())),
@@ -101,8 +101,10 @@ def load_entry(document):
         )
     if expected == "unequal" and witness is None:
         raise FormatError(f"{identity.name}: expected unequal without a witness")
-    n_lo, n_hi = document.get("n", [0, 16])
-    n_values = range(n_lo, n_hi + 1)
+    n_range = document.get("n", [0, 16])
+    if not (isinstance(n_range, list) and len(n_range) == 2 and all(map(is_json_int, n_range))):
+        raise FormatError(f"{identity.name}: 'n' must be a list [lo, hi] of two integers")
+    n_values = range(n_range[0], n_range[1] + 1)
     parity = document.get("parity")
     if parity == "even":
         n_values = [n for n in n_values if n % 2 == 0]
@@ -173,7 +175,7 @@ def run_entry(entry):
             return _finish(entry, "equal", "")
         p = report.failures[0]
         detail = f"unequal at {_point_str(p.n, p.params)}: lhs={p.lhs}, rhs={p.rhs}"
-        return _finish(entry, "unequal", detail, failure=p)
+        return _finish(entry, "unequal", detail)
     # polynomial entry
     for n in entry.n_values:
         rep = polyverify.verify_poly(identity, n)
@@ -184,7 +186,7 @@ def run_entry(entry):
     return _finish(entry, "equal", "")
 
 
-def _finish(entry, actual, detail, failure=None):
+def _finish(entry, actual, detail):
     expected = entry.expected
     if expected == "unequal":
         matched = actual == "unequal" and _witness_holds(entry)

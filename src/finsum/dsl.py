@@ -250,9 +250,6 @@ def parse(text):
 # ---------------------------------------------------------------------------
 # rendering
 
-_PREC = {Add: 1, Sub: 1, Mul: 2, Div: 2, Neg: 3, Pow: 4}
-
-
 def render(expr):
     """Canonical pretty-printer; parse(render(e)) == e for parser-produced ASTs."""
     return _render(expr, 0)

@@ -225,8 +225,8 @@ def _load_side(doc, name):
         if not summands and extra is None:
             raise FormatError(f"{name}: empty closed side")
         for e in [s.coeff for s in summands] + ([extra] if extra is not None else []):
-            if "t" in dsl.free_vars(e):
-                raise FormatError(f"{name}: closed side contains t")
+            if dsl.is_polynomial(e):
+                raise FormatError(f"{name}: closed side contains t or U(...)")
         return ClosedSide(summands, extra)
     raise FormatError(f"{name}: unknown side kind {kind!r}")
 
@@ -249,11 +249,15 @@ def _load_term(doc, name):
     return StdTerm(coeff, t_exp, base, base_exp, lower, upper)
 
 
+def is_json_int(x):
+    """An integer document field; JSON ``true`` is a Python int but not one."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _load_affine(val, name):
-    if isinstance(val, int):
+    if is_json_int(val):
         return Affine(const=val)
-    if (isinstance(val, (list, tuple)) and len(val) == 3
-            and all(isinstance(x, int) for x in val)):
+    if isinstance(val, (list, tuple)) and len(val) == 3 and all(map(is_json_int, val)):
         return Affine(k=val[0], n=val[1], const=val[2])
     raise FormatError(f"{name}: exponent {val!r} is not an integer affine form [ck, cn, c]")
 

@@ -3,8 +3,9 @@ Gamma at half-integers, generalized binomial coefficients with pole
 conventions, and Chebyshev polynomials of the second kind.
 
 All arguments are half-integers and all results live in the constant field,
-so every value is exact.  Caches are keyed by plain ints and only ever grow,
-which keeps them safe to share between verification workers.
+so every value is exact.  Factorials, H_q, binom(x, y) and U_n are cached for
+the life of the process, keyed by plain ints; Gamma values are not, since
+``gen_binom`` caches every result built from them.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DivisionByZero, EvalTypeError, PoleError
-from .field import HalfInt, SymConst, SQRT_PI
+from .field import HalfInt, SymConst
 
 _factorials = [1]
 
@@ -76,9 +77,6 @@ def harmonic(q):
     return value
 
 
-_gamma_cache = {}
-
-
 def gamma_half(q):
     """Exact Gamma(q) for half-integer q; PoleError at 0, -1, -2, ..."""
     q = HalfInt.from_value(q)
@@ -87,9 +85,6 @@ def gamma_half(q):
         if n <= 0:
             raise PoleError(f"Gamma({q}) is a pole")
         return SymConst.rational(factorial(n - 1))
-    cached = _gamma_cache.get(q.twice)
-    if cached is not None:
-        return cached
     # walk from Gamma(1/2) = sqrt(pi) via Gamma(x+1) = x*Gamma(x)
     coeff = Fraction(1)
     x = Fraction(1, 2)
@@ -100,9 +95,7 @@ def gamma_half(q):
     while x > target:
         x -= 1
         coeff /= x
-    value = SymConst.monomial(coeff, sqrtpi_exp=1)
-    _gamma_cache[q.twice] = value
-    return value
+    return SymConst.monomial(coeff, sqrtpi_exp=1)
 
 
 @dataclass(frozen=True)

@@ -226,6 +226,31 @@ def test_verify_closed_records_undefined_points():
     assert report.all_equal  # no defined unequal point
 
 
+def test_memo_serves_every_grid_point(monkeypatch):
+    """Coefficients depend on (k, n) only, so more (r, s) points cost no
+    more evaluations.  Each grid gets a freshly loaded seed, whose
+    expressions the memo has not seen."""
+    calls = []
+    eval_scalar = dsl.eval_scalar
+
+    def counting(expr, bindings):
+        calls.append(expr)
+        return eval_scalar(expr, bindings)
+
+    monkeypatch.setattr(dsl, "eval_scalar", counting)
+    one_point = ({"r": F(1, 2), "s": F(1, 2)},)
+    four_points = rs_grid((F(1, 2), 1))
+    assert len(four_points) == 4
+    counts = []
+    for grid in (one_point, four_points):
+        (entry,) = corpus.load_entries(names={"binomial-theorem"})
+        cid = beta_transform(entry.identity)
+        calls.clear()
+        assert verify_closed(cid, range(0, 9), grid).all_equal
+        counts.append(len(calls))
+    assert counts[0] > 0 and counts[1] == counts[0]
+
+
 # ---------------------------------------------------------------------------
 # central binomial transforms
 

@@ -132,6 +132,13 @@ class TestVerify:
         path2 = write(tmp_path, {"name": "x"}, "missing.json")
         assert run(capsys, "verify", path2)[0] == 3
 
+    def test_malformed_entry_fields_exit_3(self, capsys, tmp_path):
+        bad_witness = dict(GOOD_CLOSED, status="disputed", witness={"n": 1, "rhs": "0"})
+        for doc in (dict(GOOD_CLOSED, n="bad"), bad_witness):
+            code, _, err = run(capsys, "verify", write(tmp_path, doc))
+            assert code == 3
+            assert "Traceback" not in err
+
     def test_inadmissible_parameters_exit_2(self, capsys, tmp_path):
         path = write(tmp_path, GOOD_CLOSED)
         assert run(capsys, "verify", path, "--s", "0")[0] == 2

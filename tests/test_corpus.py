@@ -110,6 +110,26 @@ class TestLoadEntry:
         assert w.lhs.render() == "1 - 2*L"
         assert w.rhs.is_zero
 
+    @pytest.mark.parametrize("n_range", ["bad", [0], [0, 1, 2], [0, "8"], [0, 8.0], [0, True]])
+    def test_malformed_n_range(self, n_range):
+        doc = dict(GOOD_CLOSED, n=n_range)
+        with pytest.raises(FormatError):
+            load_entry(doc)
+
+    @pytest.mark.parametrize("witness", [
+        {"lhs": "1/2", "rhs": "-1/2"},
+        {"n": 1, "rhs": "-1/2"},
+        {"n": 1, "lhs": "1/2"},
+        {"n": "1", "lhs": "1/2", "rhs": "-1/2"},
+        {"n": True, "lhs": "1/2", "rhs": "-1/2"},
+        {"n": 1, "lhs": 1, "rhs": "-1/2"},
+        [1, "1/2", "-1/2"],
+    ])
+    def test_malformed_witness(self, witness):
+        doc = dict(BAD_CLOSED, witness=witness)
+        with pytest.raises(FormatError):
+            load_entry(doc)
+
     def test_n_range_default_and_parity(self):
         doc = dict(GOOD_CLOSED)
         doc.pop("n")

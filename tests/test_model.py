@@ -156,9 +156,10 @@ class TestValidation:
 
     def test_closed_side_rejects_t(self):
         doc = dict(CLOSED_DOC)
-        doc["rhs"] = {"kind": "closed", "expr": "t + 1"}
-        with pytest.raises(FormatError):
-            load_identity(doc)
+        for expr in ("t + 1", "U(2)"):
+            doc["rhs"] = {"kind": "closed", "expr": expr}
+            with pytest.raises(FormatError):
+                load_identity(doc)
 
     def test_empty_closed_side_rejected(self):
         doc = dict(CLOSED_DOC)
@@ -181,14 +182,11 @@ class TestValidation:
 
     def test_non_affine_exponent(self):
         doc = dict(STANDARD_DOC)
-        doc["lhs"] = {"kind": "standard", "terms": [
-            {"coeff": "1", "t_exp": [1, 0]}]}
-        with pytest.raises(FormatError):
-            load_identity(doc)
-        doc["lhs"] = {"kind": "standard", "terms": [
-            {"coeff": "1", "t_exp": "k^2"}]}
-        with pytest.raises(FormatError):
-            load_identity(doc)
+        for t_exp in ([1, 0], "k^2", True, [True, 0, 0]):
+            doc["lhs"] = {"kind": "standard", "terms": [
+                {"coeff": "1", "t_exp": t_exp}]}
+            with pytest.raises(FormatError):
+                load_identity(doc)
 
     def test_unknown_side_kind(self):
         doc = dict(CLOSED_DOC)
