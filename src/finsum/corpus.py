@@ -18,7 +18,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import beta, polyverify
-from .errors import FormatError
+from .errors import EvalTypeError, FormatError
 from .field import HalfInt, SymConst
 from .model import admissible, is_json_int, load_identity
 
@@ -60,13 +60,23 @@ class CorpusEntry:
         return self.identity.name
 
 
-def _build_grid(spec):
+def _document_half(text, where):
+    """``parse_half`` on document text, with FormatError for anything else."""
+    try:
+        return parse_half(text)
+    except (ValueError, ZeroDivisionError, EvalTypeError) as exc:
+        raise FormatError(f"{where}: bad parameter value {text!r}: {exc}") from None
+
+
+def _build_grid(spec, where="grid"):
     """Cartesian product over the per-parameter value lists, with inadmissible
     (r, s) pairs dropped when both parameters are present."""
     if not spec:
         return ({},)
+    if not (isinstance(spec, dict) and all(isinstance(v, list) for v in spec.values())):
+        raise FormatError(f"{where}: 'grid' must map each parameter to a list of values")
     names = sorted(spec)
-    values = {name: [parse_half(v) for v in spec[name]] for name in names}
+    values = {name: [_document_half(v, where) for v in spec[name]] for name in names}
     grid = [{}]
     for name in names:
         grid = [dict(g, **{name: v}) for g in grid for v in values[name]]
@@ -91,11 +101,14 @@ def load_entry(document):
     if "witness" in document:
         w = document["witness"]
         if not (isinstance(w, dict) and is_json_int(w.get("n"))
-                and isinstance(w.get("lhs"), str) and isinstance(w.get("rhs"), str)):
-            raise FormatError(f"{identity.name}: witness needs an integer n and string lhs, rhs")
+                and isinstance(w.get("lhs"), str) and isinstance(w.get("rhs"), str)
+                and isinstance(w.get("params", {}), dict)):
+            raise FormatError(f"{identity.name}: witness needs an integer n, string lhs, rhs"
+                              " and an object of params")
         witness = Witness(
             n=w["n"],
-            params=tuple(sorted((name, parse_half(v)) for name, v in w.get("params", {}).items())),
+            params=tuple(sorted((name, _document_half(v, identity.name))
+                                for name, v in w.get("params", {}).items())),
             lhs=SymConst.parse(w["lhs"]),
             rhs=SymConst.parse(w["rhs"]),
         )
@@ -112,7 +125,7 @@ def load_entry(document):
         n_values = [n for n in n_values if n % 2 == 1]
     else:
         n_values = list(n_values)
-    grid = _build_grid(document.get("grid"))
+    grid = _build_grid(document.get("grid"), identity.name)
     return CorpusEntry(identity, expected, witness, tuple(n_values), grid)
 
 

@@ -15,6 +15,11 @@ literal like 5/2 parses as a division of integers; the two spellings evaluate
 identically.  ``t`` is accepted as a variable, but not as a sum index, so
 the same ASTs serve the polynomial sides; the scalar evaluator rejects it
 unless bound.
+
+The scalar evaluator returns a ``SymConst``.  Inside, rational values travel
+as ``int`` or ``Fraction``; only ``H``, ``binom`` and ``rbinom`` at
+half-integer points produce ln2 or sqrt(pi) terms, and from there Python's
+operators carry the ``SymConst``.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from fractions import Fraction
 
 from .errors import (ArityError, DivisionByZero, DslSyntaxError, EvalTypeError,
                      PoleError, UnboundVariable)
-from .field import HalfInt, SymConst
+from .field import HalfInt, lift, lower, to_halfint, to_int
 from . import special
 
 VAR_NAMES = ("n", "k", "j", "r", "s", "u", "v", "t")
@@ -351,108 +356,129 @@ def is_polynomial(expr):
 
 # ---------------------------------------------------------------------------
 # scalar evaluation
+#
+# ``_eval`` returns an int, a Fraction or a SymConst.  Python's operators mix
+# them: int and Fraction decline a SymConst operand, which then takes the
+# reflected operation.  int / int and int ** -m would leave exact arithmetic
+# for a float, so Div and Pow go through Fraction there.
 
 def eval_scalar(expr, bindings):
     """Exact value of a scalar expression under half-integer bindings."""
-    if isinstance(expr, Lit):
-        return SymConst.rational(expr.value)
-    if isinstance(expr, Var):
+    return lift(_eval(expr, bindings))
+
+
+def _eval(expr, bindings):
+    cls = type(expr)
+    if cls is Var:
         try:
-            return SymConst.rational(bindings[expr.name].as_fraction())
+            twice = bindings[expr.name].twice
         except KeyError:
             raise UnboundVariable(f"variable {expr.name!r} is unbound") from None
-    if isinstance(expr, Neg):
-        return -eval_scalar(expr.operand, bindings)
-    if isinstance(expr, Add):
-        return eval_scalar(expr.left, bindings) + eval_scalar(expr.right, bindings)
-    if isinstance(expr, Sub):
-        return eval_scalar(expr.left, bindings) - eval_scalar(expr.right, bindings)
-    if isinstance(expr, Mul):
-        return eval_scalar(expr.left, bindings) * eval_scalar(expr.right, bindings)
-    if isinstance(expr, Div):
-        denom = eval_scalar(expr.right, bindings)
-        if denom.is_zero:
-            raise DivisionByZero(f"division by zero in {render(expr)}")
-        return eval_scalar(expr.left, bindings) / denom
-    if isinstance(expr, Pow):
-        exp = _int_arg(expr.exponent, bindings, "exponent")
-        base = eval_scalar(expr.base, bindings)
-        if exp < 0 and base.is_zero:
-            raise DivisionByZero(f"zero base with negative exponent in {render(expr)}")
-        return base ** exp
-    if isinstance(expr, Call):
+        return Fraction(twice, 2) if twice & 1 else twice >> 1
+    if cls is Lit:
+        value = expr.value
+        return value.numerator if value.denominator == 1 else value
+    if cls is Mul:
+        return _eval(expr.left, bindings) * _eval(expr.right, bindings)
+    if cls is Add:
+        return _eval(expr.left, bindings) + _eval(expr.right, bindings)
+    if cls is Sub:
+        return _eval(expr.left, bindings) - _eval(expr.right, bindings)
+    if cls is Call:
         return _eval_call(expr, bindings)
-    if isinstance(expr, BoundedSum):
+    if cls is Div:
+        denom = _eval(expr.right, bindings)
+        if denom == 0:
+            raise DivisionByZero(f"division by zero in {render(expr)}")
+        num = _eval(expr.left, bindings)
+        if type(num) is int and type(denom) is int:
+            q, rem = divmod(num, denom)
+            return Fraction(num, denom) if rem else q
+        return num / denom
+    if cls is Neg:
+        return -_eval(expr.operand, bindings)
+    if cls is Pow:
+        exp = _int_arg(expr.exponent, bindings, "exponent")
+        base = _eval(expr.base, bindings)
+        if exp < 0:
+            if base == 0:
+                raise DivisionByZero(f"zero base with negative exponent in {render(expr)}")
+            if type(base) is int:
+                base = Fraction(base)
+        return base ** exp
+    if cls is BoundedSum:
         lo = _int_arg(expr.lower, bindings, "sum lower bound")
         hi = _int_arg(expr.upper, bindings, "sum upper bound")
-        total = SymConst.rational(0)
+        total = 0
         inner = dict(bindings)
         for i in range(lo, hi + 1):
             inner[expr.index] = HalfInt(2 * i)
-            total = total + eval_scalar(expr.body, inner)
+            total = total + _eval(expr.body, inner)
         return total
     raise EvalTypeError(f"not an AST node: {expr!r}")
 
 
 def _int_arg(expr, bindings, what):
-    value = eval_scalar(expr, bindings)
+    value = _eval(expr, bindings)
     try:
-        return value.as_int()
+        return to_int(value)
     except EvalTypeError:
         raise EvalTypeError(f"{what} must be an integer, got {value}") from None
 
 
 def _half_arg(expr, bindings):
-    return eval_scalar(expr, bindings).as_halfint()
+    return to_halfint(_eval(expr, bindings))
+
+
+def _index_arg(expr, bindings, name):
+    """A nonzero integer index of the ``a_*`` sequences."""
+    j = _int_arg(expr, bindings, "sequence index")
+    if j == 0:
+        raise DivisionByZero(f"{name}(0)")
+    return j
 
 
 def _eval_call(expr, bindings):
     fn = expr.fn
+    args = expr.args
     if fn == "binom":
-        b = special.gen_binom(_half_arg(expr.args[0], bindings), _half_arg(expr.args[1], bindings))
+        b = special.gen_binom(_half_arg(args[0], bindings), _half_arg(args[1], bindings))
         if b.infinite:
             raise PoleError(f"{render(expr)} is infinite")
-        return b.value
+        return lower(b.value)
     if fn == "rbinom":
-        return special.recip_binom(_half_arg(expr.args[0], bindings), _half_arg(expr.args[1], bindings))
+        return lower(special.recip_binom(_half_arg(args[0], bindings), _half_arg(args[1], bindings)))
     if fn == "H":
-        return special.harmonic(_half_arg(expr.args[0], bindings))
+        return lower(special.harmonic(_half_arg(args[0], bindings)))
     if fn == "Hm":
-        return SymConst.rational(special.harmonic_m(_int_arg(expr.args[0], bindings, "Hm order-n"),
-                                                    _int_arg(expr.args[1], bindings, "Hm order-m")))
+        return special.harmonic_m(_int_arg(args[0], bindings, "Hm order-n"),
+                                  _int_arg(args[1], bindings, "Hm order-m"))
     if fn == "O":
-        return SymConst.rational(special.odd_harmonic_m(_int_arg(expr.args[0], bindings, "O argument"), 1))
+        return special.odd_harmonic_m(_int_arg(args[0], bindings, "O argument"), 1)
     if fn == "Om":
-        return SymConst.rational(special.odd_harmonic_m(_int_arg(expr.args[0], bindings, "Om argument"),
-                                                        _int_arg(expr.args[1], bindings, "Om order")))
+        return special.odd_harmonic_m(_int_arg(args[0], bindings, "Om argument"),
+                                      _int_arg(args[1], bindings, "Om order"))
     if fn == "kron":
-        a = _half_arg(expr.args[0], bindings)
-        b = _half_arg(expr.args[1], bindings)
-        return SymConst.rational(1 if a == b else 0)
+        a = _half_arg(args[0], bindings)
+        b = _half_arg(args[1], bindings)
+        return 1 if a == b else 0
     if fn == "fact":
-        return SymConst.rational(special.factorial(_int_arg(expr.args[0], bindings, "factorial argument")))
+        return special.factorial(_int_arg(args[0], bindings, "factorial argument"))
     if fn == "sign":
-        return SymConst.rational((-1) ** _int_arg(expr.args[0], bindings, "sign argument"))
+        return -1 if _int_arg(args[0], bindings, "sign argument") % 2 else 1
     if fn == "floor":
-        return SymConst.rational(_half_arg(expr.args[0], bindings).floor())
+        return _half_arg(args[0], bindings).floor()
     if fn == "a_recip":
-        j = _int_arg(expr.args[0], bindings, "sequence index")
-        if j == 0:
-            raise DivisionByZero("a_recip(0)")
-        return SymConst.rational(Fraction(1, j))
+        return Fraction(1, _index_arg(args[0], bindings, fn))
     if fn == "a_recipsq":
-        j = _int_arg(expr.args[0], bindings, "sequence index")
-        if j == 0:
-            raise DivisionByZero("a_recipsq(0)")
-        return SymConst.rational(Fraction(1, j * j))
+        j = _index_arg(args[0], bindings, fn)
+        return Fraction(1, j * j)
     if fn == "a_one":
-        _half_arg(expr.args[0], bindings)
-        return SymConst.rational(1)
+        _half_arg(args[0], bindings)
+        return 1
     if fn == "a_altrecip":
-        j = _int_arg(expr.args[0], bindings, "sequence index")
-        if j == 0:
-            raise DivisionByZero("a_altrecip(0)")
-        return SymConst.rational(Fraction((-1) ** (j + 1), j))
+        j = _index_arg(args[0], bindings, fn)
+        return Fraction(1 if j % 2 else -1, j)
     if fn == "U":
         raise EvalTypeError("U(...) is only meaningful in polynomial context")
     raise EvalTypeError(f"unknown function {fn!r}")

@@ -4,6 +4,11 @@ Every identity side in the engine evaluates to a ``SymConst``: a finite
 Q-linear combination of monomials ln2^a * sqrt(pi)^b with a >= 0.  Equality of
 canonical forms is the engine's only notion of equality.  Rational
 coefficients are ``fractions.Fraction`` (arbitrary precision, always reduced).
+
+Most values the engine computes are plain rationals, so evaluators carry them
+as ``int`` or ``Fraction`` and lift a value to ``SymConst`` only where an ln2
+or sqrt(pi) term can appear.  ``lift``, ``lower``, ``to_int`` and
+``to_halfint`` are the one boundary between the two kinds.
 """
 
 from __future__ import annotations
@@ -36,9 +41,12 @@ class HalfInt:
         if isinstance(value, int):
             return cls(2 * value)
         if isinstance(value, Fraction):
-            if value.denominator not in (1, 2):
-                raise EvalTypeError(f"{value} is not a half-integer")
-            return cls(int(value * 2))
+            # reduced, so a denominator of 2 leaves an odd numerator
+            if value.denominator == 1:
+                return cls(2 * value.numerator)
+            if value.denominator == 2:
+                return cls(value.numerator)
+            raise EvalTypeError(f"{value} is not a half-integer")
         raise EvalTypeError(f"cannot interpret {value!r} as a half-integer")
 
     @property
@@ -132,7 +140,9 @@ class SymConst:
     """Element of Q[ln2, sqrt(pi)^(+-1)] in canonical form.
 
     ``terms`` maps (ln2 exponent, sqrt(pi) exponent) to a nonzero Fraction.
-    Instances are immutable; all operations return new values.
+    Instances are immutable; all operations return new values.  The
+    constructor validates and canonicalizes outside input; the ring
+    operations build their results with ``_canonical``, which trusts them.
     """
 
     __slots__ = ("terms",)
@@ -156,7 +166,7 @@ class SymConst:
 
     @classmethod
     def rational(cls, value):
-        return cls({(0, 0): _as_fraction(value)})
+        return _from_fraction(_as_fraction(value))
 
     @classmethod
     def monomial(cls, coeff, ln2_exp=0, sqrtpi_exp=0):
@@ -165,13 +175,31 @@ class SymConst:
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other):
-        other = _coerce_sym(other)
-        if other is NotImplemented:
-            return NotImplemented
-        terms = dict(self.terms)
-        for key, c in other.terms.items():
-            terms[key] = terms.get(key, Fraction(0)) + c
-        return SymConst(terms)
+        if type(other) is not SymConst:
+            other = _coerce_sym(other)
+            if other is NotImplemented:
+                return NotImplemented
+        a = self.terms
+        b = other.terms
+        if not b:
+            return self
+        if not a:
+            return other
+        if len(a) == 1 and len(b) == 1:
+            (ka, ca), = a.items()
+            (kb, cb), = b.items()
+            if ka == kb:
+                c = ca + cb
+                return _canonical({ka: c}) if c else ZERO
+        terms = dict(a)
+        for key, c in b.items():
+            if key in terms:
+                c += terms[key]
+                if not c:
+                    del terms[key]
+                    continue
+            terms[key] = c
+        return _canonical(terms)
 
     __radd__ = __add__
 
@@ -188,18 +216,32 @@ class SymConst:
         return other + (-self)
 
     def __neg__(self):
-        return SymConst({key: -c for key, c in self.terms.items()})
+        return _canonical({key: -c for key, c in self.terms.items()})
 
     def __mul__(self, other):
-        other = _coerce_sym(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if type(other) is not SymConst:
+            if type(other) is int or type(other) is Fraction:
+                if not other or not self.terms:
+                    return ZERO
+                return _canonical({key: c * other for key, c in self.terms.items()})
+            other = _coerce_sym(other)
+            if other is NotImplemented:
+                return NotImplemented
+        a = self.terms
+        b = other.terms
+        if not a or not b:
+            return ZERO
+        if len(b) == 1 and (0, 0) in b:
+            a, b = b, a
+        if len(a) == 1 and (0, 0) in a:
+            c = a[(0, 0)]
+            return _canonical({key: c * x for key, x in b.items()})
         terms = {}
-        for (a1, b1), c1 in self.terms.items():
-            for (a2, b2), c2 in other.terms.items():
+        for (a1, b1), c1 in a.items():
+            for (a2, b2), c2 in b.items():
                 key = (a1 + a2, b1 + b2)
-                terms[key] = terms.get(key, Fraction(0)) + c1 * c2
-        return SymConst(terms)
+                terms[key] = terms.get(key, 0) + c1 * c2
+        return _canonical({key: c for key, c in terms.items() if c})
 
     __rmul__ = __mul__
 
@@ -216,13 +258,20 @@ class SymConst:
         return other * self.inverse()
 
     def __pow__(self, n):
+        """Square-and-multiply; a negative power inverts first."""
         if not isinstance(n, int):
             raise EvalTypeError("SymConst exponent must be an integer")
+        base = self
         if n < 0:
-            return self.inverse() ** (-n)
-        out = SymConst.rational(1)
-        for _ in range(n):
-            out = out * self
+            base = self.inverse()
+            n = -n
+        out = ONE
+        while n:
+            if n & 1:
+                out = out * base
+            n >>= 1
+            if n:
+                base = base * base
         return out
 
     def inverse(self):
@@ -234,12 +283,13 @@ class SymConst:
         ((a, b), c), = self.terms.items()
         if a != 0:
             raise EvalTypeError("1/ln2 is outside the constant field")
-        return SymConst({(0, -b): 1 / c})
+        return _canonical({(0, -b): 1 / c})
 
     def __eq__(self, other):
-        other = _coerce_sym(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if type(other) is not SymConst:
+            other = _coerce_sym(other)
+            if other is NotImplemented:
+                return NotImplemented
         return self.terms == other.terms
 
     def __hash__(self):
@@ -263,13 +313,10 @@ class SymConst:
         return self.terms[(0, 0)]
 
     def as_halfint(self):
-        return HalfInt.from_value(self.as_rational())
+        return to_halfint(self)
 
     def as_int(self):
-        q = self.as_rational()
-        if q.denominator != 1:
-            raise EvalTypeError(f"{self} is not an integer")
-        return q.numerator
+        return to_int(self)
 
     # -- rendering ---------------------------------------------------------
 
@@ -347,11 +394,73 @@ class SymConst:
 def _coerce_sym(value):
     if isinstance(value, SymConst):
         return value
-    if isinstance(value, (int, Fraction)):
-        return SymConst.rational(value)
-    if isinstance(value, HalfInt):
-        return SymConst.rational(value.as_fraction())
+    if isinstance(value, (int, Fraction, HalfInt)):
+        return _from_fraction(_as_fraction(value))
     return NotImplemented
+
+
+_new = object.__new__
+_set_terms = SymConst.terms.__set__
+
+
+def _canonical(terms):
+    """A SymConst around ``terms`` as given: the caller guarantees nonzero
+    Fraction coefficients and ln2 exponents >= 0.  Nothing is checked or
+    copied, so only the ring operations and the boundary below use it."""
+    obj = _new(SymConst)
+    _set_terms(obj, terms)
+    return obj
+
+
+def _from_fraction(q):
+    return _canonical({(0, 0): q}) if q else ZERO
+
+
+# -- the boundary between plain rationals and SymConst ----------------------
+#
+# Evaluators carry a rational value as a plain int or Fraction, whose
+# arithmetic is several times cheaper, and lift it to a SymConst only where an
+# ln2 or sqrt(pi) term can appear.  These four functions are where the two
+# kinds meet; each accepts either kind.
+
+def lift(value):
+    """The SymConst equal to an int, Fraction, HalfInt or SymConst."""
+    if type(value) is SymConst:
+        return value
+    return _from_fraction(_as_fraction(value))
+
+
+def lower(value):
+    """A rational SymConst as an int or Fraction; any other value unchanged."""
+    if type(value) is not SymConst:
+        return value
+    terms = value.terms
+    if not terms:
+        return 0
+    if len(terms) == 1:
+        q = terms.get((0, 0))
+        if q is not None:
+            return q.numerator if q.denominator == 1 else q
+    return value
+
+
+def to_int(value):
+    """The int equal to an int, Fraction or SymConst; EvalTypeError otherwise."""
+    if type(value) is int:
+        return value
+    q = value.as_rational() if type(value) is SymConst else _as_fraction(value)
+    if q.denominator != 1:
+        raise EvalTypeError(f"{value} is not an integer")
+    return q.numerator
+
+
+def to_halfint(value):
+    """The HalfInt equal to an int, Fraction or SymConst; EvalTypeError otherwise."""
+    if type(value) is int:
+        return HalfInt(2 * value)
+    if type(value) is SymConst:
+        value = value.as_rational()
+    return HalfInt.from_value(value)
 
 
 def _render_fraction(q):
@@ -375,7 +484,7 @@ def _split_signed_terms(text):
     return out
 
 
-ZERO = SymConst.rational(0)
-ONE = SymConst.rational(1)
+ZERO = SymConst()
+ONE = SymConst({(0, 0): Fraction(1)})
 LN2 = SymConst.monomial(1, ln2_exp=1)
 SQRT_PI = SymConst.monomial(1, sqrtpi_exp=1)

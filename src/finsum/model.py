@@ -217,11 +217,15 @@ def _load_side(doc, name):
             raise FormatError(f"{name}: poly side contains no t")
         return PolySide(expr)
     if kind == "closed":
+        sums = doc.get("sums", [])
+        if not isinstance(sums, list) or not all(isinstance(s, dict) for s in sums):
+            raise FormatError(f"{name}: closed 'sums' must be a list of objects")
         summands = tuple(
-            ClosedSummand(dsl.parse(s["coeff"]), dsl.parse(str(s["lower"])), dsl.parse(str(s["upper"])))
-            for s in doc.get("sums", ())
+            ClosedSummand(_closed_field(s, "coeff", name), _closed_field(s, "lower", name, bound=True),
+                          _closed_field(s, "upper", name, bound=True))
+            for s in sums
         )
-        extra = dsl.parse(doc["expr"]) if "expr" in doc else None
+        extra = _closed_field(doc, "expr", name) if "expr" in doc else None
         if not summands and extra is None:
             raise FormatError(f"{name}: empty closed side")
         for e in [s.coeff for s in summands] + ([extra] if extra is not None else []):
@@ -229,6 +233,16 @@ def _load_side(doc, name):
                 raise FormatError(f"{name}: closed side contains t or U(...)")
         return ClosedSide(summands, extra)
     raise FormatError(f"{name}: unknown side kind {kind!r}")
+
+
+def _closed_field(doc, key, name, bound=False):
+    """The parsed DSL text of a closed-side field; a sum bound may also be an integer."""
+    if key not in doc:
+        raise FormatError(f"{name}: closed side missing {key!r}")
+    value = doc[key]
+    if not (isinstance(value, str) or (bound and is_json_int(value))):
+        raise FormatError(f"{name}: closed side {key!r} must be DSL text, got {value!r}")
+    return dsl.parse(str(value))
 
 
 def _load_term(doc, name):

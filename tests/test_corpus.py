@@ -130,6 +130,18 @@ class TestLoadEntry:
         with pytest.raises(FormatError):
             load_entry(doc)
 
+    @pytest.mark.parametrize("grid", [{"r": ["x"]}, {"r": 3}, {"r": ["1/3"]}, {"r": ["1/0"]}, "r"])
+    def test_malformed_grid(self, grid):
+        doc = dict(GOOD_CLOSED, grid=grid)
+        with pytest.raises(FormatError):
+            load_entry(doc)
+
+    @pytest.mark.parametrize("params", [{"r": "x"}, {"r": "1/3"}, ["r", "1/2"]])
+    def test_malformed_witness_params(self, params):
+        doc = dict(BAD_CLOSED, witness={"n": 1, "params": params, "lhs": "1/2", "rhs": "-1/2"})
+        with pytest.raises(FormatError):
+            load_entry(doc)
+
     def test_n_range_default_and_parity(self):
         doc = dict(GOOD_CLOSED)
         doc.pop("n")

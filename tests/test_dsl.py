@@ -164,6 +164,33 @@ class TestScalarEval:
     def test_rbinom_limit_is_zero(self):
         assert ev("rbinom(n, k)", n=-1, k="1/2").is_zero
 
+    def test_sign_of_negative_integers(self):
+        assert rat("sign(-1)") == -1
+        assert rat("sign(0-3)") == -1
+        assert rat("sign(-2)") == 1
+        assert rat("a_altrecip(j)", j=-2) == Fraction(1, 2)
+        assert rat("a_altrecip(j)", j=-1) == -1
+
+    def test_negative_power_is_exact(self):
+        value = ev("2^(0-1)")
+        assert value.terms == {(0, 0): Fraction(1, 2)}
+        assert type(value.terms[(0, 0)]) is Fraction
+        with pytest.raises(DivisionByZero):
+            ev("0^(0-1)")
+        with pytest.raises(DivisionByZero):
+            ev("1/(k-k)", k=3)
+
+    def test_rational_values_stay_plain(self):
+        """The evaluator carries rationals as int or Fraction and lifts a value
+        to SymConst only where an ln2 or sqrt(pi) term appears."""
+        point = {"n": HalfInt(6), "r": HalfInt(1)}
+        for text, kind in [("n + 1", int), ("n/3", int), ("n/4", Fraction), ("r", Fraction),
+                           ("binom(n, 2)", int), ("H(n)", Fraction), ("H(r)", SymConst),
+                           ("binom(r, 2)", Fraction), ("binom(n, r)", SymConst),
+                           ("H(r) - H(r)", SymConst), ("2^(0-1)", Fraction)]:
+            assert type(dsl._eval(dsl.parse(text), point)) is kind, text
+        assert dsl.eval_scalar(dsl.parse("H(r) - H(r)"), point).is_zero
+
     def test_sign_needs_integer(self):
         with pytest.raises(EvalTypeError):
             ev("sign(r)", r="1/2")

@@ -9,10 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from finsum.errors import DivisionByZero, EvalTypeError
-from finsum.field import LN2, ONE, SQRT_PI, ZERO, HalfInt, SymConst
+from finsum.field import (LN2, ONE, SQRT_PI, ZERO, HalfInt, SymConst, lift, lower,
+                          to_halfint, to_int)
 
 fractions = st.fractions(
     min_value=-50, max_value=50, max_denominator=64)
+
+nonzero_fractions = fractions.filter(bool)
 
 monomial_keys = st.tuples(st.integers(min_value=0, max_value=3),
                           st.integers(min_value=-3, max_value=3))
@@ -20,6 +23,18 @@ monomial_keys = st.tuples(st.integers(min_value=0, max_value=3),
 sym_consts = st.dictionaries(monomial_keys, fractions, max_size=4).map(SymConst)
 
 half_ints = st.integers(min_value=-60, max_value=60).map(HalfInt)
+
+monomials = st.builds(lambda c, b: SymConst.monomial(c, sqrtpi_exp=b),
+                      nonzero_fractions, st.integers(min_value=-3, max_value=3))
+
+# an evaluator's operands: plain rationals and constants of either kind,
+# including lone rational terms and lone monomials that the fast paths serve
+operands = st.one_of(st.integers(min_value=-6, max_value=6), fractions,
+                     fractions.map(SymConst.rational), monomials, sym_consts)
+
+
+def _invertible(x):
+    return len(x.terms) == 1 and next(iter(x.terms))[0] == 0
 
 
 class TestHalfInt:
@@ -99,11 +114,83 @@ class TestSymConstRing:
         assert SQRT_PI * SQRT_PI.inverse() == ONE
         assert (SQRT_PI ** -2) * SQRT_PI * SQRT_PI == ONE
 
-    @given(sym_consts)
-    def test_pow_matches_repeated_product(self, x):
-        assert x ** 0 == ONE
-        assert x ** 1 == x
-        assert x ** 3 == x * x * x
+    @given(sym_consts, monomials, st.integers(min_value=0, max_value=9))
+    def test_pow_matches_repeated_product(self, x, m, n):
+        product = ONE
+        for _ in range(n):
+            product = product * x
+        assert x ** n == product
+        inverse_product = ONE
+        for _ in range(n):
+            inverse_product = inverse_product * m.inverse()
+        assert m ** -n == inverse_product
+        assert m ** -n * m ** n == ONE
+        with pytest.raises(DivisionByZero):
+            ZERO ** -(n + 1)
+
+    @given(operands, operands)
+    def test_results_are_canonical(self, x, y):
+        """Results built without validation equal their validated copies:
+        every coefficient a nonzero Fraction."""
+        x, y = lift(x), lift(y)
+        # (x + y)(x - y) cancels its cross terms
+        results = [x + y, x - y, x + (-x), x * y, (x + y) * (x - y), -x, x ** 2, x * 3,
+                   Fraction(1, 2) * x, x * 0, x + 1]
+        if _invertible(y):
+            results += [y.inverse(), x / y, y * y.inverse()]
+        for r in results:
+            assert r == SymConst(dict(r.terms))
+            assert all(type(c) is Fraction and c != 0 for c in r.terms.values())
+
+
+class TestBoundary:
+    @given(operands, operands)
+    def test_lowered_arithmetic_matches_symconst(self, x, y):
+        """Lowering, computing with Python's operators, then lifting gives
+        the SymConst result, whatever mix of kinds the operands are."""
+        big_x, big_y = lift(x), lift(y)
+        a, b = lower(big_x), lower(big_y)
+        assert lift(a + b) == big_x + big_y
+        assert lift(a - b) == big_x - big_y
+        assert lift(a * b) == big_x * big_y
+        if _invertible(big_y):
+            # int / int is a float in Python; an evaluator divides through Fraction
+            quotient = Fraction(a, b) if type(a) is int and type(b) is int else a / b
+            assert lift(quotient) == big_x / big_y
+
+    @given(operands)
+    def test_lower_undoes_lift(self, x):
+        big = lift(x)
+        low = lower(big)
+        assert lift(low) == big
+        if big.is_rational:
+            q = big.as_rational()
+            assert low == q
+            assert type(low) is (int if q.denominator == 1 else Fraction)
+        else:
+            assert low is big
+
+    def test_lift_shares_zero_and_rejects_floats(self):
+        assert lift(0) is ZERO and lift(Fraction(0)) is ZERO
+        assert lift(ONE) is ONE
+        assert lift(HalfInt(3)) == SymConst.rational(Fraction(3, 2))
+        with pytest.raises(EvalTypeError, match="cannot interpret"):
+            lift(0.5)
+
+    def test_integer_and_half_integer_reads(self):
+        for value in (3, Fraction(3), SymConst.rational(3)):
+            assert to_int(value) == 3 and type(to_int(value)) is int
+            assert to_halfint(value) == HalfInt(6)
+        for value in (Fraction(-3, 2), SymConst.rational(Fraction(-3, 2))):
+            assert to_halfint(value) == HalfInt(-3)
+            with pytest.raises(EvalTypeError, match="-3/2 is not an integer"):
+                to_int(value)
+        for value in (Fraction(1, 3), SymConst.rational(Fraction(1, 3))):
+            with pytest.raises(EvalTypeError, match="1/3 is not a half-integer"):
+                to_halfint(value)
+        for reader in (to_int, to_halfint):
+            with pytest.raises(EvalTypeError, match="is not rational"):
+                reader(ONE + LN2)
 
 
 class TestRendering:

@@ -167,6 +167,34 @@ class TestValidation:
         with pytest.raises(FormatError):
             load_identity(doc)
 
+    @pytest.mark.parametrize("summand", [
+        {"lower": "0", "upper": "n"},
+        {"coeff": 1, "lower": "0", "upper": "n"},
+        {"coeff": "1", "upper": "n"},
+        {"coeff": "1", "lower": "0"},
+        {"coeff": "1", "lower": True, "upper": "n"},
+        {"coeff": "1", "lower": "0", "upper": ["n"]},
+    ])
+    def test_closed_summand_fields_checked(self, summand):
+        doc = dict(CLOSED_DOC)
+        doc["lhs"] = {"kind": "closed", "sums": [summand]}
+        with pytest.raises(FormatError):
+            load_identity(doc)
+
+    def test_closed_side_shapes_checked(self):
+        doc = dict(CLOSED_DOC)
+        for side in ({"kind": "closed", "expr": 3}, {"kind": "closed", "sums": "k"},
+                     {"kind": "closed", "sums": ["1"]}):
+            doc["rhs"] = side
+            with pytest.raises(FormatError):
+                load_identity(doc)
+
+    def test_closed_sum_bounds_may_be_integers(self):
+        doc = dict(CLOSED_DOC)
+        doc["lhs"] = {"kind": "closed", "sums": [
+            {"coeff": "sign(k)*binom(n, k)/(k + 1)", "lower": 0, "upper": "n"}]}
+        assert load_identity(doc).lhs.summands[0].lower == dsl.parse("0")
+
     def test_stray_variables_in_standard_coeff(self):
         doc = dict(STANDARD_DOC)
         doc["lhs"] = {"kind": "standard", "terms": [{"coeff": "binom(n, r)"}]}
