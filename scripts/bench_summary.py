@@ -1,0 +1,117 @@
+"""Summarize alternating parent/change benchmark runs into one BENCH_<label>.json.
+
+Each run is ``python3 perfbench/run.py --workload all --seed i`` in a clean
+checkout of one side; the last line of its standard output is one JSON
+object.  Pair i runs seed i on both sides, the parent first when i is even.
+The verdict digest is the sha256 of the ``(name, expected, actual, matched)``
+fields of ``finsum corpus run --format json``, so it ignores ``detail``.
+
+    python3 scripts/bench_summary.py --out BENCH_x.json \\
+        --parent-repo ../parent --change-repo . \\
+        --parent-logs parent-0.log parent-1.log ... \\
+        --change-logs change-0.log change-1.log ... \\
+        --parent-corpus parent-corpus.json --change-corpus change-corpus.json
+
+Logs are given in pair order.  Quartiles are the inclusive quartiles of
+``statistics.quantiles``; every end-to-end metric is better when lower.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import platform
+import statistics
+import subprocess
+
+END_TO_END = ("wall_s", "ref_time", "setup_s", "peak_rss_mb")
+
+
+def last_json_line(path):
+    with open(path) as fh:
+        lines = [line for line in fh.read().splitlines() if line.strip()]
+    return json.loads(lines[-1])
+
+
+def verdict_digest(path):
+    with open(path) as fh:
+        reports = json.load(fh)
+    rows = [[r["name"], r["expected"], r["actual"], r["matched"]] for r in reports]
+    blob = json.dumps(rows, separators=(",", ":")).encode()
+    return {"sha256": hashlib.sha256(blob).hexdigest(), "entries": len(rows),
+            "matched": sum(1 for r in rows if r[3])}
+
+
+def git(repo, *args):
+    return subprocess.run(["git", "-C", repo, *args], check=True, capture_output=True,
+                          text=True).stdout.strip()
+
+
+def describe(values):
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3, "iqr": q3 - q1, "runs": values}
+
+
+def summarize(parent_runs, change_runs):
+    workloads = sorted({key.split(".", 1)[0] for key in parent_runs[0]["metrics"]})
+    out = {}
+    for workload in workloads:
+        rows = {}
+        for metric in END_TO_END:
+            key = f"{workload}.{metric}"
+            parent = [run["metrics"][key]["value"] for run in parent_runs]
+            change = [run["metrics"][key]["value"] for run in change_runs]
+            p, c = describe(parent), describe(change)
+            rows[metric] = {
+                "unit": parent_runs[0]["metrics"][key]["unit"],
+                "parent": p,
+                "change": c,
+                "median_change_vs_parent": c["median"] / p["median"] - 1,
+                "parent_iqr_share": p["iqr"] / p["median"],
+                "pairs_change_lower": sum(cv < pv for pv, cv in zip(parent, change)),
+            }
+        out[workload] = rows
+    return out
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--out", required=True)
+    parser.add_argument("--parent-repo", required=True)
+    parser.add_argument("--change-repo", required=True)
+    parser.add_argument("--parent-logs", nargs="+", required=True)
+    parser.add_argument("--change-logs", nargs="+", required=True)
+    parser.add_argument("--parent-corpus", required=True)
+    parser.add_argument("--change-corpus", required=True)
+    args = parser.parse_args(argv)
+    if len(args.parent_logs) != len(args.change_logs):
+        parser.error("give one parent log and one change log per pair")
+    parent_runs = [last_json_line(p) for p in args.parent_logs]
+    change_runs = [last_json_line(p) for p in args.change_logs]
+    bench = {
+        "machine": {"nproc": len(os.sched_getaffinity(0)), "python": platform.python_version()},
+        "command": "python3 perfbench/run.py --workload all --seed i",
+        "pairs": len(parent_runs),
+        "order": "pair i runs seed i; the parent runs first when i is even",
+        "parent": {"commit": git(args.parent_repo, "rev-parse", "HEAD"),
+                   "src_tree": git(args.parent_repo, "rev-parse", "HEAD:src")},
+        "change": {"commit": git(args.change_repo, "rev-parse", "HEAD"),
+                   "src_tree": git(args.change_repo, "rev-parse", "HEAD:src")},
+        "runs_correct": {"parent": all(r["correct"] for r in parent_runs),
+                         "change": all(r["correct"] for r in change_runs)},
+        "operations": {side: {"attempted": sum(r["attempted"] for r in runs),
+                              "failed": sum(r["failed"] for r in runs)}
+                       for side, runs in (("parent", parent_runs), ("change", change_runs))},
+        "end_to_end": summarize(parent_runs, change_runs),
+        "verdict_digest": {"parent": verdict_digest(args.parent_corpus),
+                           "change": verdict_digest(args.change_corpus)},
+    }
+    with open(args.out, "w") as fh:
+        json.dump(bench, fh, indent=1)
+        fh.write("\n")
+
+
+if __name__ == "__main__":
+    main()

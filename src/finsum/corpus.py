@@ -26,6 +26,8 @@ DEFAULT_DIR = Path(__file__).parent / "corpus_data"
 
 EXPECTED = ("equal", "unequal")
 
+GRID_PARAMS = ("r", "s", "u", "v")   # the keyword parameters of beta.eval_closed
+
 
 def corpus_dir(override=None):
     if override:
@@ -60,8 +62,11 @@ class CorpusEntry:
         return self.identity.name
 
 
-def _document_half(text, where):
-    """``parse_half`` on document text, with FormatError for anything else."""
+def _document_half(name, text, where):
+    """``parse_half`` on a document's value of parameter ``name``, with
+    FormatError for an unknown name or a value that is not a half-integer."""
+    if name not in GRID_PARAMS:
+        raise FormatError(f"{where}: unknown parameter {name!r} (want one of {', '.join(GRID_PARAMS)})")
     try:
         return parse_half(text)
     except (ValueError, ZeroDivisionError, EvalTypeError) as exc:
@@ -76,7 +81,7 @@ def _build_grid(spec, where="grid"):
     if not (isinstance(spec, dict) and all(isinstance(v, list) for v in spec.values())):
         raise FormatError(f"{where}: 'grid' must map each parameter to a list of values")
     names = sorted(spec)
-    values = {name: [_document_half(v, where) for v in spec[name]] for name in names}
+    values = {name: [_document_half(name, v, where) for v in spec[name]] for name in names}
     grid = [{}]
     for name in names:
         grid = [dict(g, **{name: v}) for g in grid for v in values[name]]
@@ -107,7 +112,7 @@ def load_entry(document):
                               " and an object of params")
         witness = Witness(
             n=w["n"],
-            params=tuple(sorted((name, _document_half(v, identity.name))
+            params=tuple(sorted((name, _document_half(name, v, identity.name))
                                 for name, v in w.get("params", {}).items())),
             lhs=SymConst.parse(w["lhs"]),
             rhs=SymConst.parse(w["rhs"]),

@@ -130,13 +130,14 @@ class TestLoadEntry:
         with pytest.raises(FormatError):
             load_entry(doc)
 
-    @pytest.mark.parametrize("grid", [{"r": ["x"]}, {"r": 3}, {"r": ["1/3"]}, {"r": ["1/0"]}, "r"])
+    @pytest.mark.parametrize("grid", [{"r": ["x"]}, {"r": 3}, {"r": ["1/3"]}, {"r": ["1/0"]}, "r",
+                                      {"q": ["1"]}, {"n": ["1"]}])
     def test_malformed_grid(self, grid):
         doc = dict(GOOD_CLOSED, grid=grid)
         with pytest.raises(FormatError):
             load_entry(doc)
 
-    @pytest.mark.parametrize("params", [{"r": "x"}, {"r": "1/3"}, ["r", "1/2"]])
+    @pytest.mark.parametrize("params", [{"r": "x"}, {"r": "1/3"}, ["r", "1/2"], {"k": "1"}])
     def test_malformed_witness_params(self, params):
         doc = dict(BAD_CLOSED, witness={"n": 1, "params": params, "lhs": "1/2", "rhs": "-1/2"})
         with pytest.raises(FormatError):
