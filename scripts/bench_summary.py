@@ -88,6 +88,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if len(args.parent_logs) != len(args.change_logs):
         parser.error("give one parent log and one change log per pair")
+    if len(args.parent_logs) < 2:
+        parser.error("give at least two pairs: quartiles need two runs per side")
     parent_runs = [last_json_line(p) for p in args.parent_logs]
     change_runs = [last_json_line(p) for p in args.change_logs]
     bench = {

@@ -12,9 +12,13 @@ Three transform families are implemented:
   one or two free integer parameters.
 
 Closed identities are evaluated exactly over half-integer parameter points;
-a float evaluator (mpmath) backs the derivative cross-check.  The module's
-one cache, the coefficient memo ``_expr_memo``, lives for the whole process
-and keeps every expression it has evaluated alive.
+a float evaluator (mpmath) backs the derivative cross-check.  Exact
+evaluation carries rational values as plain ``int``/``Fraction``: the
+coefficient memo holds them lowered, ``eval_term`` reads its factors from the
+``special`` accessors at twice-int arguments and returns a plain value, and
+``eval_side`` lifts each side's sum to SymConst once.  The module's one
+cache, the coefficient memo ``_expr_memo``, lives for the whole process and
+keeps every expression it has evaluated alive.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from fractions import Fraction
 
 from . import dsl, special
 from .errors import DivisionByZero, EvalTypeError, PoleError, ShapeError
-from .field import HalfInt, SymConst
+from .field import HalfInt, exact_div, lift, lower, to_int
 from .model import Affine, substitute_neg_t
 
 
@@ -338,7 +342,8 @@ def _eval_memo(expr, bindings):
 
     Grid verification revisits the same coefficient at every parameter point
     even though it usually depends on (k, n) only; the memo collapses that.
-    Keyed by object identity with the expression kept alive in the entry."""
+    Keyed by object identity with the expression kept alive in the entry.
+    Values are held lowered: a plain int or Fraction when rational."""
     entry = _expr_memo.get(id(expr))
     if entry is None or entry[0] is not expr:
         entry = (expr, tuple(sorted(dsl.free_vars(expr))), {})
@@ -347,71 +352,75 @@ def _eval_memo(expr, bindings):
     try:
         key = tuple(bindings[name].twice for name in names)
     except KeyError:
-        return dsl.eval_scalar(expr, bindings)  # unbound: uniform error path
+        return lower(dsl.eval_scalar(expr, bindings))  # unbound: uniform error path
     value = cache.get(key)
     if value is None:
-        value = dsl.eval_scalar(expr, bindings)
-        cache[key] = value
+        value = cache[key] = lower(dsl.eval_scalar(expr, bindings))
     return value
 
 
 def eval_term(term, bindings):
-    """Exact value of one closed term at a fully bound point.
+    """Exact value of one closed term at a fully bound point: a plain int or
+    Fraction when rational, a SymConst otherwise.
 
     Factors are evaluated first: a reciprocal binomial hitting the Infinite
     pole sends the whole term to 0 before the bracket is looked at, which is
     the limit reading of the transformed identities.
     """
-    product = SymConst.rational(1)
+    product = 1
     for f in term.factors:
         if isinstance(f, FBinom):
-            b = special.gen_binom(f.top.value(bindings), f.bot.value(bindings))
+            b = special.binom_at(f.top.twice(bindings), f.bot.twice(bindings))
             if f.power == 1:
-                if b.infinite:
+                if b is special.INFINITE:
                     raise PoleError(f"infinite binomial factor {f.render()}")
-                product = product * b.value
+                product = product * b
             else:
-                if b.infinite:
-                    return SymConst.rational(0)
-                if b.is_zero:
+                if b is special.INFINITE:
+                    return 0
+                if b == 0:
                     raise DivisionByZero(f"zero binomial under reciprocal: {f.render()}")
-                product = product * b.value.inverse()
+                product = exact_div(product, b)
         elif isinstance(f, FRecipAffine):
-            a = f.affine.value(bindings).as_fraction()
-            if a == 0:
+            twice = f.affine.twice(bindings)
+            if twice == 0:
                 raise DivisionByZero(f"zero affine under reciprocal: {f.render()}")
-            product = product * SymConst.rational(Fraction(1) / a ** f.power)
+            product = product * Fraction(2, twice) ** f.power
         else:
             raise EvalTypeError(f"unknown factor {f!r}")
-    if product.is_zero:
-        return product
-    value = _eval_memo(term.coeff, bindings) * product
+    if product == 0:
+        return 0
+    value = _eval_memo(term.coeff, bindings)
+    if term.factors:
+        value = value * product
     if term.extras:
-        bracket = SymConst.rational(0)
+        bracket = 0
         for p in term.extras:
+            twice = p.argument.twice(bindings)
             if isinstance(p, HPiece):
-                bracket = bracket + special.harmonic(p.argument.value(bindings)) * p.coeff
+                bracket = bracket + special.harmonic_at(twice) * p.coeff
             else:
-                a = p.argument.value(bindings).as_fraction()
-                if a == 0:
+                if twice == 0:
                     raise DivisionByZero(f"bracket reciprocal at zero: {term.render()}")
-                bracket = bracket + SymConst.rational(p.coeff / a)
+                bracket = bracket + exact_div(2 * p.coeff, twice)
         value = value * bracket
     return value
 
 
 def eval_side(side, bindings):
-    total = SymConst.rational(0)
+    """Exact value of one side at a fully bound point, as a SymConst.  The
+    terms are summed as plain values where rational and lifted once."""
+    total = 0
     for sm in side.summands:
-        lo = _eval_memo(sm.lower, bindings).as_int()
-        hi = _eval_memo(sm.upper, bindings).as_int()
+        lo = to_int(_eval_memo(sm.lower, bindings))
+        hi = to_int(_eval_memo(sm.upper, bindings))
         inner = dict(bindings)
         for k in range(lo, hi + 1):
             inner["k"] = HalfInt(2 * k)
             total = total + eval_term(sm.term, inner)
     if side.extra is not None:
         total = total + _eval_memo(side.extra, bindings)
-    return total
+    return lift(total)
 
 
 def eval_closed(cid, n, r=None, s=None, u=None, v=None):

@@ -18,8 +18,9 @@ unless bound.
 
 The scalar evaluator returns a ``SymConst``.  Inside, rational values travel
 as ``int`` or ``Fraction``; only ``H``, ``binom`` and ``rbinom`` at
-half-integer points produce ln2 or sqrt(pi) terms, and from there Python's
-operators carry the ``SymConst``.
+half-integer points produce ln2 or sqrt(pi) terms, which the ``special``
+accessors hand over as a ``SymConst``, and from there Python's operators
+carry it.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from fractions import Fraction
 
 from .errors import (ArityError, DivisionByZero, DslSyntaxError, EvalTypeError,
                      PoleError, UnboundVariable)
-from .field import HalfInt, lift, lower, to_halfint, to_int
+from .field import HalfInt, exact_div, lift, to_halfint, to_int
 from . import special
 
 VAR_NAMES = ("n", "k", "j", "r", "s", "u", "v", "t")
@@ -129,7 +130,12 @@ def _tokenize(text):
         if not m:
             raise DslSyntaxError(f"unexpected character {text[pos]!r}", pos)
         if m.group(1):
-            tokens.append(("int", int(m.group(1)), m.start(1)))
+            try:
+                value = int(m.group(1))
+            except ValueError:  # past the interpreter's int-from-str digit limit
+                raise DslSyntaxError(f"integer literal of {len(m.group(1))} digits is too long",
+                                     m.start(1)) from None
+            tokens.append(("int", value, m.start(1)))
         elif m.group(2):
             tokens.append(("ident", m.group(2), m.start(2)))
         else:
@@ -390,11 +396,7 @@ def _eval(expr, bindings):
         denom = _eval(expr.right, bindings)
         if denom == 0:
             raise DivisionByZero(f"division by zero in {render(expr)}")
-        num = _eval(expr.left, bindings)
-        if type(num) is int and type(denom) is int:
-            q, rem = divmod(num, denom)
-            return Fraction(num, denom) if rem else q
-        return num / denom
+        return exact_div(_eval(expr.left, bindings), denom)
     if cls is Neg:
         return -_eval(expr.operand, bindings)
     if cls is Pow:
@@ -430,6 +432,16 @@ def _half_arg(expr, bindings):
     return to_halfint(_eval(expr, bindings))
 
 
+def _twice_arg(expr, bindings):
+    """Twice the half-integer value of an argument, as an int."""
+    value = _eval(expr, bindings)
+    if type(value) is int:
+        return 2 * value
+    if type(value) is Fraction and value.denominator == 2:
+        return value.numerator
+    return to_halfint(value).twice
+
+
 def _index_arg(expr, bindings, name):
     """A nonzero integer index of the ``a_*`` sequences."""
     j = _int_arg(expr, bindings, "sequence index")
@@ -442,14 +454,14 @@ def _eval_call(expr, bindings):
     fn = expr.fn
     args = expr.args
     if fn == "binom":
-        b = special.gen_binom(_half_arg(args[0], bindings), _half_arg(args[1], bindings))
-        if b.infinite:
+        b = special.binom_at(_twice_arg(args[0], bindings), _twice_arg(args[1], bindings))
+        if b is special.INFINITE:
             raise PoleError(f"{render(expr)} is infinite")
-        return lower(b.value)
+        return b
     if fn == "rbinom":
-        return lower(special.recip_binom(_half_arg(args[0], bindings), _half_arg(args[1], bindings)))
+        return special.rbinom_at(_twice_arg(args[0], bindings), _twice_arg(args[1], bindings))
     if fn == "H":
-        return lower(special.harmonic(_half_arg(args[0], bindings)))
+        return special.harmonic_at(_twice_arg(args[0], bindings))
     if fn == "Hm":
         return special.harmonic_m(_int_arg(args[0], bindings, "Hm order-n"),
                                   _int_arg(args[1], bindings, "Hm order-m"))

@@ -8,7 +8,8 @@ coefficients are ``fractions.Fraction`` (arbitrary precision, always reduced).
 Most values the engine computes are plain rationals, so evaluators carry them
 as ``int`` or ``Fraction`` and lift a value to ``SymConst`` only where an ln2
 or sqrt(pi) term can appear.  ``lift``, ``lower``, ``to_int`` and
-``to_halfint`` are the one boundary between the two kinds.
+``to_halfint`` are the one boundary between the two kinds; ``exact_div``
+divides either kind without leaving exact arithmetic.
 """
 
 from __future__ import annotations
@@ -420,8 +421,8 @@ def _from_fraction(q):
 #
 # Evaluators carry a rational value as a plain int or Fraction, whose
 # arithmetic is several times cheaper, and lift it to a SymConst only where an
-# ln2 or sqrt(pi) term can appear.  These four functions are where the two
-# kinds meet; each accepts either kind.
+# ln2 or sqrt(pi) term can appear.  These functions are where the two kinds
+# meet; each accepts either kind.
 
 def lift(value):
     """The SymConst equal to an int, Fraction, HalfInt or SymConst."""
@@ -431,8 +432,11 @@ def lift(value):
 
 
 def lower(value):
-    """A rational SymConst as an int or Fraction; any other value unchanged."""
+    """A rational SymConst or an integral Fraction as an int or Fraction; any
+    other value unchanged."""
     if type(value) is not SymConst:
+        if type(value) is Fraction and value.denominator == 1:
+            return value.numerator
         return value
     terms = value.terms
     if not terms:
@@ -442,6 +446,15 @@ def lower(value):
         if q is not None:
             return q.numerator if q.denominator == 1 else q
     return value
+
+
+def exact_div(num, denom):
+    """num / denom for plain or SymConst values; two ints give an int or a
+    Fraction, never a float.  The caller rules out a zero denominator."""
+    if type(num) is int and type(denom) is int:
+        q, rem = divmod(num, denom)
+        return Fraction(num, denom) if rem else q
+    return num / denom
 
 
 def to_int(value):
@@ -464,7 +477,19 @@ def to_halfint(value):
 
 
 def _render_fraction(q):
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+    num = _render_int(q.numerator)
+    return num if q.denominator == 1 else f"{num}/{_render_int(q.denominator)}"
+
+
+def _render_int(n):
+    """Decimal text of an int.  Past the interpreter's digit limit for
+    int-to-str conversion (4,300 digits by default, process-global) this is
+    an EvalTypeError, not a ValueError."""
+    try:
+        return str(n)
+    except ValueError:
+        raise EvalTypeError(
+            f"an integer of {n.bit_length()} bits is too long to print in decimal") from None
 
 
 def _split_signed_terms(text):

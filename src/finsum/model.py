@@ -43,6 +43,11 @@ class Affine:
 
     def value(self, bindings):
         """Half-integer value under bindings of the names it mentions."""
+        return HalfInt(self.twice(bindings))
+
+    def twice(self, bindings):
+        """Twice the half-integer value, as an int; EvalTypeError when the
+        value is not a half-integer."""
         # integer fast path in quarter units; coefficients are halves in
         # every transform the engine produces
         quarters = 0
@@ -51,23 +56,23 @@ class Affine:
             if c:
                 t = 2 * c.numerator * bindings[name].twice
                 if t % c.denominator:
-                    return self._value_slow(bindings)
+                    return self._twice_slow(bindings)
                 quarters += t // c.denominator
         t = 4 * self.const.numerator
         if t % self.const.denominator:
-            return self._value_slow(bindings)
+            return self._twice_slow(bindings)
         quarters += t // self.const.denominator
         if quarters % 2:
-            return self._value_slow(bindings)
-        return HalfInt(quarters // 2)
+            return self._twice_slow(bindings)
+        return quarters // 2
 
-    def _value_slow(self, bindings):
+    def _twice_slow(self, bindings):
         total = Fraction(self.const)
         for name in ("k", "n", "r", "s"):
             c = getattr(self, name)
             if c:
                 total += c * bindings[name].as_fraction()
-        return HalfInt.from_value(total)
+        return HalfInt.from_value(total).twice
 
     def derivative(self, param):
         return getattr(self, param)

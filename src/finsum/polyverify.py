@@ -4,6 +4,11 @@ A side is expanded into a dense polynomial in t over the constant field:
 standard sides by the binomial theorem applied to each coeff * t^a * (1+-t)^b
 summand, free-form polynomial sides by structural evaluation.  Two sides agree
 iff their coefficient vectors agree; there is no tolerance anywhere.
+
+A ``DensePoly`` holds its coefficients lowered, as the evaluators do: a plain
+int or Fraction for a rational coefficient and a SymConst only for one with
+an ln2 or sqrt(pi) term.  ``coeffs``, ``coefficient()``, evaluation and
+``integrate_unit`` lift their results to SymConst on the way out.
 """
 
 from __future__ import annotations
@@ -13,83 +18,98 @@ from fractions import Fraction
 
 from . import dsl, special
 from .errors import DivisionByZero, EvalTypeError, NegativeExponent
-from .field import HalfInt, SymConst
+from .field import HalfInt, SymConst, exact_div, lift, lower
 from .model import PolySide, StandardSide
 
 
 class DensePoly:
-    """Polynomial in t with SymConst coefficients, trailing zeros trimmed."""
+    """Polynomial in t over the constant field, trailing zeros trimmed."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("_coeffs",)
 
     def __init__(self, coeffs=()):
-        coeffs = list(coeffs)
-        while coeffs and coeffs[-1].is_zero:
-            coeffs.pop()
-        self.coeffs = tuple(coeffs)
+        self._coeffs = _trimmed([lower(lift(c)) for c in coeffs])
 
     @classmethod
     def constant(cls, value):
-        if not isinstance(value, SymConst):
-            value = SymConst.rational(value)
         return cls((value,))
 
     @classmethod
     def variable(cls):
-        return cls((SymConst.rational(0), SymConst.rational(1)))
+        return _poly([0, 1])
+
+    @property
+    def coeffs(self):
+        """The coefficients as SymConst, index = power of t."""
+        return tuple(lift(c) for c in self._coeffs)
 
     @property
     def degree(self):
-        return len(self.coeffs) - 1
+        return len(self._coeffs) - 1
 
     @property
     def is_zero(self):
-        return not self.coeffs
+        return not self._coeffs
 
     def coefficient(self, i):
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
-        return SymConst.rational(0)
+        if 0 <= i < len(self._coeffs):
+            return lift(self._coeffs[i])
+        return lift(0)
 
     def __add__(self, other):
-        n = max(len(self.coeffs), len(other.coeffs))
-        return DensePoly(self.coefficient(i) + other.coefficient(i) for i in range(n))
+        a, b = self._coeffs, other._coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        return _poly([x + y for x, y in zip(a, b)] + list(a[len(b):]))
 
     def __sub__(self, other):
-        n = max(len(self.coeffs), len(other.coeffs))
-        return DensePoly(self.coefficient(i) - other.coefficient(i) for i in range(n))
+        a, b = self._coeffs, other._coeffs
+        out = [x - y for x, y in zip(a, b)]
+        out += a[len(b):] if len(a) > len(b) else [-y for y in b[len(a):]]
+        return _poly(out)
 
     def __neg__(self):
-        return DensePoly(-c for c in self.coeffs)
+        return _poly([-c for c in self._coeffs])
 
     def __mul__(self, other):
-        if self.is_zero or other.is_zero:
-            return DensePoly()
-        out = [SymConst.rational(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return DensePoly(out)
+        a, b = self._coeffs, other._coeffs
+        if not a or not b:
+            return _poly([])
+        if len(a) < len(b):
+            a, b = b, a
+        width = len(a)
+        out = [0] * (width + len(b) - 1)
+        for i, y in enumerate(b):
+            if y:  # a zero is a plain 0; a held SymConst is never zero
+                out[i:i + width] = [o + x * y for o, x in zip(out[i:i + width], a)]
+        return _poly(out)
 
     def scale(self, c):
-        return DensePoly(c * x for x in self.coeffs)
+        c = lower(lift(c))
+        return _poly([x * c for x in self._coeffs])
 
     def __pow__(self, n):
+        """t^n is a shift and (1+-t)^n the binomial theorem; any other base
+        goes by square-and-multiply."""
         if not isinstance(n, int) or n < 0:
             raise NegativeExponent(f"polynomial exponent must be a nonnegative integer, got {n}")
+        c = self._coeffs
+        if c == (0, 1):
+            return _poly([0] * n + [1])
+        if c == (1, 1) or c == (1, -1):
+            return binomial_power("1+t" if c[1] == 1 else "1-t", n)
         out = DensePoly.constant(1)
         base = self
         while n:
             if n & 1:
                 out = out * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return out
 
     def __eq__(self, other):
-        return isinstance(other, DensePoly) and self.coeffs == other.coeffs
+        return isinstance(other, DensePoly) and self._coeffs == other._coeffs
 
     def __hash__(self):
         return hash(self.coeffs)
@@ -97,52 +117,77 @@ class DensePoly:
     def __call__(self, t):
         """Exact evaluation at a rational point."""
         t = Fraction(t)
-        total = SymConst.rational(0)
-        for c in reversed(self.coeffs):
+        total = 0
+        for c in reversed(self._coeffs):
             total = total * t + c
-        return total
+        return lift(total)
 
     def __repr__(self):
         return f"DensePoly([{', '.join(str(c) for c in self.coeffs)}])"
+
+
+def _trimmed(values):
+    """The coefficient tuple of a list of plain or SymConst values: each
+    lowered, trailing zeros dropped.  The list is consumed."""
+    for i, c in enumerate(values):
+        if type(c) is SymConst:
+            values[i] = lower(c)
+    while values and values[-1] == 0:
+        values.pop()
+    return tuple(values)
+
+
+def _poly(values):
+    """A DensePoly around a list of coefficient values, which it consumes."""
+    poly = object.__new__(DensePoly)
+    poly._coeffs = _trimmed(values)
+    return poly
 
 
 def binomial_power(base, exponent):
     """(1-t)^m or (1+t)^m expanded by the binomial theorem."""
     if exponent < 0:
         raise NegativeExponent(f"({base})^{exponent} is not a polynomial")
-    sign = -1 if base == "1-t" else 1
     if base not in ("1-t", "1+t"):
         raise EvalTypeError(f"unknown base {base!r}")
+    alternate = base == "1-t"
     coeffs = []
-    c = Fraction(1)
+    c = 1
     for j in range(exponent + 1):
-        coeffs.append(SymConst.rational(c))
-        c = c * sign * (exponent - j) / (j + 1)
-    return DensePoly(coeffs)
+        coeffs.append(-c if alternate and j & 1 else c)
+        c = c * (exponent - j) // (j + 1)
+    return _poly(coeffs)
 
 
 def expand_side(side, n, bindings=None):
-    """Dense expansion of one side of a polynomial identity at concrete n."""
+    """Dense expansion of one side of a polynomial identity at concrete n.
+
+    Each standard summand coeff * t^a * (1+-t)^b adds coeff times the
+    binomial row of (1+-t)^b, shifted by a, into one coefficient list.
+    """
     base_bindings = dict(bindings or {})
     base_bindings["n"] = HalfInt.from_value(n)
     if isinstance(side, StandardSide):
-        total = DensePoly()
+        acc = []
         for term in side.terms:
             lo = dsl.eval_scalar(term.lower, base_bindings).as_int()
             hi = dsl.eval_scalar(term.upper, base_bindings).as_int()
             for k in range(lo, hi + 1):
                 kb = dict(base_bindings)
                 kb["k"] = HalfInt(2 * k)
-                coeff = dsl.eval_scalar(term.coeff, kb)
-                if coeff.is_zero:
+                coeff = lower(dsl.eval_scalar(term.coeff, kb))
+                if coeff == 0:
                     continue
                 a = term.t_exp.value(kb).as_int()
                 if a < 0:
                     raise NegativeExponent(f"t^{a} at k={k}, n={n}")
                 b = term.base_exp.value(kb).as_int()
-                mono = [SymConst.rational(0)] * a + [coeff]
-                total = total + DensePoly(mono) * binomial_power(term.base, b)
-        return total
+                row = binomial_power(term.base, b)._coeffs
+                end = a + len(row)
+                if len(acc) < end:
+                    acc += [0] * (end - len(acc))
+                acc[a:end] = [o + coeff * x for o, x in zip(acc[a:end], row)]
+        return _poly(acc)
     if isinstance(side, PolySide):
         return eval_poly(side.expr, base_bindings)
     raise EvalTypeError(f"not a polynomial side: {side!r}")
@@ -173,8 +218,7 @@ def eval_poly(expr, bindings):
             raise EvalTypeError(f"polynomial division in {dsl.render(expr)}")
         if denom.is_zero:
             raise DivisionByZero(f"division by zero in {dsl.render(expr)}")
-        inv = denom.coefficient(0).inverse()
-        return eval_poly(expr.left, bindings).scale(inv)
+        return eval_poly(expr.left, bindings).scale(exact_div(1, denom._coeffs[0]))
     if isinstance(expr, dsl.Pow):
         exp = dsl.eval_scalar(expr.exponent, bindings).as_int()
         base = eval_poly(expr.base, bindings)
@@ -187,7 +231,7 @@ def eval_poly(expr, bindings):
         if expr.fn == "U":
             m = dsl.eval_scalar(expr.args[0], bindings).as_int()
             cheb = special.chebyshev_u(m)
-            return DensePoly(SymConst.rational(c) for c in cheb.coefficients)
+            return DensePoly(cheb.coefficients)
         raise EvalTypeError(f"{expr.fn}(...) with a t-dependent argument")
     if isinstance(expr, dsl.BoundedSum):
         lo = dsl.eval_scalar(expr.lower, bindings).as_int()
@@ -232,13 +276,13 @@ def verify_poly(identity, n, bindings=None):
 
 def integrate_unit(poly):
     """Exact integral of the polynomial over [0, 1]."""
-    total = SymConst.rational(0)
-    for i, c in enumerate(poly.coeffs):
-        total = total + c * Fraction(1, i + 1)
-    return total
+    total = 0
+    for i, c in enumerate(poly._coeffs):
+        total = total + exact_div(c, i + 1)
+    return lift(total)
 
 
 def cheb_u_sqrt_poly(n):
     """U_{2n}(sqrt(t)) as a polynomial in t (even-coefficient compression)."""
     cheb = special.chebyshev_u(2 * n)
-    return DensePoly(SymConst.rational(cheb.coefficients[2 * i]) for i in range(n + 1))
+    return DensePoly(cheb.coefficients[2 * i] for i in range(n + 1))

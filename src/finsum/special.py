@@ -5,7 +5,14 @@ conventions, and Chebyshev polynomials of the second kind.
 All arguments are half-integers and all results live in the constant field,
 so every value is exact.  Factorials, H_q, binom(x, y) and U_n are cached for
 the life of the process, keyed by plain ints; Gamma values are not, since
-``gen_binom`` caches every result built from them.
+the binomial cache holds every result built from them.
+
+Like the evaluators, the caches hold a rational value as a plain ``int`` or
+``Fraction`` and a SymConst only where ln2 or sqrt(pi) appears.  The
+evaluators read them through ``harmonic_at``, ``binom_at`` and ``rbinom_at``,
+which take twice the half-integer arguments and return such plain values.
+``harmonic``, ``gen_binom`` and ``recip_binom`` take half-integers and lift
+their results to SymConst on the way out.
 """
 
 from __future__ import annotations
@@ -14,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DivisionByZero, EvalTypeError, PoleError
-from .field import HalfInt, SymConst
+from .field import HalfInt, SymConst, lift, lower
 
 _factorials = [1]
 
@@ -32,49 +39,64 @@ def harmonic_m(n, m=1):
     """Generalized harmonic number H_n^(m) = sum_{j=1..n} 1/j^m."""
     if n < 0 or m < 1:
         raise EvalTypeError("harmonic_m needs n >= 0 and m >= 1")
-    return sum((Fraction(1, j ** m) for j in range(1, n + 1)), Fraction(0))
+    return _sum_of_reciprocals(j ** m for j in range(1, n + 1))
 
 
 def odd_harmonic_m(n, m=1):
     """Odd harmonic number O_n^(m) = sum_{j=1..n} 1/(2j-1)^m."""
     if n < 0 or m < 1:
         raise EvalTypeError("odd_harmonic_m needs n >= 0 and m >= 1")
-    return sum((Fraction(1, (2 * j - 1) ** m) for j in range(1, n + 1)), Fraction(0))
+    return _sum_of_reciprocals((2 * j - 1) ** m for j in range(1, n + 1))
+
+
+def _sum_of_reciprocals(denominators):
+    """sum 1/d as a Fraction, accumulated over unreduced ints and reduced once."""
+    num, den = 0, 1
+    for d in denominators:
+        num, den = num * d + den, den * d
+    return Fraction(num, den)
 
 
 _harmonic_cache = {}
 
 
-def harmonic(q):
-    """H_q for half-integer q, via the recurrence H_q = H_{q-1} + 1/q.
+def harmonic_at(twice):
+    """H_q at q = twice/2: a plain int or Fraction for integer q, a SymConst
+    otherwise.  PoleError at negative integers."""
+    value = _harmonic_cache.get(twice)
+    if value is None:
+        value = _harmonic_cache[twice] = _harmonic_uncached(twice)
+    return value
+
+
+def _harmonic_uncached(twice):
+    """H_q via the recurrence H_q = H_{q-1} + 1/q.
 
     Integer anchor H_0 = 0; half-odd anchor H_{-1/2} = -2 ln2.  Negative
     integers are digamma poles.
     """
-    q = HalfInt.from_value(q)
-    if q.is_negative_integer:
-        raise PoleError(f"H_{q} is a pole")
-    cached = _harmonic_cache.get(q.twice)
-    if cached is not None:
-        return cached
-    if q.is_integer:
-        value = SymConst.rational(harmonic_m(q.as_int(), 1))
+    if twice % 2 == 0:
+        if twice < 0:
+            raise PoleError(f"H_{HalfInt(twice)} is a pole")
+        return lower(harmonic_m(twice // 2, 1))
+    # q = m + 1/2; for m >= -1 this is 2*O_{m+1} - 2 ln2, and the same
+    # recurrence extends downward for m < -1.
+    m = (twice - 1) // 2
+    if m >= 0:
+        acc = 2 * odd_harmonic_m(m + 1, 1)
     else:
-        # q = m + 1/2; for m >= -1 this is 2*O_{m+1} - 2 ln2, and the same
-        # recurrence extends downward for m < -1.
-        m = (q.twice - 1) // 2
-        value = SymConst.monomial(-2, ln2_exp=1)
-        if m >= 0:
-            value = value + SymConst.rational(2 * odd_harmonic_m(m + 1, 1))
-        else:
-            x = Fraction(-1, 2)
-            acc = Fraction(0)
-            while x > q.as_fraction():
-                acc -= 1 / x
-                x -= 1
-            value = value + SymConst.rational(acc)
-    _harmonic_cache[q.twice] = value
-    return value
+        x = Fraction(-1, 2)
+        acc = Fraction(0)
+        target = Fraction(twice, 2)
+        while x > target:
+            acc -= 1 / x
+            x -= 1
+    return SymConst.monomial(-2, ln2_exp=1) + acc
+
+
+def harmonic(q):
+    """H_q for half-integer q, as a SymConst."""
+    return lift(harmonic_at(HalfInt.from_value(q).twice))
 
 
 def gamma_half(q):
@@ -105,10 +127,6 @@ class BinomValue:
     value: SymConst = None
     infinite: bool = False
 
-    @property
-    def is_zero(self):
-        return not self.infinite and self.value.is_zero
-
     def __str__(self):
         return "Infinite" if self.infinite else str(self.value)
 
@@ -118,57 +136,67 @@ INFINITE = BinomValue(infinite=True)
 _binom_cache = {}
 
 
-def gen_binom(x, y):
-    """Generalized binomial coefficient binom(x, y) at half-integer arguments.
-
-    Total on all half-integer pairs: integer y uses the falling factorial,
-    y with x - y a nonnegative integer uses symmetry, and the remaining
-    cases use Gamma(x+1)/(Gamma(y+1)Gamma(x-y+1)) with the usual pole
-    conventions (denominator pole -> 0, sole numerator pole -> Infinite).
-    """
-    x = HalfInt.from_value(x)
-    y = HalfInt.from_value(y)
-    key = (x.twice, y.twice)
-    cached = _binom_cache.get(key)
-    if cached is not None:
-        return cached
-    value = _gen_binom_uncached(x, y)
-    _binom_cache[key] = value
+def binom_at(x2, y2):
+    """binom(x, y) at x = x2/2, y = y2/2: a plain int or Fraction when
+    rational, a SymConst otherwise, or the ``INFINITE`` pole marker."""
+    key = (x2, y2)
+    value = _binom_cache.get(key)
+    if value is None:
+        value = _binom_cache[key] = _binom_uncached(x2, y2)
     return value
 
 
-def _gen_binom_uncached(x, y):
-    if y.is_integer:
-        yi = y.as_int()
+def _binom_uncached(x2, y2):
+    """Total on all half-integer pairs: integer y uses the falling factorial,
+    y with x - y a nonnegative integer uses symmetry, and the remaining
+    cases use Gamma(x+1)/(Gamma(y+1)Gamma(x-y+1)) with the usual pole
+    conventions (denominator pole -> 0, sole numerator pole -> Infinite)."""
+    if y2 % 2 == 0:
+        yi = y2 // 2
         if yi < 0:
-            return BinomValue(SymConst.rational(0))
-        num = Fraction(1)
-        xf = x.as_fraction()
+            return 0
+        # prod_{i<y} (x - i) / y!, in halves: prod (x2 - 2i) / (2^y y!)
+        num = 1
         for i in range(yi):
-            num *= xf - i
-        return BinomValue(SymConst.rational(num / factorial(yi)))
-    diff = x - y
-    if diff.is_nonneg_integer:
-        return gen_binom(x, diff)
-    num_pole = x.is_negative_integer  # Gamma(x+1) pole
-    den_pole = diff.is_integer and diff.twice < 0  # Gamma(x-y+1) pole; y+1 is never
-    # a non-positive integer here since y is half-odd
-    if den_pole:
-        return BinomValue(SymConst.rational(0))
-    if num_pole:
+            num *= x2 - 2 * i
+        return lower(Fraction(num, factorial(yi).numerator << yi))
+    diff2 = x2 - y2
+    if diff2 >= 0 and diff2 % 2 == 0:
+        return binom_at(x2, diff2)
+    # y is half-odd, so Gamma(y+1) has no pole
+    if diff2 % 2 == 0:  # x - y a negative integer: Gamma(x-y+1) pole
+        return 0
+    if x2 < 0 and x2 % 2 == 0:  # sole pole of Gamma(x+1)
         return INFINITE
-    value = gamma_half(x + 1) / (gamma_half(y + 1) * gamma_half(diff + 1))
-    return BinomValue(value)
+    return lower(gamma_half(HalfInt(x2 + 2))
+                 / (gamma_half(HalfInt(y2 + 2)) * gamma_half(HalfInt(diff2 + 2))))
+
+
+def rbinom_at(x2, y2):
+    """1/binom(x, y) at x = x2/2, y = y2/2, with the limit convention
+    1/Infinite = 0; DivisionByZero where the binomial is 0."""
+    b = binom_at(x2, y2)
+    if b is INFINITE:
+        return 0
+    if b == 0:
+        raise DivisionByZero(f"1/binom({HalfInt(x2)}, {HalfInt(y2)}) with binom = 0")
+    if type(b) is int:
+        return b if b == 1 or b == -1 else Fraction(1, b)
+    if type(b) is Fraction:
+        return lower(Fraction(b.denominator, b.numerator))
+    return b.inverse()
+
+
+def gen_binom(x, y):
+    """Generalized binomial coefficient binom(x, y) at half-integer
+    arguments, as a ``BinomValue`` holding a SymConst."""
+    value = binom_at(HalfInt.from_value(x).twice, HalfInt.from_value(y).twice)
+    return value if value is INFINITE else BinomValue(lift(value))
 
 
 def recip_binom(x, y):
-    """1/binom(x, y), with the limit convention 1/Infinite = 0."""
-    b = gen_binom(x, y)
-    if b.infinite:
-        return SymConst.rational(0)
-    if b.is_zero:
-        raise DivisionByZero(f"1/binom({x}, {y}) with binom = 0")
-    return b.value.inverse()
+    """1/binom(x, y) as a SymConst, with the limit convention 1/Infinite = 0."""
+    return lift(rbinom_at(HalfInt.from_value(x).twice, HalfInt.from_value(y).twice))
 
 
 @dataclass(frozen=True)

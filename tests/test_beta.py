@@ -118,7 +118,7 @@ def test_derivative_rule_examples():
     term = ClosedTerm(dsl.Lit(F(1)), factors=(f,),
                       extras=derivative_bracket((f,), "s"))
     got = eval_term(term, bind(k=2, r=3, s=1))
-    assert got.as_rational() == F(-13, 60)
+    assert got == F(-13, 60)  # eval_term returns a plain Fraction when rational
 
 
 def test_bracket_harmonic_coefficients_cancel():
@@ -199,7 +199,7 @@ def test_limit_convention_reproduces_true_identity():
     # the zeroing really happens: 1/binom(-1, 1/2) is the 0 limit
     term = ClosedTerm(dsl.Lit(F(1)),
                       factors=(FBinom(Affine(r=F(1)), Affine(s=F(1)), -1),))
-    assert eval_term(term, bind(r=-1, s="1/2")).is_zero
+    assert eval_term(term, bind(r=-1, s="1/2")) == 0
 
 
 def test_eval_term_pole_handling():
@@ -216,6 +216,30 @@ def test_eval_term_pole_handling():
                              factors=(FRecipAffine(Affine(s=F(1))),))
     with pytest.raises(DivisionByZero):
         eval_term(affine_zero, bind(s=0))
+
+
+def test_eval_term_infinite_reciprocal_is_zero_before_coefficient(monkeypatch):
+    """1/binom(-1, 1/2) is the 0 limit; the term returns 0 at that factor,
+    before the later factor, the coefficient or the bracket is evaluated,
+    each of which would raise here."""
+    calls = []
+    eval_scalar = dsl.eval_scalar
+
+    def counting(expr, bindings):
+        calls.append(expr)
+        return eval_scalar(expr, bindings)
+
+    monkeypatch.setattr(dsl, "eval_scalar", counting)
+    term = ClosedTerm(dsl.parse("1/(k - k)"),
+                      factors=(FBinom(Affine(r=F(1)), Affine(s=F(1)), -1),
+                               FRecipAffine(Affine())),
+                      extras=(HPiece(F(1), Affine(const=F(-1))),))
+    pt = bind(k=0, r=-1, s="1/2")
+    assert eval_term(term, pt) == 0
+    assert calls == []
+    # the same term at a finite point does reach the zero factor
+    with pytest.raises(DivisionByZero):
+        eval_term(term, bind(k=0, r=1, s="1/2"))
 
 
 def test_verify_closed_records_undefined_points():

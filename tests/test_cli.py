@@ -101,6 +101,21 @@ class TestEval:
         assert run(capsys, "eval", "1", "--bind", "q=1")[0] == 2      # bad var
         assert run(capsys, "nosuchcommand")[0] == 2
 
+    def test_too_long_to_print_exits_2(self, capsys):
+        # a result past the interpreter's int-to-str digit limit
+        code, out, err = run(capsys, "eval", "2^(10^6)")
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == [
+            "error: an integer of 1000001 bits is too long to print in decimal"]
+
+    def test_too_long_literal_exits_2(self, capsys):
+        code, out, err = run(capsys, "eval", "1 + " + "7" * 5000)
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == [
+            "error: integer literal of 5000 digits is too long at offset 4"]
+
 
 class TestVerify:
     def test_matching_entry_exits_0(self, capsys, tmp_path):

@@ -68,6 +68,93 @@ class TestDensePoly:
         assert poly(1, 2).scale(R(3)) == poly(3, 6)
 
 
+# Coefficients over the monomials 1, ln2, sqrt(pi) and 1/sqrt(pi): sums and
+# products of these cancel to rationals and to zero, so the lowered vector
+# meets every kind of value.
+MONOMIALS = ((0, 0), (1, 0), (0, 1), (0, -1))
+field_coeffs = st.lists(
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+    min_size=4, max_size=4).map(
+        lambda cs: SymConst({key: c for key, c in zip(MONOMIALS, cs)}))
+field_coeff_lists = st.lists(
+    st.one_of(field_coeffs,
+              st.fractions(min_value=-3, max_value=3, max_denominator=4).map(R),
+              st.just(R(0))),
+    max_size=4)
+
+
+def ref_trim(cs):
+    cs = list(cs)
+    while cs and cs[-1].is_zero:
+        cs.pop()
+    return tuple(cs)
+
+
+def ref_add(a, b, sign=1):
+    n = max(len(a), len(b))
+    get = lambda cs, i: cs[i] if i < len(cs) else R(0)  # noqa: E731
+    return ref_trim(get(a, i) + get(b, i) * sign for i in range(n))
+
+
+def ref_mul(a, b):
+    if not a or not b:
+        return ()
+    out = [R(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = out[i + j] + x * y
+    return ref_trim(out)
+
+
+class TestLoweredCoefficients:
+    """DensePoly keeps rational coefficients as plain int/Fraction; a
+    reference over lists of SymConst pins its arithmetic, and ``coeffs``
+    lifts every coefficient back to SymConst."""
+
+    @staticmethod
+    def check(p, want):
+        assert p.coeffs == want
+        assert type(p.coeffs) is tuple
+        assert all(type(c) is SymConst for c in p.coeffs)
+        assert p.degree == len(want) - 1
+        assert all(p.coefficient(i) == c for i, c in enumerate(want))
+        assert type(p.coefficient(len(want))) is SymConst
+        # held lowered: a SymConst only where ln2 or sqrt(pi) appears
+        assert all(not c.is_rational if type(c) is SymConst
+                   else type(c) in (int, Fraction) for c in p._coeffs)
+
+    @given(field_coeff_lists, field_coeff_lists, field_coeffs)
+    def test_ring_operations_match_symconst_reference(self, a, b, c):
+        p, q = DensePoly(a), DensePoly(b)
+        ra, rb = ref_trim(a), ref_trim(b)
+        self.check(p, ra)
+        self.check(p + q, ref_add(ra, rb))
+        self.check(p - q, ref_add(ra, rb, -1))
+        self.check(-p, ref_add((), ra, -1))
+        self.check(p * q, ref_mul(ra, rb))
+        self.check(p.scale(c), ref_trim(x * c for x in ra))
+        assert (p * q == q * p) and (p + q == DensePoly(ref_add(ra, rb)))
+
+    @given(field_coeff_lists, st.integers(min_value=0, max_value=3))
+    def test_pow_matches_symconst_reference(self, a, n):
+        want = (R(1),)
+        for _ in range(n):
+            want = ref_mul(want, ref_trim(a))
+        self.check(DensePoly(a) ** n, want)
+
+    @pytest.mark.parametrize("m", range(0, 13))
+    def test_special_bases_match_repeated_multiplication(self, m):
+        # (1+-t)^m goes through binomial_power and t^m is a shift; both
+        # must equal m plain multiplications
+        for base in (poly(1, 1), poly(1, -1), poly(0, 1)):
+            by_hand = DensePoly.constant(1)
+            for _ in range(m):
+                by_hand = by_hand * base
+            got = base ** m
+            assert got == by_hand
+            self.check(got, by_hand.coeffs)
+
+
 class TestBinomialPower:
     @pytest.mark.parametrize("m", range(0, 9))
     def test_matches_direct_expansion(self, m):

@@ -13,7 +13,7 @@ import sympy
 
 from finsum import special
 from finsum.errors import DivisionByZero, EvalTypeError, PoleError
-from finsum.field import HalfInt, SymConst
+from finsum.field import HalfInt, SymConst, lift
 
 LN2 = SymConst.monomial(1, ln2_exp=1)
 
@@ -192,6 +192,67 @@ class TestGenBinom:
                 continue
             ref = sympy.binomial(sympy.Rational(x), sympy.Rational(y))
             assert sympy.simplify(as_sympy(b.value) - ref) == 0, (x, y)
+
+
+def plain_or_irrational(value):
+    """The lowered-value invariant of the twice-int accessors: an int, a
+    Fraction that is not an integer, or a SymConst that is not rational."""
+    if type(value) is SymConst:
+        return not value.is_rational
+    return type(value) is int or (type(value) is Fraction and value.denominator != 1)
+
+
+class TestTwiceIntAccessors:
+    """binom_at, rbinom_at and harmonic_at take twice the half-integer
+    arguments and return plain rationals; the public functions are the same
+    values lifted to SymConst."""
+
+    TWICE = range(-12, 13)
+
+    def test_binom_at_matches_gen_binom(self):
+        for x2 in self.TWICE:
+            for y2 in self.TWICE:
+                got = special.binom_at(x2, y2)
+                want = special.gen_binom(HalfInt(x2), HalfInt(y2))
+                if want.infinite:
+                    assert got is special.INFINITE and want is special.INFINITE
+                    continue
+                assert plain_or_irrational(got), (x2, y2, got)
+                assert type(want.value) is SymConst
+                assert want.value == got and lift(got) == want.value
+
+    def test_rbinom_at_matches_recip_binom(self):
+        for x2 in self.TWICE:
+            for y2 in self.TWICE:
+                try:
+                    want = special.recip_binom(HalfInt(x2), HalfInt(y2))
+                except DivisionByZero as exc:
+                    with pytest.raises(DivisionByZero) as got:
+                        special.rbinom_at(x2, y2)
+                    assert str(got.value) == str(exc)
+                    continue
+                got = special.rbinom_at(x2, y2)
+                assert plain_or_irrational(got), (x2, y2, got)
+                assert type(want) is SymConst and lift(got) == want
+                b = special.binom_at(x2, y2)
+                if b is special.INFINITE:
+                    assert got == 0
+                else:
+                    assert lift(got) * lift(b) == 1, (x2, y2)
+
+    def test_harmonic_at_matches_harmonic(self):
+        for q2 in range(-12, 41):
+            if q2 < 0 and q2 % 2 == 0:
+                with pytest.raises(PoleError):
+                    special.harmonic_at(q2)
+                with pytest.raises(PoleError):
+                    special.harmonic(HalfInt(q2))
+                continue
+            got = special.harmonic_at(q2)
+            want = special.harmonic(HalfInt(q2))
+            assert plain_or_irrational(got), (q2, got)
+            assert type(want) is SymConst and lift(got) == want
+            assert (type(got) is SymConst) == (q2 % 2 == 1)
 
 
 class TestChebyshev:
