@@ -10,10 +10,13 @@ fields of ``finsum corpus run --format json``, so it ignores ``detail``.
         --parent-repo ../parent --change-repo . \\
         --parent-logs parent-0.log parent-1.log ... \\
         --change-logs change-0.log change-1.log ... \\
-        --parent-corpus parent-corpus.json --change-corpus change-corpus.json
+        --parent-corpus parent-corpus.json --change-corpus change-corpus.json \\
+        [--parent-trace parent-trace.log --change-trace change-trace.log]
 
 Logs are given in pair order.  Quartiles are the inclusive quartiles of
-``statistics.quantiles``; every end-to-end metric is better when lower.
+``statistics.quantiles``; every end-to-end metric is better when lower.  A
+trace log is one run of the same command with ``--trace 1``; its per-layer
+metrics are copied side by side.
 """
 
 from __future__ import annotations
@@ -76,6 +79,13 @@ def summarize(parent_runs, change_runs):
     return out
 
 
+def traced(parent_run, change_run):
+    """Per-layer metrics of one traced run per side, side by side."""
+    return {key: {"unit": entry["unit"], "parent": entry["value"],
+                  "change": change_run["metrics"].get(key, {}).get("value")}
+            for key, entry in sorted(parent_run["metrics"].items())}
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", required=True)
@@ -85,7 +95,11 @@ def main(argv=None):
     parser.add_argument("--change-logs", nargs="+", required=True)
     parser.add_argument("--parent-corpus", required=True)
     parser.add_argument("--change-corpus", required=True)
+    parser.add_argument("--parent-trace")
+    parser.add_argument("--change-trace")
     args = parser.parse_args(argv)
+    if (args.parent_trace is None) != (args.change_trace is None):
+        parser.error("give a trace log for both sides or for neither")
     if len(args.parent_logs) != len(args.change_logs):
         parser.error("give one parent log and one change log per pair")
     if len(args.parent_logs) < 2:
@@ -110,6 +124,9 @@ def main(argv=None):
         "verdict_digest": {"parent": verdict_digest(args.parent_corpus),
                            "change": verdict_digest(args.change_corpus)},
     }
+    if args.parent_trace:
+        bench["per_layer_traced"] = traced(last_json_line(args.parent_trace),
+                                           last_json_line(args.change_trace))
     with open(args.out, "w") as fh:
         json.dump(bench, fh, indent=1)
         fh.write("\n")

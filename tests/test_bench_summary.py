@@ -62,6 +62,15 @@ def test_verdict_digest_ignores_detail(tmp_path):
     assert bench_summary.verdict_digest(second)["sha256"] != digest["sha256"]
 
 
+def test_traced_puts_sides_together():
+    parent = {"metrics": {"a.calls": {"value": 5, "unit": "count"},
+                          "a.self_s": {"value": 2.0, "unit": "s"}}}
+    change = {"metrics": {"a.calls": {"value": 5, "unit": "count"}}}
+    assert bench_summary.traced(parent, change) == {
+        "a.calls": {"unit": "count", "parent": 5, "change": 5},
+        "a.self_s": {"unit": "s", "parent": 2.0, "change": None}}
+
+
 def test_one_pair_is_rejected(tmp_path, capsys):
     log = tmp_path / "run.log"
     log.write_text(json.dumps(synthetic_run(1.0)) + "\n")
@@ -73,3 +82,6 @@ def test_one_pair_is_rejected(tmp_path, capsys):
     assert exc.value.code == 2
     assert "at least two pairs" in capsys.readouterr().err
     assert not (tmp_path / "BENCH.json").exists()
+    with pytest.raises(SystemExit):
+        bench_summary.main(argv + ["--parent-trace", str(log)])
+    assert "both sides or for neither" in capsys.readouterr().err
