@@ -28,7 +28,7 @@ class DensePoly:
     __slots__ = ("_coeffs",)
 
     def __init__(self, coeffs=()):
-        self._coeffs = _trimmed([lower(lift(c)) for c in coeffs])
+        self._coeffs = _trimmed([lift(c) for c in coeffs])
 
     @classmethod
     def constant(cls, value):
@@ -85,7 +85,7 @@ class DensePoly:
         return _poly(out)
 
     def scale(self, c):
-        c = lower(lift(c))
+        """Each coefficient times c, an int, Fraction or SymConst."""
         return _poly([x * c for x in self._coeffs])
 
     def __pow__(self, n):
@@ -127,18 +127,16 @@ class DensePoly:
 
 
 def _trimmed(values):
-    """The coefficient tuple of a list of plain or SymConst values: each
-    lowered, trailing zeros dropped.  The list is consumed."""
-    for i, c in enumerate(values):
-        if type(c) is SymConst:
-            values[i] = lower(c)
+    """The coefficient tuple of plain or SymConst values: each lowered
+    (``field.lower``), trailing zeros dropped."""
+    values = [lower(c) for c in values]
     while values and values[-1] == 0:
         values.pop()
     return tuple(values)
 
 
 def _poly(values):
-    """A DensePoly around a list of coefficient values, which it consumes."""
+    """A DensePoly around a list of plain or SymConst coefficient values."""
     poly = object.__new__(DensePoly)
     poly._coeffs = _trimmed(values)
     return poly

@@ -39,31 +39,14 @@ def harmonic_m(n, m=1):
     """Generalized harmonic number H_n^(m) = sum_{j=1..n} 1/j^m."""
     if n < 0 or m < 1:
         raise EvalTypeError("harmonic_m needs n >= 0 and m >= 1")
-    return _sum_of_reciprocals([j ** m for j in range(1, n + 1)])
+    return sum((Fraction(1, j ** m) for j in range(1, n + 1)), Fraction(0))
 
 
 def odd_harmonic_m(n, m=1):
     """Odd harmonic number O_n^(m) = sum_{j=1..n} 1/(2j-1)^m."""
     if n < 0 or m < 1:
         raise EvalTypeError("odd_harmonic_m needs n >= 0 and m >= 1")
-    return _sum_of_reciprocals([(2 * j - 1) ** m for j in range(1, n + 1)])
-
-
-def _sum_of_reciprocals(denominators):
-    """sum 1/d over a list of ints, as a Fraction.  Binary splitting over
-    unreduced ints, reduced once at the end: several times cheaper than a
-    running Fraction sum, for a handful of terms and for 10^5 of them."""
-    def split(lo, hi):
-        if hi - lo == 1:
-            return 1, denominators[lo]
-        mid = (lo + hi) // 2
-        p1, q1 = split(lo, mid)
-        p2, q2 = split(mid, hi)
-        return p1 * q2 + p2 * q1, q1 * q2
-
-    if not denominators:
-        return Fraction(0)
-    return Fraction(*split(0, len(denominators)))
+    return sum((Fraction(1, (2 * j - 1) ** m) for j in range(1, n + 1)), Fraction(0))
 
 
 _harmonic_cache = {}
