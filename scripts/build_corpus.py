@@ -105,11 +105,14 @@ def entries():
         standard(std("H(n)^2-Hm(n,2)", base="1+t", b=N, hi="0"),
                  std("2*(H(k-1)-H(n-k))/k", base="1+t", b=NK, lo="1")),
         n=[0, 24])
-    for tag, seq in (("recip", "a_recip"), ("recipsq", "a_recipsq"),
-                     ("ones", "a_one"), ("altrecip", "a_altrecip")):
+    # the sequence a_j, spelled at j and at j + 1
+    for tag, a_j, a_next in (("recip", "1/j", "1/(j+1)"),
+                             ("recipsq", "1/j^2", "1/(j+1)^2"),
+                             ("ones", "1", "1"),
+                             ("altrecip", "sign(j+1)/j", "sign(j)/(j+1)")):
         add(f"partial-sum-gf-{tag}", "BaSo (3)",
-            poly(f"sum(k,1,n,binom(n,k)*sum(j,1,k,{seq}(j))*t^k)"),
-            poly(f"sum(k,0,n-1,sum(j,0,k,binom(k,j)*{seq}(j+1)*t^(j+1))*(1+t)^(n-1-k))"),
+            poly(f"sum(k,1,n,binom(n,k)*sum(j,1,k,{a_j})*t^k)"),
+            poly(f"sum(k,0,n-1,sum(j,0,k,binom(k,j)*{a_next}*t^(j+1))*(1+t)^(n-1-k))"),
             n=[0, 24])
     add("dattoli-fraction", "eq.5 (E)",
         standard(std("binom(n,k)*sign(k)/(k+2)", t=K, base="1+t", b=NK)),

@@ -93,7 +93,10 @@ def _build_grid(spec, where="grid"):
 def load_entry(document):
     """Parse a corpus document (dict or JSON text) into a CorpusEntry."""
     if isinstance(document, str):
-        document = json.loads(document)
+        try:
+            document = json.loads(document)
+        except json.JSONDecodeError as exc:
+            raise FormatError(f"not valid JSON: {exc}") from None
     identity = load_identity(document)
     expected = document.get("expected")
     if expected is None:
@@ -135,24 +138,36 @@ def load_entry(document):
 
 
 def load_manifest(directory=None):
+    """The manifest: an object with a list of file names in ``entries`` and a
+    list of checklist objects, with string fields, in ``paper_equations``."""
     directory = corpus_dir(directory)
     path = directory / "manifest.json"
     try:
         manifest = json.loads(path.read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise FormatError(f"cannot load manifest {path}: {exc}") from exc
+    if not (isinstance(manifest, dict) and isinstance(manifest.get("entries"), list)
+            and all(isinstance(name, str) for name in manifest["entries"])
+            and isinstance(manifest.get("paper_equations", []), list)
+            and all(isinstance(item, dict) and all(isinstance(v, str) for v in item.values())
+                    for item in manifest.get("paper_equations", []))):
+        raise FormatError(f"manifest {path} needs a list of file names in 'entries' and"
+                          " a list of objects of strings in 'paper_equations'")
     return manifest
+
+
+def _listed_entries(directory, manifest):
+    for file_name in manifest["entries"]:
+        try:
+            yield load_entry((directory / file_name).read_text())
+        except (OSError, FormatError) as exc:
+            raise FormatError(f"cannot load corpus file {file_name}: {exc}") from exc
 
 
 def load_entries(directory=None, names=None, status=None):
     directory = corpus_dir(directory)
-    manifest = load_manifest(directory)
     entries = []
-    for file_name in manifest["entries"]:
-        try:
-            entry = load_entry((directory / file_name).read_text())
-        except OSError as exc:
-            raise FormatError(f"cannot load corpus file {file_name}: {exc}") from exc
+    for entry in _listed_entries(directory, load_manifest(directory)):
         if names and entry.name not in names:
             continue
         if status and entry.identity.status != status:
@@ -242,9 +257,7 @@ def check_coverage(directory=None):
     """
     directory = corpus_dir(directory)
     manifest = load_manifest(directory)
-    entry_names = set()
-    for file_name in manifest["entries"]:
-        entry_names.add(load_entry((directory / file_name).read_text()).name)
+    entry_names = {entry.name for entry in _listed_entries(directory, manifest)}
     problems = []
     seen = set()
     for item in manifest.get("paper_equations", []):

@@ -12,15 +12,16 @@ Grammar (whitespace-insensitive)::
 
 ``sum(index, lo, hi, body)`` is the surface form of a bounded sum.  A rational
 literal like 5/2 parses as a division of integers; the two spellings evaluate
-identically.  ``t`` is accepted as a variable, but not as a sum index, so
-the same ASTs serve the polynomial sides; the scalar evaluator rejects it
-unless bound.
+identically.  ``t`` is accepted as a variable, but not as a sum index.
 
-The scalar evaluator returns a ``SymConst``.  Inside, rational values travel
-as ``int`` or ``Fraction``; only ``H``, ``binom`` and ``rbinom`` at
-half-integer points produce ln2 or sqrt(pi) terms, which the ``special``
+One evaluator, ``evaluate``, serves scalar and polynomial values.  Rational
+values travel as ``int`` or ``Fraction``; only ``H``, ``binom`` and ``rbinom``
+at half-integer points produce ln2 or sqrt(pi) terms, which the ``special``
 accessors hand over as a ``SymConst``, and from there Python's operators
-carry it.
+carry it.  Bound to ``polyverify.DensePoly.variable()``, ``t`` makes the
+value a polynomial in t the same way, and ``U(m)`` is the Chebyshev
+polynomial U_m of it; ``U`` is an error anywhere else.  ``eval_scalar``
+lifts a scalar value to ``SymConst``.
 """
 
 from __future__ import annotations
@@ -49,11 +50,6 @@ FUNCTIONS = {
     "sign": 1,
     "floor": 1,
     "U": 1,
-    # named-sequence registry for the partial-sum identity family
-    "a_recip": 1,
-    "a_recipsq": 1,
-    "a_one": 1,
-    "a_altrecip": 1,
 }
 
 
@@ -361,47 +357,54 @@ def is_polynomial(expr):
 
 
 # ---------------------------------------------------------------------------
-# scalar evaluation
+# evaluation
 #
-# ``_eval`` returns an int, a Fraction or a SymConst.  Python's operators mix
-# them: int and Fraction decline a SymConst operand, which then takes the
-# reflected operation.  int / int and int ** -m would leave exact arithmetic
-# for a float, so Div and Pow go through Fraction there.
+# ``evaluate`` returns an int, a Fraction or a SymConst, or a
+# ``polyverify.DensePoly`` once ``t`` is bound to one.  Python's operators mix
+# them: int and Fraction decline a SymConst or DensePoly operand, and SymConst
+# declines a DensePoly, which then takes the reflected operation.  int / int
+# and int ** -m would leave exact arithmetic for a float, so Div and Pow go
+# through Fraction there.
 
 def eval_scalar(expr, bindings):
     """Exact value of a scalar expression under half-integer bindings."""
-    return lift(_eval(expr, bindings))
+    return lift(evaluate(expr, bindings))
 
 
-def _eval(expr, bindings):
+def evaluate(expr, bindings):
+    """Value of an expression under its bindings, unlifted: a plain int or
+    Fraction when rational, else a SymConst, or a DensePoly when ``t`` is
+    bound to one.  Every other binding is a HalfInt."""
     cls = type(expr)
     if cls is Var:
         try:
             twice = bindings[expr.name].twice
         except KeyError:
             raise UnboundVariable(f"variable {expr.name!r} is unbound") from None
+        except AttributeError:  # the indeterminate t, bound to a DensePoly
+            return bindings[expr.name]
         return Fraction(twice, 2) if twice & 1 else twice >> 1
     if cls is Lit:
         value = expr.value
         return value.numerator if value.denominator == 1 else value
     if cls is Mul:
-        return _eval(expr.left, bindings) * _eval(expr.right, bindings)
+        return evaluate(expr.left, bindings) * evaluate(expr.right, bindings)
     if cls is Add:
-        return _eval(expr.left, bindings) + _eval(expr.right, bindings)
+        return evaluate(expr.left, bindings) + evaluate(expr.right, bindings)
     if cls is Sub:
-        return _eval(expr.left, bindings) - _eval(expr.right, bindings)
+        return evaluate(expr.left, bindings) - evaluate(expr.right, bindings)
     if cls is Call:
         return _eval_call(expr, bindings)
     if cls is Div:
-        denom = _eval(expr.right, bindings)
+        denom = evaluate(expr.right, bindings)
         if denom == 0:
             raise DivisionByZero(f"division by zero in {render(expr)}")
-        return exact_div(_eval(expr.left, bindings), denom)
+        return exact_div(evaluate(expr.left, bindings), denom)
     if cls is Neg:
-        return -_eval(expr.operand, bindings)
+        return -evaluate(expr.operand, bindings)
     if cls is Pow:
         exp = _int_arg(expr.exponent, bindings, "exponent")
-        base = _eval(expr.base, bindings)
+        base = evaluate(expr.base, bindings)
         if exp < 0:
             if base == 0:
                 raise DivisionByZero(f"zero base with negative exponent in {render(expr)}")
@@ -415,13 +418,13 @@ def _eval(expr, bindings):
         inner = dict(bindings)
         for i in range(lo, hi + 1):
             inner[expr.index] = HalfInt(2 * i)
-            total = total + _eval(expr.body, inner)
+            total = total + evaluate(expr.body, inner)
         return total
     raise EvalTypeError(f"not an AST node: {expr!r}")
 
 
 def _int_arg(expr, bindings, what):
-    value = _eval(expr, bindings)
+    value = evaluate(expr, bindings)
     try:
         return to_int(value)
     except EvalTypeError:
@@ -429,25 +432,17 @@ def _int_arg(expr, bindings, what):
 
 
 def _half_arg(expr, bindings):
-    return to_halfint(_eval(expr, bindings))
+    return to_halfint(evaluate(expr, bindings))
 
 
 def _twice_arg(expr, bindings):
     """Twice the half-integer value of an argument, as an int."""
-    value = _eval(expr, bindings)
+    value = evaluate(expr, bindings)
     if type(value) is int:
         return 2 * value
     if type(value) is Fraction and value.denominator == 2:
         return value.numerator
     return to_halfint(value).twice
-
-
-def _index_arg(expr, bindings, name):
-    """A nonzero integer index of the ``a_*`` sequences."""
-    j = _int_arg(expr, bindings, "sequence index")
-    if j == 0:
-        raise DivisionByZero(f"{name}(0)")
-    return j
 
 
 def _eval_call(expr, bindings):
@@ -480,17 +475,9 @@ def _eval_call(expr, bindings):
         return -1 if _int_arg(args[0], bindings, "sign argument") % 2 else 1
     if fn == "floor":
         return _half_arg(args[0], bindings).floor()
-    if fn == "a_recip":
-        return Fraction(1, _index_arg(args[0], bindings, fn))
-    if fn == "a_recipsq":
-        j = _index_arg(args[0], bindings, fn)
-        return Fraction(1, j * j)
-    if fn == "a_one":
-        _half_arg(args[0], bindings)
-        return 1
-    if fn == "a_altrecip":
-        j = _index_arg(args[0], bindings, fn)
-        return Fraction(1 if j % 2 else -1, j)
     if fn == "U":
-        raise EvalTypeError("U(...) is only meaningful in polynomial context")
+        t = bindings.get("t")
+        if t is None or type(t) is HalfInt:
+            raise EvalTypeError("U(...) is only meaningful in polynomial context")
+        return special.chebyshev_u(_int_arg(args[0], bindings, "U degree"))(t)
     raise EvalTypeError(f"unknown function {fn!r}")

@@ -2,13 +2,16 @@
 
 A side is expanded into a dense polynomial in t over the constant field:
 standard sides by the binomial theorem applied to each coeff * t^a * (1+-t)^b
-summand, free-form polynomial sides by structural evaluation.  Two sides agree
-iff their coefficient vectors agree; there is no tolerance anywhere.
+summand, free-form polynomial sides by ``dsl.evaluate`` with t bound to
+``DensePoly.variable()``.  Two sides agree iff their coefficient vectors
+agree; there is no tolerance anywhere.
 
 A ``DensePoly`` holds its coefficients lowered, as the evaluators do: a plain
 int or Fraction for a rational coefficient and a SymConst only for one with
 an ln2 or sqrt(pi) term.  ``coeffs``, ``coefficient()``, evaluation and
-``integrate_unit`` lift their results to SymConst on the way out.
+``integrate_unit`` lift their results to SymConst on the way out.  The ring
+operations and ``/`` take a plain or SymConst operand on either side as a
+constant polynomial; division is only by a nonzero constant.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from fractions import Fraction
 
 from . import dsl, special
 from .errors import DivisionByZero, EvalTypeError, NegativeExponent
-from .field import HalfInt, SymConst, exact_div, lift, lower
+from .field import HalfInt, exact_div, lift, lower
 from .model import PolySide, StandardSide
 
 
@@ -57,21 +60,32 @@ class DensePoly:
         return lift(0)
 
     def __add__(self, other):
+        if type(other) is not DensePoly:
+            other = _poly([other])
         a, b = self._coeffs, other._coeffs
         if len(a) < len(b):
             a, b = b, a
         return _poly([x + y for x, y in zip(a, b)] + list(a[len(b):]))
 
+    __radd__ = __add__
+
     def __sub__(self, other):
+        if type(other) is not DensePoly:
+            other = _poly([other])
         a, b = self._coeffs, other._coeffs
         out = [x - y for x, y in zip(a, b)]
         out += a[len(b):] if len(a) > len(b) else [-y for y in b[len(a):]]
         return _poly(out)
 
+    def __rsub__(self, other):
+        return _poly([other]) - self
+
     def __neg__(self):
         return _poly([-c for c in self._coeffs])
 
     def __mul__(self, other):
+        if type(other) is not DensePoly:
+            return self.scale(other)
         a, b = self._coeffs, other._coeffs
         if not a or not b:
             return _poly([])
@@ -84,16 +98,35 @@ class DensePoly:
                 out[i:i + width] = [o + x * y for o, x in zip(out[i:i + width], a)]
         return _poly(out)
 
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        """Division by a nonzero constant; a divisor with t in it is an
+        EvalTypeError."""
+        if type(other) is DensePoly:
+            if other.degree > 0:
+                raise EvalTypeError(f"division by the polynomial {other}")
+            other = other._coeffs[0] if other._coeffs else 0
+        if other == 0:
+            raise DivisionByZero("division by the zero polynomial")
+        return self.scale(exact_div(1, other))
+
+    def __rtruediv__(self, other):
+        return _poly([other]) / self
+
     def scale(self, c):
         """Each coefficient times c, an int, Fraction or SymConst."""
         return _poly([x * c for x in self._coeffs])
 
     def __pow__(self, n):
         """t^n is a shift and (1+-t)^n the binomial theorem; any other base
-        goes by square-and-multiply."""
-        if not isinstance(n, int) or n < 0:
-            raise NegativeExponent(f"polynomial exponent must be a nonnegative integer, got {n}")
+        goes by square-and-multiply.  Only a nonzero constant takes a
+        negative power."""
         c = self._coeffs
+        if not isinstance(n, int) or n < 0 and len(c) != 1:
+            raise NegativeExponent(f"polynomial exponent must be a nonnegative integer, got {n}")
+        if n < 0:
+            return _poly([exact_div(1, c[0]) ** -n])
         if c == (0, 1):
             return _poly([0] * n + [1])
         if c == (1, 1) or c == (1, -1):
@@ -192,55 +225,10 @@ def expand_side(side, n, bindings=None):
 
 
 def eval_poly(expr, bindings):
-    """Evaluate a DSL expression as a polynomial in t.
-
-    Subtrees without t (and without a U call) go through the scalar
-    evaluator and are lifted to degree 0.  U(m) denotes the Chebyshev
-    polynomial U_m in the variable t.  Division is only by scalars.
-    """
-    if not dsl.is_polynomial(expr):
-        return DensePoly.constant(dsl.eval_scalar(expr, bindings))
-    if isinstance(expr, dsl.Var):  # must be t
-        return DensePoly.variable()
-    if isinstance(expr, dsl.Neg):
-        return -eval_poly(expr.operand, bindings)
-    if isinstance(expr, dsl.Add):
-        return eval_poly(expr.left, bindings) + eval_poly(expr.right, bindings)
-    if isinstance(expr, dsl.Sub):
-        return eval_poly(expr.left, bindings) - eval_poly(expr.right, bindings)
-    if isinstance(expr, dsl.Mul):
-        return eval_poly(expr.left, bindings) * eval_poly(expr.right, bindings)
-    if isinstance(expr, dsl.Div):
-        denom = eval_poly(expr.right, bindings)
-        if denom.degree > 0:
-            raise EvalTypeError(f"polynomial division in {dsl.render(expr)}")
-        if denom.is_zero:
-            raise DivisionByZero(f"division by zero in {dsl.render(expr)}")
-        return eval_poly(expr.left, bindings).scale(exact_div(1, denom._coeffs[0]))
-    if isinstance(expr, dsl.Pow):
-        exp = dsl.eval_scalar(expr.exponent, bindings).as_int()
-        base = eval_poly(expr.base, bindings)
-        if exp < 0:
-            if base.degree > 0 or base.is_zero:
-                raise NegativeExponent(f"negative power of a polynomial in {dsl.render(expr)}")
-            return DensePoly.constant(base.coefficient(0) ** exp)
-        return base ** exp
-    if isinstance(expr, dsl.Call):
-        if expr.fn == "U":
-            m = dsl.eval_scalar(expr.args[0], bindings).as_int()
-            cheb = special.chebyshev_u(m)
-            return DensePoly(cheb.coefficients)
-        raise EvalTypeError(f"{expr.fn}(...) with a t-dependent argument")
-    if isinstance(expr, dsl.BoundedSum):
-        lo = dsl.eval_scalar(expr.lower, bindings).as_int()
-        hi = dsl.eval_scalar(expr.upper, bindings).as_int()
-        total = DensePoly()
-        inner = dict(bindings)
-        for i in range(lo, hi + 1):
-            inner[expr.index] = HalfInt(2 * i)
-            total = total + eval_poly(expr.body, inner)
-        return total
-    raise EvalTypeError(f"not an AST node: {expr!r}")
+    """Evaluate a DSL expression as a polynomial in t: ``dsl.evaluate`` with
+    t bound to the variable, a scalar value wrapped as a constant."""
+    value = dsl.evaluate(expr, dict(bindings, t=DensePoly.variable()))
+    return value if type(value) is DensePoly else _poly([value])
 
 
 @dataclass(frozen=True)

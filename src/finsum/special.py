@@ -202,8 +202,11 @@ class ChebPoly:
         return len(self.coefficients) - 1
 
     def __call__(self, t):
-        t = Fraction(t)
-        return sum(c * t ** i for i, c in enumerate(self.coefficients))
+        """U_n at t by Horner's rule: t is a number or a polyverify.DensePoly."""
+        total = 0
+        for c in reversed(self.coefficients):
+            total = total * t + c
+        return total
 
 
 _cheb_cache = [ChebPoly((Fraction(1),)), ChebPoly((Fraction(0), Fraction(2)))]

@@ -101,6 +101,16 @@ class TestEval:
         assert run(capsys, "eval", "1", "--bind", "q=1")[0] == 2      # bad var
         assert run(capsys, "nosuchcommand")[0] == 2
 
+    def test_numeric_t(self, capsys):
+        # bound to a number, t is a scalar and U(...) stays a usage error
+        code, out, err = run(capsys, "eval", "U(2)", "--bind", "t=1/2")
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == ["error: U(...) is only meaningful in polynomial context"]
+        code, out, _ = run(capsys, "eval", "t^2+1", "--bind", "t=1/2")
+        assert code == 0
+        assert out.strip() == "5/4"
+
     def test_too_long_to_print_exits_2(self, capsys):
         # a result past the interpreter's int-to-str digit limit
         code, out, err = run(capsys, "eval", "2^(10^6)")
@@ -265,3 +275,25 @@ class TestCorpusCommand:
                            "--status", "erratum_claimed")
         assert code == 0
         assert "expected=unequal actual=unequal" in out
+
+    @pytest.mark.parametrize("manifest, entry_text, message", [
+        ({"entries": ["bad.json"]}, "{not json", "corpus file bad.json: not valid JSON"),
+        (["bad.json"], None, "needs a list of file names in 'entries'"),
+        ({"paper_equations": []}, None, "needs a list of file names in 'entries'"),
+        ({"entries": "bad.json"}, None, "needs a list of file names in 'entries'"),
+        ({"entries": [], "paper_equations": ["eq.1"]}, None, "objects of strings"),
+        ({"entries": [], "paper_equations": [{"label": "a", "category": 3}]}, None,
+         "objects of strings"),
+    ], ids=["entry-not-json", "manifest-list", "no-entries", "entries-string",
+            "item-not-object", "category-not-string"])
+    def test_malformed_corpus_exits_3(self, capsys, tmp_path, monkeypatch,
+                                      manifest, entry_text, message):
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        if entry_text is not None:
+            (tmp_path / "bad.json").write_text(entry_text)
+        monkeypatch.setenv("FINSUM_CORPUS_DIR", str(tmp_path))
+        code, out, err = run(capsys, "corpus", "run")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert message in err

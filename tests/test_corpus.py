@@ -218,6 +218,14 @@ class TestShippedCorpus:
         assert [e.name for e in entries] == ["alt-binom-basic"]
         assert check_coverage() == []
 
+    @pytest.mark.parametrize("item", ["eq.1", {"label": "a", "category": 3}])
+    def test_malformed_checklist_is_format_error(self, tmp_path, monkeypatch, item):
+        (tmp_path / "manifest.json").write_text(json.dumps(
+            {"entries": [], "paper_equations": [item]}))
+        monkeypatch.setenv("FINSUM_CORPUS_DIR", str(tmp_path))
+        with pytest.raises(FormatError):
+            check_coverage()
+
     def test_generator_reproduces_shipped_corpus(self, tmp_path):
         script = Path(__file__).resolve().parent.parent / "scripts" / "build_corpus.py"
         subprocess.run([sys.executable, str(script), "--out", str(tmp_path)],

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from finsum import dsl, polyverify
+from finsum import corpus, dsl, polyverify
 from finsum.errors import (DivisionByZero, EvalTypeError, NegativeExponent)
-from finsum.field import HalfInt, SymConst
+from finsum.field import HalfInt, SymConst, lift
 from finsum.model import load_identity
 from finsum.polyverify import (DensePoly, binomial_power, cheb_u_sqrt_poly,
                                eval_poly, expand_side, integrate_unit,
@@ -123,8 +123,9 @@ class TestLoweredCoefficients:
         assert all(not c.is_rational if type(c) is SymConst
                    else type(c) in (int, Fraction) for c in p._coeffs)
 
-    @given(field_coeff_lists, field_coeff_lists, field_coeffs)
-    def test_ring_operations_match_symconst_reference(self, a, b, c):
+    @given(field_coeff_lists, field_coeff_lists, field_coeffs,
+           st.fractions(min_value=-3, max_value=3, max_denominator=4))
+    def test_ring_operations_match_symconst_reference(self, a, b, c, f):
         p, q = DensePoly(a), DensePoly(b)
         ra, rb = ref_trim(a), ref_trim(b)
         self.check(p, ra)
@@ -134,6 +135,19 @@ class TestLoweredCoefficients:
         self.check(p * q, ref_mul(ra, rb))
         self.check(p.scale(c), ref_trim(x * c for x in ra))
         assert (p * q == q * p) and (p + q == DensePoly(ref_add(ra, rb)))
+        # a scalar operand on either side is a constant polynomial
+        for x in (c, f, f.numerator):
+            rx = (lift(x),)
+            self.check(p + x, ref_add(ra, rx))
+            self.check(x + p, ref_add(ra, rx))
+            self.check(p - x, ref_add(ra, rx, -1))
+            self.check(x - p, ref_add(rx, ra, -1))
+            self.check(p * x, ref_mul(ra, rx))
+            self.check(x * p, ref_mul(ra, rx))
+        if f:
+            self.check(p / f, ref_trim(x / R(f) for x in ra))
+            self.check(p / DensePoly.constant(f), ref_trim(x / R(f) for x in ra))
+            self.check(c / DensePoly.constant(f), ref_trim((c / R(f),)))
 
     @given(field_coeff_lists, st.integers(min_value=0, max_value=3))
     def test_pow_matches_symconst_reference(self, a, n):
@@ -197,6 +211,41 @@ class TestEvalPoly:
         assert self.ep("t*2^(0 - 1)") == poly(0, Fraction(1, 2))
         with pytest.raises(NegativeExponent):
             self.ep("(1 + t)^(0 - 1)")
+
+    @pytest.mark.parametrize("text, binds, want", [
+        ("(t - t + 2)^(0-1)", {}, ("1/2",)),
+        ("1/(t - t + 2)", {}, ("1/2",)),
+        ("U(n)*H(1/2)", {"n": 3}, ("0", "-8 + 8*L", "0", "16 - 16*L")),
+    ])
+    def test_edge_values(self, text, binds, want):
+        assert self.ep(text, **binds) == DensePoly(SymConst.parse(c) for c in want)
+
+    @pytest.mark.parametrize("text, binds, error", [
+        ("1/(t-t)", {}, DivisionByZero),
+        ("(t+1)/(n-3)", {"n": 3}, DivisionByZero),
+        ("1/(1+t)", {}, EvalTypeError),
+        ("binom(t,2)", {}, EvalTypeError),
+        ("H(t)", {}, EvalTypeError),
+        ("kron(t,1)", {}, EvalTypeError),
+        ("t^(1/2)", {}, EvalTypeError),
+        # t where an integer is due; UnboundVariable before t was bound
+        # to the polynomial variable
+        ("sum(k,0,t,1)", {}, EvalTypeError),
+        ("2^t", {}, EvalTypeError),
+        ("U(t)", {}, EvalTypeError),
+    ])
+    def test_edge_errors(self, text, binds, error):
+        with pytest.raises(error):
+            self.ep(text, **binds)
+
+    def test_free_form_side_needs_no_is_polynomial(self, monkeypatch):
+        (entry,) = corpus.load_entries(names={"partial-sum-gf-recip"})
+
+        def refuse(expr):
+            raise AssertionError("is_polynomial called during expansion")
+
+        monkeypatch.setattr(dsl, "is_polynomial", refuse)
+        assert verify_poly(entry.identity, 8).equal
 
 
 class TestExpandSide:
