@@ -13,11 +13,17 @@ Three transform families are implemented:
 
 Closed identities are evaluated exactly over half-integer parameter points;
 a float evaluator (mpmath) backs the derivative cross-check.  Exact
-evaluation carries rational values as plain ``int``/``Fraction``: the
-coefficient memo holds them lowered, ``eval_term`` reads its factors from the
-``special`` accessors at twice-int arguments and returns a plain value, and
-``eval_side`` lifts each side's sum to SymConst once.  The module's one
-cache, the coefficient memo ``_expr_memo``, lives for the whole process and
+evaluation compiles each term of an identity once per ``verify_closed`` or
+``eval_closed`` call, never at load time and never per point: the
+coefficient becomes a ``dsl.compile`` closure, each factor and bracket
+argument a closure for twice its value, and the factor product is
+accumulated as an int numerator and denominator.  Rational values stay plain
+``int``/``Fraction``, special values come from the ``special`` accessors at
+twice-int arguments, and ``eval_side`` lifts each side's sum to SymConst
+once.  The module's one cache, the coefficient memo ``_expr_memo``, holds
+the lowered values of the coefficients, sum bounds and standalone
+expressions that read no grid parameter (r, s, u, v), since only those
+repeat from one grid point to the next; it lives for the whole process and
 keeps every expression it has evaluated alive.
 """
 
@@ -28,7 +34,7 @@ from fractions import Fraction
 
 from . import dsl, special
 from .errors import DivisionByZero, EvalTypeError, PoleError, ShapeError
-from .field import HalfInt, exact_div, lift, lower, to_int
+from .field import HalfInt, SymConst, exact_div, lift, lower, to_int
 from .model import Affine, substitute_neg_t
 
 
@@ -333,12 +339,19 @@ def central_transform_uv(identity, u, v):
 
 # ---------------------------------------------------------------------------
 # exact evaluation
+#
+# A plan is a compiled side or term.  ``verify_closed`` compiles both sides
+# once and runs their plans at every point; ``eval_closed``, ``eval_side``
+# and ``eval_term`` compile what they are given and run it once.
+
+GRID_PARAMS = ("r", "s", "u", "v")   # the keyword parameters of eval_closed
 
 _expr_memo = {}
 
 
-def _eval_memo(expr, bindings):
-    """Scalar evaluation memoized per expression on its free variables.
+def _eval_memo(expr, bindings, value):
+    """``lower(value(bindings))``, memoized per expression on its free
+    variables, for an expression that reads no grid parameter.
 
     Grid verification revisits the same coefficient at every parameter point
     even though it usually depends on (k, n) only; the memo collapses that.
@@ -352,83 +365,161 @@ def _eval_memo(expr, bindings):
     try:
         key = tuple(bindings[name].twice for name in names)
     except KeyError:
-        return lower(dsl.eval_scalar(expr, bindings))  # unbound: uniform error path
-    value = cache.get(key)
-    if value is None:
-        value = cache[key] = lower(dsl.eval_scalar(expr, bindings))
-    return value
+        return lower(value(bindings))  # unbound: uniform error path
+    result = cache.get(key)
+    if result is None:
+        result = cache[key] = lower(value(bindings))
+    return result
 
 
-def eval_term(term, bindings):
-    """Exact value of one closed term at a fully bound point: a plain int or
-    Fraction when rational, a SymConst otherwise.
+def _compile_value(expr):
+    """A closure for the lowered value of a coefficient, a sum bound or a
+    standalone expression.  One that reads a grid parameter is evaluated
+    directly: its key would differ at every grid point, so the memo would
+    only keep it alive.  Any other goes through ``_eval_memo``."""
+    value = dsl.compile(expr)
+    if dsl.free_vars(expr).isdisjoint(GRID_PARAMS):
+        return lambda b: _eval_memo(expr, b, value)
+    return lambda b: lower(value(b))
 
-    Factors are evaluated first: a reciprocal binomial hitting the Infinite
-    pole sends the whole term to 0 before the bracket is looked at, which is
-    the limit reading of the transformed identities.
-    """
-    product = 1
+
+def _compile_affine(aff):
+    """A closure for ``aff.twice``: ``dsl.twice_sum`` when the coefficients
+    are integers and the constant a half-integer."""
+    terms = tuple((name, getattr(aff, name)) for name in ("k", "n", "r", "s") if getattr(aff, name))
+    twice_const = 2 * Fraction(aff.const)
+    if twice_const.denominator != 1 or any(Fraction(c).denominator != 1 for _, c in terms):
+        return aff.twice
+    return dsl.twice_sum(tuple((name, int(c)) for name, c in terms), int(twice_const))
+
+
+def _compile_term(term):
+    """The plan of a closed term: (factors, coefficient, bracket, term)."""
+    factors = []
     for f in term.factors:
         if isinstance(f, FBinom):
-            b = special.binom_at(f.top.twice(bindings), f.bot.twice(bindings))
+            factors.append((f, _compile_affine(f.top), _compile_affine(f.bot)))
+        elif isinstance(f, FRecipAffine):
+            factors.append((f, _compile_affine(f.affine), None))
+        else:
+            factors.append((f, None, None))  # raises when it is reached
+    bracket = tuple((isinstance(p, HPiece), p.coeff, _compile_affine(p.argument))
+                    for p in term.extras)
+    return tuple(factors), _compile_value(term.coeff), bracket, term
+
+
+def _run_term(plan, bindings):
+    """Exact value of a compiled term at a fully bound point.
+
+    Factors are evaluated first: a reciprocal binomial hitting the Infinite
+    pole sends the whole term to 0 before the coefficient or the bracket is
+    looked at, which is the limit reading of the transformed identities.
+    The rational part of the factor product is an int numerator and
+    denominator, normalised once; a binomial with sqrt(pi) in it is kept
+    apart as a SymConst."""
+    factors, coeff, bracket, term = plan
+    num = den = 1
+    sym = None
+    for f, x, y in factors:
+        if isinstance(f, FBinom):
+            b = special.binom_at(x(bindings), y(bindings))
             if f.power == 1:
                 if b is special.INFINITE:
                     raise PoleError(f"infinite binomial factor {f.render()}")
-                product = product * b
             else:
                 if b is special.INFINITE:
                     return 0
                 if b == 0:
                     raise DivisionByZero(f"zero binomial under reciprocal: {f.render()}")
-                product = exact_div(product, b)
+            if type(b) is SymConst:
+                if f.power != 1:
+                    b = b.inverse()
+                sym = b if sym is None else sym * b
+            elif f.power == 1:
+                num *= b.numerator
+                den *= b.denominator
+            else:
+                num *= b.denominator
+                den *= b.numerator
         elif isinstance(f, FRecipAffine):
-            twice = f.affine.twice(bindings)
+            twice = x(bindings)
             if twice == 0:
                 raise DivisionByZero(f"zero affine under reciprocal: {f.render()}")
-            product = product * Fraction(2, twice) ** f.power
+            if f.power >= 0:
+                num *= 2 ** f.power
+                den *= twice ** f.power
+            else:
+                num *= twice ** -f.power
+                den *= 2 ** -f.power
         else:
             raise EvalTypeError(f"unknown factor {f!r}")
-    if product == 0:
+    if num == 0:
         return 0
-    value = _eval_memo(term.coeff, bindings)
-    if term.factors:
+    value = coeff(bindings)
+    if factors:
+        product = num if den == 1 else Fraction(num, den)
+        if sym is not None:
+            product = sym * product
         value = value * product
-    if term.extras:
-        bracket = 0
-        for p in term.extras:
-            twice = p.argument.twice(bindings)
-            if isinstance(p, HPiece):
-                bracket = bracket + special.harmonic_at(twice) * p.coeff
+    if bracket:
+        total = 0
+        for is_harmonic, c, x in bracket:
+            twice = x(bindings)
+            if is_harmonic:
+                total = total + special.harmonic_at(twice) * c
             else:
                 if twice == 0:
                     raise DivisionByZero(f"bracket reciprocal at zero: {term.render()}")
-                bracket = bracket + exact_div(2 * p.coeff, twice)
-        value = value * bracket
+                total = total + exact_div(2 * c, twice)
+        value = value * total
     return value
+
+
+def eval_term(term, bindings):
+    """Exact value of one closed term at a fully bound point: a plain int or
+    Fraction when rational, a SymConst otherwise."""
+    return _run_term(_compile_term(term), bindings)
+
+
+def _compile_side(side):
+    summands = tuple((_compile_value(sm.lower), _compile_value(sm.upper), _compile_term(sm.term))
+                     for sm in side.summands)
+    extra = None if side.extra is None else _compile_value(side.extra)
+    return summands, extra
+
+
+def _run_side(plan, bindings):
+    summands, extra = plan
+    total = 0
+    for lower_bound, upper_bound, term in summands:
+        lo = to_int(lower_bound(bindings))
+        hi = to_int(upper_bound(bindings))
+        inner = dict(bindings)
+        for k in range(lo, hi + 1):
+            inner["k"] = HalfInt(2 * k)
+            total = total + _run_term(term, inner)
+    if extra is not None:
+        total = total + extra(bindings)
+    return lift(total)
 
 
 def eval_side(side, bindings):
     """Exact value of one side at a fully bound point, as a SymConst.  The
     terms are summed as plain values where rational and lifted once."""
-    total = 0
-    for sm in side.summands:
-        lo = to_int(_eval_memo(sm.lower, bindings))
-        hi = to_int(_eval_memo(sm.upper, bindings))
-        inner = dict(bindings)
-        for k in range(lo, hi + 1):
-            inner["k"] = HalfInt(2 * k)
-            total = total + eval_term(sm.term, inner)
-    if side.extra is not None:
-        total = total + _eval_memo(side.extra, bindings)
-    return lift(total)
+    return _run_side(_compile_side(side), bindings)
+
+
+def _point(n, r=None, s=None, u=None, v=None):
+    bindings = {"n": HalfInt.from_value(n)}
+    for name, val in zip(GRID_PARAMS, (r, s, u, v)):
+        if val is not None:
+            bindings[name] = HalfInt.from_value(val)
+    return bindings
 
 
 def eval_closed(cid, n, r=None, s=None, u=None, v=None):
     """Exact values of both sides at one parameter point."""
-    bindings = {"n": HalfInt.from_value(n)}
-    for name, val in (("r", r), ("s", s), ("u", u), ("v", v)):
-        if val is not None:
-            bindings[name] = HalfInt.from_value(val)
+    bindings = _point(n, r, s, u, v)
     return eval_side(cid.lhs, bindings), eval_side(cid.rhs, bindings)
 
 
@@ -473,12 +564,14 @@ def verify_closed(cid, n_range, param_grid=({},)):
     Evaluation errors (poles, zero divisions) are recorded as undefined
     points, never silently skipped.
     """
+    lhs_plan, rhs_plan = _compile_side(cid.lhs), _compile_side(cid.rhs)
     results = []
     for n in n_range:
         for params in param_grid:
             key = tuple(sorted((name, HalfInt.from_value(val)) for name, val in params.items()))
             try:
-                lhs, rhs = eval_closed(cid, n, **params)
+                bindings = _point(n, **params)
+                lhs, rhs = _run_side(lhs_plan, bindings), _run_side(rhs_plan, bindings)
                 results.append(PointResult(n, key, lhs, rhs))
             except (PoleError, DivisionByZero, EvalTypeError) as exc:
                 results.append(PointResult(n, key, None, None, error=str(exc)))
@@ -513,12 +606,13 @@ def eval_side_float(side, bindings, precision_digits=30):
         for sm in side.summands:
             lo = dsl.eval_scalar(sm.lower, exact).as_int()
             hi = dsl.eval_scalar(sm.upper, exact).as_int()
+            coeff = dsl.compile(sm.term.coeff)
             for k in range(lo, hi + 1):
                 kb = dict(exact)
                 kb["k"] = HalfInt(2 * k)
                 kn = dict(num)
                 kn["k"] = mp.mpf(k)
-                total += _eval_term_float(sm.term, kb, kn, mp)
+                total += _eval_term_float(sm.term, coeff, kb, kn, mp)
         if side.extra is not None:
             raise ShapeError("standalone expression has no float evaluator")
         return total
@@ -534,7 +628,7 @@ def _affine_float(aff, num):
     return total
 
 
-def _eval_term_float(term, exact_bindings, num, mp):
+def _eval_term_float(term, coeff, exact_bindings, num, mp):
     product = mp.mpf(1)
     for f in term.factors:
         if isinstance(f, FBinom):
@@ -544,8 +638,7 @@ def _eval_term_float(term, exact_bindings, num, mp):
             product *= 1 / _affine_float(f.affine, num) ** f.power
         else:
             raise EvalTypeError(f"unknown factor {f!r}")
-    coeff = dsl.eval_scalar(term.coeff, exact_bindings)
-    value = coeff.to_float(mp.mp.dps) * product
+    value = lift(coeff(exact_bindings)).to_float(mp.mp.dps) * product
     if term.extras:
         bracket = mp.mpf(0)
         for p in term.extras:

@@ -18,6 +18,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import beta, polyverify
+from .beta import GRID_PARAMS
 from .errors import EvalTypeError, FormatError
 from .field import HalfInt, SymConst
 from .model import admissible, is_json_int, load_identity
@@ -25,8 +26,6 @@ from .model import admissible, is_json_int, load_identity
 DEFAULT_DIR = Path(__file__).parent / "corpus_data"
 
 EXPECTED = ("equal", "unequal")
-
-GRID_PARAMS = ("r", "s", "u", "v")   # the keyword parameters of beta.eval_closed
 
 
 def corpus_dir(override=None):

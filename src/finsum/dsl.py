@@ -14,9 +14,13 @@ Grammar (whitespace-insensitive)::
 literal like 5/2 parses as a division of integers; the two spellings evaluate
 identically.  ``t`` is accepted as a variable, but not as a sum index.
 
-One evaluator, ``evaluate``, serves scalar and polynomial values.  Rational
-values travel as ``int`` or ``Fraction``; only ``H``, ``binom`` and ``rbinom``
-at half-integer points produce ln2 or sqrt(pi) terms, which the ``special``
+One evaluator serves scalar and polynomial values: ``compile`` turns an
+expression into a closure over bindings, once, and a caller that evaluates
+an expression at many points (a coefficient at every k, a side at every
+grid point) compiles it once and calls the closure.  ``evaluate`` and
+``eval_scalar`` compile and call, for one-shot callers.  Rational values
+travel as ``int`` or ``Fraction``; only ``H``, ``binom`` and ``rbinom`` at
+half-integer points produce ln2 or sqrt(pi) terms, which the ``special``
 accessors hand over as a ``SymConst``, and from there Python's operators
 carry it.  Bound to ``polyverify.DensePoly.variable()``, ``t`` makes the
 value a polynomial in t the same way, and ``U(m)`` is the Chebyshev
@@ -26,6 +30,7 @@ lifts a scalar value to ``SymConst``.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -359,125 +364,311 @@ def is_polynomial(expr):
 # ---------------------------------------------------------------------------
 # evaluation
 #
-# ``evaluate`` returns an int, a Fraction or a SymConst, or a
-# ``polyverify.DensePoly`` once ``t`` is bound to one.  Python's operators mix
-# them: int and Fraction decline a SymConst or DensePoly operand, and SymConst
-# declines a DensePoly, which then takes the reflected operation.  int / int
-# and int ** -m would leave exact arithmetic for a float, so Div and Pow go
-# through Fraction there.
+# ``compile`` turns an AST into a closure over bindings.  A value is an int,
+# a Fraction or a SymConst, or a ``polyverify.DensePoly`` once ``t`` is bound
+# to one.  Python's operators mix them: int and Fraction decline a SymConst
+# or DensePoly operand, and SymConst declines a DensePoly, which then takes
+# the reflected operation.  int / int and int ** -m would leave exact
+# arithmetic for a float, so Div and Pow go through Fraction there.
+#
+# Every node evaluates its operands in the same order as a plain tree walk
+# would (left to right, but a Div's denominator and a Pow's exponent first),
+# so the first error a point meets does not depend on how it was compiled.
 
 def eval_scalar(expr, bindings):
     """Exact value of a scalar expression under half-integer bindings."""
-    return lift(evaluate(expr, bindings))
+    return lift(compile(expr)(bindings))
 
 
 def evaluate(expr, bindings):
     """Value of an expression under its bindings, unlifted: a plain int or
     Fraction when rational, else a SymConst, or a DensePoly when ``t`` is
     bound to one.  Every other binding is a HalfInt."""
-    cls = type(expr)
+    return compile(expr)(bindings)
+
+
+def compile(expr):
+    """A closure ``f(bindings)`` that returns what ``evaluate(expr,
+    bindings)`` does.  Node dispatch and literals are settled here, once;
+    every error is raised by the closure, never by the compiler.
+
+    A left-associative chain of ``+ - *`` runs as one loop, so a long flat
+    sum or product recurses neither here nor when it runs.  A subexpression
+    that is affine in its variables with integer coefficients (``n-k+r-s``,
+    ``2*k+1``) is computed as an int on the bindings' ``twice`` values, with
+    no Fraction arithmetic: as a call's half-integer or integer argument, a
+    sum bound, an exponent, or a value."""
+    return _compile(expr)
+
+
+def _compile(e):
+    cls = type(e)
     if cls is Var:
-        try:
-            twice = bindings[expr.name].twice
-        except KeyError:
-            raise UnboundVariable(f"variable {expr.name!r} is unbound") from None
-        except AttributeError:  # the indeterminate t, bound to a DensePoly
-            return bindings[expr.name]
-        return Fraction(twice, 2) if twice & 1 else twice >> 1
+        return _compile_var(e.name)
     if cls is Lit:
-        value = expr.value
-        return value.numerator if value.denominator == 1 else value
-    if cls is Mul:
-        return evaluate(expr.left, bindings) * evaluate(expr.right, bindings)
-    if cls is Add:
-        return evaluate(expr.left, bindings) + evaluate(expr.right, bindings)
-    if cls is Sub:
-        return evaluate(expr.left, bindings) - evaluate(expr.right, bindings)
+        value = e.value.numerator if e.value.denominator == 1 else e.value
+        return lambda b: value
+    if cls is Add or cls is Sub or cls is Mul:
+        affine = _twice_affine(e)
+        if affine is not None and affine[0]:
+            return _compile_affine_value(affine, _compile_chain(e))
+        return _compile_chain(e)
     if cls is Call:
-        return _eval_call(expr, bindings)
+        return _compile_call(e)
     if cls is Div:
-        denom = evaluate(expr.right, bindings)
-        if denom == 0:
-            raise DivisionByZero(f"division by zero in {render(expr)}")
-        return exact_div(evaluate(expr.left, bindings), denom)
+        num = _compile(e.left)
+        den = _compile(e.right)
+
+        def div(b):
+            d = den(b)
+            if d == 0:
+                raise DivisionByZero(f"division by zero in {render(e)}")
+            return exact_div(num(b), d)
+        return div
     if cls is Neg:
-        return -evaluate(expr.operand, bindings)
+        operand = _compile(e.operand)
+        return lambda b: -operand(b)
     if cls is Pow:
-        exp = _int_arg(expr.exponent, bindings, "exponent")
-        base = evaluate(expr.base, bindings)
-        if exp < 0:
-            if base == 0:
-                raise DivisionByZero(f"zero base with negative exponent in {render(expr)}")
-            if type(base) is int:
-                base = Fraction(base)
-        return base ** exp
+        return _compile_pow(e)
     if cls is BoundedSum:
-        lo = _int_arg(expr.lower, bindings, "sum lower bound")
-        hi = _int_arg(expr.upper, bindings, "sum upper bound")
+        return _compile_sum(e)
+    return _failing(EvalTypeError, f"not an AST node: {e!r}")
+
+
+def _failing(error, message):
+    def fail(b):
+        raise error(message)
+    return fail
+
+
+def _compile_var(name):
+    def var(b):
+        try:
+            twice = b[name].twice
+        except KeyError:
+            raise UnboundVariable(f"variable {name!r} is unbound") from None
+        except AttributeError:  # the indeterminate t, bound to a DensePoly
+            return b[name]
+        return Fraction(twice, 2) if twice & 1 else twice >> 1
+    return var
+
+
+_CHAIN_OPS = {Add: operator.add, Sub: operator.sub, Mul: operator.mul}
+
+
+def _compile_chain(e):
+    """((a op b) op c) ... as one loop over the chain's left spine."""
+    steps = []
+    while type(e) in _CHAIN_OPS:
+        steps.append((_CHAIN_OPS[type(e)], _compile(e.right)))
+        e = e.left
+    first = _compile(e)
+    steps = tuple(reversed(steps))
+
+    def chain(b):
+        value = first(b)
+        for op, right in steps:
+            value = op(value, right(b))
+        return value
+    return chain
+
+
+def _compile_pow(e):
+    base = _compile(e.base)
+    exponent = _compile_int(e.exponent, "exponent")
+
+    def pow_(b):
+        exp = exponent(b)
+        value = base(b)
+        if exp < 0:
+            if value == 0:
+                raise DivisionByZero(f"zero base with negative exponent in {render(e)}")
+            if type(value) is int:
+                value = Fraction(value)
+        return value ** exp
+    return pow_
+
+
+def _compile_sum(e):
+    index = e.index
+    lower = _compile_int(e.lower, "sum lower bound")
+    upper = _compile_int(e.upper, "sum upper bound")
+    body = _compile(e.body)
+
+    def bounded_sum(b):
+        lo = lower(b)
+        hi = upper(b)
         total = 0
-        inner = dict(bindings)
+        inner = dict(b)
         for i in range(lo, hi + 1):
-            inner[expr.index] = HalfInt(2 * i)
-            total = total + evaluate(expr.body, inner)
+            inner[index] = HalfInt(2 * i)
+            total = total + body(inner)
         return total
-    raise EvalTypeError(f"not an AST node: {expr!r}")
+    return bounded_sum
 
 
-def _int_arg(expr, bindings, what):
-    value = evaluate(expr, bindings)
-    try:
-        return to_int(value)
-    except EvalTypeError:
-        raise EvalTypeError(f"{what} must be an integer, got {value}") from None
+# -- arguments on twice-ints ------------------------------------------------
+
+def _twice_affine(e):
+    """``e`` as (((name, coefficient), ...), twice the constant) when it is
+    built from literals and variables other than t by ``+``, ``-`` and
+    products ``literal*e``, every coefficient is an integer and the constant
+    a half-integer; None otherwise.  A name whose coefficient cancels stays,
+    so an unbound one is still an error."""
+    coeffs = {}
+    const = 0
+    stack = [(e, 1)]
+    while stack:
+        node, scale = stack.pop()
+        cls = type(node)
+        if cls is Lit:
+            const += scale * node.value
+        elif cls is Var and node.name != "t":
+            coeffs[node.name] = coeffs.get(node.name, 0) + scale
+        elif cls is Add or cls is Sub:
+            stack.append((node.right, scale if cls is Add else -scale))
+            stack.append((node.left, scale))
+        elif cls is Neg:
+            stack.append((node.operand, -scale))
+        elif cls is Mul and type(node.left) is Lit:
+            stack.append((node.right, scale * node.left.value))
+        else:
+            return None
+    twice_const = Fraction(2 * const)
+    if twice_const.denominator != 1 or any(Fraction(c).denominator != 1 for c in coeffs.values()):
+        return None
+    return tuple((name, int(c)) for name, c in coeffs.items()), int(twice_const)
 
 
-def _half_arg(expr, bindings):
-    return to_halfint(evaluate(expr, bindings))
+def twice_sum(terms, twice_const):
+    """A closure for ``twice_const + sum(c * bindings[name].twice)`` over
+    ``terms`` = ((name, c), ...) with int c: twice the value of an affine
+    form with integer coefficients at half-integer bindings.  An unbound name
+    raises KeyError, and a binding that is not a HalfInt AttributeError."""
+    def twice(b):
+        total = twice_const
+        for name, c in terms:
+            total += c * b[name].twice
+        return total
+    return twice
 
 
-def _twice_arg(expr, bindings):
-    """Twice the half-integer value of an argument, as an int."""
-    value = evaluate(expr, bindings)
-    if type(value) is int:
-        return 2 * value
-    if type(value) is Fraction and value.denominator == 2:
-        return value.numerator
-    return to_halfint(value).twice
+# Each closure below falls back to evaluating the expression as written when
+# a variable is unbound or bound to a polynomial, so it raises the same error.
+
+def _compile_affine_value(affine, slow):
+    """A closure for the value of an affine expression."""
+    fast = twice_sum(*affine)
+
+    def affine_value(b):
+        try:
+            t = fast(b)
+        except (KeyError, AttributeError):
+            return slow(b)
+        return Fraction(t, 2) if t & 1 else t >> 1
+    return affine_value
 
 
-def _eval_call(expr, bindings):
-    fn = expr.fn
-    args = expr.args
+def _compile_twice(e):
+    """A closure for twice the half-integer value of an argument, as an int;
+    EvalTypeError when the value is not a half-integer."""
+    value = _compile(e)
+
+    def twice_arg(b):
+        v = value(b)
+        if type(v) is int:
+            return 2 * v
+        if type(v) is Fraction and v.denominator == 2:
+            return v.numerator
+        return to_halfint(v).twice
+
+    affine = _twice_affine(e)
+    if affine is None:
+        return twice_arg
+    fast = twice_sum(*affine)
+
+    def twice_affine(b):
+        try:
+            return fast(b)
+        except (KeyError, AttributeError):
+            return twice_arg(b)
+    return twice_affine
+
+
+def _compile_int(e, what):
+    """A closure for the integer value of an argument; EvalTypeError naming
+    ``what`` when the value is not an integer."""
+    value = _compile(e)
+
+    def int_arg(b):
+        v = value(b)
+        try:
+            return to_int(v)
+        except EvalTypeError:
+            raise EvalTypeError(f"{what} must be an integer, got {v}") from None
+
+    affine = _twice_affine(e)
+    if affine is None:
+        return int_arg
+    fast = twice_sum(*affine)
+
+    def int_affine(b):
+        try:
+            t = fast(b)
+        except (KeyError, AttributeError):
+            return int_arg(b)
+        return int_arg(b) if t & 1 else t >> 1
+    return int_affine
+
+
+# -- calls ----------------------------------------------------------------
+
+def _compile_call(e):
+    fn = e.fn
+    args = e.args
     if fn == "binom":
-        b = special.binom_at(_twice_arg(args[0], bindings), _twice_arg(args[1], bindings))
-        if b is special.INFINITE:
-            raise PoleError(f"{render(expr)} is infinite")
-        return b
+        x, y = _compile_twice(args[0]), _compile_twice(args[1])
+
+        def binom(b):
+            value = special.binom_at(x(b), y(b))
+            if value is special.INFINITE:
+                raise PoleError(f"{render(e)} is infinite")
+            return value
+        return binom
     if fn == "rbinom":
-        return special.rbinom_at(_twice_arg(args[0], bindings), _twice_arg(args[1], bindings))
+        x, y = _compile_twice(args[0]), _compile_twice(args[1])
+        return lambda b: special.rbinom_at(x(b), y(b))
     if fn == "H":
-        return special.harmonic_at(_twice_arg(args[0], bindings))
+        x = _compile_twice(args[0])
+        return lambda b: special.harmonic_at(x(b))
     if fn == "Hm":
-        return special.harmonic_m(_int_arg(args[0], bindings, "Hm order-n"),
-                                  _int_arg(args[1], bindings, "Hm order-m"))
+        n, m = _compile_int(args[0], "Hm order-n"), _compile_int(args[1], "Hm order-m")
+        return lambda b: special.harmonic_m(n(b), m(b))
     if fn == "O":
-        return special.odd_harmonic_m(_int_arg(args[0], bindings, "O argument"), 1)
+        n = _compile_int(args[0], "O argument")
+        return lambda b: special.odd_harmonic_m(n(b), 1)
     if fn == "Om":
-        return special.odd_harmonic_m(_int_arg(args[0], bindings, "Om argument"),
-                                      _int_arg(args[1], bindings, "Om order"))
+        n, m = _compile_int(args[0], "Om argument"), _compile_int(args[1], "Om order")
+        return lambda b: special.odd_harmonic_m(n(b), m(b))
     if fn == "kron":
-        a = _half_arg(args[0], bindings)
-        b = _half_arg(args[1], bindings)
-        return 1 if a == b else 0
+        x, y = _compile_twice(args[0]), _compile_twice(args[1])
+        return lambda b: 1 if x(b) == y(b) else 0
     if fn == "fact":
-        return special.factorial(_int_arg(args[0], bindings, "factorial argument"))
+        n = _compile_int(args[0], "factorial argument")
+        return lambda b: special.factorial(n(b))
     if fn == "sign":
-        return -1 if _int_arg(args[0], bindings, "sign argument") % 2 else 1
+        n = _compile_int(args[0], "sign argument")
+        return lambda b: -1 if n(b) % 2 else 1
     if fn == "floor":
-        return _half_arg(args[0], bindings).floor()
+        x = _compile_twice(args[0])
+        return lambda b: x(b) // 2
     if fn == "U":
-        t = bindings.get("t")
-        if t is None or type(t) is HalfInt:
-            raise EvalTypeError("U(...) is only meaningful in polynomial context")
-        return special.chebyshev_u(_int_arg(args[0], bindings, "U degree"))(t)
-    raise EvalTypeError(f"unknown function {fn!r}")
+        m = _compile_int(args[0], "U degree")
+
+        def chebyshev(b):
+            t = b.get("t")
+            if t is None or type(t) is HalfInt:
+                raise EvalTypeError("U(...) is only meaningful in polynomial context")
+            return special.chebyshev_u(m(b))(t)
+        return chebyshev
+    return _failing(EvalTypeError, f"unknown function {fn!r}")

@@ -203,10 +203,11 @@ def expand_side(side, n, bindings=None):
         for term in side.terms:
             lo = dsl.eval_scalar(term.lower, base_bindings).as_int()
             hi = dsl.eval_scalar(term.upper, base_bindings).as_int()
+            coeff_of = dsl.compile(term.coeff)
             for k in range(lo, hi + 1):
                 kb = dict(base_bindings)
                 kb["k"] = HalfInt(2 * k)
-                coeff = lower(dsl.eval_scalar(term.coeff, kb))
+                coeff = lower(coeff_of(kb))
                 if coeff == 0:
                     continue
                 a = term.t_exp.value(kb).as_int()

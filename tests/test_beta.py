@@ -218,18 +218,29 @@ def test_eval_term_pole_handling():
         eval_term(affine_zero, bind(s=0))
 
 
+def count_compiled_evaluations(monkeypatch):
+    """Patch ``dsl.compile`` so that every call of a closure it returns
+    appends the compiled expression to the returned list."""
+    calls = []
+    compile_ = dsl.compile
+
+    def counting_compile(expr):
+        value = compile_(expr)
+
+        def counted(bindings):
+            calls.append(expr)
+            return value(bindings)
+        return counted
+
+    monkeypatch.setattr(dsl, "compile", counting_compile)
+    return calls
+
+
 def test_eval_term_infinite_reciprocal_is_zero_before_coefficient(monkeypatch):
     """1/binom(-1, 1/2) is the 0 limit; the term returns 0 at that factor,
     before the later factor, the coefficient or the bracket is evaluated,
     each of which would raise here."""
-    calls = []
-    eval_scalar = dsl.eval_scalar
-
-    def counting(expr, bindings):
-        calls.append(expr)
-        return eval_scalar(expr, bindings)
-
-    monkeypatch.setattr(dsl, "eval_scalar", counting)
+    calls = count_compiled_evaluations(monkeypatch)
     term = ClosedTerm(dsl.parse("1/(k - k)"),
                       factors=(FBinom(Affine(r=F(1)), Affine(s=F(1)), -1),
                                FRecipAffine(Affine())),
@@ -240,6 +251,11 @@ def test_eval_term_infinite_reciprocal_is_zero_before_coefficient(monkeypatch):
     # the same term at a finite point does reach the zero factor
     with pytest.raises(DivisionByZero):
         eval_term(term, bind(k=0, r=1, s="1/2"))
+    # and with only a finite factor, the counted coefficient is reached
+    finite = ClosedTerm(term.coeff, factors=term.factors[:1])
+    with pytest.raises(DivisionByZero, match="division by zero in 1/\\(k - k\\)"):
+        eval_term(finite, bind(k=0, r=1, s="1/2"))
+    assert calls == [term.coeff]
 
 
 def test_verify_closed_records_undefined_points():
@@ -254,14 +270,7 @@ def test_memo_serves_every_grid_point(monkeypatch):
     """Coefficients depend on (k, n) only, so more (r, s) points cost no
     more evaluations.  Each grid gets a freshly loaded seed, whose
     expressions the memo has not seen."""
-    calls = []
-    eval_scalar = dsl.eval_scalar
-
-    def counting(expr, bindings):
-        calls.append(expr)
-        return eval_scalar(expr, bindings)
-
-    monkeypatch.setattr(dsl, "eval_scalar", counting)
+    calls = count_compiled_evaluations(monkeypatch)
     one_point = ({"r": F(1, 2), "s": F(1, 2)},)
     four_points = rs_grid((F(1, 2), 1))
     assert len(four_points) == 4
@@ -272,6 +281,42 @@ def test_memo_serves_every_grid_point(monkeypatch):
         calls.clear()
         assert verify_closed(cid, range(0, 9), grid).all_equal
         counts.append(len(calls))
+    assert counts[0] > 0 and counts[1] == counts[0]
+
+
+def test_memo_holds_no_grid_coefficient():
+    """A coefficient that reads r or s has a new key at every grid point, so
+    it is evaluated directly and never stored."""
+    (entry,) = corpus.load_entries(names={"dattoli-ddr"})
+    cid = from_model(entry.identity)
+    grid_coeffs = [sm.term.coeff for side in (cid.lhs, cid.rhs) for sm in side.summands
+                   if dsl.free_vars(sm.term.coeff) & {"r", "s"}]
+    assert grid_coeffs
+    report = verify_closed(cid, range(0, 4), entry.param_grid)
+    assert len(report.results) == 4 * len(entry.param_grid) > 4
+    for coeff in grid_coeffs:
+        assert id(coeff) not in beta._expr_memo
+    for expr, _, _ in beta._expr_memo.values():
+        assert dsl.free_vars(expr).isdisjoint(beta.GRID_PARAMS)
+
+
+def test_compiles_once_per_verification(monkeypatch):
+    """The number of expressions compiled by one verify_closed does not grow
+    with the n range or the grid."""
+    compiled = []
+    compile_ = dsl.compile
+
+    def spy(expr):
+        compiled.append(expr)
+        return compile_(expr)
+
+    monkeypatch.setattr(dsl, "compile", spy)
+    cid = differentiate(beta_transform(ident("binom-harmonic-gf")), "r")
+    counts = []
+    for n_range, grid in ((range(0, 2), rs_grid((1,))), (range(0, 9), rs_grid())):
+        compiled.clear()
+        verify_closed(cid, n_range, grid)
+        counts.append(len(compiled))
     assert counts[0] > 0 and counts[1] == counts[0]
 
 

@@ -119,6 +119,15 @@ class TestEval:
         assert err.splitlines() == [
             "error: an integer of 1000001 bits is too long to print in decimal"]
 
+    def test_long_flat_chains(self, capsys):
+        # a flat chain of + or * runs as one loop, not 3,000 nested calls
+        code, out, _ = run(capsys, "eval", "+".join(["1"] * 3000))
+        assert code == 0
+        assert out.strip() == "3000"
+        code, out, _ = run(capsys, "eval", "*".join(["k"] * 3000), "--bind", "k=1")
+        assert code == 0
+        assert out.strip() == "1"
+
     def test_too_long_literal_exits_2(self, capsys):
         code, out, err = run(capsys, "eval", "1 + " + "7" * 5000)
         assert code == 2

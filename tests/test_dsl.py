@@ -196,6 +196,29 @@ class TestScalarEval:
         with pytest.raises(EvalTypeError):
             ev("sign(r)", r="1/2")
 
+    @pytest.mark.parametrize("text, error, message", [
+        # a Div's denominator is evaluated before its numerator
+        ("binom(-1, 1/2)/(k-k)", DivisionByZero, "division by zero in binom(-1, 1/2)/(k - k)"),
+        # a product's operands left to right
+        ("H(-1)*(1/(k-k))", PoleError, "H_-1 is a pole"),
+        # a Pow's exponent before its base
+        ("(k-k)^(0-1)*binom(-1,1/2)", DivisionByZero,
+         "zero base with negative exponent in (k - k)^(0 - 1)"),
+        ("(1/(k-k))^H(-1)", PoleError, "H_-1 is a pole"),
+        # call arguments left to right, sum bounds lower before upper
+        ("binom(1/(k-k), H(-1))", DivisionByZero, "division by zero in 1/(k - k)"),
+        ("sum(j, k/2, 1/(k-k), j)", EvalTypeError, "sum lower bound must be an integer, got 1/2"),
+        ("sign(k/2) + sign(n)", EvalTypeError, "sign argument must be an integer, got 1/2"),
+        # an affine argument with an unbound name
+        ("binom(n - j + r, k)", UnboundVariable, "variable 'j' is unbound"),
+    ])
+    def test_evaluation_order(self, text, error, message):
+        """The first error a point meets, with the message of a tree walk
+        that evaluates in the documented order."""
+        with pytest.raises(error) as exc:
+            ev(text, k=1, n=2, r="1/2")
+        assert str(exc.value) == message
+
 
 @given(st.integers(min_value=0, max_value=40), st.integers(min_value=1, max_value=6))
 def test_nested_sum_matches_direct(n, m):
