@@ -383,27 +383,17 @@ def _compile_value(expr):
     return lambda b: lower(value(b))
 
 
-def _compile_affine(aff):
-    """A closure for ``aff.twice``: ``dsl.twice_sum`` when the coefficients
-    are integers and the constant a half-integer."""
-    terms = tuple((name, getattr(aff, name)) for name in ("k", "n", "r", "s") if getattr(aff, name))
-    twice_const = 2 * Fraction(aff.const)
-    if twice_const.denominator != 1 or any(Fraction(c).denominator != 1 for _, c in terms):
-        return aff.twice
-    return dsl.twice_sum(tuple((name, int(c)) for name, c in terms), int(twice_const))
-
-
 def _compile_term(term):
     """The plan of a closed term: (factors, coefficient, bracket, term)."""
     factors = []
     for f in term.factors:
         if isinstance(f, FBinom):
-            factors.append((f, _compile_affine(f.top), _compile_affine(f.bot)))
+            factors.append((f, f.top.compile_twice(), f.bot.compile_twice()))
         elif isinstance(f, FRecipAffine):
-            factors.append((f, _compile_affine(f.affine), None))
+            factors.append((f, f.affine.compile_twice(), None))
         else:
             factors.append((f, None, None))  # raises when it is reached
-    bracket = tuple((isinstance(p, HPiece), p.coeff, _compile_affine(p.argument))
+    bracket = tuple((isinstance(p, HPiece), p.coeff, p.argument.compile_twice())
                     for p in term.extras)
     return tuple(factors), _compile_value(term.coeff), bracket, term
 

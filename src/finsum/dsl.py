@@ -393,11 +393,10 @@ def compile(expr):
     every error is raised by the closure, never by the compiler.
 
     A left-associative chain of ``+ - *`` runs as one loop, so a long flat
-    sum or product recurses neither here nor when it runs.  A subexpression
-    that is affine in its variables with integer coefficients (``n-k+r-s``,
-    ``2*k+1``) is computed as an int on the bindings' ``twice`` values, with
-    no Fraction arithmetic: as a call's half-integer or integer argument, a
-    sum bound, an exponent, or a value."""
+    sum or product recurses neither here nor when it runs.  An argument of
+    ``binom``, ``rbinom`` or ``H`` that is affine in its variables with
+    integer coefficients (``n-k+r-s``, ``2*k+1``) is computed as an int on
+    the bindings' ``twice`` values, with no Fraction arithmetic."""
     return _compile(expr)
 
 
@@ -409,9 +408,6 @@ def _compile(e):
         value = e.value.numerator if e.value.denominator == 1 else e.value
         return lambda b: value
     if cls is Add or cls is Sub or cls is Mul:
-        affine = _twice_affine(e)
-        if affine is not None and affine[0]:
-            return _compile_affine_value(affine, _compile_chain(e))
         return _compile_chain(e)
     if cls is Call:
         return _compile_call(e)
@@ -507,14 +503,44 @@ def _compile_sum(e):
     return bounded_sum
 
 
-# -- arguments on twice-ints ------------------------------------------------
+def _compile_int(e, what):
+    """A closure for the integer value of an argument; EvalTypeError naming
+    ``what`` when the value is not an integer."""
+    value = _compile(e)
 
-def _twice_affine(e):
-    """``e`` as (((name, coefficient), ...), twice the constant) when it is
-    built from literals and variables other than t by ``+``, ``-`` and
-    products ``literal*e``, every coefficient is an integer and the constant
-    a half-integer; None otherwise.  A name whose coefficient cancels stays,
-    so an unbound one is still an error."""
+    def int_arg(b):
+        v = value(b)
+        try:
+            return to_int(v)
+        except EvalTypeError:
+            raise EvalTypeError(f"{what} must be an integer, got {v}") from None
+    return int_arg
+
+
+def _compile_twice(e):
+    """A closure for twice the half-integer value of an argument, as an int;
+    EvalTypeError when the value is not a half-integer."""
+    value = _compile(e)
+
+    def twice_arg(b):
+        v = value(b)
+        if type(v) is int:
+            return 2 * v
+        if type(v) is Fraction and v.denominator == 2:
+            return v.numerator
+        return to_halfint(v).twice
+    return twice_arg
+
+
+# -- binom, rbinom and H arguments on twice-ints ----------------------------
+
+def _compile_special_arg(e):
+    """``_compile_twice(e)``, computed by ``twice_sum`` when ``e`` is built
+    from literals and variables other than t by ``+``, ``-`` and products
+    ``literal*e``.  A name whose coefficient cancels stays, and a variable
+    that is unbound or bound to a polynomial falls back to the expression
+    as written, so it raises the same error."""
+    slow = _compile_twice(e)
     coeffs = {}
     const = 0
     stack = [(e, 1)]
@@ -533,18 +559,32 @@ def _twice_affine(e):
         elif cls is Mul and type(node.left) is Lit:
             stack.append((node.right, scale * node.left.value))
         else:
-            return None
-    twice_const = Fraction(2 * const)
-    if twice_const.denominator != 1 or any(Fraction(c).denominator != 1 for c in coeffs.values()):
+            return slow
+    fast = twice_sum(coeffs.items(), const)
+    if fast is None:
+        return slow
+
+    def special_arg(b):
+        try:
+            return fast(b)
+        except (KeyError, AttributeError):
+            return slow(b)
+    return special_arg
+
+
+def twice_sum(terms, const):
+    """A closure for twice the value of ``const + sum(c * name)`` over
+    ``terms`` = ((name, c), ...) at half-integer bindings, as an int computed
+    on the bindings' ``twice`` values; None unless every c is an integer and
+    ``const`` a half-integer.  An unbound name raises KeyError, and a binding
+    that is not a HalfInt AttributeError."""
+    terms = tuple((name, Fraction(c)) for name, c in terms)
+    twice_const = 2 * Fraction(const)
+    if twice_const.denominator != 1 or any(c.denominator != 1 for _, c in terms):
         return None
-    return tuple((name, int(c)) for name, c in coeffs.items()), int(twice_const)
+    terms = tuple((name, c.numerator) for name, c in terms)
+    twice_const = twice_const.numerator
 
-
-def twice_sum(terms, twice_const):
-    """A closure for ``twice_const + sum(c * bindings[name].twice)`` over
-    ``terms`` = ((name, c), ...) with int c: twice the value of an affine
-    form with integer coefficients at half-integer bindings.  An unbound name
-    raises KeyError, and a binding that is not a HalfInt AttributeError."""
     def twice(b):
         total = twice_const
         for name, c in terms:
@@ -553,81 +593,42 @@ def twice_sum(terms, twice_const):
     return twice
 
 
-# Each closure below falls back to evaluating the expression as written when
-# a variable is unbound or bound to a polynomial, so it raises the same error.
-
-def _compile_affine_value(affine, slow):
-    """A closure for the value of an affine expression."""
-    fast = twice_sum(*affine)
-
-    def affine_value(b):
-        try:
-            t = fast(b)
-        except (KeyError, AttributeError):
-            return slow(b)
-        return Fraction(t, 2) if t & 1 else t >> 1
-    return affine_value
-
-
-def _compile_twice(e):
-    """A closure for twice the half-integer value of an argument, as an int;
-    EvalTypeError when the value is not a half-integer."""
-    value = _compile(e)
-
-    def twice_arg(b):
-        v = value(b)
-        if type(v) is int:
-            return 2 * v
-        if type(v) is Fraction and v.denominator == 2:
-            return v.numerator
-        return to_halfint(v).twice
-
-    affine = _twice_affine(e)
-    if affine is None:
-        return twice_arg
-    fast = twice_sum(*affine)
-
-    def twice_affine(b):
-        try:
-            return fast(b)
-        except (KeyError, AttributeError):
-            return twice_arg(b)
-    return twice_affine
-
-
-def _compile_int(e, what):
-    """A closure for the integer value of an argument; EvalTypeError naming
-    ``what`` when the value is not an integer."""
-    value = _compile(e)
-
-    def int_arg(b):
-        v = value(b)
-        try:
-            return to_int(v)
-        except EvalTypeError:
-            raise EvalTypeError(f"{what} must be an integer, got {v}") from None
-
-    affine = _twice_affine(e)
-    if affine is None:
-        return int_arg
-    fast = twice_sum(*affine)
-
-    def int_affine(b):
-        try:
-            t = fast(b)
-        except (KeyError, AttributeError):
-            return int_arg(b)
-        return int_arg(b) if t & 1 else t >> 1
-    return int_affine
-
-
 # -- calls ----------------------------------------------------------------
+
+# name -> the value of a call at its compiled arguments
+_CALLS = {
+    "rbinom": special.rbinom_at,
+    "H": special.harmonic_at,
+    "Hm": special.harmonic_m,
+    "O": lambda n: special.odd_harmonic_m(n, 1),
+    "Om": special.odd_harmonic_m,
+    "kron": lambda x, y: 1 if x == y else 0,
+    "fact": special.factorial,
+    "sign": lambda n: -1 if n % 2 else 1,
+    "floor": lambda x: x // 2,
+}
+
+# name -> what each integer argument is called in an EvalTypeError
+_INT_ARGS = {
+    "Hm": ("Hm order-n", "Hm order-m"),
+    "O": ("O argument",),
+    "Om": ("Om argument", "Om order"),
+    "fact": ("factorial argument",),
+    "sign": ("sign argument",),
+    "U": ("U degree",),
+}
+
 
 def _compile_call(e):
     fn = e.fn
-    args = e.args
+    if fn in ("binom", "rbinom", "H"):
+        xs = [_compile_special_arg(a) for a in e.args]
+    elif fn in ("kron", "floor"):
+        xs = [_compile_twice(a) for a in e.args]
+    else:
+        xs = [_compile_int(a, what) for a, what in zip(e.args, _INT_ARGS.get(fn, ()))]
     if fn == "binom":
-        x, y = _compile_twice(args[0]), _compile_twice(args[1])
+        x, y = xs
 
         def binom(b):
             value = special.binom_at(x(b), y(b))
@@ -635,35 +636,8 @@ def _compile_call(e):
                 raise PoleError(f"{render(e)} is infinite")
             return value
         return binom
-    if fn == "rbinom":
-        x, y = _compile_twice(args[0]), _compile_twice(args[1])
-        return lambda b: special.rbinom_at(x(b), y(b))
-    if fn == "H":
-        x = _compile_twice(args[0])
-        return lambda b: special.harmonic_at(x(b))
-    if fn == "Hm":
-        n, m = _compile_int(args[0], "Hm order-n"), _compile_int(args[1], "Hm order-m")
-        return lambda b: special.harmonic_m(n(b), m(b))
-    if fn == "O":
-        n = _compile_int(args[0], "O argument")
-        return lambda b: special.odd_harmonic_m(n(b), 1)
-    if fn == "Om":
-        n, m = _compile_int(args[0], "Om argument"), _compile_int(args[1], "Om order")
-        return lambda b: special.odd_harmonic_m(n(b), m(b))
-    if fn == "kron":
-        x, y = _compile_twice(args[0]), _compile_twice(args[1])
-        return lambda b: 1 if x(b) == y(b) else 0
-    if fn == "fact":
-        n = _compile_int(args[0], "factorial argument")
-        return lambda b: special.factorial(n(b))
-    if fn == "sign":
-        n = _compile_int(args[0], "sign argument")
-        return lambda b: -1 if n(b) % 2 else 1
-    if fn == "floor":
-        x = _compile_twice(args[0])
-        return lambda b: x(b) // 2
     if fn == "U":
-        m = _compile_int(args[0], "U degree")
+        m, = xs
 
         def chebyshev(b):
             t = b.get("t")
@@ -671,4 +645,11 @@ def _compile_call(e):
                 raise EvalTypeError("U(...) is only meaningful in polynomial context")
             return special.chebyshev_u(m(b))(t)
         return chebyshev
-    return _failing(EvalTypeError, f"unknown function {fn!r}")
+    if fn not in _CALLS:
+        return _failing(EvalTypeError, f"unknown function {fn!r}")
+    f = _CALLS[fn]
+    if len(xs) == 1:
+        x, = xs
+        return lambda b: f(x(b))
+    x, y = xs
+    return lambda b: f(x(b), y(b))

@@ -66,6 +66,13 @@ class Affine:
             return self._twice_slow(bindings)
         return quarters // 2
 
+    def compile_twice(self):
+        """A closure equal to ``self.twice``: integer arithmetic on the
+        bindings' twice values when every coefficient is an integer."""
+        terms = [(name, getattr(self, name)) for name in ("k", "n", "r", "s")
+                 if getattr(self, name)]
+        return dsl.twice_sum(terms, self.const) or self.twice
+
     def _twice_slow(self, bindings):
         total = Fraction(self.const)
         for name in ("k", "n", "r", "s"):

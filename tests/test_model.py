@@ -54,6 +54,19 @@ class TestAffine:
         got = dsl.eval_scalar(dsl.parse(affine.render()), point)
         assert got.as_halfint() == affine.value(point)
 
+    @pytest.mark.parametrize("affine", [
+        Affine(k=1, n=-1, r=1, s=-1), Affine(k=2, const=Fraction(1, 2)), Affine(),
+        Affine(k=Fraction(1, 2), n=Fraction(1, 2)),
+        Affine(k=3, n=Fraction(-1, 2), const=Fraction(3, 2)),
+    ])
+    def test_compile_twice_matches_twice(self, affine):
+        point = {name: HalfInt.from_value(Fraction(i + 2, 2)) for i, name in enumerate("knrs")}
+        point["n"] = HalfInt.from_value(3)
+        assert affine.compile_twice()(point) == affine.twice(point)
+        if not affine.is_zero:
+            with pytest.raises(KeyError):
+                affine.compile_twice()({})
+
 
 class TestAdmissible:
     @pytest.mark.parametrize("r,s,ok", [
