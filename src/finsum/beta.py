@@ -11,6 +11,11 @@ Three transform families are implemented:
   the shape  sum f(k)(1+t)^k = sum g(k)t^k  into central-binomial sums with
   one or two free integer parameters.
 
+Every closed side, loaded or derived, is a ``model.ClosedSide`` of
+``ClosedTerm`` summands; a transform's output is a ``ClosedIdentity`` that
+also records its provenance, and ``verify_closed`` and ``eval_closed`` take
+it or a loaded closed ``model.Identity`` alike.
+
 Closed identities are evaluated exactly over half-integer parameter points;
 a float evaluator (mpmath) backs the derivative cross-check.  Exact
 evaluation compiles each term of an identity once per ``verify_closed`` or
@@ -35,106 +40,26 @@ from fractions import Fraction
 from . import dsl, special
 from .errors import DivisionByZero, EvalTypeError, PoleError, ShapeError
 from .field import HalfInt, SymConst, exact_div, lift, lower, to_int
-from .model import Affine, substitute_neg_t
-
-
-@dataclass(frozen=True)
-class FBinom:
-    """binom(top, bot)^power factor, power in {1, -1}."""
-
-    top: Affine
-    bot: Affine
-    power: int = 1
-
-    def render(self):
-        body = f"binom({self.top.render()}, {self.bot.render()})"
-        return body if self.power == 1 else f"1/{body}"
-
-
-@dataclass(frozen=True)
-class FRecipAffine:
-    """1/affine^power factor."""
-
-    affine: Affine
-    power: int = 1
-
-    def render(self):
-        body = f"({self.affine.render()})"
-        return f"1/{body}" if self.power == 1 else f"1/{body}^{self.power}"
-
-
-@dataclass(frozen=True)
-class HPiece:
-    """Summand coeff * H(argument) of a derivative bracket."""
-
-    coeff: Fraction
-    argument: Affine
-
-
-@dataclass(frozen=True)
-class RecipPiece:
-    """Summand coeff / argument of a derivative bracket."""
-
-    coeff: Fraction
-    argument: Affine
-
-
-@dataclass(frozen=True)
-class ClosedTerm:
-    """coeff(k, n) times binomial/reciprocal factors times an optional
-    harmonic-difference bracket produced by differentiation."""
-
-    coeff: object                 # SeqExpr; may also be a fully closed expression
-    factors: tuple = ()
-    extras: tuple = ()            # bracket pieces; () means no bracket (factor 1)
-
-    def render(self):
-        parts = [dsl.render(self.coeff)] + [f.render() for f in self.factors]
-        body = " * ".join(parts)
-        if self.extras:
-            bracket = []
-            for p in self.extras:
-                c = "" if p.coeff == 1 else ("-" if p.coeff == -1 else f"{p.coeff}*")
-                inner = (f"H({p.argument.render()})" if isinstance(p, HPiece)
-                         else f"1/({p.argument.render()})")
-                bracket.append(f"{c}{inner}")
-            body += " * [" + " + ".join(bracket) + "]"
-        return body
-
-
-@dataclass(frozen=True)
-class BetaSummand:
-    term: ClosedTerm
-    lower: object                 # SeqExpr over {n}
-    upper: object
-
-
-@dataclass(frozen=True)
-class BetaSide:
-    summands: tuple = ()
-    extra: object = None          # standalone SeqExpr added to the sum
+from .model import (Affine, ClosedSide, ClosedSummand, ClosedTerm, FBinom,
+                    FRecipAffine, HPiece, RecipPiece, substitute_neg_t)
 
 
 @dataclass(frozen=True)
 class ClosedIdentity:
     name: str
     provenance: str
-    lhs: BetaSide
-    rhs: BetaSide
+    lhs: ClosedSide
+    rhs: ClosedSide
 
 
 def from_model(identity):
-    """View a closed model identity as a ClosedIdentity (pure-DSL terms)."""
+    """A loaded closed identity as a ClosedIdentity over its own sides.
+
+    ``verify_closed`` and ``eval_closed`` take a loaded identity as it is;
+    this is kept only for the benchmark harness, which still calls it."""
     if not identity.is_closed:
         raise ShapeError(f"{identity.name}: not a closed identity")
-
-    def conv(side):
-        summands = tuple(BetaSummand(ClosedTerm(s.coeff), s.lower, s.upper)
-                         for s in side.summands)
-        return BetaSide(summands, side.extra)
-
-    return ClosedIdentity(identity.name, f"loaded({identity.name})",
-                          conv(identity.lhs), conv(identity.rhs))
+    return ClosedIdentity(identity.name, f"loaded({identity.name})", identity.lhs, identity.rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -163,8 +88,8 @@ def beta_transform(identity):
             ct = ClosedTerm(term.coeff,
                             factors=(FBinom(top, bot, power=-1),
                                      FRecipAffine(bot)))
-            out.append(BetaSummand(ct, term.lower, term.upper))
-        return BetaSide(tuple(out))
+            out.append(ClosedSummand(ct, term.lower, term.upper))
+        return ClosedSide(tuple(out))
 
     return ClosedIdentity(identity.name, f"beta_transform({identity.name})",
                           conv(identity.lhs), conv(identity.rhs))
@@ -212,10 +137,10 @@ def differentiate(cid, param):
             if not term.factors:
                 raise ShapeError(f"{cid.name}: term has no parametric factors")
             out.append(replace(sm, term=replace(term, extras=derivative_bracket(term.factors, param))))
-        return BetaSide(tuple(out))
+        return ClosedSide(tuple(out))
 
-    return ClosedIdentity(cid.name, f"d/d{param}({cid.provenance})",
-                          conv(cid.lhs), conv(cid.rhs))
+    lhs, rhs = conv(cid.lhs), conv(cid.rhs)
+    return ClosedIdentity(cid.name, f"d/d{param}({cid.provenance})", lhs, rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -301,15 +226,15 @@ def central_transform_v(identity, v):
 
     first = ClosedIdentity(
         name, f"central_v({name}, v={v})",
-        BetaSide((BetaSummand(ClosedTerm(_mul(f, _central_weight(v))), f_lo, f_hi),)),
-        BetaSide((BetaSummand(ClosedTerm(_mul(_double_k(g), _central_dual_weight(v))),
+        ClosedSide((ClosedSummand(ClosedTerm(_mul(f, _central_weight(v))), f_lo, f_hi),)),
+        ClosedSide((ClosedSummand(ClosedTerm(_mul(_double_k(g), _central_dual_weight(v))),
                               _floor_half(g_lo, 1), _floor_half(g_hi)),)))
 
     alt_g = _mul(dsl.Call("sign", (dsl.Var("k"),)), g)
     second = ClosedIdentity(
         name, f"central_v_dual({name}, v={v})",
-        BetaSide((BetaSummand(ClosedTerm(_mul(alt_g, _central_weight(v))), g_lo, g_hi),)),
-        BetaSide((BetaSummand(ClosedTerm(_mul(_double_k(f), _central_dual_weight(v))),
+        ClosedSide((ClosedSummand(ClosedTerm(_mul(alt_g, _central_weight(v))), g_lo, g_hi),)),
+        ClosedSide((ClosedSummand(ClosedTerm(_mul(_double_k(f), _central_dual_weight(v))),
                               _floor_half(f_lo, 1), _floor_half(f_hi)),)))
     return first, second
 
@@ -333,8 +258,8 @@ def central_transform_uv(identity, u, v):
                      dsl.Call("rbinom", (_kv(1, half_uv), _lit(half_u))))
     return ClosedIdentity(
         identity.name, f"central_uv({identity.name}, u={u}, v={v})",
-        BetaSide((BetaSummand(ClosedTerm(lhs_coeff), f_lo, f_hi),)),
-        BetaSide((BetaSummand(ClosedTerm(rhs_coeff), g_lo, g_hi),)))
+        ClosedSide((ClosedSummand(ClosedTerm(lhs_coeff), f_lo, f_hi),)),
+        ClosedSide((ClosedSummand(ClosedTerm(rhs_coeff), g_lo, g_hi),)))
 
 
 # ---------------------------------------------------------------------------
@@ -609,12 +534,11 @@ def eval_side_float(side, bindings, precision_digits=30):
 
 
 def _affine_float(aff, num):
-    c = Fraction(aff.const)
-    total = num["k"] * 0 + c.numerator / c.denominator
+    total = num["k"] * 0 + aff.const
     for name in ("k", "n", "r", "s"):
         coef = getattr(aff, name)
         if coef:
-            total += num[name] * coef.numerator / coef.denominator
+            total += num[name] * coef
     return total
 
 

@@ -13,9 +13,9 @@ import argparse
 import json
 import sys
 from dataclasses import replace
-from fractions import Fraction
 
 from . import beta, corpus, dsl
+from .beta import GRID_PARAMS
 from .errors import (DivisionByZero, DslSyntaxError, EvalTypeError,
                      FinsumError, FormatError, PoleError, ShapeError,
                      UnboundVariable)
@@ -34,23 +34,19 @@ def parse_grid(text):
     values = []
     for piece in text.split(","):
         piece = piece.strip()
-        if ".." in piece:
-            lo_text, _, rest = piece.partition("..")
-            hi_text, _, step_text = rest.partition(":")
-            step = Fraction(step_text) if step_text else Fraction(1)
-            if step not in (Fraction(1, 2), Fraction(1)):
-                raise UsageError(f"grid step must be 1/2 or 1, got {step}")
-            lo = Fraction(lo_text)
-            hi = Fraction(hi_text)
-            x = lo
-            while x <= hi:
-                values.append(HalfInt.from_value(x))
-                x += step
-        else:
-            try:
+        lo_text, is_range, rest = piece.partition("..")
+        hi_text, _, step_text = rest.partition(":")
+        try:
+            if not is_range:
                 values.append(corpus.parse_half(piece))
-            except (ValueError, EvalTypeError) as exc:
-                raise UsageError(f"bad grid value {piece!r}: {exc}") from None
+                continue
+            lo, hi = corpus.parse_half(lo_text), corpus.parse_half(hi_text)
+            step = corpus.parse_half(step_text or "1")
+        except EvalTypeError as exc:
+            raise UsageError(f"bad grid value {piece!r}: {exc}") from None
+        if step.twice not in (1, 2):
+            raise UsageError(f"grid step must be 1/2 or 1, got {step}")
+        values.extend(HalfInt(twice) for twice in range(lo.twice, hi.twice + 1, step.twice))
     if not values:
         raise UsageError(f"empty grid {text!r}")
     return values
@@ -66,19 +62,15 @@ def _load_document(path):
 
 def _grid_spec_from_args(args):
     spec = {}
-    for name in ("r", "s", "u", "v"):
+    for name in GRID_PARAMS:
         text = getattr(args, name, None)
-        if text is not None:
-            spec[name] = [str(v) for v in parse_grid(text)]
-    if "s" in spec:
-        for v in spec["s"]:
-            if Fraction(v) == 0:
-                raise UsageError("inadmissible parameter s = 0")
-    for name in ("r", "s"):
-        for v in spec.get(name, ()):
-            h = corpus.parse_half(v)
-            if h.is_negative_integer:
+        if text is None:
+            continue
+        values = parse_grid(text)
+        for v in values:
+            if name in ("r", "s") and v.is_negative_integer or name == "s" and v == 0:
                 raise UsageError(f"inadmissible parameter {name} = {v}")
+        spec[name] = [str(v) for v in values]
     return spec
 
 
@@ -242,7 +234,7 @@ def build_parser():
 
     def add_grid_flags(p):
         p.add_argument("--n", help="n grid, e.g. 0..24 or 1,2,5")
-        for name in ("r", "s", "u", "v"):
+        for name in GRID_PARAMS:
             p.add_argument(f"--{name}", help=f"{name} grid (half-integers)")
 
     p = sub.add_parser("verify", help="verify identity documents")

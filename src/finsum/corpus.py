@@ -36,8 +36,13 @@ def corpus_dir(override=None):
 
 
 def parse_half(text):
-    """A half-integer from command-line / document syntax: '3', '-1/2', '5/2'."""
-    return HalfInt.from_value(Fraction(str(text)))
+    """A half-integer from command-line / document syntax: '3', '-1/2', '5/2';
+    EvalTypeError for any other text."""
+    try:
+        value = Fraction(str(text))
+    except (ValueError, ZeroDivisionError):
+        raise EvalTypeError(f"{text!r} is not a number") from None
+    return HalfInt.from_value(value)
 
 
 @dataclass(frozen=True)
@@ -68,7 +73,7 @@ def _document_half(name, text, where):
         raise FormatError(f"{where}: unknown parameter {name!r} (want one of {', '.join(GRID_PARAMS)})")
     try:
         return parse_half(text)
-    except (ValueError, ZeroDivisionError, EvalTypeError) as exc:
+    except EvalTypeError as exc:
         raise FormatError(f"{where}: bad parameter value {text!r}: {exc}") from None
 
 
@@ -197,8 +202,7 @@ def _point_str(n, params):
 def run_entry(entry):
     identity = entry.identity
     if identity.is_closed:
-        cid = beta.from_model(identity)
-        report = beta.verify_closed(cid, entry.n_values, entry.param_grid)
+        report = beta.verify_closed(identity, entry.n_values, entry.param_grid)
         if report.undefined:
             p = report.undefined[0]
             return _finish(entry, "undefined",
@@ -232,8 +236,7 @@ def _finish(entry, actual, detail):
 def _witness_holds(entry):
     """Re-evaluate the stored witness point and compare both exact sides."""
     w = entry.witness
-    cid = beta.from_model(entry.identity)
-    lhs, rhs = beta.eval_closed(cid, w.n, **dict(w.params))
+    lhs, rhs = beta.eval_closed(entry.identity, w.n, **dict(w.params))
     return lhs == w.lhs and rhs == w.rhs and lhs != rhs
 
 

@@ -277,12 +277,8 @@ def _render(e, parent_prec):
         return e.name
     if isinstance(e, Neg):
         return _wrap(f"-{_render(e.operand, 3)}", 3, parent_prec)
-    if isinstance(e, Add):
-        return _wrap(f"{_render(e.left, 1)} + {_render(e.right, 2)}", 1, parent_prec)
-    if isinstance(e, Sub):
-        return _wrap(f"{_render(e.left, 1)} - {_render(e.right, 2)}", 1, parent_prec)
-    if isinstance(e, Mul):
-        return _wrap(f"{_render(e.left, 2)}*{_render(e.right, 3)}", 2, parent_prec)
+    if isinstance(e, (Add, Sub, Mul)):
+        return _render_chain(e, parent_prec)
     if isinstance(e, Div):
         return _wrap(f"{_render(e.left, 2)}/{_render(e.right, 3)}", 2, parent_prec)
     if isinstance(e, Pow):
@@ -292,6 +288,21 @@ def _render(e, parent_prec):
     if isinstance(e, BoundedSum):
         return f"sum({e.index}, {_render(e.lower, 0)}, {_render(e.upper, 0)}, {_render(e.body, 0)})"
     raise EvalTypeError(f"not an AST node: {e!r}")
+
+
+_CHAIN_TEXT = {Add: " + ", Sub: " - ", Mul: "*"}
+
+
+def _render_chain(e, parent_prec):
+    """A left-associative chain of ``+ -`` or of ``*`` rendered by one loop
+    down its left spine."""
+    prec, group = (2, (Mul,)) if type(e) is Mul else (1, (Add, Sub))
+    parts = []
+    while type(e) in group:
+        parts.append(_CHAIN_TEXT[type(e)] + _render(e.right, prec + 1))
+        e = e.left
+    parts.append(_render(e, prec))
+    return _wrap("".join(reversed(parts)), prec, parent_prec)
 
 
 def _wrap(s, prec, parent_prec):
@@ -322,13 +333,20 @@ def children(expr):
 
 
 def free_vars(expr):
-    """Names of the variables that occur free in the expression."""
-    if isinstance(expr, Var):
-        return {expr.name}
-    names = [free_vars(child) for child in children(expr)]
-    if isinstance(expr, BoundedSum):
-        names[-1].discard(expr.index)
-    return set().union(*names)
+    """Names of the variables that occur free in the expression.  A loop
+    over a stack walks the tree; only a sum's body is a recursive call."""
+    names = set()
+    stack = [expr]
+    while stack:
+        e = stack.pop()
+        if type(e) is Var:
+            names.add(e.name)
+        elif type(e) is BoundedSum:
+            stack += (e.lower, e.upper)
+            names |= free_vars(e.body) - {e.index}
+        else:
+            stack += children(e)
+    return names
 
 
 def substitute(expr, name, replacement):
@@ -351,13 +369,12 @@ def is_polynomial(expr):
     The parser refuses ``t`` as a sum index, so every ``t`` is the
     indeterminate and no binding context is needed.
     """
-    if isinstance(expr, Var):
-        return expr.name == "t"
-    if isinstance(expr, Call) and expr.fn == "U":
-        return True
-    for child in children(expr):
-        if is_polynomial(child):
+    stack = [expr]
+    while stack:
+        e = stack.pop()
+        if type(e) is Var and e.name == "t" or type(e) is Call and e.fn == "U":
             return True
+        stack += children(e)
     return False
 
 

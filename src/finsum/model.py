@@ -7,7 +7,10 @@ An identity has two sides; each side is either
 * ``PolySide``: a single DSL expression containing the indeterminate t, or
 * ``ClosedSide``: t-free summands plus an optional standalone expression.
 
-Both sides must be closed, or both t-bearing.
+Both sides must be closed, or both t-bearing.  A closed summand holds a
+``ClosedTerm``: a loaded document gives it only a coefficient, and the
+``beta`` transforms add binomial and reciprocal factors and a derivative
+bracket, so loaded and derived closed sums are the same objects.
 """
 
 from __future__ import annotations
@@ -27,8 +30,10 @@ STATUSES = ("verified", "check", "disputed", "erratum_claimed")
 class Affine:
     """Affine exponent or binomial argument k*k + n*n + r*r + s*s + const.
 
-    Document exponents have integer coefficients in k and n; the transforms
-    add r and s.  Hand-built terms may use Fraction coefficients.
+    Every coefficient is an integer: document exponents are integer forms in
+    k and n, and the transforms add integer multiples of r and s.  An
+    integral Fraction is stored as an int; any other value raises
+    EvalTypeError.
     """
 
     k: int = 0
@@ -36,6 +41,13 @@ class Affine:
     r: int = 0
     s: int = 0
     const: int = 0
+
+    def __post_init__(self):
+        for name in ("k", "n", "r", "s", "const"):
+            c = getattr(self, name)
+            if c != int(c):
+                raise EvalTypeError(f"affine coefficient {name} = {c} is not an integer")
+            object.__setattr__(self, name, int(c))
 
     @property
     def is_zero(self):
@@ -46,40 +58,15 @@ class Affine:
         return HalfInt(self.twice(bindings))
 
     def twice(self, bindings):
-        """Twice the half-integer value, as an int; EvalTypeError when the
-        value is not a half-integer."""
-        # integer fast path in quarter units; coefficients are halves in
-        # every transform the engine produces
-        quarters = 0
-        for name in ("k", "n", "r", "s"):
-            c = getattr(self, name)
-            if c:
-                t = 2 * c.numerator * bindings[name].twice
-                if t % c.denominator:
-                    return self._twice_slow(bindings)
-                quarters += t // c.denominator
-        t = 4 * self.const.numerator
-        if t % self.const.denominator:
-            return self._twice_slow(bindings)
-        quarters += t // self.const.denominator
-        if quarters % 2:
-            return self._twice_slow(bindings)
-        return quarters // 2
+        """Twice the value under half-integer bindings, as an int."""
+        return self.compile_twice()(bindings)
 
     def compile_twice(self):
-        """A closure equal to ``self.twice``: integer arithmetic on the
-        bindings' twice values when every coefficient is an integer."""
+        """A closure for ``twice``: integer arithmetic on the bindings'
+        ``twice`` values.  An unbound name raises KeyError."""
         terms = [(name, getattr(self, name)) for name in ("k", "n", "r", "s")
                  if getattr(self, name)]
-        return dsl.twice_sum(terms, self.const) or self.twice
-
-    def _twice_slow(self, bindings):
-        total = Fraction(self.const)
-        for name in ("k", "n", "r", "s"):
-            c = getattr(self, name)
-            if c:
-                total += c * bindings[name].as_fraction()
-        return HalfInt.from_value(total).twice
+        return dsl.twice_sum(terms, self.const)
 
     def derivative(self, param):
         return getattr(self, param)
@@ -136,9 +123,73 @@ class PolySide:
 
 
 @dataclass(frozen=True)
-class ClosedSummand:
+class FBinom:
+    """binom(top, bot)^power factor, power in {1, -1}."""
+
+    top: Affine
+    bot: Affine
+    power: int = 1
+
+    def render(self):
+        body = f"binom({self.top.render()}, {self.bot.render()})"
+        return body if self.power == 1 else f"1/{body}"
+
+
+@dataclass(frozen=True)
+class FRecipAffine:
+    """1/affine^power factor."""
+
+    affine: Affine
+    power: int = 1
+
+    def render(self):
+        body = f"({self.affine.render()})"
+        return f"1/{body}" if self.power == 1 else f"1/{body}^{self.power}"
+
+
+@dataclass(frozen=True)
+class HPiece:
+    """Summand coeff * H(argument) of a derivative bracket."""
+
+    coeff: Fraction
+    argument: Affine
+
+
+@dataclass(frozen=True)
+class RecipPiece:
+    """Summand coeff / argument of a derivative bracket."""
+
+    coeff: Fraction
+    argument: Affine
+
+
+@dataclass(frozen=True)
+class ClosedTerm:
+    """coeff times binomial/reciprocal factors times an optional
+    harmonic-difference bracket produced by differentiation."""
+
     coeff: object            # SeqExpr over {k, n, r, s, u, v}
-    lower: object
+    factors: tuple = ()
+    extras: tuple = ()       # bracket pieces; () means no bracket (factor 1)
+
+    def render(self):
+        parts = [dsl.render(self.coeff)] + [f.render() for f in self.factors]
+        body = " * ".join(parts)
+        if self.extras:
+            bracket = []
+            for p in self.extras:
+                c = "" if p.coeff == 1 else ("-" if p.coeff == -1 else f"{p.coeff}*")
+                inner = (f"H({p.argument.render()})" if isinstance(p, HPiece)
+                         else f"1/({p.argument.render()})")
+                bracket.append(f"{c}{inner}")
+            body += " * [" + " + ".join(bracket) + "]"
+        return body
+
+
+@dataclass(frozen=True)
+class ClosedSummand:
+    term: ClosedTerm
+    lower: object            # SeqExpr over {n}
     upper: object
 
 
@@ -233,14 +284,15 @@ def _load_side(doc, name):
         if not isinstance(sums, list) or not all(isinstance(s, dict) for s in sums):
             raise FormatError(f"{name}: closed 'sums' must be a list of objects")
         summands = tuple(
-            ClosedSummand(_closed_field(s, "coeff", name), _closed_field(s, "lower", name, bound=True),
+            ClosedSummand(ClosedTerm(_closed_field(s, "coeff", name)),
+                          _closed_field(s, "lower", name, bound=True),
                           _closed_field(s, "upper", name, bound=True))
             for s in sums
         )
         extra = _closed_field(doc, "expr", name) if "expr" in doc else None
         if not summands and extra is None:
             raise FormatError(f"{name}: empty closed side")
-        for e in [s.coeff for s in summands] + ([extra] if extra is not None else []):
+        for e in [s.term.coeff for s in summands] + ([extra] if extra is not None else []):
             if dsl.is_polynomial(e):
                 raise FormatError(f"{name}: closed side contains t or U(...)")
         return ClosedSide(summands, extra)
@@ -320,7 +372,7 @@ def _save_side(side):
         doc = {"kind": "closed"}
         if side.summands:
             doc["sums"] = [
-                {"coeff": dsl.render(s.coeff), "lower": dsl.render(s.lower), "upper": dsl.render(s.upper)}
+                {"coeff": dsl.render(s.term.coeff), "lower": dsl.render(s.lower), "upper": dsl.render(s.upper)}
                 for s in side.summands
             ]
         if side.extra is not None:

@@ -204,16 +204,18 @@ def expand_side(side, n, bindings=None):
             lo = dsl.eval_scalar(term.lower, base_bindings).as_int()
             hi = dsl.eval_scalar(term.upper, base_bindings).as_int()
             coeff_of = dsl.compile(term.coeff)
+            twice_a = term.t_exp.compile_twice()
+            twice_b = term.base_exp.compile_twice()
             for k in range(lo, hi + 1):
                 kb = dict(base_bindings)
                 kb["k"] = HalfInt(2 * k)
                 coeff = lower(coeff_of(kb))
                 if coeff == 0:
                     continue
-                a = term.t_exp.value(kb).as_int()
+                a = HalfInt(twice_a(kb)).as_int()
                 if a < 0:
                     raise NegativeExponent(f"t^{a} at k={k}, n={n}")
-                b = term.base_exp.value(kb).as_int()
+                b = HalfInt(twice_b(kb)).as_int()
                 row = binomial_power(term.base, b)._coeffs
                 end = a + len(row)
                 if len(acc) < end:

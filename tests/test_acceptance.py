@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 from finsum import beta, corpus, dsl, polyverify, special
-from finsum.beta import (Affine, BetaSide, BetaSummand, ClosedIdentity,
+from finsum.beta import (Affine, ClosedIdentity, ClosedSide, ClosedSummand,
                          ClosedTerm, FBinom, FRecipAffine)
 from finsum.field import HalfInt, SymConst
 from finsum.model import admissible
@@ -53,8 +53,7 @@ def _log(msg):
 
 def _spot(entry_name, expect, n, **params):
     entries = corpus.load_entries(names={entry_name})
-    cid = beta.from_model(entries[0].identity)
-    lhs, rhs = beta.eval_closed(cid, n, **params)
+    lhs, rhs = beta.eval_closed(entries[0].identity, n, **params)
     pt = ", ".join([f"n={n}"] + [f"{k}={v}" for k, v in params.items()])
     _log(f"{entry_name} at ({pt}): lhs={lhs} rhs={rhs}")
     assert lhs == rhs == R(F(expect)), (entry_name, str(lhs), str(rhs))
@@ -117,7 +116,7 @@ def test_criterion_4_negative_detection():
     def expect_witness(name, n, want_lhs, want_rhs, status):
         entry = corpus.load_entries(names={name})[0]
         report = corpus.run_entry(entry)
-        lhs, rhs = beta.eval_closed(beta.from_model(entry.identity), n,
+        lhs, rhs = beta.eval_closed(entry.identity, n,
                                     **dict(entry.witness.params))
         good = (entry.identity.status == status
                 and report.actual == "unequal" and report.matched
@@ -243,8 +242,8 @@ def test_criterion_6_derivative_cross_check():
             factors.append(FRecipAffine(Affine(k=F(1), r=F(1), const=F(1))))
         coeff = dsl.parse(rng.choice(("1", "binom(n, k)", "H(k)/(k + 1)",
                                       "sign(k)*binom(n, k)")))
-        side = BetaSide((BetaSummand(ClosedTerm(coeff, tuple(factors)),
-                                     dsl.parse("0"), dsl.parse("n")),))
+        side = ClosedSide((ClosedSummand(ClosedTerm(coeff, tuple(factors)),
+                                         dsl.parse("0"), dsl.parse("n")),))
         cid = ClosedIdentity(f"random-{i}", f"random-{i}", side, side)
         s_val = rng.choice((F(1), F(2), F(1, 2), F(3, 2)))
         r_val = s_val + rng.choice((F(0), F(1), F(1, 2), F(2)))

@@ -5,17 +5,17 @@ binomial transforms, exact evaluation, and the float derivative cross-check.
 Soundness here always means: transform a polynomial identity that is known to
 hold, then check the resulting closed identity exactly at many points."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
 
 from finsum import beta, corpus, dsl
-from finsum.beta import (Affine, BetaSide, BetaSummand, ClosedTerm, FBinom,
-                         FRecipAffine, HPiece, RecipPiece, beta_transform,
-                         central_transform_uv, central_transform_v,
-                         derivative_bracket, differentiate, eval_closed,
-                         eval_side, eval_side_float, eval_term,
-                         float_derivative_check, from_model,
+from finsum.beta import (Affine, ClosedTerm, FBinom, FRecipAffine, HPiece,
+                         RecipPiece, beta_transform, central_transform_uv,
+                         central_transform_v, derivative_bracket,
+                         differentiate, eval_closed, eval_side,
+                         eval_side_float, eval_term, float_derivative_check,
                          normalized_for_beta, verify_closed)
 from finsum.errors import (DivisionByZero, EvalTypeError, PoleError,
                            ShapeError)
@@ -146,7 +146,7 @@ def test_differentiate_shape_errors():
         differentiate(cid, "t")
     with pytest.raises(ShapeError):
         differentiate(differentiate(cid, "s"), "r")  # bracket already present
-    plain = from_model(ident("alt-binom-harmonic-rs"))
+    plain = ident("alt-binom-harmonic-rs")
     with pytest.raises(ShapeError):
         differentiate(plain, "s")  # standalone expression / no factors
 
@@ -284,11 +284,24 @@ def test_memo_serves_every_grid_point(monkeypatch):
     assert counts[0] > 0 and counts[1] == counts[0]
 
 
+def test_loaded_identity_verifies_as_it_is():
+    """verify_closed takes a loaded identity with no conversion; its report
+    on dattoli-ddr is pinned point for point by a sha256 of each point's n,
+    parameters, values and error."""
+    (entry,) = corpus.load_entries(names={"dattoli-ddr"})
+    report = verify_closed(entry.identity, entry.n_values, entry.param_grid)
+    assert (report.name, len(report.results)) == ("dattoli-ddr", 510)
+    assert not report.failures and not report.undefined
+    text = "\n".join(f"{p.n} {p.params} {p.lhs} {p.rhs} {p.error}" for p in report.results)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "1353f836d94e847755cc3a638d025598cd64932d65c15f7dfcd9b20c0e0d552a")
+
+
 def test_memo_holds_no_grid_coefficient():
     """A coefficient that reads r or s has a new key at every grid point, so
     it is evaluated directly and never stored."""
     (entry,) = corpus.load_entries(names={"dattoli-ddr"})
-    cid = from_model(entry.identity)
+    cid = entry.identity
     grid_coeffs = [sm.term.coeff for side in (cid.lhs, cid.rhs) for sm in side.summands
                    if dsl.free_vars(sm.term.coeff) & {"r", "s"}]
     assert grid_coeffs
@@ -353,13 +366,13 @@ def test_central_particular_displays():
         first, _ = central_transform_v(seed, v)
         for n in range(0, 7):
             t_lhs, t_rhs = eval_closed(first, n, v=v)
-            d_lhs, d_rhs = eval_closed(from_model(v_entry.identity), n, v=v)
+            d_lhs, d_rhs = eval_closed(v_entry.identity, n, v=v)
             assert t_lhs == t_rhs, (v, n)
             assert d_lhs == d_rhs, (v, n)
             # the display normalizes both sides by 2^n
             assert d_lhs == R(2) ** n * t_lhs, (v, n)
     # anchor value computed by hand from the display: v = 0, n = 2 gives 5/2
-    d_lhs, d_rhs = eval_closed(from_model(v_entry.identity), 2, v=0)
+    d_lhs, d_rhs = eval_closed(v_entry.identity, 2, v=0)
     assert d_lhs == d_rhs == R(F(5, 2))
 
     uv_entry = _ENTRIES["central-ordertwo-uv"]
@@ -368,7 +381,7 @@ def test_central_particular_displays():
         cid = central_transform_uv(seed, u, v)
         for n in range(0, 5):
             t_lhs, t_rhs = eval_closed(cid, n, u=u, v=v)
-            d_lhs, d_rhs = eval_closed(from_model(uv_entry.identity), n, u=u, v=v)
+            d_lhs, d_rhs = eval_closed(uv_entry.identity, n, u=u, v=v)
             assert t_lhs == t_rhs, (u, v, n)
             assert d_lhs == d_rhs, (u, v, n)
             # the display divides both sides by the constant binom(u, u/2),
@@ -377,7 +390,7 @@ def test_central_particular_displays():
             if u == 0:
                 assert d_lhs == t_lhs, (v, n)
     # anchor value computed by hand: u = v = 0, n = 2 gives -17/32
-    d_lhs, d_rhs = eval_closed(from_model(uv_entry.identity), 2, u=0, v=0)
+    d_lhs, d_rhs = eval_closed(uv_entry.identity, 2, u=0, v=0)
     assert d_lhs == d_rhs == R(F(-17, 32))
 
 
@@ -416,6 +429,6 @@ def test_float_derivative_check_passes():
 
 
 def test_float_rejects_standalone_expression():
-    plain = from_model(ident("alt-binom-harmonic-rs"))
+    plain = ident("alt-binom-harmonic-rs")
     with pytest.raises(ShapeError):
         eval_side_float(plain.rhs, bind(n=2, r=1, s=1), 30)

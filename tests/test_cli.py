@@ -67,6 +67,10 @@ class TestParseGrid:
             parse_grid("x")
         with pytest.raises(UsageError):
             parse_grid("1/3")
+        # range bounds and steps are read as half-integers too
+        for text in ("0..x", "1/0", "0..2:1/0", "0..1/3", "x..2", "0..2:1/4"):
+            with pytest.raises(UsageError):
+                parse_grid(text)
 
 
 class TestEval:
@@ -128,6 +132,21 @@ class TestEval:
         assert code == 0
         assert out.strip() == "1"
 
+    @pytest.mark.parametrize("binding", ["k=x", "k=1/0", "k=1/3"])
+    def test_bad_binding_text_exits_2(self, capsys, binding):
+        code, out, err = run(capsys, "eval", "1", "--bind", binding)
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+    def test_long_chain_in_an_error_message(self, capsys):
+        # the message renders the whole 3,000-term numerator by one loop
+        code, out, err = run(capsys, "eval", "(" + "+".join(["1"] * 3000) + ")/(k-k)",
+                             "--bind", "k=1")
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: division by zero in (1 + 1 + ")
+
     def test_too_long_literal_exits_2(self, capsys):
         code, out, err = run(capsys, "eval", "1 + " + "7" * 5000)
         assert code == 2
@@ -178,6 +197,24 @@ class TestVerify:
         assert run(capsys, "verify", path, "--s", "0")[0] == 2
         assert run(capsys, "verify", path, "--r", "-2")[0] == 2
         assert run(capsys, "verify", path, "--s", "-1")[0] == 2
+
+    @pytest.mark.parametrize("flags", [
+        ("--n", "0..x"), ("--n", "1/0"), ("--n", "0..2:1/0"), ("--n", "0..1/3"),
+        ("--r", "x"), ("--s", "1..1/0"),
+    ])
+    def test_bad_grid_text_exits_2(self, capsys, tmp_path, flags):
+        code, out, err = run(capsys, "verify", write(tmp_path, GOOD_CLOSED), *flags)
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+    def test_long_flat_closed_expression(self, capsys, tmp_path):
+        doc = {"name": "flat-sum", "status": "verified", "n": [0, 2],
+               "lhs": {"kind": "closed", "expr": "+".join(["1"] * 3000)},
+               "rhs": {"kind": "closed", "expr": "3000"}}
+        code, out, _ = run(capsys, "verify", write(tmp_path, doc))
+        assert code == 0
+        assert "flat-sum expected=equal actual=equal" in out
 
     def test_n_override(self, capsys, tmp_path):
         path = write(tmp_path, GOOD_CLOSED)

@@ -39,9 +39,13 @@ class TestParsing:
         "-(H(n) - 2*H(k - 1) + H(n - k))/k",
         "fact(k + r - 1)/fact(k)/(k + 2)",
         "Hm(k, 2)*Om(k, 1)*sign(j + 1)/j^2",
+        "n*k*(j + 1) - k + n",
+        "n - (k - 1) + (n + k)*(k - 1)*n",
+        "n*(k*j) - 2*k/(k + 1)*n",
     ])
     def test_render_round_trip(self, text):
         ast = dsl.parse(text)
+        assert dsl.render(ast) == text
         assert dsl.parse(dsl.render(ast)) == ast
 
     def test_precedence(self):
@@ -95,6 +99,16 @@ class TestParsing:
         assert dsl.free_vars(dsl.parse("binom(n, k)*H(j)")) == {"n", "k", "j"}
         assert dsl.free_vars(dsl.parse("sum(j, 1, k, 1/j)")) == {"k"}
         assert dsl.free_vars(dsl.parse("sum(j, j, k, 1/j)")) == {"j", "k"}
+        assert dsl.free_vars(dsl.parse("sum(j, 0, k, sum(k, 0, j, k) + n)")) == {"k", "n"}
+
+    def test_long_flat_chain_walks(self):
+        # render, free_vars and is_polynomial loop down a chain's left spine
+        text = " + ".join(["k"] * 2999 + ["t*n"])
+        ast = dsl.parse(text)
+        assert dsl.render(ast) == text
+        assert dsl.free_vars(ast) == {"k", "n", "t"}
+        assert dsl.is_polynomial(ast)
+        assert not dsl.is_polynomial(dsl.parse("*".join(["k"] * 3000)))
 
     def test_substitute(self):
         ast = dsl.substitute(dsl.parse("binom(n, k) + k"), "k",

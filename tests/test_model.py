@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from finsum import dsl, model
-from finsum.errors import FormatError, ShapeError
+from finsum.errors import EvalTypeError, FormatError, ShapeError
 from finsum.field import HalfInt
 from finsum.model import (Affine, ClosedSide, Identity, PolySide,
                           StandardSide, admissible, load_identity,
@@ -55,17 +55,28 @@ class TestAffine:
         assert got.as_halfint() == affine.value(point)
 
     @pytest.mark.parametrize("affine", [
-        Affine(k=1, n=-1, r=1, s=-1), Affine(k=2, const=Fraction(1, 2)), Affine(),
-        Affine(k=Fraction(1, 2), n=Fraction(1, 2)),
-        Affine(k=3, n=Fraction(-1, 2), const=Fraction(3, 2)),
+        Affine(k=1, n=-1, r=1, s=-1), Affine(),
+        Affine(k=Fraction(1), n=Fraction(-2), const=Fraction(3)),
     ])
     def test_compile_twice_matches_twice(self, affine):
         point = {name: HalfInt.from_value(Fraction(i + 2, 2)) for i, name in enumerate("knrs")}
         point["n"] = HalfInt.from_value(3)
-        assert affine.compile_twice()(point) == affine.twice(point)
+        want = 2 * (affine.const + sum(getattr(affine, name) * point[name].as_fraction()
+                                       for name in "knrs"))
+        assert affine.compile_twice()(point) == affine.twice(point) == want
+        assert all(type(getattr(affine, name)) is int for name in ("k", "n", "r", "s", "const"))
         if not affine.is_zero:
             with pytest.raises(KeyError):
                 affine.compile_twice()({})
+
+    @pytest.mark.parametrize("coeffs", [
+        {"k": 2, "const": Fraction(1, 2)},
+        {"k": Fraction(1, 2), "n": Fraction(1, 2)},
+        {"k": 3, "n": Fraction(-1, 2), "const": Fraction(3, 2)},
+    ])
+    def test_non_integer_coefficient_refused(self, coeffs):
+        with pytest.raises(EvalTypeError):
+            Affine(**coeffs)
 
 
 class TestAdmissible:
