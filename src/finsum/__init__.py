@@ -9,12 +9,12 @@ closed identities are compared pointwise over parameter grids.
 from .errors import (ArityError, DivisionByZero, DslSyntaxError, EvalTypeError,
                      FinsumError, FormatError, NegativeExponent, PoleError,
                      ShapeError, UnboundVariable)
-from .field import HalfInt, Rational, SymConst
+from .field import HalfInt, SymConst
 
 __all__ = [
     "ArityError", "DivisionByZero", "DslSyntaxError", "EvalTypeError",
     "FinsumError", "FormatError", "HalfInt", "NegativeExponent", "PoleError",
-    "Rational", "ShapeError", "SymConst", "UnboundVariable",
+    "ShapeError", "SymConst", "UnboundVariable",
 ]
 
 __version__ = "0.1.0"

@@ -280,12 +280,12 @@ def _eval_memo(expr, bindings, value):
 
     Grid verification revisits the same coefficient at every parameter point
     even though it usually depends on (k, n) only; the memo collapses that.
-    Keyed by object identity with the expression kept alive in the entry.
-    Values are held lowered: a plain int or Fraction when rational."""
+    Keyed by object identity: the entry keeps the expression alive and is
+    never removed, so no other object can take its id.  Values are held
+    lowered: a plain int or Fraction when rational."""
     entry = _expr_memo.get(id(expr))
-    if entry is None or entry[0] is not expr:
-        entry = (expr, tuple(sorted(dsl.free_vars(expr))), {})
-        _expr_memo[id(expr)] = entry
+    if entry is None:
+        entry = _expr_memo[id(expr)] = (expr, tuple(sorted(dsl.free_vars(expr))), {})
     _, names, cache = entry
     try:
         key = tuple(bindings[name].twice for name in names)
@@ -519,8 +519,8 @@ def eval_side_float(side, bindings, precision_digits=30):
                 num[name] = mp.mpf(val.numerator) / val.denominator if isinstance(val, Fraction) else mp.mpf(val)
         total = mp.mpf(0)
         for sm in side.summands:
-            lo = dsl.eval_scalar(sm.lower, exact).as_int()
-            hi = dsl.eval_scalar(sm.upper, exact).as_int()
+            lo = to_int(dsl.compile(sm.lower)(exact))
+            hi = to_int(dsl.compile(sm.upper)(exact))
             coeff = dsl.compile(sm.term.coeff)
             for k in range(lo, hi + 1):
                 kb = dict(exact)

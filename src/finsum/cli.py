@@ -4,7 +4,7 @@ Subcommands: ``verify`` (identity documents against their expected verdicts),
 ``transform`` (print/verify Beta, derivative, and central transforms),
 ``corpus run`` (the whole shipped library), ``eval`` (exact expression
 evaluation).  Exit codes: 0 expectations met, 1 mismatch, 2 usage error,
-3 load error, 4 shape error.
+3 load error, 4 shape error; an error's code is its class's ``exit_code``.
 """
 
 from __future__ import annotations
@@ -16,17 +16,16 @@ from dataclasses import replace
 
 from . import beta, corpus, dsl
 from .beta import GRID_PARAMS
-from .errors import (DivisionByZero, DslSyntaxError, EvalTypeError,
-                     FinsumError, FormatError, PoleError, ShapeError,
-                     UnboundVariable)
+from .errors import EvalTypeError, FinsumError, FormatError, ShapeError
 from .field import HalfInt
 from .model import load_identity
 
-EXIT_OK, EXIT_MISMATCH, EXIT_USAGE, EXIT_LOAD, EXIT_SHAPE = 0, 1, 2, 3, 4
+EXIT_OK, EXIT_MISMATCH, EXIT_USAGE = 0, 1, 2
 
 
-class UsageError(Exception):
-    pass
+class UsageError(FinsumError):
+    """A command line that names a bad value, option or operation."""
+    exit_code = EXIT_USAGE
 
 
 def parse_grid(text):
@@ -280,23 +279,10 @@ def main(argv=None):
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (DslSyntaxError, EvalTypeError, PoleError, DivisionByZero,
-            UnboundVariable) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except FormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_LOAD
-    except ShapeError as exc:
-        hint = "" if "1+t" not in str(exc) else "  (hint: try --negate-t)"
-        print(f"error: {exc}{hint}", file=sys.stderr)
-        return EXIT_SHAPE
     except FinsumError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MISMATCH
+        hint = "  (hint: try --negate-t)" if isinstance(exc, ShapeError) and "1+t" in str(exc) else ""
+        print(f"error: {exc}{hint}", file=sys.stderr)
+        return exc.exit_code
 
 
 if __name__ == "__main__":

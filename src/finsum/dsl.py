@@ -17,15 +17,14 @@ identically.  ``t`` is accepted as a variable, but not as a sum index.
 One evaluator serves scalar and polynomial values: ``compile`` turns an
 expression into a closure over bindings, once, and a caller that evaluates
 an expression at many points (a coefficient at every k, a side at every
-grid point) compiles it once and calls the closure.  ``evaluate`` and
-``eval_scalar`` compile and call, for one-shot callers.  Rational values
+grid point) compiles it once and calls the closure.  ``eval_scalar``
+compiles, calls and lifts the value to ``SymConst``.  Rational values
 travel as ``int`` or ``Fraction``; only ``H``, ``binom`` and ``rbinom`` at
 half-integer points produce ln2 or sqrt(pi) terms, which the ``special``
 accessors hand over as a ``SymConst``, and from there Python's operators
 carry it.  Bound to ``polyverify.DensePoly.variable()``, ``t`` makes the
 value a polynomial in t the same way, and ``U(m)`` is the Chebyshev
-polynomial U_m of it; ``U`` is an error anywhere else.  ``eval_scalar``
-lifts a scalar value to ``SymConst``.
+polynomial U_m of it; ``U`` is an error anywhere else.
 """
 
 from __future__ import annotations
@@ -350,7 +349,17 @@ def free_vars(expr):
 
 
 def substitute(expr, name, replacement):
-    """Replace every free occurrence of variable ``name`` by an AST."""
+    """Replace every free occurrence of variable ``name`` by an AST.  A flat
+    ``+ - *`` chain is rebuilt by one loop down its left spine."""
+    if type(expr) in _CHAIN_OPS:
+        spine = []
+        while type(expr) in _CHAIN_OPS:
+            spine.append(expr)
+            expr = expr.left
+        out = substitute(expr, name, replacement)
+        for node in reversed(spine):
+            out = type(node)(out, substitute(node.right, name, replacement))
+        return out
     if isinstance(expr, Var):
         return replacement if expr.name == name else expr
     kids = [substitute(child, name, replacement) for child in children(expr)]
@@ -397,17 +406,12 @@ def eval_scalar(expr, bindings):
     return lift(compile(expr)(bindings))
 
 
-def evaluate(expr, bindings):
-    """Value of an expression under its bindings, unlifted: a plain int or
-    Fraction when rational, else a SymConst, or a DensePoly when ``t`` is
-    bound to one.  Every other binding is a HalfInt."""
-    return compile(expr)(bindings)
-
-
 def compile(expr):
-    """A closure ``f(bindings)`` that returns what ``evaluate(expr,
-    bindings)`` does.  Node dispatch and literals are settled here, once;
-    every error is raised by the closure, never by the compiler.
+    """A closure ``f(bindings)`` for the value of the expression under its
+    bindings, unlifted: a plain int or Fraction when rational, else a
+    SymConst, or a DensePoly when ``t`` is bound to one.  Every other binding
+    is a HalfInt.  Node dispatch and literals are settled here, once; every
+    error is raised by the closure, never by the compiler.
 
     A left-associative chain of ``+ - *`` runs as one loop, so a long flat
     sum or product recurses neither here nor when it runs.  An argument of

@@ -16,14 +16,10 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from functools import total_ordering
 
 from .errors import DivisionByZero, DslSyntaxError, EvalTypeError
 
-Rational = Fraction
 
-
-@total_ordering
 class HalfInt:
     """An exact half-integer n/2, stored as twice its value."""
 
@@ -70,50 +66,12 @@ class HalfInt:
     def as_fraction(self):
         return Fraction(self.twice, 2)
 
-    def floor(self):
-        return self.twice // 2
-
-    def _coerce(self, other):
-        if isinstance(other, HalfInt):
-            return other
-        if isinstance(other, int):
-            return HalfInt(2 * other)
-        return NotImplemented
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return HalfInt(self.twice + other.twice)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return HalfInt(self.twice - other.twice)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return HalfInt(other.twice - self.twice)
-
-    def __neg__(self):
-        return HalfInt(-self.twice)
-
     def __eq__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.twice == other.twice
-
-    def __lt__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.twice < other.twice
+        if isinstance(other, HalfInt):
+            return self.twice == other.twice
+        if isinstance(other, int):
+            return self.twice == 2 * other
+        return NotImplemented
 
     def __hash__(self):
         return hash(self.as_fraction())
@@ -312,12 +270,6 @@ class SymConst:
         if not self.is_rational:
             raise EvalTypeError(f"{self} is not rational")
         return self.terms[(0, 0)]
-
-    def as_halfint(self):
-        return to_halfint(self)
-
-    def as_int(self):
-        return to_int(self)
 
     # -- rendering ---------------------------------------------------------
 

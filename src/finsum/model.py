@@ -15,7 +15,6 @@ bracket, so loaded and derived closed sums are the same objects.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -53,17 +52,10 @@ class Affine:
     def is_zero(self):
         return not (self.k or self.n or self.r or self.s or self.const)
 
-    def value(self, bindings):
-        """Half-integer value under bindings of the names it mentions."""
-        return HalfInt(self.twice(bindings))
-
-    def twice(self, bindings):
-        """Twice the value under half-integer bindings, as an int."""
-        return self.compile_twice()(bindings)
-
     def compile_twice(self):
-        """A closure for ``twice``: integer arithmetic on the bindings'
-        ``twice`` values.  An unbound name raises KeyError."""
+        """A closure for twice the value under half-integer bindings, as an
+        int: integer arithmetic on the bindings' ``twice`` values.  An
+        unbound name raises KeyError."""
         terms = [(name, getattr(self, name)) for name in ("k", "n", "r", "s")
                  if getattr(self, name)]
         return dsl.twice_sum(terms, self.const)
@@ -206,7 +198,6 @@ class Identity:
     status: str
     lhs: object
     rhs: object
-    param_constraints: tuple = ()
     notes: str = ""
 
     @property
@@ -227,20 +218,14 @@ def admissible(r, s):
         return False
     if s.twice == 0:
         return False
-    diff = r - s
-    return not diff.is_negative_integer
+    return not HalfInt(r.twice - s.twice).is_negative_integer
 
 
 # ---------------------------------------------------------------------------
 # document format
 
 def load_identity(document):
-    """Parse an identity document (dict or JSON text) into an Identity."""
-    if isinstance(document, str):
-        try:
-            document = json.loads(document)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"bad JSON: {exc}") from exc
+    """Parse a decoded identity document into an Identity."""
     if not isinstance(document, dict):
         raise FormatError("identity document must be a JSON object")
     try:
@@ -262,7 +247,6 @@ def load_identity(document):
         status=status,
         lhs=lhs,
         rhs=rhs,
-        param_constraints=tuple(document.get("params", ())),
         notes=document.get("notes", ""),
     )
 
@@ -338,47 +322,6 @@ def _load_affine(val, name):
     if isinstance(val, (list, tuple)) and len(val) == 3 and all(map(is_json_int, val)):
         return Affine(k=val[0], n=val[1], const=val[2])
     raise FormatError(f"{name}: exponent {val!r} is not an integer affine form [ck, cn, c]")
-
-
-def save_identity(identity):
-    """Inverse of load_identity (canonical dict form)."""
-    return {
-        "name": identity.name,
-        "paper_ref": identity.paper_ref,
-        "status": identity.status,
-        "lhs": _save_side(identity.lhs),
-        "rhs": _save_side(identity.rhs),
-        "params": list(identity.param_constraints),
-        "notes": identity.notes,
-    }
-
-
-def _save_side(side):
-    if isinstance(side, StandardSide):
-        return {"kind": "standard", "terms": [
-            {
-                "coeff": dsl.render(t.coeff),
-                "t_exp": [t.t_exp.k, t.t_exp.n, t.t_exp.const],
-                "base": t.base,
-                "base_exp": [t.base_exp.k, t.base_exp.n, t.base_exp.const],
-                "lower": dsl.render(t.lower),
-                "upper": dsl.render(t.upper),
-            }
-            for t in side.terms
-        ]}
-    if isinstance(side, PolySide):
-        return {"kind": "poly", "expr": dsl.render(side.expr)}
-    if isinstance(side, ClosedSide):
-        doc = {"kind": "closed"}
-        if side.summands:
-            doc["sums"] = [
-                {"coeff": dsl.render(s.term.coeff), "lower": dsl.render(s.lower), "upper": dsl.render(s.upper)}
-                for s in side.summands
-            ]
-        if side.extra is not None:
-            doc["expr"] = dsl.render(side.extra)
-        return doc
-    raise EvalTypeError(f"not a side: {side!r}")
 
 
 def substitute_neg_t(identity):

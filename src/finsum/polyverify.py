@@ -2,8 +2,8 @@
 
 A side is expanded into a dense polynomial in t over the constant field:
 standard sides by the binomial theorem applied to each coeff * t^a * (1+-t)^b
-summand, free-form polynomial sides by ``dsl.evaluate`` with t bound to
-``DensePoly.variable()``.  Two sides agree iff their coefficient vectors
+summand, free-form polynomial sides by their ``dsl.compile`` closure with t
+bound to ``DensePoly.variable()``.  Two sides agree iff their coefficient vectors
 agree; there is no tolerance anywhere.
 
 A ``DensePoly`` holds its coefficients lowered, as the evaluators do: a plain
@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from . import dsl, special
 from .errors import DivisionByZero, EvalTypeError, NegativeExponent
-from .field import HalfInt, exact_div, lift, lower
+from .field import HalfInt, exact_div, lift, lower, to_int
 from .model import PolySide, StandardSide
 
 
@@ -201,8 +201,8 @@ def expand_side(side, n, bindings=None):
     if isinstance(side, StandardSide):
         acc = []
         for term in side.terms:
-            lo = dsl.eval_scalar(term.lower, base_bindings).as_int()
-            hi = dsl.eval_scalar(term.upper, base_bindings).as_int()
+            lo = to_int(dsl.compile(term.lower)(base_bindings))
+            hi = to_int(dsl.compile(term.upper)(base_bindings))
             coeff_of = dsl.compile(term.coeff)
             twice_a = term.t_exp.compile_twice()
             twice_b = term.base_exp.compile_twice()
@@ -228,9 +228,10 @@ def expand_side(side, n, bindings=None):
 
 
 def eval_poly(expr, bindings):
-    """Evaluate a DSL expression as a polynomial in t: ``dsl.evaluate`` with
-    t bound to the variable, a scalar value wrapped as a constant."""
-    value = dsl.evaluate(expr, dict(bindings, t=DensePoly.variable()))
+    """Evaluate a DSL expression as a polynomial in t: its ``dsl.compile``
+    closure with t bound to the variable, a scalar value wrapped as a
+    constant."""
+    value = dsl.compile(expr)(dict(bindings, t=DensePoly.variable()))
     return value if type(value) is DensePoly else _poly([value])
 
 

@@ -11,8 +11,8 @@ Like the evaluators, the caches hold a rational value as a plain ``int`` or
 ``Fraction`` and a SymConst only where ln2 or sqrt(pi) appears.  The
 evaluators read them through ``harmonic_at``, ``binom_at`` and ``rbinom_at``,
 which take twice the half-integer arguments and return such plain values.
-``harmonic``, ``gen_binom`` and ``recip_binom`` take half-integers and lift
-their results to SymConst on the way out.
+``harmonic`` and ``gen_binom`` take half-integers and lift their results to
+SymConst on the way out.
 """
 
 from __future__ import annotations
@@ -184,11 +184,6 @@ def gen_binom(x, y):
     arguments, as a ``BinomValue`` holding a SymConst."""
     value = binom_at(HalfInt.from_value(x).twice, HalfInt.from_value(y).twice)
     return value if value is INFINITE else BinomValue(lift(value))
-
-
-def recip_binom(x, y):
-    """1/binom(x, y) as a SymConst, with the limit convention 1/Infinite = 0."""
-    return lift(rbinom_at(HalfInt.from_value(x).twice, HalfInt.from_value(y).twice))
 
 
 @dataclass(frozen=True)

@@ -5,8 +5,11 @@ from fractions import Fraction
 
 import pytest
 
-from finsum import cli
+from finsum import cli, errors
 from finsum.cli import UsageError, main, parse_grid
+from finsum.errors import (ArityError, DivisionByZero, DslSyntaxError, EvalTypeError,
+                           FinsumError, FormatError, NegativeExponent, PoleError,
+                           ShapeError, UnboundVariable)
 from finsum.field import HalfInt
 
 
@@ -51,6 +54,33 @@ def write(tmp_path, doc, name="doc.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+EXIT_CODES = [
+    (FinsumError, 1), (NegativeExponent, 1),
+    (PoleError, 2), (DivisionByZero, 2), (EvalTypeError, 2), (UnboundVariable, 2),
+    (DslSyntaxError, 2), (ArityError, 2), (UsageError, 2),
+    (FormatError, 3), (ShapeError, 4),
+]
+
+
+class TestExitCodes:
+    def test_table_covers_every_error_class(self):
+        classes = {c for c in vars(errors).values()
+                   if isinstance(c, type) and issubclass(c, FinsumError)}
+        assert classes | {UsageError} == {c for c, _ in EXIT_CODES}
+
+    @pytest.mark.parametrize("error, code", EXIT_CODES, ids=[c.__name__ for c, _ in EXIT_CODES])
+    def test_error_ends_a_command_with_its_code(self, capsys, monkeypatch, error, code):
+        def fail(args):
+            raise error("boom", 0) if error is DslSyntaxError else error("boom")
+
+        monkeypatch.setattr(cli, "cmd_eval", fail)
+        assert error.exit_code == code
+        got, out, err = run(capsys, "eval", "1")
+        assert got == code
+        assert out == ""
+        assert err.startswith("error: boom")
 
 
 class TestParseGrid:
@@ -104,6 +134,13 @@ class TestEval:
         assert run(capsys, "eval", "1/n", "--bind", "n=0")[0] == 2    # div zero
         assert run(capsys, "eval", "1", "--bind", "q=1")[0] == 2      # bad var
         assert run(capsys, "nosuchcommand")[0] == 2
+
+    @pytest.mark.parametrize("expr", ["binom(1)", "sum(k,0)"])
+    def test_arity_error_exits_2(self, capsys, expr):
+        code, out, err = run(capsys, "eval", expr)
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1 and "argument" in err
 
     def test_numeric_t(self, capsys):
         # bound to a number, t is a scalar and U(...) stays a usage error
@@ -288,6 +325,30 @@ class TestTransform:
         assert "central_v(plus-t-seed, v=1)" in out
         assert "central_v_dual(plus-t-seed, v=1)" in out
         assert out.count("check: equal") == 2
+
+    def test_central_v_of_a_long_flat_coefficient(self, capsys, tmp_path):
+        # doubling k in a 1,500-term f loops down its chain, not 1,500 calls deep
+        f = " + ".join(["kron(n, k)"] + ["0"] * 1499)
+        doc = dict(PLUS_T, name="long-f", lhs={"kind": "standard", "terms": [
+            dict(PLUS_T["lhs"]["terms"][0], coeff=f)]})
+        code, out, _ = run(capsys, "transform", write(tmp_path, doc), "--op", "central_v",
+                           "--v", "0", "--check", "--n", "0..3")
+        assert code == 0
+        tail = " + 0" * 1499
+        weight = "(1/2^k*binom(2*k, k)*rbinom(k, 0))"
+        dual_weight = "(1/2^(2*k)*binom(2*k, k)*rbinom(k, 0))"
+        half_range = "k=floor((0 + 1)/2)..floor(n/2)"
+        check = "check: equal over n=0..3, 1 grid point(s)"
+        assert out.splitlines() == [
+            "# central_v(long-f, v=0)",
+            f"lhs: sum(k=0..n) (kron(n, k){tail})*{weight}",
+            f"rhs: sum({half_range}) binom(n, 2*k)*{dual_weight}",
+            check,
+            "# central_v_dual(long-f, v=0)",
+            f"lhs: sum(k=0..n) sign(k)*binom(n, k)*{weight}",
+            f"rhs: sum({half_range}) (kron(n, 2*k){tail})*{dual_weight}",
+            check,
+        ]
 
     def test_central_uv_needs_params(self, capsys, tmp_path):
         path = write(tmp_path, PLUS_T)
