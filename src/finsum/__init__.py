@@ -9,11 +9,11 @@ closed identities are compared pointwise over parameter grids.
 from .errors import (ArityError, DivisionByZero, DslSyntaxError, EvalTypeError,
                      FinsumError, FormatError, NegativeExponent, PoleError,
                      ShapeError, UnboundVariable)
-from .field import HalfInt, SymConst
+from .field import SymConst
 
 __all__ = [
     "ArityError", "DivisionByZero", "DslSyntaxError", "EvalTypeError",
-    "FinsumError", "FormatError", "HalfInt", "NegativeExponent", "PoleError",
+    "FinsumError", "FormatError", "NegativeExponent", "PoleError",
     "ShapeError", "SymConst", "UnboundVariable",
 ]
 

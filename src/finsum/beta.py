@@ -39,7 +39,7 @@ from fractions import Fraction
 
 from . import dsl, special
 from .errors import DivisionByZero, EvalTypeError, PoleError, ShapeError
-from .field import HalfInt, SymConst, exact_div, lift, lower, to_int
+from .field import SymConst, exact_div, half, lift, lower, to_int
 from .model import (Affine, ClosedSide, ClosedSummand, ClosedTerm, FBinom,
                     FRecipAffine, HPiece, RecipPiece, substitute_neg_t)
 
@@ -288,7 +288,7 @@ def _eval_memo(expr, bindings, value):
         entry = _expr_memo[id(expr)] = (expr, tuple(sorted(dsl.free_vars(expr))), {})
     _, names, cache = entry
     try:
-        key = tuple(bindings[name].twice for name in names)
+        key = tuple(bindings[name] for name in names)
     except KeyError:
         return lower(value(bindings))  # unbound: uniform error path
     result = cache.get(key)
@@ -411,7 +411,7 @@ def _run_side(plan, bindings):
         hi = to_int(upper_bound(bindings))
         inner = dict(bindings)
         for k in range(lo, hi + 1):
-            inner["k"] = HalfInt(2 * k)
+            inner["k"] = k
             total = total + _run_term(term, inner)
     if extra is not None:
         total = total + extra(bindings)
@@ -425,10 +425,10 @@ def eval_side(side, bindings):
 
 
 def _point(n, r=None, s=None, u=None, v=None):
-    bindings = {"n": HalfInt.from_value(n)}
+    bindings = {"n": half(n)}
     for name, val in zip(GRID_PARAMS, (r, s, u, v)):
         if val is not None:
-            bindings[name] = HalfInt.from_value(val)
+            bindings[name] = half(val)
     return bindings
 
 
@@ -441,7 +441,7 @@ def eval_closed(cid, n, r=None, s=None, u=None, v=None):
 @dataclass(frozen=True)
 class PointResult:
     n: int
-    params: tuple                 # sorted ((name, HalfInt), ...)
+    params: tuple                 # sorted ((name, half-integer), ...)
     lhs: object                   # SymConst or None when undefined
     rhs: object
     error: str = ""
@@ -449,6 +449,11 @@ class PointResult:
     @property
     def defined(self):
         return not self.error
+
+    @property
+    def where(self):
+        """The point as text, e.g. ``(n=2, r=1/2)``."""
+        return "(" + ", ".join([f"n={self.n}"] + [f"{name}={val}" for name, val in self.params]) + ")"
 
     @property
     def equal(self):
@@ -483,7 +488,7 @@ def verify_closed(cid, n_range, param_grid=({},)):
     results = []
     for n in n_range:
         for params in param_grid:
-            key = tuple(sorted((name, HalfInt.from_value(val)) for name, val in params.items()))
+            key = tuple(sorted((name, half(val)) for name, val in params.items()))
             try:
                 bindings = _point(n, **params)
                 lhs, rhs = _run_side(lhs_plan, bindings), _run_side(rhs_plan, bindings)
@@ -504,19 +509,17 @@ def _require_mpmath():
 def eval_side_float(side, bindings, precision_digits=30):
     """Numeric value of a side at a point whose r/s need not be half-integers.
 
-    Only factor-bearing terms support this; their coefficients are exact in
-    (k, n) and only the factors carry the continuous parameters.
+    Only factor-bearing terms support this: their coefficients and sum
+    bounds are exact in (k, n), so they run on the exact evaluator with r
+    and s left unbound, and only the factors and the bracket read r and s,
+    as numbers.
     """
+    if side.extra is not None:
+        raise ShapeError("standalone expression has no float evaluator")
     mp = _require_mpmath()
     with mp.workdps(precision_digits):
-        num = {}
-        exact = {}
-        for name, val in bindings.items():
-            if isinstance(val, HalfInt):
-                exact[name] = val
-                num[name] = mp.mpf(val.twice) / 2
-            else:
-                num[name] = mp.mpf(val.numerator) / val.denominator if isinstance(val, Fraction) else mp.mpf(val)
+        exact = {name: val for name, val in bindings.items() if name not in ("r", "s")}
+        num = {name: mp.mpf(val.numerator) / val.denominator for name, val in bindings.items()}
         total = mp.mpf(0)
         for sm in side.summands:
             lo = to_int(dsl.compile(sm.lower)(exact))
@@ -524,12 +527,10 @@ def eval_side_float(side, bindings, precision_digits=30):
             coeff = dsl.compile(sm.term.coeff)
             for k in range(lo, hi + 1):
                 kb = dict(exact)
-                kb["k"] = HalfInt(2 * k)
+                kb["k"] = k
                 kn = dict(num)
                 kn["k"] = mp.mpf(k)
                 total += _eval_term_float(sm.term, coeff, kb, kn, mp)
-        if side.extra is not None:
-            raise ShapeError("standalone expression has no float evaluator")
         return total
 
 
@@ -591,7 +592,7 @@ def float_derivative_check(cid_parent, param, point, h=Fraction(1, 10 ** 6),
     mp = _require_mpmath()
     h = Fraction(h)
     derived = differentiate(cid_parent, param)
-    exact_point = {name: HalfInt.from_value(val) for name, val in point.items()}
+    exact_point = {name: half(val) for name, val in point.items()}
     sym = {side: eval_side(getattr(derived, side), exact_point).to_float(precision_digits)
            for side in ("lhs", "rhs")}
 
@@ -599,7 +600,7 @@ def float_derivative_check(cid_parent, param, point, h=Fraction(1, 10 ** 6),
         num = {}
         for side in ("lhs", "rhs"):
             shifted = dict(exact_point)
-            base = exact_point[param].as_fraction()
+            base = exact_point[param]
             shifted[param] = base + h
             hi = eval_side_float(getattr(cid_parent, side), shifted, precision_digits)
             shifted[param] = base - h

@@ -13,12 +13,13 @@ import argparse
 import json
 import sys
 from dataclasses import replace
+from fractions import Fraction
 
 from . import beta, corpus, dsl
 from .beta import GRID_PARAMS
 from .errors import EvalTypeError, FinsumError, FormatError, ShapeError
-from .field import HalfInt
-from .model import load_identity
+from .field import half, to_int, to_twice
+from .model import is_negative_integer, load_identity
 
 EXIT_OK, EXIT_MISMATCH, EXIT_USAGE = 0, 1, 2
 
@@ -43,9 +44,10 @@ def parse_grid(text):
             step = corpus.parse_half(step_text or "1")
         except EvalTypeError as exc:
             raise UsageError(f"bad grid value {piece!r}: {exc}") from None
-        if step.twice not in (1, 2):
+        if step not in (Fraction(1, 2), 1):
             raise UsageError(f"grid step must be 1/2 or 1, got {step}")
-        values.extend(HalfInt(twice) for twice in range(lo.twice, hi.twice + 1, step.twice))
+        values.extend(half(Fraction(twice, 2))
+                      for twice in range(to_twice(lo), to_twice(hi) + 1, to_twice(step)))
     if not values:
         raise UsageError(f"empty grid {text!r}")
     return values
@@ -59,27 +61,27 @@ def _load_document(path):
         raise FormatError(f"cannot load {path}: {exc}") from exc
 
 
-def _grid_spec_from_args(args):
-    spec = {}
+def _grid_values_from_args(args):
+    """{name: [half-integer, ...]} for each grid parameter given on the command line."""
+    values = {}
     for name in GRID_PARAMS:
         text = getattr(args, name, None)
         if text is None:
             continue
-        values = parse_grid(text)
-        for v in values:
-            if name in ("r", "s") and v.is_negative_integer or name == "s" and v == 0:
+        values[name] = parse_grid(text)
+        for v in values[name]:
+            if name in ("r", "s") and is_negative_integer(v) or name == "s" and v == 0:
                 raise UsageError(f"inadmissible parameter {name} = {v}")
-        spec[name] = [str(v) for v in values]
-    return spec
+    return values
 
 
 def _load_entry(path, args):
     """A corpus entry whose n values and parameter grid the command line may replace."""
-    spec = _grid_spec_from_args(args)
-    n_values = tuple(v.as_int() for v in parse_grid(args.n)) if args.n else None
+    grid_values = _grid_values_from_args(args)
+    n_values = tuple(to_int(v) for v in parse_grid(args.n)) if args.n else None
     entry = corpus.load_entry(_load_document(path))
-    if spec:
-        entry = replace(entry, param_grid=corpus._build_grid(spec))
+    if grid_values:
+        entry = replace(entry, param_grid=corpus.grid_points(grid_values))
     if n_values:
         entry = replace(entry, n_values=n_values)
     return entry
@@ -159,15 +161,15 @@ def cmd_transform(args):
         produced = next_stage
 
     exit_code = EXIT_OK
-    grid_spec = _grid_spec_from_args(args)
+    grid_values = _grid_values_from_args(args)
     for cid in produced:
         _print_cid(cid)
         if args.check:
-            n_values = [v.as_int() for v in parse_grid(args.n)] if args.n else list(range(0, 9))
-            if grid_spec:
-                grid = corpus._build_grid(grid_spec)
+            n_values = [to_int(v) for v in parse_grid(args.n)] if args.n else list(range(0, 9))
+            if grid_values:
+                grid = corpus.grid_points(grid_values)
             elif any(sm.term.factors for side in (cid.lhs, cid.rhs) for sm in side.summands):
-                grid = corpus._build_grid({"r": ["1/2", "1", "3/2", "2"], "s": ["1/2", "1", "3/2", "2"]})
+                grid = corpus.grid_points(dict.fromkeys("rs", parse_grid("1/2..2:1/2")))
             else:
                 grid = ({},)
             report = beta.verify_closed(cid, n_values, grid)
@@ -175,10 +177,10 @@ def cmd_transform(args):
             print(f"check: {verdict} over n={n_values[0]}..{n_values[-1]}, {len(grid)} grid point(s)")
             if report.failures:
                 p = report.failures[0]
-                print(f"  first failure at n={p.n} {dict(p.params)}: {p.lhs} vs {p.rhs}")
+                print(f"  first failure at {p.where}: {p.lhs} vs {p.rhs}")
             if report.undefined:
                 p = report.undefined[0]
-                print(f"  undefined at n={p.n} {dict(p.params)}: {p.error}")
+                print(f"  undefined at {p.where}: {p.error}")
             if not report.all_equal or report.undefined:
                 exit_code = EXIT_MISMATCH
     return exit_code
@@ -188,9 +190,9 @@ def _int_param(text, name):
     if text is None:
         raise UsageError(f"transform needs --{name}")
     value = corpus.parse_half(text)
-    if not value.is_nonneg_integer:
+    if type(value) is not int or value < 0:
         raise UsageError(f"--{name} must be a nonnegative integer")
-    return value.as_int()
+    return value
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from pathlib import Path
 from . import beta, polyverify
 from .beta import GRID_PARAMS
 from .errors import EvalTypeError, FormatError
-from .field import HalfInt, SymConst
+from .field import SymConst, half
 from .model import admissible, is_json_int, load_identity
 
 DEFAULT_DIR = Path(__file__).parent / "corpus_data"
@@ -42,13 +42,13 @@ def parse_half(text):
         value = Fraction(str(text))
     except (ValueError, ZeroDivisionError):
         raise EvalTypeError(f"{text!r} is not a number") from None
-    return HalfInt.from_value(value)
+    return half(value)
 
 
 @dataclass(frozen=True)
 class Witness:
     n: int
-    params: tuple            # sorted ((name, HalfInt), ...)
+    params: tuple            # sorted ((name, half-integer), ...)
     lhs: SymConst
     rhs: SymConst
 
@@ -77,19 +77,22 @@ def _document_half(name, text, where):
         raise FormatError(f"{where}: bad parameter value {text!r}: {exc}") from None
 
 
-def _build_grid(spec, where="grid"):
-    """Cartesian product over the per-parameter value lists, with inadmissible
-    (r, s) pairs dropped when both parameters are present."""
+def _document_grid(spec, where):
+    """A document's 'grid' object as {name: [half-integer, ...]}."""
     if not spec:
-        return ({},)
+        return {}
     if not (isinstance(spec, dict) and all(isinstance(v, list) for v in spec.values())):
         raise FormatError(f"{where}: 'grid' must map each parameter to a list of values")
-    names = sorted(spec)
-    values = {name: [_document_half(name, v, where) for v in spec[name]] for name in names}
+    return {name: [_document_half(name, v, where) for v in spec[name]] for name in sorted(spec)}
+
+
+def grid_points(values):
+    """The Cartesian product over {name: [half-integer, ...]}, as a tuple of
+    dicts, with inadmissible (r, s) pairs dropped when both are present."""
     grid = [{}]
-    for name in names:
+    for name in sorted(values):
         grid = [dict(g, **{name: v}) for g in grid for v in values[name]]
-    if "r" in spec and "s" in spec:
+    if "r" in values and "s" in values:
         grid = [g for g in grid if admissible(g["r"], g["s"])]
     return tuple(grid)
 
@@ -137,7 +140,7 @@ def load_entry(document):
         n_values = [n for n in n_values if n % 2 == 1]
     else:
         n_values = list(n_values)
-    grid = _build_grid(document.get("grid"), identity.name)
+    grid = grid_points(_document_grid(document.get("grid"), identity.name))
     return CorpusEntry(identity, expected, witness, tuple(n_values), grid)
 
 
@@ -194,11 +197,6 @@ class EntryReport:
                 "actual": self.actual, "matched": self.matched, "detail": self.detail}
 
 
-def _point_str(n, params):
-    bits = [f"n={n}"] + [f"{name}={val}" for name, val in params]
-    return "(" + ", ".join(bits) + ")"
-
-
 def run_entry(entry):
     identity = entry.identity
     if identity.is_closed:
@@ -206,11 +204,11 @@ def run_entry(entry):
         if report.undefined:
             p = report.undefined[0]
             return _finish(entry, "undefined",
-                           f"undefined at {_point_str(p.n, p.params)}: {p.error}")
+                           f"undefined at {p.where}: {p.error}")
         if report.all_equal:
             return _finish(entry, "equal", "")
         p = report.failures[0]
-        detail = f"unequal at {_point_str(p.n, p.params)}: lhs={p.lhs}, rhs={p.rhs}"
+        detail = f"unequal at {p.where}: lhs={p.lhs}, rhs={p.rhs}"
         return _finish(entry, "unequal", detail)
     # polynomial entry
     for n in entry.n_values:

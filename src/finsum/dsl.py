@@ -10,6 +10,10 @@ Grammar (whitespace-insensitive)::
     atom   := INT | VAR | "(" expr ")" | call
     call   := IDENT "(" expr ("," expr)* ")"
 
+Parentheses, unary minus, ``^`` and call arguments nest at most
+``MAX_DEPTH`` levels deep; deeper text is a ``DslSyntaxError``, never a
+``RecursionError``.
+
 ``sum(index, lo, hi, body)`` is the surface form of a bounded sum.  A rational
 literal like 5/2 parses as a division of integers; the two spellings evaluate
 identically.  ``t`` is accepted as a variable, but not as a sum index.
@@ -36,10 +40,12 @@ from fractions import Fraction
 
 from .errors import (ArityError, DivisionByZero, DslSyntaxError, EvalTypeError,
                      PoleError, UnboundVariable)
-from .field import HalfInt, exact_div, lift, to_halfint, to_int
+from .field import exact_div, lift, to_int, to_twice
 from . import special
 
 VAR_NAMES = ("n", "k", "j", "r", "s", "u", "v", "t")
+
+MAX_DEPTH = 100   # nesting levels of ( ), unary -, ^ and call arguments
 
 # function name -> arity
 FUNCTIONS = {
@@ -150,6 +156,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.i]
@@ -164,6 +171,15 @@ class _Parser:
         if kind != "op" or val != op:
             raise DslSyntaxError("parse error", off, expected=(repr(op),))
         return self.next()
+
+    def nested(self, parse, off):
+        """``parse()`` one nesting level deeper; DslSyntaxError past MAX_DEPTH."""
+        if self.depth == MAX_DEPTH:
+            raise DslSyntaxError(f"expression nests more than {MAX_DEPTH} levels deep", off)
+        self.depth += 1
+        node = parse()
+        self.depth -= 1
+        return node
 
     def parse(self):
         expr = self.expr()
@@ -195,18 +211,18 @@ class _Parser:
                 return node
 
     def unary(self):
-        kind, val, _ = self.peek()
+        kind, val, off = self.peek()
         if kind == "op" and val == "-":
             self.next()
-            return Neg(self.unary())
+            return Neg(self.nested(self.unary, off))
         return self.power()
 
     def power(self):
         base = self.atom()
-        kind, val, _ = self.peek()
+        kind, val, off = self.peek()
         if kind == "op" and val == "^":
             self.next()
-            return Pow(base, self.unary())
+            return Pow(base, self.nested(self.unary, off))
         return base
 
     def atom(self):
@@ -214,7 +230,7 @@ class _Parser:
         if kind == "int":
             return Lit(Fraction(val))
         if kind == "op" and val == "(":
-            node = self.expr()
+            node = self.nested(self.expr, off)
             self.expect_op(")")
             return node
         if kind == "ident":
@@ -228,12 +244,12 @@ class _Parser:
 
     def call(self, name, off):
         self.expect_op("(")
-        args = [self.expr()]
+        args = [self.nested(self.expr, off)]
         while True:
             kind, val, _ = self.peek()
             if kind == "op" and val == ",":
                 self.next()
-                args.append(self.expr())
+                args.append(self.nested(self.expr, off))
             else:
                 break
         self.expect_op(")")
@@ -402,7 +418,7 @@ def is_polynomial(expr):
 # so the first error a point meets does not depend on how it was compiled.
 
 def eval_scalar(expr, bindings):
-    """Exact value of a scalar expression under half-integer bindings."""
+    """Exact value of a scalar expression under its bindings."""
     return lift(compile(expr)(bindings))
 
 
@@ -410,14 +426,15 @@ def compile(expr):
     """A closure ``f(bindings)`` for the value of the expression under its
     bindings, unlifted: a plain int or Fraction when rational, else a
     SymConst, or a DensePoly when ``t`` is bound to one.  Every other binding
-    is a HalfInt.  Node dispatch and literals are settled here, once; every
-    error is raised by the closure, never by the compiler.
+    is a half-integer in ``field.half`` normal form: an int, or a Fraction
+    with denominator 2.  Node dispatch and literals are settled here, once;
+    every error is raised by the closure, never by the compiler.
 
     A left-associative chain of ``+ - *`` runs as one loop, so a long flat
     sum or product recurses neither here nor when it runs.  An argument of
     ``binom``, ``rbinom`` or ``H`` that is affine in its variables with
     integer coefficients (``n-k+r-s``, ``2*k+1``) is computed as an int on
-    the bindings' ``twice`` values, with no Fraction arithmetic."""
+    twice the bindings' values, with no Fraction arithmetic."""
     return _compile(expr)
 
 
@@ -461,12 +478,9 @@ def _failing(error, message):
 def _compile_var(name):
     def var(b):
         try:
-            twice = b[name].twice
+            return b[name]
         except KeyError:
             raise UnboundVariable(f"variable {name!r} is unbound") from None
-        except AttributeError:  # the indeterminate t, bound to a DensePoly
-            return b[name]
-        return Fraction(twice, 2) if twice & 1 else twice >> 1
     return var
 
 
@@ -518,7 +532,7 @@ def _compile_sum(e):
         total = 0
         inner = dict(b)
         for i in range(lo, hi + 1):
-            inner[index] = HalfInt(2 * i)
+            inner[index] = i
             total = total + body(inner)
         return total
     return bounded_sum
@@ -542,15 +556,7 @@ def _compile_twice(e):
     """A closure for twice the half-integer value of an argument, as an int;
     EvalTypeError when the value is not a half-integer."""
     value = _compile(e)
-
-    def twice_arg(b):
-        v = value(b)
-        if type(v) is int:
-            return 2 * v
-        if type(v) is Fraction and v.denominator == 2:
-            return v.numerator
-        return to_halfint(v).twice
-    return twice_arg
+    return lambda b: to_twice(value(b))
 
 
 # -- binom, rbinom and H arguments on twice-ints ----------------------------
@@ -559,8 +565,8 @@ def _compile_special_arg(e):
     """``_compile_twice(e)``, computed by ``twice_sum`` when ``e`` is built
     from literals and variables other than t by ``+``, ``-`` and products
     ``literal*e``.  A name whose coefficient cancels stays, and a variable
-    that is unbound or bound to a polynomial falls back to the expression
-    as written, so it raises the same error."""
+    that is unbound or not bound to a half-integer falls back to the
+    expression as written, so it raises the same error."""
     slow = _compile_twice(e)
     coeffs = {}
     const = 0
@@ -588,7 +594,7 @@ def _compile_special_arg(e):
     def special_arg(b):
         try:
             return fast(b)
-        except (KeyError, AttributeError):
+        except (KeyError, EvalTypeError):
             return slow(b)
     return special_arg
 
@@ -596,9 +602,9 @@ def _compile_special_arg(e):
 def twice_sum(terms, const):
     """A closure for twice the value of ``const + sum(c * name)`` over
     ``terms`` = ((name, c), ...) at half-integer bindings, as an int computed
-    on the bindings' ``twice`` values; None unless every c is an integer and
+    on twice the bindings' values; None unless every c is an integer and
     ``const`` a half-integer.  An unbound name raises KeyError, and a binding
-    that is not a HalfInt AttributeError."""
+    that is not a half-integer EvalTypeError."""
     terms = tuple((name, Fraction(c)) for name, c in terms)
     twice_const = 2 * Fraction(const)
     if twice_const.denominator != 1 or any(c.denominator != 1 for _, c in terms):
@@ -609,7 +615,8 @@ def twice_sum(terms, const):
     def twice(b):
         total = twice_const
         for name, c in terms:
-            total += c * b[name].twice
+            v = b[name]
+            total += c * (2 * v if type(v) is int else to_twice(v))
         return total
     return twice
 
@@ -662,7 +669,7 @@ def _compile_call(e):
 
         def chebyshev(b):
             t = b.get("t")
-            if t is None or type(t) is HalfInt:
+            if t is None or isinstance(t, (int, Fraction)):
                 raise EvalTypeError("U(...) is only meaningful in polynomial context")
             return special.chebyshev_u(m(b))(t)
         return chebyshev

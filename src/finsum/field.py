@@ -1,4 +1,4 @@
-"""Exact arithmetic: half-integers and the constant field Q[ln2, sqrt(pi), 1/sqrt(pi)].
+"""Exact arithmetic: the constant field Q[ln2, sqrt(pi), 1/sqrt(pi)].
 
 Every identity side in the engine evaluates to a ``SymConst``: a finite
 Q-linear combination of monomials ln2^a * sqrt(pi)^b with a >= 0.  Equality of
@@ -8,8 +8,13 @@ coefficients are ``fractions.Fraction`` (arbitrary precision, always reduced).
 Most values the engine computes are plain rationals, so evaluators carry them
 as ``int`` or ``Fraction`` and lift a value to ``SymConst`` only where an ln2
 or sqrt(pi) term can appear.  ``lift``, ``lower``, ``to_int`` and
-``to_halfint`` are the one boundary between the two kinds; ``exact_div``
+``to_twice`` are the one boundary between the two kinds; ``exact_div``
 divides either kind without leaving exact arithmetic.
+
+A half-integer (a grid point's n, r, s, u, v, or a sum index) is a plain
+rational too: ``half`` puts one in normal form, an int when integral and
+else a Fraction with denominator 2, and ``to_twice`` reads one as the int
+twice its value, on which the ``special`` caches are keyed.
 """
 
 from __future__ import annotations
@@ -20,78 +25,11 @@ from fractions import Fraction
 from .errors import DivisionByZero, DslSyntaxError, EvalTypeError
 
 
-class HalfInt:
-    """An exact half-integer n/2, stored as twice its value."""
-
-    __slots__ = ("twice",)
-
-    def __init__(self, twice):
-        if not isinstance(twice, int):
-            raise EvalTypeError(f"HalfInt stores twice the value as int, got {twice!r}")
-        self.twice = twice
-
-    @classmethod
-    def from_value(cls, value):
-        """Build from an int, Fraction or HalfInt whose denominator divides 2."""
-        if isinstance(value, HalfInt):
-            return value
-        if isinstance(value, int):
-            return cls(2 * value)
-        if isinstance(value, Fraction):
-            # reduced, so a denominator of 2 leaves an odd numerator
-            if value.denominator == 1:
-                return cls(2 * value.numerator)
-            if value.denominator == 2:
-                return cls(value.numerator)
-            raise EvalTypeError(f"{value} is not a half-integer")
-        raise EvalTypeError(f"cannot interpret {value!r} as a half-integer")
-
-    @property
-    def is_integer(self):
-        return self.twice % 2 == 0
-
-    @property
-    def is_negative_integer(self):
-        return self.is_integer and self.twice < 0
-
-    @property
-    def is_nonneg_integer(self):
-        return self.is_integer and self.twice >= 0
-
-    def as_int(self):
-        if not self.is_integer:
-            raise EvalTypeError(f"{self} is not an integer")
-        return self.twice // 2
-
-    def as_fraction(self):
-        return Fraction(self.twice, 2)
-
-    def __eq__(self, other):
-        if isinstance(other, HalfInt):
-            return self.twice == other.twice
-        if isinstance(other, int):
-            return self.twice == 2 * other
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.as_fraction())
-
-    def __repr__(self):
-        return f"HalfInt({self})"
-
-    def __str__(self):
-        if self.is_integer:
-            return str(self.twice // 2)
-        return f"{self.twice}/2"
-
-
 def _as_fraction(value):
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
         return Fraction(value)
-    if isinstance(value, HalfInt):
-        return value.as_fraction()
     raise EvalTypeError(f"cannot interpret {value!r} as a rational")
 
 
@@ -347,7 +285,7 @@ class SymConst:
 def _coerce_sym(value):
     if isinstance(value, SymConst):
         return value
-    if isinstance(value, (int, Fraction, HalfInt)):
+    if isinstance(value, (int, Fraction)):
         return _from_fraction(_as_fraction(value))
     return NotImplemented
 
@@ -377,7 +315,7 @@ def _from_fraction(q):
 # meet; each accepts either kind.
 
 def lift(value):
-    """The SymConst equal to an int, Fraction, HalfInt or SymConst."""
+    """The SymConst equal to an int, Fraction or SymConst."""
     if type(value) is SymConst:
         return value
     return _from_fraction(_as_fraction(value))
@@ -419,13 +357,33 @@ def to_int(value):
     return q.numerator
 
 
-def to_halfint(value):
-    """The HalfInt equal to an int, Fraction or SymConst; EvalTypeError otherwise."""
+def half(value):
+    """A half-integer int or Fraction in normal form: an int when integral,
+    else a Fraction with denominator 2.  EvalTypeError for any other value."""
     if type(value) is int:
-        return HalfInt(2 * value)
+        return value
+    if isinstance(value, Fraction):
+        if value.denominator == 1:
+            return value.numerator
+        if value.denominator == 2:
+            return value
+        raise EvalTypeError(f"{value} is not a half-integer")
+    raise EvalTypeError(f"cannot interpret {value!r} as a half-integer")
+
+
+def to_twice(value):
+    """Twice a half-integer int, Fraction or SymConst, as an int;
+    EvalTypeError otherwise."""
+    if type(value) is int:
+        return 2 * value
+    if type(value) is Fraction:
+        num, den = value.as_integer_ratio()
+        if den == 2:
+            return num
     if type(value) is SymConst:
         value = value.as_rational()
-    return HalfInt.from_value(value)
+    value = half(value)
+    return 2 * value if type(value) is int else value.numerator
 
 
 def _render_fraction(q):

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from . import dsl
 from .errors import EvalTypeError, FormatError, ShapeError
-from .field import HalfInt
+from .field import half
 
 STATUSES = ("verified", "check", "disputed", "erratum_claimed")
 
@@ -212,13 +212,14 @@ class Identity:
 def admissible(r, s):
     """Parameter constraint of the transform lemmas:
     r, s not negative integers, s != 0, r - s not a negative integer."""
-    r = HalfInt.from_value(r)
-    s = HalfInt.from_value(s)
-    if r.is_negative_integer or s.is_negative_integer:
-        return False
-    if s.twice == 0:
-        return False
-    return not HalfInt(r.twice - s.twice).is_negative_integer
+    r, s = half(r), half(s)
+    return not (is_negative_integer(r) or is_negative_integer(s) or s == 0
+                or is_negative_integer(r - s))
+
+
+def is_negative_integer(q):
+    """True for a negative integral int or Fraction."""
+    return q < 0 and q.denominator == 1
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from . import dsl, special
 from .errors import DivisionByZero, EvalTypeError, NegativeExponent
-from .field import HalfInt, exact_div, lift, lower, to_int
+from .field import exact_div, half, lift, lower, to_int
 from .model import PolySide, StandardSide
 
 
@@ -197,7 +197,7 @@ def expand_side(side, n, bindings=None):
     binomial row of (1+-t)^b, shifted by a, into one coefficient list.
     """
     base_bindings = dict(bindings or {})
-    base_bindings["n"] = HalfInt.from_value(n)
+    base_bindings["n"] = half(n)
     if isinstance(side, StandardSide):
         acc = []
         for term in side.terms:
@@ -208,14 +208,14 @@ def expand_side(side, n, bindings=None):
             twice_b = term.base_exp.compile_twice()
             for k in range(lo, hi + 1):
                 kb = dict(base_bindings)
-                kb["k"] = HalfInt(2 * k)
+                kb["k"] = k
                 coeff = lower(coeff_of(kb))
                 if coeff == 0:
                     continue
-                a = HalfInt(twice_a(kb)).as_int()
+                a = to_int(exact_div(twice_a(kb), 2))
                 if a < 0:
                     raise NegativeExponent(f"t^{a} at k={k}, n={n}")
-                b = HalfInt(twice_b(kb)).as_int()
+                b = to_int(exact_div(twice_b(kb), 2))
                 row = binomial_power(term.base, b)._coeffs
                 end = a + len(row)
                 if len(acc) < end:

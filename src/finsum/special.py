@@ -10,9 +10,10 @@ the binomial cache holds every result built from them.
 Like the evaluators, the caches hold a rational value as a plain ``int`` or
 ``Fraction`` and a SymConst only where ln2 or sqrt(pi) appears.  The
 evaluators read them through ``harmonic_at``, ``binom_at`` and ``rbinom_at``,
-which take twice the half-integer arguments and return such plain values.
-``harmonic`` and ``gen_binom`` take half-integers and lift their results to
-SymConst on the way out.
+which take each argument as the int twice its value and return such plain
+values.  ``harmonic``, ``gen_binom`` and ``gamma_half`` take the values
+themselves, as ``int`` or ``Fraction``; ``harmonic`` and ``gen_binom`` lift
+their results to SymConst on the way out.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DivisionByZero, EvalTypeError, PoleError
-from .field import HalfInt, SymConst, lift, lower
+from .field import SymConst, half, lift, lower, to_twice
 
 _factorials = [1]
 
@@ -69,7 +70,7 @@ def _harmonic_uncached(twice):
     """
     if twice % 2 == 0:
         if twice < 0:
-            raise PoleError(f"H_{HalfInt(twice)} is a pole")
+            raise PoleError(f"H_{twice // 2} is a pole")
         return lower(harmonic_m(twice // 2, 1))
     # q = m + 1/2; for m >= -1 this is 2*O_{m+1} - 2 ln2, and the same
     # recurrence extends downward for m < -1.
@@ -88,25 +89,23 @@ def _harmonic_uncached(twice):
 
 def harmonic(q):
     """H_q for half-integer q, as a SymConst."""
-    return lift(harmonic_at(HalfInt.from_value(q).twice))
+    return lift(harmonic_at(to_twice(q)))
 
 
 def gamma_half(q):
     """Exact Gamma(q) for half-integer q; PoleError at 0, -1, -2, ..."""
-    q = HalfInt.from_value(q)
-    if q.is_integer:
-        n = q.as_int()
-        if n <= 0:
+    q = half(q)
+    if type(q) is int:
+        if q <= 0:
             raise PoleError(f"Gamma({q}) is a pole")
-        return SymConst.rational(factorial(n - 1))
+        return SymConst.rational(factorial(q - 1))
     # walk from Gamma(1/2) = sqrt(pi) via Gamma(x+1) = x*Gamma(x)
     coeff = Fraction(1)
     x = Fraction(1, 2)
-    target = q.as_fraction()
-    while x < target:
+    while x < q:
         coeff *= x
         x += 1
-    while x > target:
+    while x > q:
         x -= 1
         coeff /= x
     return SymConst.monomial(coeff, sqrtpi_exp=1)
@@ -160,8 +159,8 @@ def _binom_uncached(x2, y2):
         return 0
     if x2 < 0 and x2 % 2 == 0:  # sole pole of Gamma(x+1)
         return INFINITE
-    return lower(gamma_half(HalfInt(x2 + 2))
-                 / (gamma_half(HalfInt(y2 + 2)) * gamma_half(HalfInt(diff2 + 2))))
+    return lower(gamma_half(Fraction(x2 + 2, 2))
+                 / (gamma_half(Fraction(y2 + 2, 2)) * gamma_half(Fraction(diff2 + 2, 2))))
 
 
 def rbinom_at(x2, y2):
@@ -171,7 +170,7 @@ def rbinom_at(x2, y2):
     if b is INFINITE:
         return 0
     if b == 0:
-        raise DivisionByZero(f"1/binom({HalfInt(x2)}, {HalfInt(y2)}) with binom = 0")
+        raise DivisionByZero(f"1/binom({Fraction(x2, 2)}, {Fraction(y2, 2)}) with binom = 0")
     if type(b) is int:
         return b if b == 1 or b == -1 else Fraction(1, b)
     if type(b) is Fraction:
@@ -182,7 +181,7 @@ def rbinom_at(x2, y2):
 def gen_binom(x, y):
     """Generalized binomial coefficient binom(x, y) at half-integer
     arguments, as a ``BinomValue`` holding a SymConst."""
-    value = binom_at(HalfInt.from_value(x).twice, HalfInt.from_value(y).twice)
+    value = binom_at(to_twice(x), to_twice(y))
     return value if value is INFINITE else BinomValue(lift(value))
 
 

@@ -12,7 +12,7 @@ import pytest
 from finsum import beta, corpus, dsl, polyverify, special
 from finsum.beta import (Affine, ClosedIdentity, ClosedSide, ClosedSummand,
                          ClosedTerm, FBinom, FRecipAffine)
-from finsum.field import HalfInt, SymConst
+from finsum.field import SymConst
 from finsum.model import admissible
 
 F = Fraction
@@ -147,10 +147,10 @@ def test_criterion_5_special_function_suites():
     LN2 = SymConst.monomial(1, ln2_exp=1)
 
     def H(q):
-        return special.harmonic(HalfInt.from_value(F(q)))
+        return special.harmonic(F(q))
 
     def B(x, y):
-        return special.gen_binom(HalfInt.from_value(F(x)), HalfInt.from_value(F(y)))
+        return special.gen_binom(F(x), F(y))
 
     def O(n):
         return SymConst.rational(special.odd_harmonic_m(n, 1))
@@ -198,8 +198,8 @@ def test_criterion_5_special_function_suites():
         q = F(p, 2)
         if q.denominator == 1:
             continue
-        if special.gamma_half(HalfInt.from_value(q + 1)) != \
-                R(q) * special.gamma_half(HalfInt.from_value(q)):
+        if special.gamma_half(q + 1) != \
+                R(q) * special.gamma_half(q):
             problems.append(f"Gamma recurrence at {q}")
 
     # Beta integral oracle, u, v in [0, 8]
@@ -214,7 +214,7 @@ def test_criterion_5_special_function_suites():
 
     # Chebyshev moment oracles, n = 0..10
     for n in range(0, 11):
-        u2n = polyverify.eval_poly(dsl.parse("U(2*n)"), {"n": HalfInt.from_value(n)})
+        u2n = polyverify.eval_poly(dsl.parse("U(2*n)"), {"n": n})
         if polyverify.integrate_unit(u2n).as_rational() != F(1, 2 * n + 1):
             problems.append(f"Chebyshev moment at n={n}")
         if n >= 1:

@@ -5,12 +5,11 @@ from fractions import Fraction
 
 import pytest
 
-from finsum import cli, errors
+from finsum import cli, dsl, errors
 from finsum.cli import UsageError, main, parse_grid
 from finsum.errors import (ArityError, DivisionByZero, DslSyntaxError, EvalTypeError,
                            FinsumError, FormatError, NegativeExponent, PoleError,
                            ShapeError, UnboundVariable)
-from finsum.field import HalfInt
 
 
 def run(capsys, *argv):
@@ -85,10 +84,13 @@ class TestExitCodes:
 
 class TestParseGrid:
     def test_ranges_and_lists(self):
-        assert parse_grid("1,2,5/2") == [HalfInt(2), HalfInt(4), HalfInt(5)]
-        assert parse_grid("0..2") == [HalfInt(0), HalfInt(2), HalfInt(4)]
-        assert parse_grid("1..2:1/2") == [HalfInt(2), HalfInt(3), HalfInt(4)]
-        assert parse_grid("-1..0") == [HalfInt(-2), HalfInt(0)]
+        def typed(values):
+            return [(v, type(v)) for v in values]
+        half_ = Fraction(3, 2)
+        assert typed(parse_grid("1,2,5/2")) == [(1, int), (2, int), (Fraction(5, 2), Fraction)]
+        assert typed(parse_grid("0..2")) == [(0, int), (1, int), (2, int)]
+        assert typed(parse_grid("1..2:1/2")) == [(1, int), (half_, Fraction), (2, int)]
+        assert typed(parse_grid("-1..0")) == [(-1, int), (0, int)]
 
     def test_rejections(self):
         with pytest.raises(UsageError):
@@ -141,6 +143,22 @@ class TestEval:
         assert code == 2
         assert out == ""
         assert len(err.splitlines()) == 1 and "argument" in err
+
+    @pytest.mark.parametrize("nest, depth", [
+        (lambda d: "(" * d + "1" + ")" * d, 200),
+        (lambda d: "1^" * d + "1", 600),
+        (lambda d: "0 + " + "-" * d + "1", 600),
+        (lambda d: "H(" * d + "1" + ")" * d, 200),
+    ], ids=["parentheses", "power", "unary-minus", "call-arguments"])
+    def test_deep_nesting_exits_2(self, capsys, nest, depth):
+        assert dsl.MAX_DEPTH == 100
+        code, out, err = run(capsys, "eval", nest(depth))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: expression nests more than 100 levels deep")
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+        assert run(capsys, "eval", nest(101))[0] == 2
+        assert run(capsys, "eval", nest(100))[:2] == (0, "1\n")
 
     def test_numeric_t(self, capsys):
         # bound to a number, t is a scalar and U(...) stays a usage error
@@ -214,6 +232,14 @@ class TestVerify:
         data = json.loads(out)
         assert data[0]["name"] == "alt-binom-basic"
         assert data[0]["matched"] is True
+
+    def test_deeply_nested_document_exits_2(self, capsys, tmp_path):
+        doc = dict(GOOD_CLOSED, rhs={"kind": "closed", "expr": "(" * 200 + "1" + ")" * 200})
+        code, out, err = run(capsys, "verify", write(tmp_path, doc))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: expression nests more than 100 levels deep")
+        assert "Traceback" not in err
 
     def test_bad_document_exits_3(self, capsys, tmp_path):
         path = tmp_path / "broken.json"
@@ -303,6 +329,27 @@ class TestTransform:
         assert code == 0
         assert "d/ds(beta_transform(binomial-theorem-basic))" in out
         assert "H(" in out  # harmonic bracket rendered
+
+    def test_failing_check_prints_points(self, capsys, tmp_path):
+        # a false seed (rhs 2, not 1) whose lhs is undefined at n = 1
+        doc = dict(STANDARD, name="false-seed", rhs={"kind": "standard", "terms": [{"coeff": "2"}]})
+        doc["lhs"] = {"kind": "standard", "terms": [
+            dict(STANDARD["lhs"]["terms"][0], coeff="binom(n, k)*(n - 1)/(n - 1)")]}
+        path = write(tmp_path, doc)
+        code, out, _ = run(capsys, "transform", path, "--op", "beta", "--check", "--n", "0..3")
+        assert code == 1
+        assert out.splitlines()[-3:] == [
+            "check: NOT equal over n=0..3, 14 grid point(s)",
+            "  first failure at (n=0, r=1/2, s=1/2): 2 vs 4",
+            "  undefined at (n=1, r=1/2, s=1/2): division by zero in binom(n, k)*(n - 1)/(n - 1)",
+        ]
+        code, out, _ = run(capsys, "transform", path, "--op", "beta", "--check", "--n", "0..3",
+                           "--r", "1", "--s", "1")
+        assert code == 1
+        assert out.splitlines()[-2:] == [
+            "  first failure at (n=0, r=1, s=1): 1 vs 2",
+            "  undefined at (n=1, r=1, s=1): division by zero in binom(n, k)*(n - 1)/(n - 1)",
+        ]
 
     def test_unflipped_base_exits_4_with_hint(self, capsys, tmp_path):
         path = write(tmp_path, PLUS_T)

@@ -10,11 +10,10 @@ from pathlib import Path
 import pytest
 
 from finsum import corpus
-from finsum.corpus import (Witness, _build_grid, check_coverage, corpus_dir,
+from finsum.corpus import (Witness, _document_grid, check_coverage, corpus_dir, grid_points,
                            load_entries, load_entry, load_manifest, parse_half,
                            run_corpus, run_entry)
 from finsum.errors import FormatError
-from finsum.field import HalfInt
 
 
 GOOD_CLOSED = {
@@ -49,15 +48,21 @@ GOOD_POLY = {
 
 class TestParseHalf:
     def test_values(self):
-        assert parse_half("3") == HalfInt.from_value(3)
-        assert parse_half("-1/2") == HalfInt.from_value(Fraction(-1, 2))
-        assert parse_half(2) == HalfInt.from_value(2)
+        for text, want in (("3", 3), ("-1/2", Fraction(-1, 2)), (2, 2), ("4/2", 2)):
+            got = parse_half(text)
+            assert got == want and type(got) is type(want)
+
+
+def _build_grid(spec):
+    """A document's grid text parsed, then its product taken, as load_entry does."""
+    return grid_points(_document_grid(spec, "grid"))
 
 
 class TestBuildGrid:
     def test_empty_spec(self):
         assert _build_grid(None) == ({},)
         assert _build_grid({}) == ({},)
+        assert grid_points({}) == ({},)
 
     def test_cartesian_product(self):
         grid = _build_grid({"u": ["0", "1"], "v": ["0", "1", "2"]})
@@ -68,11 +73,17 @@ class TestBuildGrid:
         # dropped: (1,2), (1,3), (2,3) have r - s negative integers
         assert len(grid) == 3
         for g in grid:
-            assert g["r"].as_fraction() >= g["s"].as_fraction()
+            assert g["r"] >= g["s"]
 
     def test_r_alone_is_not_filtered(self):
         grid = _build_grid({"r": ["1", "2", "3"]})
         assert len(grid) == 3
+
+    def test_parsed_values_in_normal_form(self):
+        values = _document_grid({"s": ["1/2", "2/2"], "r": ["3"]}, "grid")
+        assert values == {"r": [3], "s": [Fraction(1, 2), 1]}
+        assert list(values) == ["r", "s"] and type(values["s"][1]) is int
+        assert grid_points(values) == ({"r": 3, "s": Fraction(1, 2)}, {"r": 3, "s": 1})
 
 
 class TestLoadEntry:
@@ -106,7 +117,7 @@ class TestLoadEntry:
         w = load_entry(doc).witness
         assert isinstance(w, Witness)
         assert w.n == 2
-        assert w.params == (("r", HalfInt(1)),)
+        assert w.params == (("r", Fraction(1, 2)),)
         assert w.lhs.render() == "1 - 2*L"
         assert w.rhs.is_zero
 

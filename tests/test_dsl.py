@@ -9,12 +9,12 @@ from hypothesis import strategies as st
 from finsum import dsl
 from finsum.errors import (ArityError, DivisionByZero, DslSyntaxError,
                            EvalTypeError, PoleError, UnboundVariable)
-from finsum.field import HalfInt, SymConst
+from finsum.field import SymConst, half
 
 
 def ev(text, **binds):
     return dsl.eval_scalar(dsl.parse(text),
-                           {k: HalfInt.from_value(Fraction(str(v)))
+                           {k: half(Fraction(str(v)))
                             for k, v in binds.items()})
 
 
@@ -198,13 +198,21 @@ class TestScalarEval:
     def test_rational_values_stay_plain(self):
         """The evaluator carries rationals as int or Fraction and lifts a value
         to SymConst only where an ln2 or sqrt(pi) term appears."""
-        point = {"n": HalfInt(6), "r": HalfInt(1)}
+        point = {"n": 3, "r": Fraction(1, 2)}
         for text, kind in [("n + 1", int), ("n/3", int), ("n/4", Fraction), ("r", Fraction),
                            ("binom(n, 2)", int), ("H(n)", Fraction), ("H(r)", SymConst),
                            ("binom(r, 2)", Fraction), ("binom(n, r)", SymConst),
                            ("H(r) - H(r)", SymConst), ("2^(0-1)", Fraction)]:
             assert type(dsl.compile(dsl.parse(text))(point)) is kind, text
         assert dsl.eval_scalar(dsl.parse("H(r) - H(r)"), point).is_zero
+
+    def test_integral_fraction_binding_is_not_halved(self):
+        # Fraction(4, 2) is the integer 2: twice it is 4, not its numerator 2
+        point = {"k": Fraction(4, 2), "n": Fraction(3, 2)}
+        assert dsl.compile(dsl.parse("binom(k + n, 1)"))(point) == Fraction(7, 2)   # twice_sum
+        assert dsl.compile(dsl.parse("kron(k, 2)"))(point) == 1            # compile_twice
+        assert dsl.compile(dsl.parse("floor(k)"))(point) == 2
+        assert dsl.twice_sum((("k", 3), ("n", -2)), Fraction(1, 2))(point) == 12 - 6 + 1
 
     def test_sign_needs_integer(self):
         with pytest.raises(EvalTypeError):

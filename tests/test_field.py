@@ -1,5 +1,5 @@
 """Ring axioms, canonical rendering, and numeric agreement for the constant
-field, plus half-integer construction."""
+field, plus half-integer normal form."""
 
 from fractions import Fraction
 
@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from finsum.errors import DivisionByZero, EvalTypeError
-from finsum.field import (LN2, ONE, SQRT_PI, ZERO, HalfInt, SymConst, lift, lower,
-                          to_halfint, to_int)
+from finsum.field import (LN2, ONE, SQRT_PI, ZERO, SymConst, half, lift, lower, to_int,
+                          to_twice)
 
 fractions = st.fractions(
     min_value=-50, max_value=50, max_denominator=64)
@@ -35,23 +35,31 @@ def _invertible(x):
     return len(x.terms) == 1 and next(iter(x.terms))[0] == 0
 
 
-class TestHalfInt:
-    def test_construction_and_parity(self):
-        assert HalfInt.from_value(3).twice == 6
-        assert HalfInt.from_value(Fraction(5, 2)).twice == 5
-        assert HalfInt(5).is_integer is False
-        assert HalfInt(-4).is_negative_integer
-        assert HalfInt(0).is_nonneg_integer
+class TestHalf:
+    def test_normal_form(self):
+        for value, want in ((3, 3), (-4, -4), (0, 0), (Fraction(5, 2), Fraction(5, 2)),
+                            (Fraction(-3, 2), Fraction(-3, 2)), (Fraction(4, 2), 2),
+                            (Fraction(-6), -6)):
+            got = half(value)
+            assert got == want and type(got) is type(want)
+        assert to_twice(3) == 6 and to_twice(Fraction(5, 2)) == 5
+        assert to_twice(Fraction(4, 2)) == 4 and to_twice(Fraction(-3, 2)) == -3
 
     def test_rejects_non_half_values(self):
-        with pytest.raises(EvalTypeError):
-            HalfInt.from_value(Fraction(1, 3))
-        with pytest.raises(EvalTypeError):
-            HalfInt(1.5)
+        with pytest.raises(EvalTypeError, match="1/3 is not a half-integer"):
+            half(Fraction(1, 3))
+        for value in (1.5, "3", "1/2"):
+            with pytest.raises(EvalTypeError, match="cannot interpret"):
+                half(value)
+            with pytest.raises(EvalTypeError, match="cannot interpret"):
+                to_twice(value)
 
     def test_str(self):
-        assert str(HalfInt(6)) == "3"
-        assert str(HalfInt(-3)) == "-3/2"
+        assert str(half(3)) == "3"
+        assert str(half(-3)) == "-3"
+        assert str(half(Fraction(6, 2))) == "3"
+        assert str(half(Fraction(3, 2))) == "3/2"
+        assert str(half(Fraction(-3, 2))) == "-3/2"
 
 
 class TestSymConstRing:
@@ -153,22 +161,22 @@ class TestBoundary:
     def test_lift_shares_zero_and_rejects_floats(self):
         assert lift(0) is ZERO and lift(Fraction(0)) is ZERO
         assert lift(ONE) is ONE
-        assert lift(HalfInt(3)) == SymConst.rational(Fraction(3, 2))
+        assert lift(half(Fraction(3, 2))) == SymConst.rational(Fraction(3, 2))
         with pytest.raises(EvalTypeError, match="cannot interpret"):
             lift(0.5)
 
     def test_integer_and_half_integer_reads(self):
         for value in (3, Fraction(3), SymConst.rational(3)):
             assert to_int(value) == 3 and type(to_int(value)) is int
-            assert to_halfint(value) == HalfInt(6)
+            assert to_twice(value) == 6 and type(to_twice(value)) is int
         for value in (Fraction(-3, 2), SymConst.rational(Fraction(-3, 2))):
-            assert to_halfint(value) == HalfInt(-3)
+            assert to_twice(value) == -3 and type(to_twice(value)) is int
             with pytest.raises(EvalTypeError, match="-3/2 is not an integer"):
                 to_int(value)
         for value in (Fraction(1, 3), SymConst.rational(Fraction(1, 3))):
             with pytest.raises(EvalTypeError, match="1/3 is not a half-integer"):
-                to_halfint(value)
-        for reader in (to_int, to_halfint):
+                to_twice(value)
+        for reader in (to_int, to_twice):
             with pytest.raises(EvalTypeError, match="is not rational"):
                 reader(ONE + LN2)
 

@@ -7,8 +7,9 @@ import pytest
 
 from finsum import corpus, dsl
 from finsum.errors import EvalTypeError, FormatError, ShapeError
-from finsum.field import HalfInt, to_halfint
-from finsum.model import Affine, PolySide, admissible, load_identity, substitute_neg_t
+from finsum.field import half, to_twice
+from finsum.model import (Affine, PolySide, admissible, is_negative_integer, load_identity,
+                          substitute_neg_t)
 
 STANDARD_DOC = {
     "name": "demo-standard",
@@ -35,7 +36,7 @@ CLOSED_DOC = {
 class TestAffine:
     def test_value(self):
         a = Affine(k=2, n=-1, const=3)
-        point = {"k": HalfInt.from_value(5), "n": HalfInt.from_value(4)}
+        point = {"k": 5, "n": 4}
         assert a.compile_twice()(point) == 2 * (2 * 5 - 4 + 3)
         assert Affine().is_zero
         assert not a.is_zero
@@ -46,19 +47,18 @@ class TestAffine:
         Affine(n=-1, const=4), Affine(),
     ])
     def test_render_parses_to_same_value(self, affine):
-        point = {"k": HalfInt.from_value(3), "n": HalfInt.from_value(5)}
+        point = {"k": 3, "n": 5}
         got = dsl.eval_scalar(dsl.parse(affine.render()), point)
-        assert to_halfint(got) == HalfInt(affine.compile_twice()(point))
+        assert to_twice(got) == affine.compile_twice()(point)
 
     @pytest.mark.parametrize("affine", [
         Affine(k=1, n=-1, r=1, s=-1), Affine(),
         Affine(k=Fraction(1), n=Fraction(-2), const=Fraction(3)),
     ])
     def test_compile_twice_matches_twice(self, affine):
-        point = {name: HalfInt.from_value(Fraction(i + 2, 2)) for i, name in enumerate("knrs")}
-        point["n"] = HalfInt.from_value(3)
-        want = 2 * (affine.const + sum(getattr(affine, name) * point[name].as_fraction()
-                                       for name in "knrs"))
+        point = {name: half(Fraction(i + 2, 2)) for i, name in enumerate("knrs")}
+        point["n"] = 3
+        want = 2 * (affine.const + sum(getattr(affine, name) * point[name] for name in "knrs"))
         assert affine.compile_twice()(point) == want
         assert all(type(getattr(affine, name)) is int for name in ("k", "n", "r", "s", "const"))
         if not affine.is_zero:
@@ -90,6 +90,12 @@ class TestAdmissible:
     ])
     def test_truth_table(self, r, s, ok):
         assert admissible(r, s) is ok
+
+    def test_negative_integer(self):
+        for q in (-1, -4, Fraction(-4), Fraction(-2, 2)):
+            assert is_negative_integer(q)
+        for q in (0, 3, Fraction(-1, 2), Fraction(5, 2), Fraction(0)):
+            assert not is_negative_integer(q)
 
 
 class TestLoadSave:
@@ -254,8 +260,7 @@ def test_substitute_neg_t():
     lterm = flipped.lhs.terms[0]
     assert lterm.base == "1-t"
     # t^k picked up a sign twist (-1)^k in the coefficient
-    got = dsl.eval_scalar(lterm.coeff, {"k": HalfInt.from_value(3),
-                                        "n": HalfInt.from_value(5)})
+    got = dsl.eval_scalar(lterm.coeff, {"k": 3, "n": 5})
     assert got.as_rational() == -10
     rterm = flipped.rhs.terms[0]
     assert rterm.base == "1+t"

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from finsum import corpus, dsl, polyverify
 from finsum.errors import (DivisionByZero, EvalTypeError, NegativeExponent)
-from finsum.field import HalfInt, SymConst, lift
+from finsum.field import SymConst, half, lift
 from finsum.model import load_identity
 from finsum.polyverify import (DensePoly, binomial_power, cheb_u_sqrt_poly,
                                eval_poly, expand_side, integrate_unit,
@@ -184,7 +184,7 @@ class TestBinomialPower:
 class TestEvalPoly:
     def ep(self, text, **binds):
         return eval_poly(dsl.parse(text),
-                         {k: HalfInt.from_value(Fraction(str(v)))
+                         {k: half(Fraction(str(v)))
                           for k, v in binds.items()})
 
     def test_basic_structure(self):
@@ -310,19 +310,19 @@ class TestIntegralOracles:
 
     @pytest.mark.parametrize("n", range(0, 11))
     def test_chebyshev_even_moment(self, n):
-        u2n = eval_poly(dsl.parse("U(2*n)"), {"n": HalfInt.from_value(n)})
+        u2n = eval_poly(dsl.parse("U(2*n)"), {"n": n})
         assert integrate_unit(u2n).as_rational() == Fraction(1, 2 * n + 1)
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_chebyshev_t2_moment(self, n):
-        u2n = eval_poly(dsl.parse("t^2*U(2*n)"), {"n": HalfInt.from_value(n)})
+        u2n = eval_poly(dsl.parse("t^2*U(2*n)"), {"n": n})
         want = Fraction(4 * n * n + 4 * n - 1,
                         (2 * n - 1) * (2 * n + 1) * (2 * n + 3))
         assert integrate_unit(u2n).as_rational() == want
 
     @pytest.mark.parametrize("n", range(2, 11))
     def test_chebyshev_t3_moment(self, n):
-        u2n = eval_poly(dsl.parse("t^3*U(2*n)"), {"n": HalfInt.from_value(n)})
+        u2n = eval_poly(dsl.parse("t^3*U(2*n)"), {"n": n})
         want = Fraction((2 * n + 1) * (2 * n * (n + 1) - 3) + 3 * (-1) ** n,
                         2 * 4 * (n - 1) * n * (n + 1) * (n + 2))
         assert integrate_unit(u2n).as_rational() == want

@@ -13,18 +13,17 @@ import sympy
 
 from finsum import special
 from finsum.errors import DivisionByZero, EvalTypeError, PoleError
-from finsum.field import HalfInt, SymConst, lift
+from finsum.field import SymConst, lift
 
 LN2 = SymConst.monomial(1, ln2_exp=1)
 
 
 def H(q):
-    return special.harmonic(HalfInt.from_value(Fraction(q)))
+    return special.harmonic(Fraction(q))
 
 
 def B(x, y):
-    return special.gen_binom(HalfInt.from_value(Fraction(x)),
-                             HalfInt.from_value(Fraction(y)))
+    return special.gen_binom(Fraction(x), Fraction(y))
 
 
 def O(n):  # noqa: E743  (odd harmonic, named as in the formulas)
@@ -89,9 +88,9 @@ class TestGammaHalf:
     def test_matches_sympy(self, q):
         if q <= 0 and q.denominator == 1:
             with pytest.raises(PoleError):
-                special.gamma_half(HalfInt.from_value(q))
+                special.gamma_half(q)
             return
-        ours = as_sympy(special.gamma_half(HalfInt.from_value(q)))
+        ours = as_sympy(special.gamma_half(q))
         ref = sympy.gamma(sympy.Rational(q))
         assert sympy.simplify(ours - ref) == 0
 
@@ -100,8 +99,8 @@ class TestGammaHalf:
             q = Fraction(p, 2)
             if q.denominator == 1:
                 continue
-            lhs = special.gamma_half(HalfInt.from_value(q + 1))
-            rhs = SymConst.rational(q) * special.gamma_half(HalfInt.from_value(q))
+            lhs = special.gamma_half(q + 1)
+            rhs = SymConst.rational(q) * special.gamma_half(q)
             assert lhs == rhs
 
 
@@ -226,11 +225,11 @@ class TestTwiceIntAccessors:
                 ref = sympy.binomial(sympy.Rational(x2, 2), sympy.Rational(y2, 2))
                 if not ref.is_finite:  # sympy's zoo is the Infinite pole
                     assert got is special.INFINITE, (x2, y2)
-                    assert special.gen_binom(HalfInt(x2), HalfInt(y2)).infinite
+                    assert special.gen_binom(Fraction(x2, 2), Fraction(y2, 2)).infinite
                     continue
                 assert plain_or_irrational(got), (x2, y2, got)
                 assert sympy.simplify(as_sympy(lift(got)) - ref) == 0, (x2, y2)
-                assert type(special.gen_binom(HalfInt(x2), HalfInt(y2)).value) is SymConst
+                assert type(special.gen_binom(Fraction(x2, 2), Fraction(y2, 2)).value) is SymConst
 
     def test_rbinom_at_matches_sympy(self):
         for x2 in self.TWICE:
@@ -254,13 +253,13 @@ class TestTwiceIntAccessors:
                 with pytest.raises(PoleError):
                     special.harmonic_at(q2)
                 with pytest.raises(PoleError):
-                    special.harmonic(HalfInt(q2))
+                    special.harmonic(Fraction(q2, 2))
                 continue
             got = special.harmonic_at(q2)
             assert plain_or_irrational(got), (q2, got)
             assert (type(got) is SymConst) == (q2 % 2 == 1)
             assert sympy.expand(as_sympy(lift(got)) - sympy_harmonic(q2)) == 0, q2
-            assert type(special.harmonic(HalfInt(q2))) is SymConst
+            assert type(special.harmonic(Fraction(q2, 2))) is SymConst
 
 
 class TestChebyshev:
