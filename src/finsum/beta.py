@@ -24,12 +24,12 @@ coefficient becomes a ``dsl.compile`` closure, each factor and bracket
 argument a closure for twice its value, and the factor product is
 accumulated as an int numerator and denominator.  Rational values stay plain
 ``int``/``Fraction``, special values come from the ``special`` accessors at
-twice-int arguments, and ``eval_side`` lifts each side's sum to SymConst
-once.  The module's one cache, the coefficient memo ``_expr_memo``, holds
-the lowered values of the coefficients, sum bounds and standalone
-expressions that read no grid parameter (r, s, u, v), since only those
-repeat from one grid point to the next; it lives for the whole process and
-keeps every expression it has evaluated alive.
+twice-int arguments, and a side sums its rational terms unreduced, reduces
+once and lifts the sum to SymConst once.  The module's one cache, the
+coefficient memo ``_expr_memo``, holds the lowered values of the
+coefficients, sum bounds and standalone expressions that read no grid
+parameter (r, s, u, v), since only those repeat from one grid point to the
+next; it lives for the whole process and keeps every expression alive.
 """
 
 from __future__ import annotations
@@ -269,7 +269,7 @@ def central_transform_uv(identity, u, v):
 # once and runs their plans at every point; ``eval_closed``, ``eval_side``
 # and ``eval_term`` compile what they are given and run it once.
 
-GRID_PARAMS = ("r", "s", "u", "v")   # the keyword parameters of eval_closed
+GRID_PARAMS = dsl.GRID_PARAMS   # the keyword parameters of eval_closed
 
 _expr_memo = {}
 
@@ -404,15 +404,28 @@ def _compile_side(side):
 
 
 def _run_side(plan, bindings):
+    """The side's value as a SymConst: its rational terms summed as one
+    unreduced int numerator and denominator, reduced once, and lifted."""
     summands, extra = plan
-    total = 0
+    num, den, sym = 0, 1, 0
     for lower_bound, upper_bound, term in summands:
         lo = to_int(lower_bound(bindings))
         hi = to_int(upper_bound(bindings))
         inner = dict(bindings)
         for k in range(lo, hi + 1):
             inner["k"] = k
-            total = total + _run_term(term, inner)
+            value = _run_term(term, inner)
+            if type(value) is int:
+                num += value * den
+            elif type(value) is Fraction:
+                q = value.denominator
+                if den % q:
+                    num, den = num * q + value.numerator * den, den * q
+                else:
+                    num += value.numerator * (den // q)
+            else:
+                sym = sym + value
+    total = exact_div(num, den) + sym if num else sym
     if extra is not None:
         total = total + extra(bindings)
     return lift(total)

@@ -263,7 +263,7 @@ def build_parser():
     p.set_defaults(func=cmd_corpus)
 
     p = sub.add_parser("eval", help="evaluate a scalar expression exactly")
-    p.add_argument("expr")
+    p.add_argument("expr", nargs="?")   # optional only to argparse; see main
     p.add_argument("--bind", action="append", help="variable binding var=halfint (repeatable)")
     p.add_argument("--precision", type=int, default=30,
                    help="digits for --float output")
@@ -276,7 +276,14 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args, extra = parser.parse_known_args(argv)
+        # argparse leaves an eval expression like "-k" or "-(1)" over as an unknown option
+        if getattr(args, "expr", "") is None and extra and not extra[0].startswith("--"):
+            args.expr = extra.pop(0)
+        if extra:
+            parser.error(f"unrecognized arguments: {' '.join(extra)}")
+        if getattr(args, "expr", "") is None:
+            parser.error("the following arguments are required: expr")
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:

@@ -23,7 +23,8 @@ expression into a closure over bindings, once, and a caller that evaluates
 an expression at many points (a coefficient at every k, a side at every
 grid point) compiles it once and calls the closure.  ``eval_scalar``
 compiles, calls and lifts the value to ``SymConst``.  Rational values
-travel as ``int`` or ``Fraction``; only ``H``, ``binom`` and ``rbinom`` at
+travel as ``int`` or ``Fraction``, and a ``*``/``/`` chain of them reduces
+once, not per operator; only ``H``, ``binom`` and ``rbinom`` at
 half-integer points produce ln2 or sqrt(pi) terms, which the ``special``
 accessors hand over as a ``SymConst``, and from there Python's operators
 carry it.  Bound to ``polyverify.DensePoly.variable()``, ``t`` makes the
@@ -292,10 +293,8 @@ def _render(e, parent_prec):
         return e.name
     if isinstance(e, Neg):
         return _wrap(f"-{_render(e.operand, 3)}", 3, parent_prec)
-    if isinstance(e, (Add, Sub, Mul)):
+    if isinstance(e, (Add, Sub, Mul, Div)):
         return _render_chain(e, parent_prec)
-    if isinstance(e, Div):
-        return _wrap(f"{_render(e.left, 2)}/{_render(e.right, 3)}", 2, parent_prec)
     if isinstance(e, Pow):
         return _wrap(f"{_render(e.base, 5)}^{_render(e.exponent, 4)}", 4, parent_prec)
     if isinstance(e, Call):
@@ -305,13 +304,13 @@ def _render(e, parent_prec):
     raise EvalTypeError(f"not an AST node: {e!r}")
 
 
-_CHAIN_TEXT = {Add: " + ", Sub: " - ", Mul: "*"}
+_CHAIN_TEXT = {Add: " + ", Sub: " - ", Mul: "*", Div: "/"}   # the node types of a chain
 
 
 def _render_chain(e, parent_prec):
-    """A left-associative chain of ``+ -`` or of ``*`` rendered by one loop
+    """A left-associative chain of ``+ -`` or of ``* /`` rendered by one loop
     down its left spine."""
-    prec, group = (2, (Mul,)) if type(e) is Mul else (1, (Add, Sub))
+    prec, group = (2, (Mul, Div)) if type(e) in (Mul, Div) else (1, (Add, Sub))
     parts = []
     while type(e) in group:
         parts.append(_CHAIN_TEXT[type(e)] + _render(e.right, prec + 1))
@@ -366,10 +365,10 @@ def free_vars(expr):
 
 def substitute(expr, name, replacement):
     """Replace every free occurrence of variable ``name`` by an AST.  A flat
-    ``+ - *`` chain is rebuilt by one loop down its left spine."""
-    if type(expr) in _CHAIN_OPS:
+    ``+ - * /`` chain is rebuilt by one loop down its left spine."""
+    if type(expr) in _CHAIN_TEXT:
         spine = []
-        while type(expr) in _CHAIN_OPS:
+        while type(expr) in _CHAIN_TEXT:
             spine.append(expr)
             expr = expr.left
         out = substitute(expr, name, replacement)
@@ -430,43 +429,39 @@ def compile(expr):
     with denominator 2.  Node dispatch and literals are settled here, once;
     every error is raised by the closure, never by the compiler.
 
-    A left-associative chain of ``+ - *`` runs as one loop, so a long flat
-    sum or product recurses neither here nor when it runs.  An argument of
-    ``binom``, ``rbinom`` or ``H`` that is affine in its variables with
-    integer coefficients (``n-k+r-s``, ``2*k+1``) is computed as an int on
+    A left-associative chain of ``+ -``, or of ``* /``, runs as one loop, so
+    a long flat sum or product recurses neither here nor when it runs.  A
+    product reduces once: its int and Fraction operands multiply one int
+    numerator and denominator.  An argument of ``binom``, ``rbinom`` or
+    ``H``, and a product's operand in a grid parameter, that is affine with
+    integer coefficients (``n-k+r-s``, ``k+s``) is computed as an int on
     twice the bindings' values, with no Fraction arithmetic."""
-    return _compile(expr)
+    return _compile(expr)[0]
 
 
 def _compile(e):
+    """The closure of ``compile`` and whether its value can be a DensePoly:
+    whether the expression reads t or calls U outside an integer argument."""
     cls = type(e)
     if cls is Var:
-        return _compile_var(e.name)
+        return _compile_var(e.name), e.name == "t"
     if cls is Lit:
         value = e.value.numerator if e.value.denominator == 1 else e.value
-        return lambda b: value
-    if cls is Add or cls is Sub or cls is Mul:
+        return (lambda b: value), False
+    if cls is Add or cls is Sub:
         return _compile_chain(e)
+    if cls is Mul or cls is Div:
+        return _compile_product(e)
     if cls is Call:
-        return _compile_call(e)
-    if cls is Div:
-        num = _compile(e.left)
-        den = _compile(e.right)
-
-        def div(b):
-            d = den(b)
-            if d == 0:
-                raise DivisionByZero(f"division by zero in {render(e)}")
-            return exact_div(num(b), d)
-        return div
+        return _compile_call(e), e.fn == "U"
     if cls is Neg:
-        operand = _compile(e.operand)
-        return lambda b: -operand(b)
+        operand, poly = _compile(e.operand)
+        return (lambda b: -operand(b)), poly
     if cls is Pow:
         return _compile_pow(e)
     if cls is BoundedSum:
         return _compile_sum(e)
-    return _failing(EvalTypeError, f"not an AST node: {e!r}")
+    return _failing(EvalTypeError, f"not an AST node: {e!r}"), False
 
 
 def _failing(error, message):
@@ -484,28 +479,104 @@ def _compile_var(name):
     return var
 
 
-_CHAIN_OPS = {Add: operator.add, Sub: operator.sub, Mul: operator.mul}
+_CHAIN_OPS = {Add: operator.add, Sub: operator.sub}
 
 
 def _compile_chain(e):
-    """((a op b) op c) ... as one loop over the chain's left spine."""
+    """((a +- b) +- c) ... as one loop over the chain's left spine."""
     steps = []
     while type(e) in _CHAIN_OPS:
-        steps.append((_CHAIN_OPS[type(e)], _compile(e.right)))
+        steps.append((_CHAIN_OPS[type(e)], *_compile(e.right)))
         e = e.left
-    first = _compile(e)
-    steps = tuple(reversed(steps))
+    first, poly = _compile(e)
+    poly = poly or any(right_poly for _, _, right_poly in steps)
+    steps = tuple((op, right) for op, right, _ in reversed(steps))
 
     def chain(b):
         value = first(b)
         for op, right in steps:
             value = op(value, right(b))
         return value
-    return chain
+    return chain, poly
+
+
+# -- products ---------------------------------------------------------------
+
+GRID_PARAMS = ("r", "s", "u", "v")   # a product operand affine in one runs on twice-ints
+
+
+def _compile_product(e):
+    """(a * b / c) ... as one loop over the left spine of ``*`` and ``/``.
+
+    Operands run in tree-walk order: every divisor top-down, checked for
+    zero as it is evaluated, then the leftmost operand and the spine
+    bottom-up.  A step (closure, scale) gives ``scale`` times an operand; a
+    division's closure is None.  Int and Fraction values go into one int
+    numerator and denominator, reduced once; any other value, and every
+    value of a product that can yield a DensePoly, goes in by Python's
+    operators as its step comes, so in order."""
+    spine = []
+    while type(e) is Mul or type(e) is Div:
+        spine.append(e)
+        e = e.left
+    first, poly = _compile(e)
+    rights = [_compile(node.right) for node in spine]
+    poly = poly or any(right_poly for _, right_poly in rights)
+
+    def operand(x, value):
+        doubled = lambda b: 2 * value(b)
+        twice = doubled if poly else _fast_twice(x, doubled, GRID_PARAMS)
+        return (value, 1) if twice is doubled else (twice, 2)
+
+    divisors, steps = [], []
+    for node, (right, _) in zip(spine, rights):
+        right, scale = operand(node.right, right)
+        if type(node) is Div:
+            divisors.append((node, right))
+            right = None
+        steps.append((right, scale))
+    steps.append(operand(e, first))
+    steps.reverse()
+
+    def product(b):
+        pending = []
+        for node, f in divisors:
+            d = f(b)
+            if d == 0:
+                raise DivisionByZero(f"division by zero in {render(node)}")
+            pending.append(d)
+        num = den = 1
+        rest = None
+        for f, scale in steps:
+            x = pending.pop() if f is None else f(b)
+            if type(x) is int and not poly:
+                p, q = x, scale
+            elif type(x) is Fraction and not poly:
+                p, q = x.numerator, x.denominator * scale
+            else:
+                rest = _product_step(rest, x, f is None, scale)
+                continue
+            if f is None:
+                p, q = q, p
+            num *= p
+            den *= q
+        if rest is None:
+            return num if den == 1 else exact_div(num, den)
+        return rest if poly else rest * exact_div(num, den)
+    return product, poly
+
+
+def _product_step(value, x, divides, scale):
+    """``value`` (None before any operand) times, or over, ``x / scale``."""
+    if scale != 1:
+        x = exact_div(x, scale)
+    if value is None:
+        return exact_div(1, x) if divides else x
+    return exact_div(value, x) if divides else value * x
 
 
 def _compile_pow(e):
-    base = _compile(e.base)
+    base, poly = _compile(e.base)
     exponent = _compile_int(e.exponent, "exponent")
 
     def pow_(b):
@@ -517,14 +588,14 @@ def _compile_pow(e):
             if type(value) is int:
                 value = Fraction(value)
         return value ** exp
-    return pow_
+    return pow_, poly
 
 
 def _compile_sum(e):
     index = e.index
     lower = _compile_int(e.lower, "sum lower bound")
     upper = _compile_int(e.upper, "sum upper bound")
-    body = _compile(e.body)
+    body, poly = _compile(e.body)
 
     def bounded_sum(b):
         lo = lower(b)
@@ -535,13 +606,13 @@ def _compile_sum(e):
             inner[index] = i
             total = total + body(inner)
         return total
-    return bounded_sum
+    return bounded_sum, poly
 
 
 def _compile_int(e, what):
     """A closure for the integer value of an argument; EvalTypeError naming
     ``what`` when the value is not an integer."""
-    value = _compile(e)
+    value = _compile(e)[0]
 
     def int_arg(b):
         v = value(b)
@@ -555,19 +626,18 @@ def _compile_int(e, what):
 def _compile_twice(e):
     """A closure for twice the half-integer value of an argument, as an int;
     EvalTypeError when the value is not a half-integer."""
-    value = _compile(e)
+    value = _compile(e)[0]
     return lambda b: to_twice(value(b))
 
 
-# -- binom, rbinom and H arguments on twice-ints ----------------------------
+# -- affine expressions on twice-ints -----------------------------------------
 
-def _compile_special_arg(e):
-    """``_compile_twice(e)``, computed by ``twice_sum`` when ``e`` is built
-    from literals and variables other than t by ``+``, ``-`` and products
-    ``literal*e``.  A name whose coefficient cancels stays, and a variable
-    that is unbound or not bound to a half-integer falls back to the
-    expression as written, so it raises the same error."""
-    slow = _compile_twice(e)
+def _fast_twice(e, slow, names=None):
+    """A closure for twice the value of ``e`` as an int, by ``twice_sum``,
+    when ``e`` is built from literals and variables other than t by ``+``,
+    ``-`` and ``literal*e`` with integer coefficients and reads a name in
+    ``names`` (any when None); else ``slow``.  A cancelled name stays, and
+    a name unbound or not bound to a half-integer falls back to ``slow``."""
     coeffs = {}
     const = 0
     stack = [(e, 1)]
@@ -587,24 +657,18 @@ def _compile_special_arg(e):
             stack.append((node.right, scale * node.left.value))
         else:
             return slow
-    fast = twice_sum(coeffs.items(), const)
-    if fast is None:
+    if names is not None and coeffs.keys().isdisjoint(names):
         return slow
-
-    def special_arg(b):
-        try:
-            return fast(b)
-        except (KeyError, EvalTypeError):
-            return slow(b)
-    return special_arg
+    return twice_sum(coeffs.items(), const, slow) or slow
 
 
-def twice_sum(terms, const):
+def twice_sum(terms, const, fallback=None):
     """A closure for twice the value of ``const + sum(c * name)`` over
     ``terms`` = ((name, c), ...) at half-integer bindings, as an int computed
     on twice the bindings' values; None unless every c is an integer and
     ``const`` a half-integer.  An unbound name raises KeyError, and a binding
-    that is not a half-integer EvalTypeError."""
+    that is not a half-integer EvalTypeError, unless a ``fallback`` closure
+    is given: then the closure returns ``fallback(b)`` instead."""
     terms = tuple((name, Fraction(c)) for name, c in terms)
     twice_const = 2 * Fraction(const)
     if twice_const.denominator != 1 or any(c.denominator != 1 for _, c in terms):
@@ -614,9 +678,14 @@ def twice_sum(terms, const):
 
     def twice(b):
         total = twice_const
-        for name, c in terms:
-            v = b[name]
-            total += c * (2 * v if type(v) is int else to_twice(v))
+        try:
+            for name, c in terms:
+                v = b[name]
+                total += c * (2 * v if type(v) is int else to_twice(v))
+        except (KeyError, EvalTypeError):
+            if fallback is None:
+                raise
+            return fallback(b)
         return total
     return twice
 
@@ -650,7 +719,7 @@ _INT_ARGS = {
 def _compile_call(e):
     fn = e.fn
     if fn in ("binom", "rbinom", "H"):
-        xs = [_compile_special_arg(a) for a in e.args]
+        xs = [_fast_twice(a, _compile_twice(a)) for a in e.args]
     elif fn in ("kron", "floor"):
         xs = [_compile_twice(a) for a in e.args]
     else:

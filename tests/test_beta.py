@@ -19,8 +19,8 @@ from finsum.beta import (Affine, ClosedTerm, FBinom, FRecipAffine, HPiece,
                          normalized_for_beta, verify_closed)
 from finsum.errors import (DivisionByZero, EvalTypeError, PoleError,
                            ShapeError)
-from finsum.field import SymConst, half, to_int
-from finsum.model import load_identity
+from finsum.field import SymConst, half, lift, to_int
+from finsum.model import ClosedSide, ClosedSummand, load_identity
 
 F = Fraction
 R = SymConst.rational
@@ -295,6 +295,41 @@ def test_loaded_identity_verifies_as_it_is():
                      f" {p.lhs} {p.rhs} {p.error}" for p in report.results)
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "3606836424e3d13315f1f75adac4517655592a757743a8f6b7a6b360fb36def8")
+
+
+def closed_side(*coeffs, extra=None):
+    """A side of sums over k = 0..n of the given coefficients."""
+    return ClosedSide(tuple(ClosedSummand(ClosedTerm(dsl.parse(c)), dsl.Lit(F(0)), dsl.Var("n"))
+                            for c in coeffs), None if extra is None else dsl.parse(extra))
+
+
+def test_side_sum_matches_term_by_term_sum():
+    """A side sums its rational terms as one unreduced fraction, reduced once,
+    and adds its SymConst terms apart: it equals the sum taken term by term."""
+    side = closed_side("binom(n, k)", "sign(k)*binom(n, k)/(k+1)", "binom(n, k)/((k+2)*(k+s))",
+                       "H(k+s)", "H(r)/(k+1)", "1/(k+r)", extra="H(n) + 1/(n+s)")
+    kinds = set()
+    for n in range(6):
+        for s in ("1/2", "1", "3/2"):
+            point = bind(n=n, r="1/2", s=s)
+            want = lift(dsl.compile(side.extra)(point))
+            for sm in side.summands:
+                for k in range(n + 1):
+                    value = eval_term(sm.term, dict(point, k=k))
+                    kinds.add(type(value))
+                    want = want + lift(value)
+            assert eval_side(side, point) == want
+    assert kinds == {int, Fraction, SymConst}
+
+
+def test_integral_side_is_lift_of_an_int():
+    # sum_k binom(n,k)*(n+1)/(k+1) = 2^(n+1) - 1, its terms mostly Fractions
+    side = closed_side("binom(n, k)*(n+1)/(k+1)", "k/2 - (n-k)/2")
+    for n in range(8):
+        value = eval_side(side, bind(n=n))
+        assert value == lift(2 ** (n + 1) - 1)
+        assert value.terms == lift(2 ** (n + 1) - 1).terms
+        assert value.as_rational() == 2 ** (n + 1) - 1
 
 
 def test_memo_holds_no_grid_coefficient():

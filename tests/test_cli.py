@@ -137,6 +137,18 @@ class TestEval:
         assert run(capsys, "eval", "1", "--bind", "q=1")[0] == 2      # bad var
         assert run(capsys, "nosuchcommand")[0] == 2
 
+    @pytest.mark.parametrize("argv", [["-(1)"], ["-k", "--bind", "k=1"], ["--bind", "k=1", "-k"]])
+    def test_expression_starting_with_minus(self, capsys, argv):
+        assert run(capsys, "eval", *argv) == (0, "-1\n", "")
+
+    def test_unknown_option_still_exits_2(self, capsys):
+        code, out, err = run(capsys, "eval", "--bogus", "1")
+        assert code == 2
+        assert out == ""
+        assert err.splitlines()[-1] == "finsum: error: unrecognized arguments: --bogus"
+        assert run(capsys, "eval", "-k", "-n", "--bind", "k=1")[0] == 2
+        assert run(capsys, "eval")[0] == 2
+
     @pytest.mark.parametrize("expr", ["binom(1)", "sum(k,0)"])
     def test_arity_error_exits_2(self, capsys, expr):
         code, out, err = run(capsys, "eval", expr)
@@ -186,6 +198,17 @@ class TestEval:
         code, out, _ = run(capsys, "eval", "*".join(["k"] * 3000), "--bind", "k=1")
         assert code == 0
         assert out.strip() == "1"
+
+    def test_long_flat_mixed_product(self, capsys):
+        # 5,000 operands of * and / run as one product, and the message of a
+        # zero divisor renders the whole chain by one loop
+        chain = "k" + "".join("/k*r" if i % 2 else "*k/r" for i in range(2499))   # k*k/r
+        assert chain.count("k") + chain.count("r") == 4999
+        code, out, _ = run(capsys, "eval", chain + "*r", "--bind", "k=3", "--bind", "r=1/2")
+        assert (code, out) == (0, "9\n")
+        code, out, err = run(capsys, "eval", chain + "/(k-k)", "--bind", "k=3", "--bind", "r=1/2")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: division by zero in k*k/r/k*r*k/r") and err.endswith("*k/r/(k - k)\n")
 
     @pytest.mark.parametrize("binding", ["k=x", "k=1/0", "k=1/3"])
     def test_bad_binding_text_exits_2(self, capsys, binding):

@@ -3,13 +3,13 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from finsum import dsl
 from finsum.errors import (ArityError, DivisionByZero, DslSyntaxError,
-                           EvalTypeError, PoleError, UnboundVariable)
-from finsum.field import SymConst, half
+                           EvalTypeError, FinsumError, PoleError, UnboundVariable)
+from finsum.field import SymConst, half, lift
 
 
 def ev(text, **binds):
@@ -249,3 +249,66 @@ def test_nested_sum_matches_direct(n, m):
     want = sum((Fraction(1, j ** m) for k in range(n + 1) for j in range(1, k + 1)),
                Fraction(0))
     assert got == want
+
+
+# -- products against a tree walk -------------------------------------------
+
+def walk(e, b):
+    """The value of an expression of literals, variables, + - * / and calls,
+    by one SymConst operator per node in tree-walk order: a Div's divisor
+    first, checked for zero, then its dividend; calls are compiled alone."""
+    cls = type(e)
+    if cls is dsl.Div:
+        d = walk(e.right, b)
+        if d == 0:
+            raise DivisionByZero(f"division by zero in {dsl.render(e)}")
+        return walk(e.left, b) / d
+    if cls is dsl.Mul:
+        left = walk(e.left, b)
+        return left * walk(e.right, b)
+    if cls in (dsl.Add, dsl.Sub):
+        left = walk(e.left, b)
+        right = walk(e.right, b)
+        return left + right if cls is dsl.Add else left - right
+    if cls is dsl.Neg:
+        return -walk(e.operand, b)
+    if cls is dsl.Lit:
+        return lift(e.value)
+    if cls is dsl.Var:
+        return lift(b[e.name])
+    return lift(dsl.compile(e)(b))
+
+
+OPERANDS = st.sampled_from([
+    "0", "1", "2", "(-3)", "5/2", "(1/2)", "(-3/2)", "k", "n", "r", "s",
+    "(k+s)", "(n-k+r-s)", "(k-k)", "(2*k+1)", "(r+s-1)", "-s",
+    "H(r)", "H(k+1/2)", "H(k)", "binom(n, s)", "binom(r, k)", "binom(n, k)",
+])
+
+
+def product_text(operands):
+    return st.lists(st.tuples(st.sampled_from("*/"), operands), min_size=1, max_size=6).map(
+        lambda steps: "".join(op + x for op, x in steps)[1:])
+
+
+PRODUCTS = st.recursive(OPERANDS, lambda inner: product_text(inner).map(lambda t: f"({t})"),
+                        max_leaves=16).flatmap(lambda leaf: product_text(st.just(leaf) | OPERANDS))
+HALVES = st.sampled_from([Fraction(-1, 2), Fraction(1, 2), 1, Fraction(3, 2), 2])
+
+
+@given(PRODUCTS, st.integers(-1, 3), st.integers(0, 4), HALVES, HALVES)
+@example("(k+s)/(n-k+r-s)*H(r)/(k-k)", 1, 2, Fraction(1, 2), 1)
+@example("binom(r, k)/(r+s-1)*(k+s)/H(k+1/2)", 2, 3, Fraction(1, 2), Fraction(1, 2))
+def test_product_matches_tree_walk(text, k, n, r, s):
+    """A compiled product has the value, or raises the error with the
+    message, of a walk that applies one operator per node."""
+    expr = dsl.parse(text)
+    point = {"k": k, "n": n, "r": r, "s": s}
+    try:
+        want = walk(expr, point)
+    except FinsumError as exc:
+        with pytest.raises(type(exc)) as got:
+            dsl.compile(expr)(point)
+        assert str(got.value) == str(exc)
+    else:
+        assert lift(dsl.compile(expr)(point)) == want
