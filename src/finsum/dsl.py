@@ -23,13 +23,14 @@ expression into a closure over bindings, once, and a caller that evaluates
 an expression at many points (a coefficient at every k, a side at every
 grid point) compiles it once and calls the closure.  ``eval_scalar``
 compiles, calls and lifts the value to ``SymConst``.  Rational values
-travel as ``int`` or ``Fraction``, and a ``*``/``/`` chain of them reduces
-once, not per operator; only ``H``, ``binom`` and ``rbinom`` at
-half-integer points produce ln2 or sqrt(pi) terms, which the ``special``
-accessors hand over as a ``SymConst``, and from there Python's operators
-carry it.  Bound to ``polyverify.DensePoly.variable()``, ``t`` makes the
-value a polynomial in t the same way, and ``U(m)`` is the Chebyshev
-polynomial U_m of it; ``U`` is an error anywhere else.
+travel as ``int`` or ``Fraction``, and a ``*``/``/`` chain reduces its
+rational operands once, not per operator; only ``H``, ``binom`` and
+``rbinom`` at half-integer points produce ln2 or sqrt(pi) terms, which the
+``special`` accessors hand over as a ``SymConst``, and from there Python's
+operators carry it.  Bound to ``polyverify.DensePoly.variable()``, ``t``
+makes the value a polynomial in t the same way, through the same closures,
+and ``U(m)`` is the Chebyshev polynomial U_m of it; ``U`` is an error
+anywhere else.
 """
 
 from __future__ import annotations
@@ -432,36 +433,35 @@ def compile(expr):
     A left-associative chain of ``+ -``, or of ``* /``, runs as one loop, so
     a long flat sum or product recurses neither here nor when it runs.  A
     product reduces once: its int and Fraction operands multiply one int
-    numerator and denominator.  An argument of ``binom``, ``rbinom`` or
-    ``H``, and a product's operand in a grid parameter, that is affine with
-    integer coefficients (``n-k+r-s``, ``k+s``) is computed as an int on
-    twice the bindings' values, with no Fraction arithmetic."""
-    return _compile(expr)[0]
+    numerator and denominator, whether its other operands are SymConst
+    values or polynomials.  An argument of ``binom``, ``rbinom`` or ``H``,
+    and a product's operand in a grid parameter, that is affine with integer
+    coefficients (``n-k+r-s``, ``k+s``) is computed as an int on twice the
+    bindings' values, with no Fraction arithmetic."""
+    return _compile(expr)
 
 
 def _compile(e):
-    """The closure of ``compile`` and whether its value can be a DensePoly:
-    whether the expression reads t or calls U outside an integer argument."""
     cls = type(e)
     if cls is Var:
-        return _compile_var(e.name), e.name == "t"
+        return _compile_var(e.name)
     if cls is Lit:
         value = e.value.numerator if e.value.denominator == 1 else e.value
-        return (lambda b: value), False
+        return lambda b: value
     if cls is Add or cls is Sub:
         return _compile_chain(e)
     if cls is Mul or cls is Div:
         return _compile_product(e)
     if cls is Call:
-        return _compile_call(e), e.fn == "U"
+        return _compile_call(e)
     if cls is Neg:
-        operand, poly = _compile(e.operand)
-        return (lambda b: -operand(b)), poly
+        operand = _compile(e.operand)
+        return lambda b: -operand(b)
     if cls is Pow:
         return _compile_pow(e)
     if cls is BoundedSum:
         return _compile_sum(e)
-    return _failing(EvalTypeError, f"not an AST node: {e!r}"), False
+    return _failing(EvalTypeError, f"not an AST node: {e!r}")
 
 
 def _failing(error, message):
@@ -486,18 +486,17 @@ def _compile_chain(e):
     """((a +- b) +- c) ... as one loop over the chain's left spine."""
     steps = []
     while type(e) in _CHAIN_OPS:
-        steps.append((_CHAIN_OPS[type(e)], *_compile(e.right)))
+        steps.append((_CHAIN_OPS[type(e)], _compile(e.right)))
         e = e.left
-    first, poly = _compile(e)
-    poly = poly or any(right_poly for _, _, right_poly in steps)
-    steps = tuple((op, right) for op, right, _ in reversed(steps))
+    first = _compile(e)
+    steps.reverse()
 
     def chain(b):
         value = first(b)
         for op, right in steps:
             value = op(value, right(b))
         return value
-    return chain, poly
+    return chain
 
 
 # -- products ---------------------------------------------------------------
@@ -512,30 +511,28 @@ def _compile_product(e):
     zero as it is evaluated, then the leftmost operand and the spine
     bottom-up.  A step (closure, scale) gives ``scale`` times an operand; a
     division's closure is None.  Int and Fraction values go into one int
-    numerator and denominator, reduced once; any other value, and every
-    value of a product that can yield a DensePoly, goes in by Python's
-    operators as its step comes, so in order."""
+    numerator and denominator, reduced once; any other value (a SymConst or
+    a DensePoly) goes in by Python's operators as its step comes, so in
+    order, and meets the rational part at the end."""
     spine = []
     while type(e) is Mul or type(e) is Div:
         spine.append(e)
         e = e.left
-    first, poly = _compile(e)
-    rights = [_compile(node.right) for node in spine]
-    poly = poly or any(right_poly for _, right_poly in rights)
 
-    def operand(x, value):
+    def operand(x):
+        value = _compile(x)
         doubled = lambda b: 2 * value(b)
-        twice = doubled if poly else _fast_twice(x, doubled, GRID_PARAMS)
+        twice = _fast_twice(x, doubled, GRID_PARAMS)
         return (value, 1) if twice is doubled else (twice, 2)
 
     divisors, steps = [], []
-    for node, (right, _) in zip(spine, rights):
-        right, scale = operand(node.right, right)
+    for node in spine:
+        right, scale = operand(node.right)
         if type(node) is Div:
             divisors.append((node, right))
             right = None
         steps.append((right, scale))
-    steps.append(operand(e, first))
+    steps.append(operand(e))
     steps.reverse()
 
     def product(b):
@@ -549,9 +546,9 @@ def _compile_product(e):
         rest = None
         for f, scale in steps:
             x = pending.pop() if f is None else f(b)
-            if type(x) is int and not poly:
+            if type(x) is int:
                 p, q = x, scale
-            elif type(x) is Fraction and not poly:
+            elif type(x) is Fraction:
                 p, q = x.numerator, x.denominator * scale
             else:
                 rest = _product_step(rest, x, f is None, scale)
@@ -562,8 +559,8 @@ def _compile_product(e):
             den *= q
         if rest is None:
             return num if den == 1 else exact_div(num, den)
-        return rest if poly else rest * exact_div(num, den)
-    return product, poly
+        return rest if num == den else rest * exact_div(num, den)
+    return product
 
 
 def _product_step(value, x, divides, scale):
@@ -576,7 +573,7 @@ def _product_step(value, x, divides, scale):
 
 
 def _compile_pow(e):
-    base, poly = _compile(e.base)
+    base = _compile(e.base)
     exponent = _compile_int(e.exponent, "exponent")
 
     def pow_(b):
@@ -588,14 +585,14 @@ def _compile_pow(e):
             if type(value) is int:
                 value = Fraction(value)
         return value ** exp
-    return pow_, poly
+    return pow_
 
 
 def _compile_sum(e):
     index = e.index
     lower = _compile_int(e.lower, "sum lower bound")
     upper = _compile_int(e.upper, "sum upper bound")
-    body, poly = _compile(e.body)
+    body = _compile(e.body)
 
     def bounded_sum(b):
         lo = lower(b)
@@ -606,13 +603,13 @@ def _compile_sum(e):
             inner[index] = i
             total = total + body(inner)
         return total
-    return bounded_sum, poly
+    return bounded_sum
 
 
 def _compile_int(e, what):
     """A closure for the integer value of an argument; EvalTypeError naming
     ``what`` when the value is not an integer."""
-    value = _compile(e)[0]
+    value = _compile(e)
 
     def int_arg(b):
         v = value(b)
@@ -626,7 +623,7 @@ def _compile_int(e, what):
 def _compile_twice(e):
     """A closure for twice the half-integer value of an argument, as an int;
     EvalTypeError when the value is not a half-integer."""
-    value = _compile(e)[0]
+    value = _compile(e)
     return lambda b: to_twice(value(b))
 
 
@@ -666,9 +663,9 @@ def twice_sum(terms, const, fallback=None):
     """A closure for twice the value of ``const + sum(c * name)`` over
     ``terms`` = ((name, c), ...) at half-integer bindings, as an int computed
     on twice the bindings' values; None unless every c is an integer and
-    ``const`` a half-integer.  An unbound name raises KeyError, and a binding
-    that is not a half-integer EvalTypeError, unless a ``fallback`` closure
-    is given: then the closure returns ``fallback(b)`` instead."""
+    ``const`` a half-integer.  An unbound name raises UnboundVariable, and a
+    binding that is not a half-integer EvalTypeError, unless a ``fallback``
+    closure is given: then the closure returns ``fallback(b)`` instead."""
     terms = tuple((name, Fraction(c)) for name, c in terms)
     twice_const = 2 * Fraction(const)
     if twice_const.denominator != 1 or any(c.denominator != 1 for _, c in terms):
@@ -682,10 +679,12 @@ def twice_sum(terms, const, fallback=None):
             for name, c in terms:
                 v = b[name]
                 total += c * (2 * v if type(v) is int else to_twice(v))
-        except (KeyError, EvalTypeError):
-            if fallback is None:
-                raise
-            return fallback(b)
+        except (KeyError, EvalTypeError) as exc:
+            if fallback is not None:
+                return fallback(b)
+            if type(exc) is KeyError:
+                raise UnboundVariable(f"variable {name!r} is unbound") from None
+            raise
         return total
     return twice
 

@@ -55,7 +55,7 @@ class Affine:
     def compile_twice(self):
         """A closure for twice the value under half-integer bindings, as an
         int: integer arithmetic on the bindings' ``twice`` values.  An
-        unbound name raises KeyError."""
+        unbound name raises UnboundVariable."""
         terms = [(name, getattr(self, name)) for name in ("k", "n", "r", "s")
                  if getattr(self, name)]
         return dsl.twice_sum(terms, self.const)
@@ -235,6 +235,8 @@ def load_identity(document):
         rhs_doc = document["rhs"]
     except KeyError as exc:
         raise FormatError(f"missing field {exc}") from exc
+    if not isinstance(name, str):
+        raise FormatError(f"identity 'name' must be a string, got {name!r}")
     status = document.get("status", "verified")
     if status not in STATUSES:
         raise FormatError(f"unknown status {status!r}")
@@ -257,24 +259,20 @@ def _load_side(doc, name):
         raise FormatError(f"{name}: side must be an object with a 'kind'")
     kind = doc["kind"]
     if kind == "standard":
-        terms = tuple(_load_term(t, name) for t in doc.get("terms", ()))
-        return StandardSide(terms)
+        return StandardSide(tuple(_load_term(t, name) for t in _objects(doc, "terms", name)))
     if kind == "poly":
-        expr = dsl.parse(doc["expr"])
+        expr = _dsl_field(doc, "expr", name)
         if not dsl.is_polynomial(expr):
             raise FormatError(f"{name}: poly side contains no t")
         return PolySide(expr)
     if kind == "closed":
-        sums = doc.get("sums", [])
-        if not isinstance(sums, list) or not all(isinstance(s, dict) for s in sums):
-            raise FormatError(f"{name}: closed 'sums' must be a list of objects")
         summands = tuple(
-            ClosedSummand(ClosedTerm(_closed_field(s, "coeff", name)),
-                          _closed_field(s, "lower", name, bound=True),
-                          _closed_field(s, "upper", name, bound=True))
-            for s in sums
+            ClosedSummand(ClosedTerm(_dsl_field(s, "coeff", name)),
+                          _dsl_field(s, "lower", name, bound=True),
+                          _dsl_field(s, "upper", name, bound=True))
+            for s in _objects(doc, "sums", name)
         )
-        extra = _closed_field(doc, "expr", name) if "expr" in doc else None
+        extra = _dsl_field(doc, "expr", name) if "expr" in doc else None
         if not summands and extra is None:
             raise FormatError(f"{name}: empty closed side")
         for e in [s.term.coeff for s in summands] + ([extra] if extra is not None else []):
@@ -284,26 +282,34 @@ def _load_side(doc, name):
     raise FormatError(f"{name}: unknown side kind {kind!r}")
 
 
-def _closed_field(doc, key, name, bound=False):
-    """The parsed DSL text of a closed-side field; a sum bound may also be an integer."""
+def _objects(doc, key, name):
+    """A side's list of term objects under ``key``; none when it is absent."""
+    items = doc.get(key, [])
+    if not isinstance(items, list) or not all(isinstance(item, dict) for item in items):
+        raise FormatError(f"{name}: {doc['kind']} {key!r} must be a list of objects")
+    return items
+
+
+def _dsl_field(doc, key, name, default=None, bound=False):
+    """The parsed DSL text of a side or term field; a sum bound may also be
+    an integer.  An absent field is ``default`` when one is given."""
     if key not in doc:
-        raise FormatError(f"{name}: closed side missing {key!r}")
+        if default is None:
+            raise FormatError(f"{name}: missing field {key!r}")
+        return dsl.parse(default)
     value = doc[key]
     if not (isinstance(value, str) or (bound and is_json_int(value))):
-        raise FormatError(f"{name}: closed side {key!r} must be DSL text, got {value!r}")
+        raise FormatError(f"{name}: field {key!r} must be DSL text, got {value!r}")
     return dsl.parse(str(value))
 
 
 def _load_term(doc, name):
-    try:
-        coeff = dsl.parse(doc["coeff"])
-        t_exp = _load_affine(doc.get("t_exp", [0, 0, 0]), name)
-        base = doc.get("base", "1-t")
-        base_exp = _load_affine(doc.get("base_exp", [0, 0, 0]), name)
-        lower = dsl.parse(str(doc.get("lower", "0")))
-        upper = dsl.parse(str(doc.get("upper", "0")))
-    except KeyError as exc:
-        raise FormatError(f"{name}: standard term missing {exc}") from exc
+    coeff = _dsl_field(doc, "coeff", name)
+    t_exp = _load_affine(doc.get("t_exp", [0, 0, 0]), name)
+    base = doc.get("base", "1-t")
+    base_exp = _load_affine(doc.get("base_exp", [0, 0, 0]), name)
+    lower = _dsl_field(doc, "lower", name, default="0", bound=True)
+    upper = _dsl_field(doc, "upper", name, default="0", bound=True)
     if base not in ("1-t", "1+t"):
         raise FormatError(f"{name}: bad base {base!r}")
     bad = dsl.free_vars(coeff) - {"k", "n"}

@@ -430,6 +430,13 @@ class TestTransform:
         assert code == 0
         assert "check: equal" in out
 
+    @pytest.mark.parametrize("grid, unbound", [(["--r", "1"], "s"), (["--v", "1"], "r")])
+    def test_check_on_a_grid_without_r_or_s_exits_2(self, capsys, tmp_path, grid, unbound):
+        path = write(tmp_path, STANDARD)
+        code, _, err = run(capsys, "transform", path, "--op", "beta", "--check", *grid)
+        assert code == 2
+        assert err.splitlines() == [f"error: variable {unbound!r} is unbound"]
+
     def test_unknown_op_exits_2(self, capsys, tmp_path):
         path = write(tmp_path, STANDARD)
         assert run(capsys, "transform", path, "--op", "gamma")[0] == 2

@@ -10,6 +10,7 @@ from finsum import dsl
 from finsum.errors import (ArityError, DivisionByZero, DslSyntaxError,
                            EvalTypeError, FinsumError, PoleError, UnboundVariable)
 from finsum.field import SymConst, half, lift
+from finsum.polyverify import DensePoly
 
 
 def ev(text, **binds):
@@ -255,8 +256,9 @@ def test_nested_sum_matches_direct(n, m):
 
 def walk(e, b):
     """The value of an expression of literals, variables, + - * / and calls,
-    by one SymConst operator per node in tree-walk order: a Div's divisor
-    first, checked for zero, then its dividend; calls are compiled alone."""
+    by one SymConst or DensePoly operator per node in tree-walk order: a
+    Div's divisor first, checked for zero, then its dividend; calls and
+    powers are compiled alone."""
     cls = type(e)
     if cls is dsl.Div:
         d = walk(e.right, b)
@@ -273,16 +275,22 @@ def walk(e, b):
     if cls is dsl.Neg:
         return -walk(e.operand, b)
     if cls is dsl.Lit:
-        return lift(e.value)
+        return lifted(e.value)
     if cls is dsl.Var:
-        return lift(b[e.name])
-    return lift(dsl.compile(e)(b))
+        return lifted(b[e.name])
+    return lifted(dsl.compile(e)(b))
+
+
+def lifted(value):
+    """A value as a SymConst; a DensePoly stays as it is."""
+    return value if type(value) is DensePoly else lift(value)
 
 
 OPERANDS = st.sampled_from([
     "0", "1", "2", "(-3)", "5/2", "(1/2)", "(-3/2)", "k", "n", "r", "s",
     "(k+s)", "(n-k+r-s)", "(k-k)", "(2*k+1)", "(r+s-1)", "-s",
     "H(r)", "H(k+1/2)", "H(k)", "binom(n, s)", "binom(r, k)", "binom(n, k)",
+    "t", "(1-t)", "(1+t)^2", "U(2)",
 ])
 
 
@@ -299,11 +307,14 @@ HALVES = st.sampled_from([Fraction(-1, 2), Fraction(1, 2), 1, Fraction(3, 2), 2]
 @given(PRODUCTS, st.integers(-1, 3), st.integers(0, 4), HALVES, HALVES)
 @example("(k+s)/(n-k+r-s)*H(r)/(k-k)", 1, 2, Fraction(1, 2), 1)
 @example("binom(r, k)/(r+s-1)*(k+s)/H(k+1/2)", 2, 3, Fraction(1, 2), Fraction(1, 2))
+@example("(1-t)*(k+s)/2*U(2)/H(r)*binom(n, k)", 1, 2, Fraction(1, 2), 1)
+@example("t*(1+t)^2/(1-t)/(k-k)", 1, 2, 1, 1)
 def test_product_matches_tree_walk(text, k, n, r, s):
     """A compiled product has the value, or raises the error with the
-    message, of a walk that applies one operator per node."""
+    message, of a walk that applies one operator per node; with t bound
+    to the indeterminate, polynomial operands are held to it too."""
     expr = dsl.parse(text)
-    point = {"k": k, "n": n, "r": r, "s": s}
+    point = {"k": k, "n": n, "r": r, "s": s, "t": DensePoly.variable()}
     try:
         want = walk(expr, point)
     except FinsumError as exc:
@@ -311,4 +322,4 @@ def test_product_matches_tree_walk(text, k, n, r, s):
             dsl.compile(expr)(point)
         assert str(got.value) == str(exc)
     else:
-        assert lift(dsl.compile(expr)(point)) == want
+        assert lifted(dsl.compile(expr)(point)) == want

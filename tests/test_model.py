@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from finsum import corpus, dsl
-from finsum.errors import EvalTypeError, FormatError, ShapeError
+from finsum.errors import EvalTypeError, FormatError, ShapeError, UnboundVariable
 from finsum.field import half, to_twice
 from finsum.model import (Affine, PolySide, admissible, is_negative_integer, load_identity,
                           substitute_neg_t)
@@ -62,7 +62,7 @@ class TestAffine:
         assert affine.compile_twice()(point) == want
         assert all(type(getattr(affine, name)) is int for name in ("k", "n", "r", "s", "const"))
         if not affine.is_zero:
-            with pytest.raises(KeyError):
+            with pytest.raises(UnboundVariable, match="is unbound"):
                 affine.compile_twice()({})
 
     @pytest.mark.parametrize("coeffs", [
@@ -210,6 +210,27 @@ class TestValidation:
             doc["rhs"] = side
             with pytest.raises(FormatError):
                 load_identity(doc)
+
+    @pytest.mark.parametrize("field, value", [
+        ("name", 5),
+        ("lhs", {"kind": "standard", "terms": 5}),
+        ("lhs", {"kind": "standard", "terms": [5]}),
+        ("lhs", {"kind": "standard", "terms": [{"coeff": 5}]}),
+        ("lhs", {"kind": "standard", "terms": [{"coeff": "1", "lower": 0.5}]}),
+        ("lhs", {"kind": "standard", "terms": [{"coeff": "1", "lower": None}]}),
+        ("rhs", {"kind": "poly", "expr": 5}),
+        ("rhs", {"kind": "poly"}),
+    ], ids=["name-not-string", "terms-not-list", "term-not-object", "coeff-not-text",
+            "lower-float", "lower-null", "poly-expr-not-text", "poly-expr-missing"])
+    def test_standard_and_poly_fields_checked(self, field, value):
+        doc = dict(STANDARD_DOC, **{field: value})
+        with pytest.raises(FormatError):
+            load_identity(doc)
+
+    def test_standard_term_defaults(self):
+        doc = dict(STANDARD_DOC, lhs={"kind": "standard", "terms": [{"coeff": "1", "upper": 3}]})
+        term, = load_identity(doc).lhs.terms
+        assert (term.base, term.lower, term.upper) == ("1-t", dsl.parse("0"), dsl.parse("3"))
 
     def test_closed_sum_bounds_may_be_integers(self):
         doc = dict(CLOSED_DOC)
