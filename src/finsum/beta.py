@@ -115,7 +115,7 @@ def derivative_bracket(factors, param):
         elif isinstance(f, FRecipAffine):
             ap = f.affine.derivative(param)
             if ap:
-                pieces.append(RecipPiece(-f.power * ap, f.affine))
+                pieces.append(RecipPiece(-ap, f.affine))
         else:
             raise ShapeError(f"cannot differentiate factor {f!r}")
     return tuple(pieces)
@@ -360,12 +360,8 @@ def _run_term(plan, bindings):
             twice = x(bindings)
             if twice == 0:
                 raise DivisionByZero(f"zero affine under reciprocal: {f.render()}")
-            if f.power >= 0:
-                num *= 2 ** f.power
-                den *= twice ** f.power
-            else:
-                num *= twice ** -f.power
-                den *= 2 ** -f.power
+            num *= 2
+            den *= twice
         else:
             raise EvalTypeError(f"unknown factor {f!r}")
     if num == 0:
@@ -563,7 +559,7 @@ def _eval_term_float(term, coeff, exact_bindings, num, mp):
             b = mp.binomial(_affine_float(f.top, num), _affine_float(f.bot, num))
             product *= b if f.power == 1 else 1 / b
         elif isinstance(f, FRecipAffine):
-            product *= 1 / _affine_float(f.affine, num) ** f.power
+            product *= 1 / _affine_float(f.affine, num)
         else:
             raise EvalTypeError(f"unknown factor {f!r}")
     value = lift(coeff(exact_bindings)).to_float(mp.mp.dps) * product

@@ -75,13 +75,25 @@ def _grid_values_from_args(args):
     return values
 
 
+def _grid_points(values):
+    """``corpus.grid_points`` of the command line's grid values; UsageError
+    when they leave no admissible point."""
+    grid = corpus.grid_points(values)
+    if not grid:
+        raise UsageError("the grid leaves no admissible (r, s) point")
+    return grid
+
+
 def _load_entry(path, args):
     """A corpus entry whose n values and parameter grid the command line may replace."""
     grid_values = _grid_values_from_args(args)
     n_values = tuple(to_int(v) for v in parse_grid(args.n)) if args.n else None
     entry = corpus.load_entry(_load_document(path))
     if grid_values:
-        entry = replace(entry, param_grid=corpus.grid_points(grid_values))
+        if not entry.identity.is_closed:
+            flags = ", ".join(f"--{name}" for name in grid_values)
+            raise UsageError(f"{entry.name}: a polynomial entry reads no grid ({flags})")
+        entry = replace(entry, param_grid=_grid_points(grid_values))
     if n_values:
         entry = replace(entry, n_values=n_values)
     return entry
@@ -140,6 +152,12 @@ def cmd_transform(args):
     ops = [op.strip() for op in args.op.split(",") if op.strip()]
     if not ops:
         raise UsageError("no transform operation given")
+    if not args.check:
+        read = {"u", "v"} if "central_uv" in ops else {"v"} if "central_v" in ops else set()
+        unread = [f"--{name}" for name in ("n",) + GRID_PARAMS
+                  if getattr(args, name) is not None and name not in read]
+        if unread:
+            raise UsageError(f"nothing reads {', '.join(unread)} without --check")
 
     produced = [identity]
     for op in ops:
@@ -162,12 +180,13 @@ def cmd_transform(args):
 
     exit_code = EXIT_OK
     grid_values = _grid_values_from_args(args)
+    given_grid = _grid_points(grid_values) if grid_values else None
+    n_values = [to_int(v) for v in parse_grid(args.n)] if args.n else list(range(0, 9))
     for cid in produced:
         _print_cid(cid)
         if args.check:
-            n_values = [to_int(v) for v in parse_grid(args.n)] if args.n else list(range(0, 9))
-            if grid_values:
-                grid = corpus.grid_points(grid_values)
+            if given_grid:
+                grid = given_grid
             elif any(sm.term.factors for side in (cid.lhs, cid.rhs) for sm in side.summands):
                 grid = corpus.grid_points(dict.fromkeys("rs", parse_grid("1/2..2:1/2")))
             else:
@@ -199,8 +218,8 @@ def _int_param(text, name):
 # corpus run
 
 def cmd_corpus(args):
-    if args.action != "run":
-        raise UsageError(f"unknown corpus action {args.action!r}")
+    if args.jobs < 1:
+        raise UsageError(f"--jobs must be at least 1, got {args.jobs}")
     names = set(args.name) if args.name else None
     reports = corpus.run_corpus(directory=args.corpus_dir, names=names,
                                 status=args.status, jobs=args.jobs)
@@ -212,6 +231,8 @@ def cmd_corpus(args):
 # eval
 
 def cmd_eval(args):
+    if args.precision is not None and not args.as_float:
+        raise UsageError("--precision applies only with --float")
     bindings = {}
     for item in args.bind or ():
         name, sep, value = item.partition("=")
@@ -222,7 +243,7 @@ def cmd_eval(args):
     value = dsl.eval_scalar(expr, bindings)
     print(value.render())
     if args.as_float:
-        print(value.to_float(args.precision))
+        print(value.to_float(30 if args.precision is None else args.precision))
     return EXIT_OK
 
 
@@ -265,8 +286,8 @@ def build_parser():
     p = sub.add_parser("eval", help="evaluate a scalar expression exactly")
     p.add_argument("expr", nargs="?")   # optional only to argparse; see main
     p.add_argument("--bind", action="append", help="variable binding var=halfint (repeatable)")
-    p.add_argument("--precision", type=int, default=30,
-                   help="digits for --float output")
+    p.add_argument("--precision", type=int,
+                   help="digits for --float output (default 30)")
     p.add_argument("--float", action="store_true", dest="as_float",
                    help="also print a numeric value")
     p.set_defaults(func=cmd_eval)

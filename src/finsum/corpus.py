@@ -140,7 +140,11 @@ def load_entry(document):
         n_values = [n for n in n_values if n % 2 == 1]
     else:
         n_values = list(n_values)
+    if not n_values:
+        raise FormatError(f"{identity.name}: 'n' {n_range} leaves no {parity or 'integer'} n")
     grid = grid_points(_document_grid(document.get("grid"), identity.name))
+    if not grid:
+        raise FormatError(f"{identity.name}: 'grid' leaves no admissible point")
     return CorpusEntry(identity, expected, witness, tuple(n_values), grid)
 
 

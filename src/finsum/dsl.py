@@ -29,8 +29,8 @@ rational operands once, not per operator; only ``H``, ``binom`` and
 ``special`` accessors hand over as a ``SymConst``, and from there Python's
 operators carry it.  Bound to ``polyverify.DensePoly.variable()``, ``t``
 makes the value a polynomial in t the same way, through the same closures,
-and ``U(m)`` is the Chebyshev polynomial U_m of it; ``U`` is an error
-anywhere else.
+and ``U(m)`` is the cached Chebyshev polynomial ``polyverify.chebyshev_u(m)``;
+``U`` is an error wherever ``t`` is not bound to that variable.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from fractions import Fraction
 
 from .errors import (ArityError, DivisionByZero, DslSyntaxError, EvalTypeError,
                      PoleError, UnboundVariable)
-from .field import exact_div, lift, to_int, to_twice
+from .field import SymConst, exact_div, lift, to_int, to_twice
 from . import special
 
 VAR_NAMES = ("n", "k", "j", "r", "s", "u", "v", "t")
@@ -509,8 +509,9 @@ def _compile_product(e):
 
     Operands run in tree-walk order: every divisor top-down, checked for
     zero as it is evaluated, then the leftmost operand and the spine
-    bottom-up.  A step (closure, scale) gives ``scale`` times an operand; a
-    division's closure is None.  Int and Fraction values go into one int
+    bottom-up; a zero polynomial divisor is caught with the zero scalars.  A
+    step (closure, scale) gives ``scale`` times an operand; a division's
+    closure is None.  Int and Fraction values go into one int
     numerator and denominator, reduced once; any other value (a SymConst or
     a DensePoly) goes in by Python's operators as its step comes, so in
     order, and meets the rational part at the end."""
@@ -539,7 +540,7 @@ def _compile_product(e):
         pending = []
         for node, f in divisors:
             d = f(b)
-            if d == 0:
+            if d == 0 or type(d) is not int and type(d) is not Fraction and d.is_zero:
                 raise DivisionByZero(f"division by zero in {render(node)}")
             pending.append(d)
         num = den = 1
@@ -551,7 +552,9 @@ def _compile_product(e):
             elif type(x) is Fraction:
                 p, q = x.numerator, x.denominator * scale
             else:
-                rest = _product_step(rest, x, f is None, scale)
+                # a popped divisor's node sits at pending's new length
+                divisor = None if f is not None else divisors[len(pending)][0]
+                rest = _product_step(rest, x, divisor, scale)
                 continue
             if f is None:
                 p, q = q, p
@@ -563,13 +566,18 @@ def _compile_product(e):
     return product
 
 
-def _product_step(value, x, divides, scale):
-    """``value`` (None before any operand) times, or over, ``x / scale``."""
+def _product_step(value, x, divisor, scale):
+    """``value`` (None before any operand) times ``x / scale``, or over it
+    when ``divisor``, the ``Div`` node that ``x`` is the divisor of, is given.
+    A divisor with t in it is an EvalTypeError naming that node."""
     if scale != 1:
         x = exact_div(x, scale)
-    if value is None:
-        return exact_div(1, x) if divides else x
-    return exact_div(value, x) if divides else value * x
+    if divisor is None:
+        return x if value is None else value * x
+    if type(x) is not SymConst and x.degree > 0:
+        raise EvalTypeError(f"division by the polynomial {render(divisor.right)}"
+                            f" in {render(divisor)}")
+    return exact_div(1 if value is None else value, x)
 
 
 def _compile_pow(e):
@@ -733,13 +741,14 @@ def _compile_call(e):
             return value
         return binom
     if fn == "U":
+        from .polyverify import DensePoly, chebyshev_u
         m, = xs
+        variable = DensePoly.variable()
 
         def chebyshev(b):
-            t = b.get("t")
-            if t is None or isinstance(t, (int, Fraction)):
+            if variable != b.get("t"):
                 raise EvalTypeError("U(...) is only meaningful in polynomial context")
-            return special.chebyshev_u(m(b))(t)
+            return chebyshev_u(m(b))
         return chebyshev
     if fn not in _CALLS:
         return _failing(EvalTypeError, f"unknown function {fn!r}")

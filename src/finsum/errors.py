@@ -58,3 +58,4 @@ class ShapeError(FinsumError):
 
 class NegativeExponent(FinsumError):
     """A (1-t)/t exponent evaluated to a negative integer during expansion."""
+    exit_code = 2

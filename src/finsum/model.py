@@ -129,14 +129,12 @@ class FBinom:
 
 @dataclass(frozen=True)
 class FRecipAffine:
-    """1/affine^power factor."""
+    """1/affine factor: the 1/(a+s) of the Beta weight."""
 
     affine: Affine
-    power: int = 1
 
     def render(self):
-        body = f"({self.affine.render()})"
-        return f"1/{body}" if self.power == 1 else f"1/{body}^{self.power}"
+        return f"1/({self.affine.render()})"
 
 
 @dataclass(frozen=True)
@@ -235,8 +233,10 @@ def load_identity(document):
         rhs_doc = document["rhs"]
     except KeyError as exc:
         raise FormatError(f"missing field {exc}") from exc
-    if not isinstance(name, str):
-        raise FormatError(f"identity 'name' must be a string, got {name!r}")
+    for key in ("name", "paper_ref", "notes"):
+        value = document.get(key, "")
+        if not isinstance(value, str):
+            raise FormatError(f"identity {key!r} must be a string, got {value!r}")
     status = document.get("status", "verified")
     if status not in STATUSES:
         raise FormatError(f"unknown status {status!r}")

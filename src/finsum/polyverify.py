@@ -4,7 +4,8 @@ A side is expanded into a dense polynomial in t over the constant field:
 standard sides by the binomial theorem applied to each coeff * t^a * (1+-t)^b
 summand, free-form polynomial sides by their ``dsl.compile`` closure with t
 bound to ``DensePoly.variable()``.  Two sides agree iff their coefficient vectors
-agree; there is no tolerance anywhere.
+agree; there is no tolerance anywhere.  ``DensePoly`` is the one polynomial
+type, and ``chebyshev_u`` gives the DSL's ``U(m)`` as one.
 
 A ``DensePoly`` holds its coefficients lowered, as the evaluators do: a plain
 int or Fraction for a rational coefficient and a SymConst only for one with
@@ -19,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import dsl, special
+from . import dsl
 from .errors import DivisionByZero, EvalTypeError, NegativeExponent
 from .field import exact_div, half, lift, lower, to_int
 from .model import PolySide, StandardSide
@@ -190,14 +191,13 @@ def binomial_power(base, exponent):
     return _poly(coeffs)
 
 
-def expand_side(side, n, bindings=None):
+def expand_side(side, n):
     """Dense expansion of one side of a polynomial identity at concrete n.
 
     Each standard summand coeff * t^a * (1+-t)^b adds coeff times the
     binomial row of (1+-t)^b, shifted by a, into one coefficient list.
     """
-    base_bindings = dict(bindings or {})
-    base_bindings["n"] = half(n)
+    base_bindings = {"n": half(n)}
     if isinstance(side, StandardSide):
         acc = []
         for term in side.terms:
@@ -257,10 +257,10 @@ class PolyReport:
         return None
 
 
-def verify_poly(identity, n, bindings=None):
+def verify_poly(identity, n):
     """Compare both sides coefficient-by-coefficient at concrete n."""
-    lhs = expand_side(identity.lhs, n, bindings)
-    rhs = expand_side(identity.rhs, n, bindings)
+    lhs = expand_side(identity.lhs, n)
+    rhs = expand_side(identity.rhs, n)
     return PolyReport(identity.name, n, lhs == rhs, lhs, rhs)
 
 
@@ -272,7 +272,23 @@ def integrate_unit(poly):
     return lift(total)
 
 
+_chebyshev = [_poly([1]), _poly([0, 2])]   # U_0, U_1, ... built so far
+
+
+def chebyshev_u(m):
+    """Chebyshev U_m, cached, via U_0 = 1, U_1 = 2t and
+    U_{m+1} = 2t*U_m - U_{m-1} on int coefficient tuples."""
+    if m < 0:
+        raise EvalTypeError("chebyshev_u needs m >= 0")
+    while len(_chebyshev) <= m:
+        prev, prev2 = _chebyshev[-1]._coeffs, _chebyshev[-2]._coeffs
+        nxt = [0] + [2 * c for c in prev]
+        for i, c in enumerate(prev2):
+            nxt[i] -= c
+        _chebyshev.append(_poly(nxt))
+    return _chebyshev[m]
+
+
 def cheb_u_sqrt_poly(n):
     """U_{2n}(sqrt(t)) as a polynomial in t (even-coefficient compression)."""
-    cheb = special.chebyshev_u(2 * n)
-    return DensePoly(cheb.coefficients[2 * i] for i in range(n + 1))
+    return _poly(chebyshev_u(2 * n)._coeffs[::2])

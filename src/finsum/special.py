@@ -1,11 +1,12 @@
-"""Exact special quantities: factorials, (odd/generalized) harmonic numbers,
-Gamma at half-integers, generalized binomial coefficients with pole
-conventions, and Chebyshev polynomials of the second kind.
+"""Exact special values: factorials, (odd/generalized) harmonic numbers,
+Gamma at half-integers and generalized binomial coefficients with pole
+conventions.  Polynomials in t, Chebyshev U_m among them, live in
+``polyverify``.
 
 All arguments are half-integers and all results live in the constant field,
-so every value is exact.  Factorials, H_q, binom(x, y) and U_n are cached for
-the life of the process, keyed by plain ints; Gamma values are not, since
-the binomial cache holds every result built from them.
+so every value is exact.  H_q and binom(x, y) are cached for the life of the
+process, keyed by plain ints; Gamma values are not, since the binomial cache
+holds every result built from them.
 
 Like the evaluators, the caches hold a rational value as a plain ``int`` or
 ``Fraction`` and a SymConst only where ln2 or sqrt(pi) appears.  The
@@ -18,22 +19,19 @@ their results to SymConst on the way out.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DivisionByZero, EvalTypeError, PoleError
 from .field import SymConst, half, lift, lower, to_twice
 
-_factorials = [1]
-
 
 def factorial(n):
-    """Exact n! as a Fraction."""
+    """Exact n! as an int."""
     if n < 0:
         raise EvalTypeError("factorial of a negative integer")
-    while len(_factorials) <= n:
-        _factorials.append(_factorials[-1] * len(_factorials))
-    return Fraction(_factorials[n])
+    return math.factorial(n)
 
 
 def harmonic_m(n, m=1):
@@ -63,28 +61,18 @@ def harmonic_at(twice):
 
 
 def _harmonic_uncached(twice):
-    """H_q via the recurrence H_q = H_{q-1} + 1/q.
-
-    Integer anchor H_0 = 0; half-odd anchor H_{-1/2} = -2 ln2.  Negative
-    integers are digamma poles.
-    """
-    if twice % 2 == 0:
-        if twice < 0:
-            raise PoleError(f"H_{twice // 2} is a pole")
-        return lower(harmonic_m(twice // 2, 1))
-    # q = m + 1/2; for m >= -1 this is 2*O_{m+1} - 2 ln2, and the same
-    # recurrence extends downward for m < -1.
-    m = (twice - 1) // 2
-    if m >= 0:
-        acc = 2 * odd_harmonic_m(m + 1, 1)
-    else:
-        x = Fraction(-1, 2)
-        acc = Fraction(0)
-        target = Fraction(twice, 2)
-        while x > target:
-            acc -= 1 / x
-            x -= 1
-    return SymConst.monomial(-2, ln2_exp=1) + acc
+    """H_q via the recurrence H_q = H_{q-1} + 1/q, walked up or down from
+    the anchor of q's parity: H_0 = 0 or H_{-1/2} = -2 ln2.  Negative
+    integers are digamma poles."""
+    if twice < 0 and twice % 2 == 0:
+        raise PoleError(f"H_{twice // 2} is a pole")
+    anchor = -(twice % 2)   # twice the anchor: 0 or -1
+    acc = Fraction(0)
+    for x2 in range(anchor + 2, twice + 1, 2):
+        acc += Fraction(2, x2)
+    for x2 in range(anchor, twice, -2):
+        acc -= Fraction(2, x2)
+    return lower(acc) if anchor == 0 else SymConst.monomial(-2, ln2_exp=1) + acc
 
 
 def harmonic(q):
@@ -150,7 +138,7 @@ def _binom_uncached(x2, y2):
         num = 1
         for i in range(yi):
             num *= x2 - 2 * i
-        return lower(Fraction(num, factorial(yi).numerator << yi))
+        return lower(Fraction(num, factorial(yi) << yi))
     diff2 = x2 - y2
     if diff2 >= 0 and diff2 % 2 == 0:
         return binom_at(x2, diff2)
@@ -183,40 +171,3 @@ def gen_binom(x, y):
     arguments, as a ``BinomValue`` holding a SymConst."""
     value = binom_at(to_twice(x), to_twice(y))
     return value if value is INFINITE else BinomValue(lift(value))
-
-
-@dataclass(frozen=True)
-class ChebPoly:
-    """Chebyshev U_n as an exact coefficient vector (index = power of t)."""
-
-    coefficients: tuple
-
-    @property
-    def degree(self):
-        return len(self.coefficients) - 1
-
-    def __call__(self, t):
-        """U_n at t by Horner's rule: t is a number or a polyverify.DensePoly."""
-        total = 0
-        for c in reversed(self.coefficients):
-            total = total * t + c
-        return total
-
-
-_cheb_cache = [ChebPoly((Fraction(1),)), ChebPoly((Fraction(0), Fraction(2)))]
-
-
-def chebyshev_u(n):
-    """U_n via U_0 = 1, U_1 = 2t, U_{n+1} = 2t*U_n - U_{n-1}."""
-    if n < 0:
-        raise EvalTypeError("chebyshev_u needs n >= 0")
-    while len(_cheb_cache) <= n:
-        prev = _cheb_cache[-1].coefficients
-        prev2 = _cheb_cache[-2].coefficients
-        nxt = [Fraction(0)] * (len(prev) + 1)
-        for i, c in enumerate(prev):
-            nxt[i + 1] += 2 * c
-        for i, c in enumerate(prev2):
-            nxt[i] -= c
-        _cheb_cache.append(ChebPoly(tuple(nxt)))
-    return _cheb_cache[n]

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from finsum import cli, dsl, errors
+from finsum import cli, corpus, dsl, errors
 from finsum.cli import UsageError, main, parse_grid
 from finsum.errors import (ArityError, DivisionByZero, DslSyntaxError, EvalTypeError,
                            FinsumError, FormatError, NegativeExponent, PoleError,
@@ -56,8 +56,8 @@ def write(tmp_path, doc, name="doc.json"):
 
 
 EXIT_CODES = [
-    (FinsumError, 1), (NegativeExponent, 1),
-    (PoleError, 2), (DivisionByZero, 2), (EvalTypeError, 2), (UnboundVariable, 2),
+    (FinsumError, 1),
+    (NegativeExponent, 2), (PoleError, 2), (DivisionByZero, 2), (EvalTypeError, 2), (UnboundVariable, 2),
     (DslSyntaxError, 2), (ArityError, 2), (UsageError, 2),
     (FormatError, 3), (ShapeError, 4),
 ]
@@ -128,6 +128,12 @@ class TestEval:
         lines = out.strip().splitlines()
         assert lines[0] == "2 - 2*L"
         assert abs(float(lines[1]) - 0.6137056388801094) < 1e-12
+
+    def test_precision_without_float_exits_2(self, capsys):
+        assert run(capsys, "eval", "1/2", "--precision", "50") == (
+            2, "", "error: --precision applies only with --float\n")
+        code, out, _ = run(capsys, "eval", "1/2", "--precision", "50", "--float")
+        assert code == 0 and out.splitlines()[0] == "1/2"
 
     def test_usage_errors_exit_2(self, capsys):
         assert run(capsys, "eval", "1 +")[0] == 2          # syntax
@@ -320,6 +326,36 @@ class TestVerify:
         assert run(capsys, "verify", path, "--n", "1,2,5")[0] == 0
         assert seen == [(1, 2, 5)]
 
+    @pytest.mark.parametrize("doc", [
+        dict(GOOD_CLOSED, lhs={"kind": "closed", "expr": "1"}, rhs={"kind": "closed", "expr": "2"},
+             n=[3, 1]),
+        dict(GOOD_CLOSED, lhs={"kind": "closed", "expr": "1"}, rhs={"kind": "closed", "expr": "2"},
+             n=[0, 0], parity="odd"),
+        dict(STANDARD, lhs={"kind": "poly", "expr": "t"}, rhs={"kind": "poly", "expr": "t^2"},
+             n=[3, 1]),
+        dict(GOOD_CLOSED, lhs={"kind": "closed", "expr": "r"}, rhs={"kind": "closed", "expr": "s"},
+             grid={"r": ["1"], "s": ["2"]}),
+    ], ids=["empty-n-range", "parity-leaves-none", "poly-empty-n-range", "only-pair-inadmissible"])
+    def test_document_without_a_point_exits_3(self, capsys, tmp_path, doc):
+        code, out, err = run(capsys, "verify", write(tmp_path, doc))
+        assert (code, out) == (3, "")
+        assert len(err.splitlines()) == 1 and err.startswith("error: ") and "leaves no" in err
+
+    @pytest.mark.parametrize("entry, flags, message", [
+        ("dattoli-rs.json", ["--r", "1", "--s", "2"], "no admissible (r, s) point"),
+        ("binomial-theorem.json", ["--r", "1/2", "--n", "0..2"], "reads no grid (--r)"),
+    ], ids=["grid-leaves-no-point", "grid-for-a-polynomial-entry"])
+    def test_command_line_that_checks_nothing_exits_2(self, capsys, entry, flags, message):
+        code, out, err = run(capsys, "verify", str(corpus.DEFAULT_DIR / entry), *flags)
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1 and err.startswith("error: ") and message in err
+
+    def test_negative_t_exponent_exits_2(self, capsys, tmp_path):
+        # exit 1 would read as a mismatch
+        doc = dict(STANDARD, lhs={"kind": "standard", "terms": [{"coeff": "1", "t_exp": [1, 0, -1]}]})
+        code, out, err = run(capsys, "verify", write(tmp_path, doc))
+        assert (code, out, err) == (2, "", "error: t^-1 at k=0, n=0\n")
+
     def test_unknown_flags_exit_2(self, capsys, tmp_path):
         path = write(tmp_path, GOOD_CLOSED)
         assert run(capsys, "verify", path, "--jobs", "2")[0] == 2
@@ -437,6 +473,25 @@ class TestTransform:
         assert code == 2
         assert err.splitlines() == [f"error: variable {unbound!r} is unbound"]
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--op", "beta", "--check", "--r", "1", "--s", "2"],
+         "the grid leaves no admissible (r, s) point"),
+        (["--op", "beta", "--r", "1", "--n", "0..3"], "nothing reads --n, --r without --check"),
+        (["--op", "beta", "--v", "1"], "nothing reads --v without --check"),
+        (["--op", "central_v", "--v", "1", "--u", "1"], "nothing reads --u without --check"),
+    ], ids=["grid-leaves-no-point", "grid-without-check", "v-without-central-op",
+            "u-without-central-uv"])
+    def test_flags_that_nothing_reads_exit_2(self, capsys, argv, message):
+        path = str(corpus.DEFAULT_DIR / "binom-harmonic-gf.json")
+        code, out, err = run(capsys, "transform", path, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: {message}\n"
+
+    def test_central_ops_read_u_and_v_without_check(self, capsys, tmp_path):
+        path = write(tmp_path, PLUS_T)
+        assert run(capsys, "transform", path, "--op", "central_v", "--v", "1")[0] == 0
+        assert run(capsys, "transform", path, "--op", "central_uv", "--u", "1", "--v", "0")[0] == 0
+
     def test_unknown_op_exits_2(self, capsys, tmp_path):
         path = write(tmp_path, STANDARD)
         assert run(capsys, "transform", path, "--op", "gamma")[0] == 2
@@ -453,6 +508,12 @@ class TestCorpusCommand:
                            "--name", "alt-recip-shift", "--jobs", "2")
         assert code == 0
         assert "2 entries, 0 mismatched" in out
+
+    @pytest.mark.parametrize("jobs", ["-3", "0"])
+    def test_jobs_below_one_exits_2(self, capsys, jobs):
+        code, out, err = run(capsys, "corpus", "run", "--jobs", jobs, "--name", "dattoli-r1")
+        assert (code, out) == (2, "")
+        assert err == f"error: --jobs must be at least 1, got {jobs}\n"
 
     def test_status_filter(self, capsys):
         code, out, _ = run(capsys, "corpus", "run",

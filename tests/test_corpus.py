@@ -2,6 +2,7 @@
 the coverage checklist."""
 
 import json
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -154,6 +155,19 @@ class TestLoadEntry:
         with pytest.raises(FormatError):
             load_entry(doc)
 
+    @pytest.mark.parametrize("doc", [
+        dict(GOOD_CLOSED, n=[3, 1]),
+        dict(GOOD_CLOSED, n=[0, 0], parity="odd"),
+        dict(GOOD_POLY, n=[3, 1]),
+        dict(GOOD_CLOSED, grid={"r": ["1"], "s": ["2"]}),
+        dict(GOOD_CLOSED, grid={"r": []}),
+    ], ids=["empty-n-range", "parity-leaves-none", "poly-empty-n-range",
+            "only-pair-inadmissible", "empty-grid-list"])
+    def test_document_without_a_point_is_format_error(self, doc):
+        # a run over no point would report "equal" having checked nothing
+        with pytest.raises(FormatError, match="leaves no"):
+            load_entry(doc)
+
     def test_n_range_default_and_parity(self):
         doc = dict(GOOD_CLOSED)
         doc.pop("n")
@@ -249,6 +263,17 @@ class TestShippedCorpus:
 
     def test_coverage_check_passes(self):
         assert check_coverage() == []
+
+    def test_suite_references_name_a_test(self):
+        # check_coverage only sees that a suite reference is not empty; a
+        # renamed test would leave it dangling
+        root = Path(__file__).resolve().parent.parent
+        refs = [item["category"][len("suite:"):] for item in load_manifest()["paper_equations"]
+                if item.get("category", "").startswith("suite:")]
+        assert refs
+        for ref in refs:
+            path, _, name = ref.partition("::")
+            assert re.search(rf"^\s*def {name}\(", (root / path).read_text(), re.M), ref
 
     def test_coverage_check_catches_problems(self, tmp_path):
         (tmp_path / "manifest.json").write_text(json.dumps({

@@ -257,14 +257,19 @@ def test_nested_sum_matches_direct(n, m):
 def walk(e, b):
     """The value of an expression of literals, variables, + - * / and calls,
     by one SymConst or DensePoly operator per node in tree-walk order: a
-    Div's divisor first, checked for zero, then its dividend; calls and
-    powers are compiled alone."""
+    Div's divisor first, checked for zero, then its dividend, then the
+    division, where a divisor with t in it is an error; calls and powers are
+    compiled alone."""
     cls = type(e)
     if cls is dsl.Div:
         d = walk(e.right, b)
-        if d == 0:
+        if d == 0 or type(d) is DensePoly and d.is_zero:
             raise DivisionByZero(f"division by zero in {dsl.render(e)}")
-        return walk(e.left, b) / d
+        left = walk(e.left, b)
+        if type(d) is DensePoly and d.degree > 0:
+            raise EvalTypeError(f"division by the polynomial {dsl.render(e.right)}"
+                                f" in {dsl.render(e)}")
+        return left / d
     if cls is dsl.Mul:
         left = walk(e.left, b)
         return left * walk(e.right, b)
@@ -309,6 +314,8 @@ HALVES = st.sampled_from([Fraction(-1, 2), Fraction(1, 2), 1, Fraction(3, 2), 2]
 @example("binom(r, k)/(r+s-1)*(k+s)/H(k+1/2)", 2, 3, Fraction(1, 2), Fraction(1, 2))
 @example("(1-t)*(k+s)/2*U(2)/H(r)*binom(n, k)", 1, 2, Fraction(1, 2), 1)
 @example("t*(1+t)^2/(1-t)/(k-k)", 1, 2, 1, 1)
+@example("t/(k-k)/(t-t)*(1-t)", 1, 2, 1, 1)
+@example("2*(1+t)^2/t*H(r)/(1-t)", 1, 2, 1, 1)
 def test_product_matches_tree_walk(text, k, n, r, s):
     """A compiled product has the value, or raises the error with the
     message, of a walk that applies one operator per node; with t bound

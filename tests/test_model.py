@@ -213,6 +213,8 @@ class TestValidation:
 
     @pytest.mark.parametrize("field, value", [
         ("name", 5),
+        ("paper_ref", 5),
+        ("notes", [1]),
         ("lhs", {"kind": "standard", "terms": 5}),
         ("lhs", {"kind": "standard", "terms": [5]}),
         ("lhs", {"kind": "standard", "terms": [{"coeff": 5}]}),
@@ -220,7 +222,7 @@ class TestValidation:
         ("lhs", {"kind": "standard", "terms": [{"coeff": "1", "lower": None}]}),
         ("rhs", {"kind": "poly", "expr": 5}),
         ("rhs", {"kind": "poly"}),
-    ], ids=["name-not-string", "terms-not-list", "term-not-object", "coeff-not-text",
+    ], ids=["name-not-string", "paper-ref-not-string", "notes-not-string", "terms-not-list", "term-not-object", "coeff-not-text",
             "lower-float", "lower-null", "poly-expr-not-text", "poly-expr-missing"])
     def test_standard_and_poly_fields_checked(self, field, value):
         doc = dict(STANDARD_DOC, **{field: value})

@@ -238,6 +238,22 @@ class TestEvalPoly:
         with pytest.raises(error):
             self.ep(text, **binds)
 
+    @pytest.mark.parametrize("text, error, message", [
+        ("t/(t-t)", DivisionByZero, "division by zero in t/(t - t)"),
+        ("1/t + t", EvalTypeError, "division by the polynomial t in 1/t"),
+        ("2*(1+t)/(1-t)", EvalTypeError, "division by the polynomial 1 - t in 2*(1 + t)/(1 - t)"),
+    ])
+    def test_polynomial_divisor_names_its_expression(self, text, error, message):
+        with pytest.raises(error) as exc:
+            self.ep(text)
+        assert str(exc.value) == message
+
+    def test_chebyshev_needs_t_bound_to_the_variable(self):
+        expr = dsl.parse("U(2)")
+        with pytest.raises(EvalTypeError, match="only meaningful in polynomial context"):
+            dsl.compile(expr)({"t": 1 + DensePoly.variable()})
+        assert dsl.compile(expr)({"t": DensePoly.variable()}) == poly(-1, 0, 4)
+
     def test_free_form_side_needs_no_is_polynomial(self, monkeypatch):
         (entry,) = corpus.load_entries(names={"partial-sum-gf-recip"})
 
@@ -340,8 +356,7 @@ class TestIntegralOracles:
     @pytest.mark.parametrize("n", range(0, 9))
     def test_sqrt_compression_matches_substitution(self, n):
         # evaluating at t = q^2 must reproduce U_{2n}(q)
-        from finsum import special
-        u = special.chebyshev_u(2 * n)
+        u = polyverify.chebyshev_u(2 * n)
         p = cheb_u_sqrt_poly(n)
         for q in (Fraction(1, 2), Fraction(2), Fraction(-3, 2)):
             assert p(q * q).as_rational() == u(q)
