@@ -23,9 +23,12 @@ evaluation compiles each term of an identity once per ``verify_closed`` or
 coefficient becomes a ``dsl.compile`` closure, each factor and bracket
 argument a closure for twice its value, and the factor product is
 accumulated as an int numerator and denominator.  Rational values stay plain
-``int``/``Fraction``, special values come from the ``special`` accessors at
-twice-int arguments, and a side sums its rational terms unreduced, reduces
-once and lifts the sum to SymConst once.  The module's one cache, the
+``int``/``Fraction`` and special values come from the ``special`` accessors
+at twice-int arguments.  Each side is summed in one ``field.Sum``, which
+adds every value, rational or not, per monomial into an unreduced int
+numerator and denominator: each term adds its value times its factor
+product, a derivative bracket piece by piece, and the side reduces once and
+lifts the sum to SymConst once.  The module's one cache, the
 coefficient memo ``_expr_memo``, holds the lowered values of the
 coefficients, sum bounds and standalone expressions that read no grid
 parameter (r, s, u, v), since only those repeat from one grid point to the
@@ -39,7 +42,7 @@ from fractions import Fraction
 
 from . import dsl, special
 from .errors import DivisionByZero, EvalTypeError, PoleError, ShapeError
-from .field import SymConst, exact_div, half, lift, lower, to_int
+from .field import Sum, SymConst, half, lift, lower, to_int
 from .model import (Affine, ClosedSide, ClosedSummand, ClosedTerm, FBinom,
                     FRecipAffine, HPiece, RecipPiece, substitute_neg_t)
 
@@ -318,20 +321,24 @@ def _compile_term(term):
             factors.append((f, f.affine.compile_twice(), None))
         else:
             factors.append((f, None, None))  # raises when it is reached
-    bracket = tuple((isinstance(p, HPiece), p.coeff, p.argument.compile_twice())
+    bracket = tuple((isinstance(p, HPiece), p.coeff.numerator, p.coeff.denominator,
+                     p.argument.compile_twice())
                     for p in term.extras)
     return tuple(factors), _compile_value(term.coeff), bracket, term
 
 
-def _run_term(plan, bindings):
-    """Exact value of a compiled term at a fully bound point.
+def _run_term(plan, bindings, total):
+    """Add the exact value of a compiled term at a fully bound point to the
+    ``Sum`` total.
 
     Factors are evaluated first: a reciprocal binomial hitting the Infinite
     pole sends the whole term to 0 before the coefficient or the bracket is
     looked at, which is the limit reading of the transformed identities.
-    The rational part of the factor product is an int numerator and
-    denominator, normalised once; a binomial with sqrt(pi) in it is kept
-    apart as a SymConst."""
+    The factor product's rational part is an int numerator and denominator
+    that scale what the term adds, and a binomial with sqrt(pi) in it is
+    kept apart as a SymConst.  A bracket's pieces, c*H(x) and c/x, are added
+    in order, so no term is reduced on its own unless its coefficient or a
+    factor carries ln2 or sqrt(pi)."""
     factors, coeff, bracket, term = plan
     num = den = 1
     sym = None
@@ -343,7 +350,7 @@ def _run_term(plan, bindings):
                     raise PoleError(f"infinite binomial factor {f.render()}")
             else:
                 if b is special.INFINITE:
-                    return 0
+                    return
                 if b == 0:
                     raise DivisionByZero(f"zero binomial under reciprocal: {f.render()}")
             if type(b) is SymConst:
@@ -365,31 +372,38 @@ def _run_term(plan, bindings):
         else:
             raise EvalTypeError(f"unknown factor {f!r}")
     if num == 0:
-        return 0
+        return
     value = coeff(bindings)
-    if factors:
-        product = num if den == 1 else Fraction(num, den)
-        if sym is not None:
-            product = sym * product
-        value = value * product
-    if bracket:
-        total = 0
-        for is_harmonic, c, x in bracket:
-            twice = x(bindings)
-            if is_harmonic:
-                total = total + special.harmonic_at(twice) * c
-            else:
-                if twice == 0:
-                    raise DivisionByZero(f"bracket reciprocal at zero: {term.render()}")
-                total = total + exact_div(2 * c, twice)
-        value = value * total
-    return value
+    if sym is not None:
+        value = value * sym
+    if not bracket:
+        total.add(value, num, den)
+        return
+    # pieces times a SymConst are summed apart and multiplied once
+    if type(value) is SymConst:
+        pieces = Sum()
+    else:
+        pieces = total
+        num *= value.numerator
+        den *= value.denominator
+    for is_harmonic, cn, cd, x in bracket:
+        twice = x(bindings)
+        if is_harmonic:
+            pieces.add(special.harmonic_at(twice), cn * num, cd * den)
+        else:
+            if twice == 0:
+                raise DivisionByZero(f"bracket reciprocal at zero: {term.render()}")
+            pieces.add(2 * cn * num, 1, cd * den * twice)  # c / (twice/2)
+    if pieces is not total:
+        total.add(value * pieces.value())
 
 
 def eval_term(term, bindings):
     """Exact value of one closed term at a fully bound point: a plain int or
     Fraction when rational, a SymConst otherwise."""
-    return _run_term(_compile_term(term), bindings)
+    total = Sum()
+    _run_term(_compile_term(term), bindings, total)
+    return total.value()
 
 
 def _compile_side(side):
@@ -400,36 +414,25 @@ def _compile_side(side):
 
 
 def _run_side(plan, bindings):
-    """The side's value as a SymConst: its rational terms summed as one
-    unreduced int numerator and denominator, reduced once, and lifted."""
+    """The side's value as a SymConst: every term and the standalone
+    expression added in order to one ``Sum``, reduced once, and lifted."""
     summands, extra = plan
-    num, den, sym = 0, 1, 0
+    total = Sum()
     for lower_bound, upper_bound, term in summands:
         lo = to_int(lower_bound(bindings))
         hi = to_int(upper_bound(bindings))
         inner = dict(bindings)
         for k in range(lo, hi + 1):
             inner["k"] = k
-            value = _run_term(term, inner)
-            if type(value) is int:
-                num += value * den
-            elif type(value) is Fraction:
-                q = value.denominator
-                if den % q:
-                    num, den = num * q + value.numerator * den, den * q
-                else:
-                    num += value.numerator * (den // q)
-            else:
-                sym = sym + value
-    total = exact_div(num, den) + sym if num else sym
+            _run_term(term, inner, total)
     if extra is not None:
-        total = total + extra(bindings)
-    return lift(total)
+        total.add(extra(bindings))
+    return lift(total.value())
 
 
 def eval_side(side, bindings):
-    """Exact value of one side at a fully bound point, as a SymConst.  The
-    terms are summed as plain values where rational and lifted once."""
+    """Exact value of one side at a fully bound point, as a SymConst, summed
+    as ``_run_side`` sums it."""
     return _run_side(_compile_side(side), bindings)
 
 

@@ -19,7 +19,7 @@ from . import beta, corpus, dsl
 from .beta import GRID_PARAMS
 from .errors import EvalTypeError, FinsumError, FormatError, ShapeError
 from .field import half, to_int, to_twice
-from .model import is_negative_integer, load_identity
+from .model import FBinom, is_negative_integer, load_identity
 
 EXIT_OK, EXIT_MISMATCH, EXIT_USAGE = 0, 1, 2
 
@@ -181,13 +181,19 @@ def cmd_transform(args):
     exit_code = EXIT_OK
     grid_values = _grid_values_from_args(args)
     given_grid = _grid_points(grid_values) if grid_values else None
+    if args.check and given_grid:
+        # the given grid replaces the default one, so it must bind what the outputs read
+        for cid in produced:
+            unbound = sorted(_grid_params_read(cid).difference(grid_values))
+            if unbound:
+                raise UsageError(f"variable {unbound[0]!r} is unbound")
     n_values = [to_int(v) for v in parse_grid(args.n)] if args.n else list(range(0, 9))
     for cid in produced:
         _print_cid(cid)
         if args.check:
             if given_grid:
                 grid = given_grid
-            elif any(sm.term.factors for side in (cid.lhs, cid.rhs) for sm in side.summands):
+            elif _grid_params_read(cid):
                 grid = corpus.grid_points(dict.fromkeys("rs", parse_grid("1/2..2:1/2")))
             else:
                 grid = ({},)
@@ -203,6 +209,23 @@ def cmd_transform(args):
             if not report.all_equal or report.undefined:
                 exit_code = EXIT_MISMATCH
     return exit_code
+
+
+def _grid_params_read(cid):
+    """The grid parameters that a transform's output reads: in a factor, a
+    bracket argument, a coefficient, a sum bound or a standalone expression."""
+    names = set()
+    for side in (cid.lhs, cid.rhs):
+        exprs = [] if side.extra is None else [side.extra]
+        for sm in side.summands:
+            exprs += (sm.lower, sm.upper, sm.term.coeff)
+            affines = [p.argument for p in sm.term.extras]
+            for f in sm.term.factors:
+                affines += (f.top, f.bot) if isinstance(f, FBinom) else (f.affine,)
+            names.update(name for a in affines for name in ("r", "s") if getattr(a, name))
+        for e in exprs:
+            names |= dsl.free_vars(e)
+    return names.intersection(GRID_PARAMS)
 
 
 def _int_param(text, name):
@@ -233,6 +256,8 @@ def cmd_corpus(args):
 def cmd_eval(args):
     if args.precision is not None and not args.as_float:
         raise UsageError("--precision applies only with --float")
+    if args.precision is not None and args.precision < 10:
+        raise UsageError(f"--precision must be at least 10, got {args.precision}")
     bindings = {}
     for item in args.bind or ():
         name, sep, value = item.partition("=")

@@ -138,6 +138,8 @@ def load_entry(document):
         n_values = [n for n in n_values if n % 2 == 0]
     elif parity == "odd":
         n_values = [n for n in n_values if n % 2 == 1]
+    elif "parity" in document:
+        raise FormatError(f"{identity.name}: 'parity' must be \"even\" or \"odd\", not {parity!r}")
     else:
         n_values = list(n_values)
     if not n_values:

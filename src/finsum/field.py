@@ -9,7 +9,9 @@ Most values the engine computes are plain rationals, so evaluators carry them
 as ``int`` or ``Fraction`` and lift a value to ``SymConst`` only where an ln2
 or sqrt(pi) term can appear.  ``lift``, ``lower``, ``to_int`` and
 ``to_twice`` are the one boundary between the two kinds; ``exact_div``
-divides either kind without leaving exact arithmetic.
+divides either kind without leaving exact arithmetic.  ``Sum`` adds values of
+either kind: it keeps one unreduced int numerator and denominator per
+monomial and reduces each once, when the sum is read.
 
 A half-integer (a grid point's n, r, s, u, v, or a sum index) is a plain
 rational too: ``half`` puts one in normal form, an int when integral and
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd
 
 from .errors import DivisionByZero, DslSyntaxError, EvalTypeError
 
@@ -345,6 +348,58 @@ def exact_div(num, denom):
         q, rem = divmod(num, denom)
         return Fraction(num, denom) if rem else q
     return num / denom
+
+
+class Sum:
+    """An exact running sum of int, Fraction and SymConst values, each times
+    an int ratio.
+
+    Each monomial (ln2 exponent, sqrt(pi) exponent) keeps an unreduced int
+    numerator and an int denominator, a least common multiple of the
+    denominators added to it, so an addition costs a few int operations and
+    no reduction.  ``value`` reduces each coefficient once.
+    """
+
+    __slots__ = ("parts",)
+
+    def __init__(self):
+        self.parts = {}     # monomial -> [numerator, denominator]
+
+    def add(self, value, cn=1, cd=1):
+        """Add value * cn / cd, for ints cn and cd with cd nonzero."""
+        if type(value) is int:
+            self._add((0, 0), value * cn, cd)
+        elif type(value) is SymConst:
+            for key, c in value.terms.items():
+                self._add(key, c.numerator * cn, c.denominator * cd)
+        else:
+            q = _as_fraction(value)
+            self._add((0, 0), q.numerator * cn, q.denominator * cd)
+
+    def _add(self, key, num, den):
+        if not num:
+            return
+        part = self.parts.get(key)
+        if part is None:
+            self.parts[key] = [num, den]
+            return
+        total, common = part
+        if common % den:
+            g = gcd(common, den)
+            part[0] = total * (den // g) + num * (common // g)
+            part[1] = common // g * den
+        else:
+            part[0] = total + num * (common // den)
+
+    def value(self):
+        """The sum, lowered: an int or Fraction when rational, else a
+        SymConst."""
+        terms = {key: Fraction(num, den) for key, (num, den) in self.parts.items() if num}
+        if not terms:
+            return 0
+        if len(terms) == 1 and (0, 0) in terms:
+            return lower(terms[(0, 0)])
+        return _canonical(terms)
 
 
 def to_int(value):

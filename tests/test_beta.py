@@ -297,6 +297,31 @@ def test_loaded_identity_verifies_as_it_is():
         "3606836424e3d13315f1f75adac4517655592a757743a8f6b7a6b360fb36def8")
 
 
+def test_derived_outputs_pinned_point_for_point():
+    """The beta, d/dr and d/ds outputs of every standard seed and the central
+    transforms of kb-standard-delta, on the (r, s) grid {1/2, 3/2} x {1/2, 1}
+    and n = 0..4, pinned by a sha256 of each point's provenance, n,
+    parameters, values and error (990 points, 12 of them undefined)."""
+    seeds = [e for e in corpus.load_entries() if e.identity.is_standard]
+    grid = [{"r": r, "s": s} for r in (F(1, 2), F(3, 2)) for s in (F(1, 2), 1)]
+    outputs = []
+    for entry in seeds:
+        cid = beta_transform(normalized_for_beta(entry.identity))
+        outputs += [(cid, grid), (differentiate(cid, "r"), grid), (differentiate(cid, "s"), grid)]
+        if entry.name == "kb-standard-delta":
+            for v in (1, 2):
+                outputs += [(c, [{}]) for c in central_transform_v(entry.identity, v)]
+            for u, v in ((1, 1), (2, 1)):
+                outputs.append((central_transform_uv(entry.identity, u, v), [{}]))
+    assert (len(seeds), len(outputs)) == (16, 54)
+    lines = [f"{cid.provenance} {p.n} {' '.join(f'{name}={val}' for name, val in p.params)}"
+             f" {p.lhs} {p.rhs} {p.error}"
+             for cid, points in outputs for p in verify_closed(cid, range(5), points).results]
+    assert (len(lines), sum(1 for line in lines if not line.endswith(" "))) == (990, 12)
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+        "96bfee2954f0f703c37a6c969f79bdf9c7e39cc2c53a7395b51d4d0aa2734cf6")
+
+
 def closed_side(*coeffs, extra=None):
     """A side of sums over k = 0..n of the given coefficients."""
     return ClosedSide(tuple(ClosedSummand(ClosedTerm(dsl.parse(c)), dsl.Lit(F(0)), dsl.Var("n"))
@@ -304,8 +329,9 @@ def closed_side(*coeffs, extra=None):
 
 
 def test_side_sum_matches_term_by_term_sum():
-    """A side sums its rational terms as one unreduced fraction, reduced once,
-    and adds its SymConst terms apart: it equals the sum taken term by term."""
+    """A side sums every term, rational or SymConst, and its standalone
+    expression per monomial in one unreduced accumulator, reduced once: it
+    equals the sum taken term by term."""
     side = closed_side("binom(n, k)", "sign(k)*binom(n, k)/(k+1)", "binom(n, k)/((k+2)*(k+s))",
                        "H(k+s)", "H(r)/(k+1)", "1/(k+r)", extra="H(n) + 1/(n+s)")
     kinds = set()

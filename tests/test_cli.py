@@ -1,7 +1,11 @@
 """Command-line interface: exit codes, output text, and argument parsing."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -133,6 +137,13 @@ class TestEval:
         assert run(capsys, "eval", "1/2", "--precision", "50") == (
             2, "", "error: --precision applies only with --float\n")
         code, out, _ = run(capsys, "eval", "1/2", "--precision", "50", "--float")
+        assert code == 0 and out.splitlines()[0] == "1/2"
+
+    @pytest.mark.parametrize("precision", ["5", "9", "0", "-3"])
+    def test_low_precision_exits_2_before_any_output(self, capsys, precision):
+        assert run(capsys, "eval", "1/2", "--float", "--precision", precision) == (
+            2, "", f"error: --precision must be at least 10, got {precision}\n")
+        code, out, _ = run(capsys, "eval", "1/2", "--float", "--precision", "10")
         assert code == 0 and out.splitlines()[0] == "1/2"
 
     def test_usage_errors_exit_2(self, capsys):
@@ -341,6 +352,11 @@ class TestVerify:
         assert (code, out) == (3, "")
         assert len(err.splitlines()) == 1 and err.startswith("error: ") and "leaves no" in err
 
+    def test_misspelt_parity_exits_3(self, capsys, tmp_path):
+        code, out, err = run(capsys, "verify", write(tmp_path, dict(GOOD_CLOSED, parity="evn")))
+        assert (code, out) == (3, "")
+        assert err == "error: alt-binom-basic: 'parity' must be \"even\" or \"odd\", not 'evn'\n"
+
     @pytest.mark.parametrize("entry, flags, message", [
         ("dattoli-rs.json", ["--r", "1", "--s", "2"], "no admissible (r, s) point"),
         ("binomial-theorem.json", ["--r", "1/2", "--n", "0..2"], "reads no grid (--r)"),
@@ -473,6 +489,16 @@ class TestTransform:
         assert code == 2
         assert err.splitlines() == [f"error: variable {unbound!r} is unbound"]
 
+    @pytest.mark.parametrize("op, grid, unbound", [
+        ("beta", ["--u", "1"], "r"), ("beta", ["--r", "1", "--v", "1"], "s"),
+        ("beta,ddr", ["--s", "1"], "r")])
+    def test_grid_leaving_a_read_parameter_unbound_prints_nothing(self, capsys, tmp_path,
+                                                                  op, grid, unbound):
+        # refused before any output, not after the transform is printed
+        path = write(tmp_path, STANDARD)
+        assert run(capsys, "transform", path, "--op", op, "--check", *grid) == (
+            2, "", f"error: variable {unbound!r} is unbound\n")
+
     @pytest.mark.parametrize("argv, message", [
         (["--op", "beta", "--check", "--r", "1", "--s", "2"],
          "the grid leaves no admissible (r, s) point"),
@@ -542,3 +568,16 @@ class TestCorpusCommand:
         assert out == ""
         assert err.startswith("error: ") and len(err.splitlines()) == 1
         assert message in err
+
+
+class TestModuleEntry:
+    def test_python_m_finsum_runs_the_cli(self):
+        import finsum
+        src = str(Path(finsum.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-m", "finsum", "--help"], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith("usage: finsum ")
+        assert "{verify,transform,corpus,eval}" in done.stdout

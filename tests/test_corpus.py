@@ -168,6 +168,12 @@ class TestLoadEntry:
         with pytest.raises(FormatError, match="leaves no"):
             load_entry(doc)
 
+    @pytest.mark.parametrize("parity", ["evn", "Even", "", None, 0, ["even"]])
+    def test_unknown_parity_is_format_error(self, parity):
+        # a misspelt parity used to check every n and report "equal"
+        with pytest.raises(FormatError, match="'parity' must be"):
+            load_entry(dict(GOOD_CLOSED, parity=parity))
+
     def test_n_range_default_and_parity(self):
         doc = dict(GOOD_CLOSED)
         doc.pop("n")

@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from finsum.errors import DivisionByZero, EvalTypeError
-from finsum.field import (LN2, ONE, SQRT_PI, ZERO, SymConst, half, lift, lower, to_int,
-                          to_twice)
+from finsum.field import (LN2, ONE, SQRT_PI, ZERO, Sum, SymConst, half, lift, lower,
+                          to_int, to_twice)
 
 fractions = st.fractions(
     min_value=-50, max_value=50, max_denominator=64)
@@ -179,6 +179,62 @@ class TestBoundary:
         for reader in (to_int, to_twice):
             with pytest.raises(EvalTypeError, match="is not rational"):
                 reader(ONE + LN2)
+
+
+# a value times an int ratio, as a side adds a term or a bracket piece: cn
+# of either sign or 0, cd of either sign (a reciprocal affine factor at a
+# negative point makes it negative)
+scaled = st.tuples(operands, st.integers(min_value=-12, max_value=12),
+                   st.integers(min_value=-30, max_value=30).filter(bool))
+
+
+def _summed(items):
+    total = Sum()
+    for value, cn, cd in items:
+        total.add(value, cn, cd)
+    return total.value()
+
+
+class TestSum:
+    @given(st.lists(scaled, max_size=12))
+    def test_matches_left_to_right_symconst_addition(self, items):
+        want = ZERO
+        for value, cn, cd in items:
+            want = want + lift(value) * Fraction(cn, cd)
+        got = _summed(items)
+        assert lift(got) == want
+        if want.is_rational:
+            q = want.as_rational()
+            assert got == q and type(got) is (int if q.denominator == 1 else Fraction)
+        else:
+            assert type(got) is SymConst and got.terms == want.terms
+            assert all(type(c) is Fraction and c != 0 for c in got.terms.values())
+
+    @given(st.lists(scaled, min_size=1, max_size=8), st.randoms())
+    def test_cancels_to_exactly_zero(self, items, rnd):
+        negated = [(value, -cn, cd) for value, cn, cd in items]
+        mixed = items + negated
+        rnd.shuffle(mixed)
+        got = _summed(mixed)
+        assert got == 0 and type(got) is int
+
+    def test_lowered_results_and_defaults(self):
+        assert _summed([]) == 0 and type(_summed([])) is int
+        third = [(Fraction(1, 3), 1, 1)] * 3
+        assert _summed(third) == 1 and type(_summed(third)) is int
+        assert _summed([(1, 1, 6), (Fraction(1, 4), 2, 1)]) == Fraction(2, 3)
+        # ln2 cancels, the rational monomial is left
+        assert _summed([(ONE + LN2, 1, 2), (LN2, -1, 2), (3, 1, 1)]) == Fraction(7, 2)
+        got = _summed([(SQRT_PI, -3, 4), (LN2, 1, 1), (SQRT_PI, 3, 4), (SQRT_PI, 1, 1)])
+        assert got == LN2 + SQRT_PI and type(got) is SymConst
+        total = Sum()
+        total.add(Fraction(5, 2))
+        total.add(SQRT_PI * Fraction(1, 3))
+        assert total.value() == SymConst({(0, 0): Fraction(5, 2), (0, 1): Fraction(1, 3)})
+
+    def test_rejects_floats(self):
+        with pytest.raises(EvalTypeError, match="cannot interpret"):
+            Sum().add(0.5)
 
 
 class TestRendering:
