@@ -11,10 +11,11 @@ Three transform families are implemented:
   the shape  sum f(k)(1+t)^k = sum g(k)t^k  into central-binomial sums with
   one or two free integer parameters.
 
-Every closed side, loaded or derived, is a ``model.ClosedSide`` of
-``ClosedTerm`` summands; a transform's output is a ``ClosedIdentity`` that
-also records its provenance, and ``verify_closed`` and ``eval_closed`` take
-it or a loaded closed ``model.Identity`` alike.
+Every identity, loaded or derived, is a ``model.Identity``, and every closed
+side a ``model.ClosedSide`` of ``ClosedTerm`` summands.  A transform returns
+its input with new sides and a ``provenance`` naming the transforms applied,
+so ``verify_closed`` and ``eval_closed`` take a loaded closed identity and a
+derived one alike.
 
 Closed identities are evaluated exactly over half-integer parameter points;
 a float evaluator (mpmath) backs the derivative cross-check.  Exact
@@ -47,22 +48,14 @@ from .model import (Affine, ClosedSide, ClosedSummand, ClosedTerm, FBinom,
                     FRecipAffine, HPiece, RecipPiece, substitute_neg_t)
 
 
-@dataclass(frozen=True)
-class ClosedIdentity:
-    name: str
-    provenance: str
-    lhs: ClosedSide
-    rhs: ClosedSide
-
-
 def from_model(identity):
-    """A loaded closed identity as a ClosedIdentity over its own sides.
+    """The closed identity itself; ShapeError for one that is not closed.
 
     ``verify_closed`` and ``eval_closed`` take a loaded identity as it is;
     this is kept only for the benchmark harness, which still calls it."""
     if not identity.is_closed:
         raise ShapeError(f"{identity.name}: not a closed identity")
-    return ClosedIdentity(identity.name, f"loaded({identity.name})", identity.lhs, identity.rhs)
+    return identity
 
 
 # ---------------------------------------------------------------------------
@@ -94,8 +87,8 @@ def beta_transform(identity):
             out.append(ClosedSummand(ct, term.lower, term.upper))
         return ClosedSide(tuple(out))
 
-    return ClosedIdentity(identity.name, f"beta_transform({identity.name})",
-                          conv(identity.lhs), conv(identity.rhs))
+    return replace(identity, lhs=conv(identity.lhs), rhs=conv(identity.rhs),
+                   provenance=f"beta_transform({identity.name})")
 
 
 def derivative_bracket(factors, param):
@@ -124,26 +117,28 @@ def derivative_bracket(factors, param):
     return tuple(pieces)
 
 
-def differentiate(cid, param):
+def differentiate(identity, param):
     """d/dr or d/ds of every term of a transformed identity."""
     if param not in ("r", "s"):
         raise EvalTypeError(f"param must be 'r' or 's', not {param!r}")
+    if not identity.is_closed:
+        raise ShapeError("dds/ddr need a transformed identity (use beta first)")
 
     def conv(side):
         if side.extra is not None:
-            raise ShapeError(f"{cid.name}: standalone expression is not differentiable")
+            raise ShapeError(f"{identity.name}: standalone expression is not differentiable")
         out = []
         for sm in side.summands:
             term = sm.term
             if term.extras:
-                raise ShapeError(f"{cid.name}: term already carries a derivative bracket")
+                raise ShapeError(f"{identity.name}: term already carries a derivative bracket")
             if not term.factors:
-                raise ShapeError(f"{cid.name}: term has no parametric factors")
+                raise ShapeError(f"{identity.name}: term has no parametric factors")
             out.append(replace(sm, term=replace(term, extras=derivative_bracket(term.factors, param))))
         return ClosedSide(tuple(out))
 
-    lhs, rhs = conv(cid.lhs), conv(cid.rhs)
-    return ClosedIdentity(cid.name, f"d/d{param}({cid.provenance})", lhs, rhs)
+    return replace(identity, lhs=conv(identity.lhs), rhs=conv(identity.rhs),
+                   provenance=f"d/d{param}({identity.provenance})")
 
 
 # ---------------------------------------------------------------------------
@@ -227,18 +222,18 @@ def central_transform_v(identity, v):
     f, f_lo, f_hi, g, g_lo, g_hi = _central_shape(identity)
     name = identity.name
 
-    first = ClosedIdentity(
-        name, f"central_v({name}, v={v})",
-        ClosedSide((ClosedSummand(ClosedTerm(_mul(f, _central_weight(v))), f_lo, f_hi),)),
-        ClosedSide((ClosedSummand(ClosedTerm(_mul(_double_k(g), _central_dual_weight(v))),
-                              _floor_half(g_lo, 1), _floor_half(g_hi)),)))
+    first = replace(
+        identity, provenance=f"central_v({name}, v={v})",
+        lhs=ClosedSide((ClosedSummand(ClosedTerm(_mul(f, _central_weight(v))), f_lo, f_hi),)),
+        rhs=ClosedSide((ClosedSummand(ClosedTerm(_mul(_double_k(g), _central_dual_weight(v))),
+                                      _floor_half(g_lo, 1), _floor_half(g_hi)),)))
 
     alt_g = _mul(dsl.Call("sign", (dsl.Var("k"),)), g)
-    second = ClosedIdentity(
-        name, f"central_v_dual({name}, v={v})",
-        ClosedSide((ClosedSummand(ClosedTerm(_mul(alt_g, _central_weight(v))), g_lo, g_hi),)),
-        ClosedSide((ClosedSummand(ClosedTerm(_mul(_double_k(f), _central_dual_weight(v))),
-                              _floor_half(f_lo, 1), _floor_half(f_hi)),)))
+    second = replace(
+        identity, provenance=f"central_v_dual({name}, v={v})",
+        lhs=ClosedSide((ClosedSummand(ClosedTerm(_mul(alt_g, _central_weight(v))), g_lo, g_hi),)),
+        rhs=ClosedSide((ClosedSummand(ClosedTerm(_mul(_double_k(f), _central_dual_weight(v))),
+                                      _floor_half(f_lo, 1), _floor_half(f_hi)),)))
     return first, second
 
 
@@ -259,10 +254,10 @@ def central_transform_uv(identity, u, v):
                      dsl.Call("binom", (_lit(u), _lit(half_u))),
                      dsl.Call("binom", (_kv(2, v), _kv(1, half_v))),
                      dsl.Call("rbinom", (_kv(1, half_uv), _lit(half_u))))
-    return ClosedIdentity(
-        identity.name, f"central_uv({identity.name}, u={u}, v={v})",
-        ClosedSide((ClosedSummand(ClosedTerm(lhs_coeff), f_lo, f_hi),)),
-        ClosedSide((ClosedSummand(ClosedTerm(rhs_coeff), g_lo, g_hi),)))
+    return replace(
+        identity, provenance=f"central_uv({identity.name}, u={u}, v={v})",
+        lhs=ClosedSide((ClosedSummand(ClosedTerm(lhs_coeff), f_lo, f_hi),)),
+        rhs=ClosedSide((ClosedSummand(ClosedTerm(rhs_coeff), g_lo, g_hi),)))
 
 
 # ---------------------------------------------------------------------------

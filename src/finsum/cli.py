@@ -19,7 +19,7 @@ from . import beta, corpus, dsl
 from .beta import GRID_PARAMS
 from .errors import EvalTypeError, FinsumError, FormatError, ShapeError
 from .field import half, to_int, to_twice
-from .model import FBinom, is_negative_integer, load_identity
+from .model import grid_params_read, is_negative_integer, load_identity, substitute_neg_t
 
 EXIT_OK, EXIT_MISMATCH, EXIT_USAGE = 0, 1, 2
 
@@ -147,7 +147,6 @@ def cmd_transform(args):
     document = _load_document(args.path)
     identity = load_identity(document)
     if args.negate_t:
-        from .model import substitute_neg_t
         identity = substitute_neg_t(identity)
     ops = [op.strip() for op in args.op.split(",") if op.strip()]
     if not ops:
@@ -166,8 +165,6 @@ def cmd_transform(args):
             if op == "beta":
                 next_stage.append(beta.beta_transform(obj))
             elif op in ("dds", "ddr"):
-                if not isinstance(obj, beta.ClosedIdentity):
-                    raise ShapeError("dds/ddr need a transformed identity (use beta first)")
                 next_stage.append(beta.differentiate(obj, op[2]))
             elif op == "central_v":
                 next_stage.extend(beta.central_transform_v(obj, _int_param(args.v, "v")))
@@ -184,7 +181,7 @@ def cmd_transform(args):
     if args.check and given_grid:
         # the given grid replaces the default one, so it must bind what the outputs read
         for cid in produced:
-            unbound = sorted(_grid_params_read(cid).difference(grid_values))
+            unbound = sorted(grid_params_read(cid).difference(grid_values))
             if unbound:
                 raise UsageError(f"variable {unbound[0]!r} is unbound")
     n_values = [to_int(v) for v in parse_grid(args.n)] if args.n else list(range(0, 9))
@@ -193,7 +190,7 @@ def cmd_transform(args):
         if args.check:
             if given_grid:
                 grid = given_grid
-            elif _grid_params_read(cid):
+            elif grid_params_read(cid):
                 grid = corpus.grid_points(dict.fromkeys("rs", parse_grid("1/2..2:1/2")))
             else:
                 grid = ({},)
@@ -209,23 +206,6 @@ def cmd_transform(args):
             if not report.all_equal or report.undefined:
                 exit_code = EXIT_MISMATCH
     return exit_code
-
-
-def _grid_params_read(cid):
-    """The grid parameters that a transform's output reads: in a factor, a
-    bracket argument, a coefficient, a sum bound or a standalone expression."""
-    names = set()
-    for side in (cid.lhs, cid.rhs):
-        exprs = [] if side.extra is None else [side.extra]
-        for sm in side.summands:
-            exprs += (sm.lower, sm.upper, sm.term.coeff)
-            affines = [p.argument for p in sm.term.extras]
-            for f in sm.term.factors:
-                affines += (f.top, f.bot) if isinstance(f, FBinom) else (f.affine,)
-            names.update(name for a in affines for name in ("r", "s") if getattr(a, name))
-        for e in exprs:
-            names |= dsl.free_vars(e)
-    return names.intersection(GRID_PARAMS)
 
 
 def _int_param(text, name):

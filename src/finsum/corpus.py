@@ -19,9 +19,9 @@ from pathlib import Path
 
 from . import beta, polyverify
 from .beta import GRID_PARAMS
-from .errors import EvalTypeError, FormatError
+from .errors import EvalTypeError, FinsumError, FormatError
 from .field import SymConst, half
-from .model import admissible, is_json_int, load_identity
+from .model import admissible, grid_params_read, is_json_int, load_identity
 
 DEFAULT_DIR = Path(__file__).parent / "corpus_data"
 
@@ -46,18 +46,10 @@ def parse_half(text):
 
 
 @dataclass(frozen=True)
-class Witness:
-    n: int
-    params: tuple            # sorted ((name, half-integer), ...)
-    lhs: SymConst
-    rhs: SymConst
-
-
-@dataclass(frozen=True)
 class CorpusEntry:
     identity: object
     expected: str
-    witness: object          # Witness or None
+    witness: object          # beta.PointResult or None
     n_values: tuple
     param_grid: tuple        # tuple of dicts
 
@@ -114,19 +106,7 @@ def load_entry(document):
         raise FormatError(f"{identity.name}: unknown expected verdict {expected!r}")
     witness = None
     if "witness" in document:
-        w = document["witness"]
-        if not (isinstance(w, dict) and is_json_int(w.get("n"))
-                and isinstance(w.get("lhs"), str) and isinstance(w.get("rhs"), str)
-                and isinstance(w.get("params", {}), dict)):
-            raise FormatError(f"{identity.name}: witness needs an integer n, string lhs, rhs"
-                              " and an object of params")
-        witness = Witness(
-            n=w["n"],
-            params=tuple(sorted((name, _document_half(name, v, identity.name))
-                                for name, v in w.get("params", {}).items())),
-            lhs=SymConst.parse(w["lhs"]),
-            rhs=SymConst.parse(w["rhs"]),
-        )
+        witness = _load_witness(document["witness"], identity)
     if expected == "unequal" and witness is None:
         raise FormatError(f"{identity.name}: expected unequal without a witness")
     n_range = document.get("n", [0, 16])
@@ -144,10 +124,41 @@ def load_entry(document):
         n_values = list(n_values)
     if not n_values:
         raise FormatError(f"{identity.name}: 'n' {n_range} leaves no {parity or 'integer'} n")
-    grid = grid_points(_document_grid(document.get("grid"), identity.name))
+    grid_values = _document_grid(document.get("grid"), identity.name)
+    if identity.is_closed:
+        _require_bound(identity, grid_values, "'grid'")
+    grid = grid_points(grid_values)
     if not grid:
         raise FormatError(f"{identity.name}: 'grid' leaves no admissible point")
     return CorpusEntry(identity, expected, witness, tuple(n_values), grid)
+
+
+def _load_witness(w, identity):
+    """A document's witness as the ``beta.PointResult`` of a closed
+    identity's failing point; FormatError for any malformed value."""
+    name = identity.name
+    if not (isinstance(w, dict) and is_json_int(w.get("n"))
+            and isinstance(w.get("lhs"), str) and isinstance(w.get("rhs"), str)
+            and isinstance(w.get("params", {}), dict)):
+        raise FormatError(f"{name}: witness needs an integer n, string lhs, rhs"
+                          " and an object of params")
+    if not identity.is_closed:
+        raise FormatError(f"{name}: a witness needs a closed identity")
+    params = {key: _document_half(key, v, name) for key, v in w.get("params", {}).items()}
+    _require_bound(identity, params, "witness")
+    try:
+        lhs, rhs = SymConst.parse(w["lhs"]), SymConst.parse(w["rhs"])
+    except FinsumError as exc:
+        raise FormatError(f"{name}: bad witness value: {exc}") from None
+    return beta.PointResult(w["n"], tuple(sorted(params.items())), lhs, rhs)
+
+
+def _require_bound(identity, values, where):
+    """FormatError when ``values`` leaves a grid parameter that the closed
+    identity reads unbound."""
+    unbound = sorted(grid_params_read(identity).difference(values))
+    if unbound:
+        raise FormatError(f"{identity.name}: {where} leaves {', '.join(unbound)} unbound")
 
 
 def load_manifest(directory=None):
@@ -238,10 +249,11 @@ def _finish(entry, actual, detail):
 
 
 def _witness_holds(entry):
-    """Re-evaluate the stored witness point and compare both exact sides."""
+    """Re-evaluate the stored witness point: it holds when both exact sides
+    come out as stored and differ.  A point that is undefined does not."""
     w = entry.witness
-    lhs, rhs = beta.eval_closed(entry.identity, w.n, **dict(w.params))
-    return lhs == w.lhs and rhs == w.rhs and lhs != rhs
+    return not w.equal and beta.verify_closed(
+        entry.identity, (w.n,), (dict(w.params),)).results == (w,)
 
 
 def run_corpus(directory=None, names=None, status=None, jobs=1):

@@ -348,8 +348,9 @@ def children(expr):
 
 
 def free_vars(expr):
-    """Names of the variables that occur free in the expression.  A loop
-    over a stack walks the tree; only a sum's body is a recursive call."""
+    """Names of the variables that the expression reads free; ``U(m)`` reads
+    the indeterminate ``t``.  A loop over a stack walks the tree; only a
+    sum's body is a recursive call."""
     names = set()
     stack = [expr]
     while stack:
@@ -360,6 +361,8 @@ def free_vars(expr):
             stack += (e.lower, e.upper)
             names |= free_vars(e.body) - {e.index}
         else:
+            if type(e) is Call and e.fn == "U":
+                names.add("t")
             stack += children(e)
     return names
 
@@ -386,21 +389,6 @@ def substitute(expr, name, replacement):
     if isinstance(expr, Call):
         return Call(expr.fn, tuple(kids))
     return type(expr)(*kids) if kids else expr
-
-
-def is_polynomial(expr):
-    """True when some node is the indeterminate ``t`` or a ``U(...)`` call.
-
-    The parser refuses ``t`` as a sum index, so every ``t`` is the
-    indeterminate and no binding context is needed.
-    """
-    stack = [expr]
-    while stack:
-        e = stack.pop()
-        if type(e) is Var and e.name == "t" or type(e) is Call and e.fn == "U":
-            return True
-        stack += children(e)
-    return False
 
 
 # ---------------------------------------------------------------------------

@@ -262,7 +262,7 @@ class SymConst:
                     b += int(m.group(1)) if m.group(1) else 1
                     continue
                 m = re.fullmatch(r"(\d+)(?:/(\d+))?", factor)
-                if m:
+                if m and int(m.group(2) or 1):     # a zero denominator is a bad factor
                     coeff *= Fraction(int(m.group(1)), int(m.group(2) or 1))
                     continue
                 raise DslSyntaxError(f"bad constant factor {factor!r}", text.find(factor))

@@ -10,7 +10,8 @@ An identity has two sides; each side is either
 Both sides must be closed, or both t-bearing.  A closed summand holds a
 ``ClosedTerm``: a loaded document gives it only a coefficient, and the
 ``beta`` transforms add binomial and reciprocal factors and a derivative
-bracket, so loaded and derived closed sums are the same objects.
+bracket, so loaded and derived closed sums are the same objects.  A derived
+identity is an ``Identity`` too, its ``provenance`` naming its transforms.
 """
 
 from __future__ import annotations
@@ -197,6 +198,7 @@ class Identity:
     lhs: object
     rhs: object
     notes: str = ""
+    provenance: str = ""     # e.g. "d/ds(beta_transform(name))"; "" when loaded
 
     @property
     def is_closed(self):
@@ -205,6 +207,23 @@ class Identity:
     @property
     def is_standard(self):
         return isinstance(self.lhs, StandardSide) and isinstance(self.rhs, StandardSide)
+
+
+def grid_params_read(identity):
+    """The grid parameters that a closed identity reads: in a factor, a
+    bracket argument, a coefficient, a sum bound or a standalone expression."""
+    names = set()
+    for side in (identity.lhs, identity.rhs):
+        exprs = [] if side.extra is None else [side.extra]
+        for sm in side.summands:
+            exprs += (sm.lower, sm.upper, sm.term.coeff)
+            affines = [p.argument for p in sm.term.extras]
+            for f in sm.term.factors:
+                affines += (f.top, f.bot) if isinstance(f, FBinom) else (f.affine,)
+            names.update(name for a in affines for name in ("r", "s") if getattr(a, name))
+        for e in exprs:
+            names |= dsl.free_vars(e)
+    return names.intersection(dsl.GRID_PARAMS)
 
 
 def admissible(r, s):
@@ -262,7 +281,7 @@ def _load_side(doc, name):
         return StandardSide(tuple(_load_term(t, name) for t in _objects(doc, "terms", name)))
     if kind == "poly":
         expr = _dsl_field(doc, "expr", name)
-        if not dsl.is_polynomial(expr):
+        if "t" not in dsl.free_vars(expr):
             raise FormatError(f"{name}: poly side contains no t")
         return PolySide(expr)
     if kind == "closed":
@@ -276,7 +295,7 @@ def _load_side(doc, name):
         if not summands and extra is None:
             raise FormatError(f"{name}: empty closed side")
         for e in [s.term.coeff for s in summands] + ([extra] if extra is not None else []):
-            if dsl.is_polynomial(e):
+            if "t" in dsl.free_vars(e):
                 raise FormatError(f"{name}: closed side contains t or U(...)")
         return ClosedSide(summands, extra)
     raise FormatError(f"{name}: unknown side kind {kind!r}")

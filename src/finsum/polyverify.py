@@ -9,10 +9,10 @@ type, and ``chebyshev_u`` gives the DSL's ``U(m)`` as one.
 
 A ``DensePoly`` holds its coefficients lowered, as the evaluators do: a plain
 int or Fraction for a rational coefficient and a SymConst only for one with
-an ln2 or sqrt(pi) term.  ``coeffs``, ``coefficient()``, evaluation and
-``integrate_unit`` lift their results to SymConst on the way out.  The ring
-operations and ``/`` take a plain or SymConst operand on either side as a
-constant polynomial; division is only by a nonzero constant.
+an ln2 or sqrt(pi) term.  ``coeffs``, ``coefficient()`` and evaluation lift
+their results to SymConst on the way out.  The ring operations and ``/``
+take a plain or SymConst operand on either side as a constant polynomial;
+division is only by a nonzero constant.
 """
 
 from __future__ import annotations
@@ -264,14 +264,6 @@ def verify_poly(identity, n):
     return PolyReport(identity.name, n, lhs == rhs, lhs, rhs)
 
 
-def integrate_unit(poly):
-    """Exact integral of the polynomial over [0, 1]."""
-    total = 0
-    for i, c in enumerate(poly._coeffs):
-        total = total + exact_div(c, i + 1)
-    return lift(total)
-
-
 _chebyshev = [_poly([1]), _poly([0, 2])]   # U_0, U_1, ... built so far
 
 
@@ -288,7 +280,3 @@ def chebyshev_u(m):
         _chebyshev.append(_poly(nxt))
     return _chebyshev[m]
 
-
-def cheb_u_sqrt_poly(n):
-    """U_{2n}(sqrt(t)) as a polynomial in t (even-coefficient compression)."""
-    return _poly(chebyshev_u(2 * n)._coeffs[::2])

@@ -10,10 +10,11 @@ from fractions import Fraction
 import pytest
 
 from finsum import beta, corpus, dsl, polyverify, special
-from finsum.beta import (Affine, ClosedIdentity, ClosedSide, ClosedSummand,
-                         ClosedTerm, FBinom, FRecipAffine)
+from finsum.beta import (Affine, ClosedSide, ClosedSummand, ClosedTerm, FBinom,
+                         FRecipAffine)
 from finsum.field import SymConst
-from finsum.model import admissible
+from finsum.model import Identity, admissible
+from poly_oracles import cheb_u_sqrt_poly, integrate_unit
 
 F = Fraction
 R = SymConst.rational
@@ -208,17 +209,17 @@ def test_criterion_5_special_function_suites():
         for v in range(0, 9):
             p = polyverify.DensePoly([R(0)] * u + [R(1)]) \
                 * polyverify.binomial_power("1-t", v)
-            if polyverify.integrate_unit(p).as_rational() != \
+            if integrate_unit(p).as_rational() != \
                     F(1, comb(u + v + 1, u + 1) * (u + 1)):
                 problems.append(f"Beta integral at ({u}, {v})")
 
     # Chebyshev moment oracles, n = 0..10
     for n in range(0, 11):
         u2n = polyverify.eval_poly(dsl.parse("U(2*n)"), {"n": n})
-        if polyverify.integrate_unit(u2n).as_rational() != F(1, 2 * n + 1):
+        if integrate_unit(u2n).as_rational() != F(1, 2 * n + 1):
             problems.append(f"Chebyshev moment at n={n}")
         if n >= 1:
-            got = polyverify.integrate_unit(polyverify.cheb_u_sqrt_poly(n)).as_rational()
+            got = integrate_unit(cheb_u_sqrt_poly(n)).as_rational()
             if got != F(2 * n - (-1) ** n + 1, 2 * n * (n + 1)):
                 problems.append(f"compressed Chebyshev moment at n={n}")
 
@@ -244,7 +245,7 @@ def test_criterion_6_derivative_cross_check():
                                       "sign(k)*binom(n, k)")))
         side = ClosedSide((ClosedSummand(ClosedTerm(coeff, tuple(factors)),
                                          dsl.parse("0"), dsl.parse("n")),))
-        cid = ClosedIdentity(f"random-{i}", f"random-{i}", side, side)
+        cid = Identity(f"random-{i}", "", "verified", side, side, provenance=f"random-{i}")
         s_val = rng.choice((F(1), F(2), F(1, 2), F(3, 2)))
         r_val = s_val + rng.choice((F(0), F(1), F(1, 2), F(2)))
         point = {"n": rng.randint(2, 5), "r": r_val, "s": s_val}

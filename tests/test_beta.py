@@ -150,6 +150,29 @@ def test_differentiate_shape_errors():
         differentiate(plain, "s")  # standalone expression / no factors
 
 
+def test_differentiate_refuses_an_identity_that_is_not_closed():
+    # a standard identity used to reach a side's missing ``extra``: AttributeError
+    with pytest.raises(ShapeError, match=r"need a transformed identity \(use beta first\)"):
+        differentiate(ident("binom-harmonic-gf"), "r")
+
+
+def test_transform_outputs_are_the_seed_identity_with_new_sides():
+    seed = ident("kb-standard-delta")
+    derived = differentiate(beta_transform(normalized_for_beta(seed)), "s")
+    outputs = [derived, *central_transform_v(seed, 1), central_transform_uv(seed, 1, 2)]
+    assert [o.provenance for o in outputs] == [
+        "d/ds(beta_transform(kb-standard-delta))", "central_v(kb-standard-delta, v=1)",
+        "central_v_dual(kb-standard-delta, v=1)", "central_uv(kb-standard-delta, u=1, v=2)"]
+    for out in outputs:
+        assert type(out) is type(seed) and out.is_closed
+        assert (out.name, out.paper_ref, out.status, out.notes) == \
+            (seed.name, seed.paper_ref, seed.status, seed.notes)
+    loaded = ident("alt-binom-harmonic-rs")
+    assert beta.from_model(loaded) is loaded
+    with pytest.raises(ShapeError):
+        beta.from_model(seed)
+
+
 # ---------------------------------------------------------------------------
 # specialization and limit conventions
 

@@ -290,7 +290,12 @@ class TestVerify:
 
     def test_malformed_entry_fields_exit_3(self, capsys, tmp_path):
         bad_witness = dict(GOOD_CLOSED, status="disputed", witness={"n": 1, "rhs": "0"})
-        for doc in (dict(GOOD_CLOSED, n="bad"), bad_witness):
+        zero_witness = dict(bad_witness, witness={"n": 1, "lhs": "1/0", "rhs": "0"})
+        poly_witness = {"name": "poly-claim", "status": "disputed",
+                        "lhs": {"kind": "poly", "expr": "t"}, "rhs": {"kind": "poly", "expr": "2*t"},
+                        "witness": {"n": 0, "lhs": "1", "rhs": "2"}}
+        reads_r = dict(GOOD_CLOSED, rhs={"kind": "closed", "expr": "r"})  # and has no grid
+        for doc in (dict(GOOD_CLOSED, n="bad"), bad_witness, zero_witness, poly_witness, reads_r):
             code, _, err = run(capsys, "verify", write(tmp_path, doc))
             assert code == 3
             assert "Traceback" not in err
@@ -546,6 +551,25 @@ class TestCorpusCommand:
                            "--status", "erratum_claimed")
         assert code == 0
         assert "expected=unequal actual=unequal" in out
+
+    def test_witness_at_a_pole_prints_every_row(self, capsys, tmp_path, monkeypatch):
+        # the replay's PoleError used to end the run with only "error: H_-1 is a pole"
+        shipped = corpus.DEFAULT_DIR / "binomial-theorem.json"
+        (tmp_path / "binomial-theorem.json").write_text(shipped.read_text())
+        (tmp_path / "pole.json").write_text(json.dumps({
+            "name": "harmonic-pole-claim", "status": "disputed",
+            "lhs": {"kind": "closed", "expr": "H(n)"}, "rhs": {"kind": "closed", "expr": "2"},
+            "n": [0, 3], "witness": {"n": -1, "lhs": "0", "rhs": "2"}}))
+        (tmp_path / "manifest.json").write_text(json.dumps(
+            {"entries": ["binomial-theorem.json", "pole.json"]}))
+        monkeypatch.setenv("FINSUM_CORPUS_DIR", str(tmp_path))
+        code, out, err = run(capsys, "corpus", "run")
+        assert (code, err) == (1, "")
+        rows = out.splitlines()
+        assert rows[0].startswith("ok  binomial-theorem ")
+        assert rows[1].startswith("FAIL harmonic-pole-claim expected=unequal actual=unequal")
+        assert rows[1].endswith("(stored witness not reproduced)]")
+        assert rows[2] == "2 entries, 1 mismatched"
 
     @pytest.mark.parametrize("manifest, entry_text, message", [
         ({"entries": ["bad.json"]}, "{not json", "corpus file bad.json: not valid JSON"),

@@ -11,7 +11,8 @@ from pathlib import Path
 import pytest
 
 from finsum import corpus
-from finsum.corpus import (Witness, _document_grid, check_coverage, corpus_dir, grid_points,
+from finsum.beta import PointResult
+from finsum.corpus import (_document_grid, check_coverage, corpus_dir, grid_points,
                            load_entries, load_entry, load_manifest, parse_half,
                            run_corpus, run_entry)
 from finsum.errors import FormatError
@@ -34,6 +35,15 @@ BAD_CLOSED = {
     "rhs": {"kind": "closed", "expr": "-1/(n + 1)"},
     "n": [1, 8],
     "witness": {"n": 1, "lhs": "1/2", "rhs": "-1/2"},
+}
+
+POLE_WITNESS = {
+    "name": "harmonic-pole-claim",
+    "status": "disputed",
+    "lhs": {"kind": "closed", "expr": "H(n)"},
+    "rhs": {"kind": "closed", "expr": "2"},
+    "n": [0, 3],
+    "witness": {"n": -1, "lhs": "0", "rhs": "2"},
 }
 
 GOOD_POLY = {
@@ -116,7 +126,7 @@ class TestLoadEntry:
         doc["witness"] = {"n": 2, "params": {"r": "1/2"},
                          "lhs": "1 - 2*L", "rhs": "0"}
         w = load_entry(doc).witness
-        assert isinstance(w, Witness)
+        assert isinstance(w, PointResult)
         assert w.n == 2
         assert w.params == (("r", Fraction(1, 2)),)
         assert w.lhs.render() == "1 - 2*L"
@@ -136,10 +146,34 @@ class TestLoadEntry:
         {"n": True, "lhs": "1/2", "rhs": "-1/2"},
         {"n": 1, "lhs": 1, "rhs": "-1/2"},
         [1, "1/2", "-1/2"],
+        {"n": 1, "lhs": "1 + foo", "rhs": "-1/2"},
+        {"n": 1, "lhs": "1/2", "rhs": "L^-1"},
+        {"n": 1, "lhs": "1/0", "rhs": "-1/2"},
     ])
     def test_malformed_witness(self, witness):
         doc = dict(BAD_CLOSED, witness=witness)
-        with pytest.raises(FormatError):
+        with pytest.raises(FormatError, match="alt-binom-off-by-sign: "):
+            load_entry(doc)
+
+    def test_witness_on_a_polynomial_document_is_format_error(self):
+        # its replay used to end in AttributeError
+        doc = {"name": "poly-claim", "status": "disputed",
+               "lhs": {"kind": "poly", "expr": "t"}, "rhs": {"kind": "poly", "expr": "2*t"},
+               "witness": {"n": 0, "lhs": "1", "rhs": "2"}}
+        with pytest.raises(FormatError, match="poly-claim: a witness needs a closed identity"):
+            load_entry(doc)
+
+    @pytest.mark.parametrize("doc, message", [
+        (dict(GOOD_CLOSED, rhs={"kind": "closed", "expr": "r"}), "'grid' leaves r unbound"),
+        (dict(GOOD_CLOSED, rhs={"kind": "closed", "expr": "1/(n + 1) + 0*(r + s)"},
+              grid={"r": ["1"]}), "'grid' leaves s unbound"),
+        (dict(BAD_CLOSED, rhs={"kind": "closed", "expr": "-1/(n + 1) + 0*u"}, grid={"u": ["0"]}),
+         "witness leaves u unbound"),
+    ], ids=["no-grid", "grid-without-s", "witness-without-u"])
+    def test_unbound_grid_parameter_is_format_error(self, doc, message):
+        # an entry reading r with no r on its grid used to stop a whole corpus run at
+        # its first point, exit 2
+        with pytest.raises(FormatError, match=f"{doc['name']}: {message}"):
             load_entry(doc)
 
     @pytest.mark.parametrize("grid", [{"r": ["x"]}, {"r": 3}, {"r": ["1/3"]}, {"r": ["1/0"]}, "r",
@@ -201,6 +235,12 @@ class TestRunEntry:
         report = run_entry(load_entry(doc))
         assert report.actual == "unequal" and not report.matched
         assert "witness" in report.detail
+
+    def test_witness_at_a_pole_is_unmatched(self):
+        # the replay's PoleError used to escape run_entry
+        report = run_entry(load_entry(POLE_WITNESS))
+        assert report.actual == "unequal" and not report.matched
+        assert report.detail.endswith("(stored witness not reproduced)")
 
     def test_expected_equal_but_unequal_mismatches(self):
         doc = dict(BAD_CLOSED)

@@ -254,6 +254,8 @@ class TestRendering:
         from finsum.errors import DslSyntaxError
         with pytest.raises(DslSyntaxError):
             SymConst.parse("1 + Q")
+        with pytest.raises(DslSyntaxError, match="bad constant factor '1/0'"):
+            SymConst.parse("1/0")
 
 
 class TestToFloat:

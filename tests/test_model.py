@@ -8,8 +8,8 @@ import pytest
 from finsum import corpus, dsl
 from finsum.errors import EvalTypeError, FormatError, ShapeError, UnboundVariable
 from finsum.field import half, to_twice
-from finsum.model import (Affine, PolySide, admissible, is_negative_integer, load_identity,
-                          substitute_neg_t)
+from finsum.model import (Affine, PolySide, admissible, grid_params_read, is_negative_integer,
+                          load_identity, substitute_neg_t)
 
 STANDARD_DOC = {
     "name": "demo-standard",
@@ -242,9 +242,12 @@ class TestValidation:
 
     def test_stray_variables_in_standard_coeff(self):
         doc = dict(STANDARD_DOC)
-        doc["lhs"] = {"kind": "standard", "terms": [{"coeff": "binom(n, r)"}]}
-        with pytest.raises(FormatError):
-            load_identity(doc)
+        # U(k) reads t: it used to load and fail only at expansion
+        for coeff, stray in (("binom(n, r)", "r"), ("t", "t"), ("U(k)", "t"),
+                             ("binom(n, k)*U(2*k)", "t")):
+            doc["lhs"] = {"kind": "standard", "terms": [{"coeff": coeff}]}
+            with pytest.raises(FormatError, match=rf"stray variables \['{stray}'\]"):
+                load_identity(doc)
 
     def test_bad_base(self):
         doc = dict(STANDARD_DOC)
@@ -266,6 +269,14 @@ class TestValidation:
         doc["rhs"] = {"kind": "mystery"}
         with pytest.raises(FormatError):
             load_identity(doc)
+
+
+def test_grid_params_read():
+    doc = dict(CLOSED_DOC, lhs={"kind": "closed", "sums": [
+        {"coeff": "binom(n, k)*H(k + s)", "lower": "0", "upper": "n + u"}]},
+        rhs={"kind": "closed", "expr": "sum(r, 0, n, r)"})
+    assert grid_params_read(load_identity(doc)) == {"s", "u"}
+    assert grid_params_read(load_identity(CLOSED_DOC)) == set()
 
 
 def test_substitute_neg_t():
