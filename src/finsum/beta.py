@@ -23,7 +23,10 @@ evaluation compiles each term of an identity once per ``verify_closed`` or
 ``eval_closed`` call, never at load time and never per point: the
 coefficient becomes a ``dsl.compile`` closure, each factor and bracket
 argument a closure for twice its value, and the factor product is
-accumulated as an int numerator and denominator.  Rational values stay plain
+accumulated as an int numerator and denominator.  A loaded term runs this
+factor path too: the loader has split its r/s-reading binomials,
+reciprocals and bracket out of its coefficient
+(``model.split_closed_term``).  Rational values stay plain
 ``int``/``Fraction`` and special values come from the ``special`` accessors
 at twice-int arguments.  Each side is summed in one ``field.Sum``, which
 adds every value, rational or not, per monomial into an unreduced int
@@ -33,7 +36,9 @@ lifts the sum to SymConst once.  The module's one cache, the
 coefficient memo ``_expr_memo``, holds the lowered values of the
 coefficients, sum bounds and standalone expressions that read no grid
 parameter (r, s, u, v), since only those repeat from one grid point to the
-next; it lives for the whole process and keeps every expression alive.
+next; a split loaded coefficient is one of them when only its factors and
+bracket read r and s.  The memo lives for the whole process and keeps every
+expression alive.
 """
 
 from __future__ import annotations
@@ -42,7 +47,8 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from . import dsl, special
-from .errors import DivisionByZero, EvalTypeError, PoleError, ShapeError
+from .errors import (DivisionByZero, EvalTypeError, PoleError, ShapeError,
+                     UnboundVariable)
 from .field import Sum, SymConst, half, lift, lower, to_int
 from .model import (Affine, ClosedSide, ClosedSummand, ClosedTerm, FBinom,
                     FRecipAffine, HPiece, RecipPiece, substitute_neg_t)
@@ -118,7 +124,12 @@ def derivative_bracket(factors, param):
 
 
 def differentiate(identity, param):
-    """d/dr or d/ds of every term of a transformed identity."""
+    """d/dr or d/ds of every term of a transformed or split loaded identity.
+
+    Only the factors are differentiated, so a term whose coefficient still
+    reads r or s is a ShapeError: its derivative would drop that part.  A
+    term none of whose factors reads ``param`` has derivative 0 and is
+    left out, since an empty bracket would read as the factor 1."""
     if param not in ("r", "s"):
         raise EvalTypeError(f"param must be 'r' or 's', not {param!r}")
     if not identity.is_closed:
@@ -134,11 +145,17 @@ def differentiate(identity, param):
                 raise ShapeError(f"{identity.name}: term already carries a derivative bracket")
             if not term.factors:
                 raise ShapeError(f"{identity.name}: term has no parametric factors")
-            out.append(replace(sm, term=replace(term, extras=derivative_bracket(term.factors, param))))
+            read = sorted(term.coeff_vars.intersection(("r", "s")))
+            if read:
+                raise ShapeError(f"{identity.name}: coefficient {dsl.render(term.coeff)}"
+                                 f" reads {', '.join(read)} outside the factors")
+            bracket = derivative_bracket(term.factors, param)
+            if bracket:
+                out.append(replace(sm, term=replace(term, extras=bracket)))
         return ClosedSide(tuple(out))
 
     return replace(identity, lhs=conv(identity.lhs), rhs=conv(identity.rhs),
-                   provenance=f"d/d{param}({identity.provenance})")
+                   provenance=f"d/d{param}({identity.provenance or identity.name})")
 
 
 # ---------------------------------------------------------------------------
@@ -295,13 +312,14 @@ def _eval_memo(expr, bindings, value):
     return result
 
 
-def _compile_value(expr):
+def _compile_value(expr, names=None):
     """A closure for the lowered value of a coefficient, a sum bound or a
-    standalone expression.  One that reads a grid parameter is evaluated
-    directly: its key would differ at every grid point, so the memo would
-    only keep it alive.  Any other goes through ``_eval_memo``."""
+    standalone expression, whose free variables are ``names`` when given.
+    One that reads a grid parameter is evaluated directly: its key would
+    differ at every grid point, so the memo would only keep it alive.  Any
+    other goes through ``_eval_memo``."""
     value = dsl.compile(expr)
-    if dsl.free_vars(expr).isdisjoint(GRID_PARAMS):
+    if (dsl.free_vars(expr) if names is None else names).isdisjoint(GRID_PARAMS):
         return lambda b: _eval_memo(expr, b, value)
     return lambda b: lower(value(b))
 
@@ -319,7 +337,7 @@ def _compile_term(term):
     bracket = tuple((isinstance(p, HPiece), p.coeff.numerator, p.coeff.denominator,
                      p.argument.compile_twice())
                     for p in term.extras)
-    return tuple(factors), _compile_value(term.coeff), bracket, term
+    return tuple(factors), _compile_value(term.coeff, term.coeff_vars), bracket, term
 
 
 def _run_term(plan, bindings, total):
@@ -333,64 +351,73 @@ def _run_term(plan, bindings, total):
     that scale what the term adds, and a binomial with sqrt(pi) in it is
     kept apart as a SymConst.  A bracket's pieces, c*H(x) and c/x, are added
     in order, so no term is reduced on its own unless its coefficient or a
-    factor carries ln2 or sqrt(pi)."""
+    factor carries ln2 or sqrt(pi).
+
+    A term split at load that fails re-runs its coefficient as written, so
+    the point reports the error the unsplit coefficient raises: that
+    product runs every operand the factor path does, so it fails too."""
     factors, coeff, bracket, term = plan
-    num = den = 1
-    sym = None
-    for f, x, y in factors:
-        if isinstance(f, FBinom):
-            b = special.binom_at(x(bindings), y(bindings))
-            if f.power == 1:
-                if b is special.INFINITE:
-                    raise PoleError(f"infinite binomial factor {f.render()}")
+    try:
+        num = den = 1
+        sym = None
+        for f, x, y in factors:
+            if isinstance(f, FBinom):
+                b = special.binom_at(x(bindings), y(bindings))
+                if f.power == 1:
+                    if b is special.INFINITE:
+                        raise PoleError(f"infinite binomial factor {f.render()}")
+                else:
+                    if b is special.INFINITE:
+                        return
+                    if b == 0:
+                        raise DivisionByZero(f"zero binomial under reciprocal: {f.render()}")
+                if type(b) is SymConst:
+                    if f.power != 1:
+                        b = b.inverse()
+                    sym = b if sym is None else sym * b
+                elif f.power == 1:
+                    num *= b.numerator
+                    den *= b.denominator
+                else:
+                    num *= b.denominator
+                    den *= b.numerator
+            elif isinstance(f, FRecipAffine):
+                twice = x(bindings)
+                if twice == 0:
+                    raise DivisionByZero(f"zero affine under reciprocal: {f.render()}")
+                num *= 2
+                den *= twice
             else:
-                if b is special.INFINITE:
-                    return
-                if b == 0:
-                    raise DivisionByZero(f"zero binomial under reciprocal: {f.render()}")
-            if type(b) is SymConst:
-                if f.power != 1:
-                    b = b.inverse()
-                sym = b if sym is None else sym * b
-            elif f.power == 1:
-                num *= b.numerator
-                den *= b.denominator
-            else:
-                num *= b.denominator
-                den *= b.numerator
-        elif isinstance(f, FRecipAffine):
+                raise EvalTypeError(f"unknown factor {f!r}")
+        if num == 0:
+            return
+        value = coeff(bindings)
+        if sym is not None:
+            value = value * sym
+        if not bracket:
+            total.add(value, num, den)
+            return
+        # pieces times a SymConst are summed apart and multiplied once
+        if type(value) is SymConst:
+            pieces = Sum()
+        else:
+            pieces = total
+            num *= value.numerator
+            den *= value.denominator
+        for is_harmonic, cn, cd, x in bracket:
             twice = x(bindings)
-            if twice == 0:
-                raise DivisionByZero(f"zero affine under reciprocal: {f.render()}")
-            num *= 2
-            den *= twice
-        else:
-            raise EvalTypeError(f"unknown factor {f!r}")
-    if num == 0:
-        return
-    value = coeff(bindings)
-    if sym is not None:
-        value = value * sym
-    if not bracket:
-        total.add(value, num, den)
-        return
-    # pieces times a SymConst are summed apart and multiplied once
-    if type(value) is SymConst:
-        pieces = Sum()
-    else:
-        pieces = total
-        num *= value.numerator
-        den *= value.denominator
-    for is_harmonic, cn, cd, x in bracket:
-        twice = x(bindings)
-        if is_harmonic:
-            pieces.add(special.harmonic_at(twice), cn * num, cd * den)
-        else:
-            if twice == 0:
-                raise DivisionByZero(f"bracket reciprocal at zero: {term.render()}")
-            pieces.add(2 * cn * num, 1, cd * den * twice)  # c / (twice/2)
-    if pieces is not total:
-        total.add(value * pieces.value())
+            if is_harmonic:
+                pieces.add(special.harmonic_at(twice), cn * num, cd * den)
+            else:
+                if twice == 0:
+                    raise DivisionByZero(f"bracket reciprocal at zero: {term.render()}")
+                pieces.add(2 * cn * num, 1, cd * den * twice)  # c / (twice/2)
+        if pieces is not total:
+            total.add(value * pieces.value())
+    except (PoleError, DivisionByZero, EvalTypeError, UnboundVariable):
+        if term.source is not None:
+            dsl.compile(term.source)(bindings)
+        raise
 
 
 def eval_term(term, bindings):

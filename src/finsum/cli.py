@@ -85,7 +85,8 @@ def _grid_points(values):
 
 
 def _load_entry(path, args):
-    """A corpus entry whose n values and parameter grid the command line may replace."""
+    """A corpus entry whose n values and parameter grid the command line may
+    replace; UsageError for a grid that leaves a parameter it reads unbound."""
     grid_values = _grid_values_from_args(args)
     n_values = tuple(to_int(v) for v in parse_grid(args.n)) if args.n else None
     entry = corpus.load_entry(_load_document(path))
@@ -93,6 +94,10 @@ def _load_entry(path, args):
         if not entry.identity.is_closed:
             flags = ", ".join(f"--{name}" for name in grid_values)
             raise UsageError(f"{entry.name}: a polynomial entry reads no grid ({flags})")
+        unbound = sorted(grid_params_read(entry.identity).difference(grid_values))
+        if unbound:
+            raise UsageError(f"{entry.name}: the command-line grid leaves"
+                             f" {', '.join(unbound)} unbound")
         entry = replace(entry, param_grid=_grid_points(grid_values))
     if n_values:
         entry = replace(entry, n_values=n_values)
@@ -103,9 +108,8 @@ def _load_entry(path, args):
 # verify
 
 def cmd_verify(args):
-    reports = []
-    for path in args.paths:
-        reports.append(corpus.run_entry(_load_entry(path, args)))
+    entries = [_load_entry(path, args) for path in args.paths]   # every refusal before any run
+    reports = [corpus.run_entry(entry) for entry in entries]
     _emit_reports(reports, args.format)
     return EXIT_OK if all(r.matched for r in reports) else EXIT_MISMATCH
 

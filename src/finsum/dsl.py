@@ -124,31 +124,26 @@ class BoundedSum:
     body: object
 
 
-_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([()+\-*/^,]))")
+# one token after optional whitespace: an integer, a name, an operator, or
+# (group 4) any other character, which is an error
+_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([()+\-*/^,])|(\S))")
+_TOKEN_KINDS = (None, "int", "ident", "op")
 
 
 def _tokenize(text):
     tokens = []
-    pos = 0
-    while pos < len(text):
-        if text[pos].isspace():
-            pos += 1
-            continue
-        m = _TOKEN.match(text, pos)
-        if not m:
-            raise DslSyntaxError(f"unexpected character {text[pos]!r}", pos)
-        if m.group(1):
+    for m in _TOKEN.finditer(text):
+        group = m.lastindex
+        if group == 4:
+            raise DslSyntaxError(f"unexpected character {m.group(4)!r}", m.start(4))
+        value = m.group(group)
+        if group == 1:
             try:
-                value = int(m.group(1))
+                value = int(value)
             except ValueError:  # past the interpreter's int-from-str digit limit
-                raise DslSyntaxError(f"integer literal of {len(m.group(1))} digits is too long",
+                raise DslSyntaxError(f"integer literal of {len(value)} digits is too long",
                                      m.start(1)) from None
-            tokens.append(("int", value, m.start(1)))
-        elif m.group(2):
-            tokens.append(("ident", m.group(2), m.start(2)))
-        else:
-            tokens.append(("op", m.group(3), m.start(3)))
-        pos = m.end()
+        tokens.append((_TOKEN_KINDS[group], value, m.start(group)))
     tokens.append(("end", None, len(text)))
     return tokens
 
@@ -355,14 +350,21 @@ def free_vars(expr):
     stack = [expr]
     while stack:
         e = stack.pop()
-        if type(e) is Var:
+        cls = type(e)
+        if cls is Var:
             names.add(e.name)
-        elif type(e) is BoundedSum:
+        elif cls is Lit:
+            pass
+        elif cls in _CHAIN_TEXT:
+            stack += (e.left, e.right)
+        elif cls is Call:
+            if e.fn == "U":
+                names.add("t")
+            stack += e.args
+        elif cls is BoundedSum:
             stack += (e.lower, e.upper)
             names |= free_vars(e.body) - {e.index}
         else:
-            if type(e) is Call and e.fn == "U":
-                names.add("t")
             stack += children(e)
     return names
 
@@ -625,12 +627,11 @@ def _compile_twice(e):
 
 # -- affine expressions on twice-ints -----------------------------------------
 
-def _fast_twice(e, slow, names=None):
-    """A closure for twice the value of ``e`` as an int, by ``twice_sum``,
-    when ``e`` is built from literals and variables other than t by ``+``,
-    ``-`` and ``literal*e`` with integer coefficients and reads a name in
-    ``names`` (any when None); else ``slow``.  A cancelled name stays, and
-    a name unbound or not bound to a half-integer falls back to ``slow``."""
+def affine_terms(e):
+    """``({name: coefficient}, constant)`` when ``e`` is built from literals
+    and variables other than t by ``+``, ``-`` and ``literal*e``; else None.
+    Integer literals count as ints, so integer forms give int coefficients.
+    A cancelled name stays, with coefficient 0."""
     coeffs = {}
     const = 0
     stack = [(e, 1)]
@@ -638,7 +639,8 @@ def _fast_twice(e, slow, names=None):
         node, scale = stack.pop()
         cls = type(node)
         if cls is Lit:
-            const += scale * node.value
+            value = node.value
+            const += scale * (value.numerator if value.denominator == 1 else value)
         elif cls is Var and node.name != "t":
             coeffs[node.name] = coeffs.get(node.name, 0) + scale
         elif cls is Add or cls is Sub:
@@ -647,9 +649,22 @@ def _fast_twice(e, slow, names=None):
         elif cls is Neg:
             stack.append((node.operand, -scale))
         elif cls is Mul and type(node.left) is Lit:
-            stack.append((node.right, scale * node.left.value))
+            value = node.left.value
+            stack.append((node.right, scale * (value.numerator if value.denominator == 1 else value)))
         else:
-            return slow
+            return None
+    return coeffs, const
+
+
+def _fast_twice(e, slow, names=None):
+    """A closure for twice the value of ``e`` as an int, by ``twice_sum``,
+    when ``e`` is an ``affine_terms`` form with integer coefficients that
+    reads a name in ``names`` (any when None); else ``slow``.  A name
+    unbound or not bound to a half-integer falls back to ``slow``."""
+    terms = affine_terms(e)
+    if terms is None:
+        return slow
+    coeffs, const = terms
     if names is not None and coeffs.keys().isdisjoint(names):
         return slow
     return twice_sum(coeffs.items(), const, slow) or slow

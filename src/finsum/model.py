@@ -8,15 +8,17 @@ An identity has two sides; each side is either
 * ``ClosedSide``: t-free summands plus an optional standalone expression.
 
 Both sides must be closed, or both t-bearing.  A closed summand holds a
-``ClosedTerm``: a loaded document gives it only a coefficient, and the
-``beta`` transforms add binomial and reciprocal factors and a derivative
-bracket, so loaded and derived closed sums are the same objects.  A derived
-identity is an ``Identity`` too, its ``provenance`` naming its transforms.
+``ClosedTerm``: coefficient times binomial and reciprocal factors times an
+optional derivative bracket.  The ``beta`` transforms build the factors and
+the bracket; the loader splits them out of a document's coefficient once
+(``split_closed_term``), so loaded and derived closed sums are the same
+objects and run the same factor path.  A derived identity is an
+``Identity`` too, its ``provenance`` naming its transforms.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from . import dsl
@@ -45,9 +47,10 @@ class Affine:
     def __post_init__(self):
         for name in ("k", "n", "r", "s", "const"):
             c = getattr(self, name)
-            if c != int(c):
-                raise EvalTypeError(f"affine coefficient {name} = {c} is not an integer")
-            object.__setattr__(self, name, int(c))
+            if type(c) is not int:
+                if c != int(c):
+                    raise EvalTypeError(f"affine coefficient {name} = {c} is not an integer")
+                object.__setattr__(self, name, int(c))
 
     @property
     def is_zero(self):
@@ -157,11 +160,24 @@ class RecipPiece:
 @dataclass(frozen=True)
 class ClosedTerm:
     """coeff times binomial/reciprocal factors times an optional
-    harmonic-difference bracket produced by differentiation."""
+    harmonic-difference bracket, from differentiation or from the split of
+    a loaded coefficient (``split_closed_term``).
+
+    ``coeff_vars`` holds the free variables of ``coeff``, walked once when
+    the term is built; a term made by ``replace`` with a new ``coeff`` must
+    not pass the old one on.  A split term keeps the coefficient as written
+    in ``source``, so that a point where it fails reports the error the
+    unsplit coefficient raises."""
 
     coeff: object            # SeqExpr over {k, n, r, s, u, v}
     factors: tuple = ()
     extras: tuple = ()       # bracket pieces; () means no bracket (factor 1)
+    coeff_vars: frozenset = field(default=None, compare=False, repr=False)
+    source: object = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        if self.coeff_vars is None:
+            object.__setattr__(self, "coeff_vars", frozenset(dsl.free_vars(self.coeff)))
 
     def render(self):
         parts = [dsl.render(self.coeff)] + [f.render() for f in self.factors]
@@ -216,7 +232,8 @@ def grid_params_read(identity):
     for side in (identity.lhs, identity.rhs):
         exprs = [] if side.extra is None else [side.extra]
         for sm in side.summands:
-            exprs += (sm.lower, sm.upper, sm.term.coeff)
+            exprs += (sm.lower, sm.upper)
+            names |= sm.term.coeff_vars
             affines = [p.argument for p in sm.term.extras]
             for f in sm.term.factors:
                 affines += (f.top, f.bot) if isinstance(f, FBinom) else (f.affine,)
@@ -274,6 +291,14 @@ def load_identity(document):
 
 
 def _load_side(doc, name):
+    """A side document as a ``StandardSide``, ``PolySide`` or ``ClosedSide``.
+
+    Each closed summand's coefficient is walked once and split
+    (``split_closed_term``): r/s-reading ``binom``/``rbinom`` factors,
+    integer-affine divisors and one harmonic bracket leave it for the factor
+    path; the rest, and any coefficient that reads u or v or offers no such
+    factor, stays as written.  The names of that one walk serve the ``t``
+    check here and ``grid_params_read`` later."""
     if not isinstance(doc, dict) or "kind" not in doc:
         raise FormatError(f"{name}: side must be an object with a 'kind'")
     kind = doc["kind"]
@@ -286,7 +311,7 @@ def _load_side(doc, name):
         return PolySide(expr)
     if kind == "closed":
         summands = tuple(
-            ClosedSummand(ClosedTerm(_dsl_field(s, "coeff", name)),
+            ClosedSummand(split_closed_term(_dsl_field(s, "coeff", name)),
                           _dsl_field(s, "lower", name, bound=True),
                           _dsl_field(s, "upper", name, bound=True))
             for s in _objects(doc, "sums", name)
@@ -294,11 +319,178 @@ def _load_side(doc, name):
         extra = _dsl_field(doc, "expr", name) if "expr" in doc else None
         if not summands and extra is None:
             raise FormatError(f"{name}: empty closed side")
-        for e in [s.term.coeff for s in summands] + ([extra] if extra is not None else []):
-            if "t" in dsl.free_vars(e):
-                raise FormatError(f"{name}: closed side contains t or U(...)")
+        # a split factor or bracket reads only k, n, r and s, so t stays in coeff
+        if (any("t" in sm.term.coeff_vars for sm in summands)
+                or extra is not None and "t" in dsl.free_vars(extra)):
+            raise FormatError(f"{name}: closed side contains t or U(...)")
         return ClosedSide(summands, extra)
     raise FormatError(f"{name}: unknown side kind {kind!r}")
+
+
+_SPLIT_PARAMS = ("r", "s")
+_ONE = dsl.Lit(Fraction(1))
+_MAX_SPLIT_POWER = 4        # (k+s)^m in a divisor splits into m factors up to this m
+
+
+def split_closed_term(coeff):
+    """The ``ClosedTerm`` of a loaded coefficient: its r/s-reading binomial
+    and reciprocal factors and its bracket split out once, so that the
+    grid-free rest can be memoized and the factors run on twice-int affines.
+
+    One pass down the top-level ``*``/``/`` chain, whose divisors are
+    flattened through products and small integer powers:
+
+    * ``binom``/``rbinom`` of integer-affine arguments in k, n, r, s that
+      read r or s become ``FBinom``, of power -1 for a divided ``binom`` or
+      a multiplied ``rbinom`` and 1 otherwise;
+    * an integer-affine divisor that reads r or s becomes ``FRecipAffine``;
+    * the first multiplied sum of ``±H(affine)`` and ``±1/affine`` pieces
+      that reads r or s becomes the bracket (one piece may read neither).
+
+    Factors are listed as the product evaluates its operands: divisors
+    from right to left, then multiplied operands from left to right.  All
+    other operands stay in the coefficient, in order.  A coefficient that
+    reads u or v, reads neither r nor s, or has no binomial or reciprocal
+    factor to give stays exactly as written.
+
+    The split term has the value of the unsplit one wherever that is
+    defined, and fails where it fails with the same error (its ``source``
+    gives the error).  It differs only where ``beta._run_term`` zeroes a
+    term at an Infinite reciprocal binomial or a zero binomial before its
+    other operands run, while the unsplit product runs them and may fail:
+    a point no admissible (r, s) reaches in the shipped corpus."""
+    spine = []
+    e = coeff
+    while type(e) is dsl.Mul or type(e) is dsl.Div:
+        spine.append(e)
+        e = e.left
+    operands = [(False, e)] + [(type(node) is dsl.Div, node.right) for node in reversed(spine)]
+    reads = [dsl.free_vars(node) for _, node in operands]   # the one walk of coeff
+    names = frozenset().union(*reads)
+    if names.isdisjoint(_SPLIT_PARAMS) or "u" in names or "v" in names:
+        return ClosedTerm(coeff, coeff_vars=names)
+    divisors, multiplied, extras = [], [], ()
+    kept, kept_names = [], set()       # (divided, node) left in the coefficient, in order
+    for (divided, node), node_names in zip(operands, reads):
+        if node_names.isdisjoint(_SPLIT_PARAMS):
+            pass                       # kept below
+        elif divided:
+            parts = _divisor_parts(node)
+            found = [_factor(part, True) for part in parts]
+            rest = [part for part, f in zip(parts, found) if f is None]
+            divisors.append([f for f in found if f is not None])
+            if len(rest) < len(parts):
+                if rest:
+                    kept.append((True, _product(rest)))
+                    kept_names.update(*map(dsl.free_vars, rest))
+                continue
+        else:
+            f = _factor(node, False)
+            if f is not None:
+                multiplied.append(f)
+                continue
+            if not extras:
+                extras = _bracket(node)
+                if extras:
+                    continue
+        kept.append((divided, node))
+        kept_names |= node_names
+    factors = tuple(f for group in reversed(divisors) for f in group) + tuple(multiplied)
+    if not factors:
+        return ClosedTerm(coeff, coeff_vars=names)
+    rest = _ONE
+    for i, (divided, node) in enumerate(kept):
+        if divided:
+            rest = dsl.Div(rest, node)
+        else:
+            rest = node if i == 0 else dsl.Mul(rest, node)
+    return ClosedTerm(rest, factors, extras, coeff_vars=frozenset(kept_names), source=coeff)
+
+
+def _divisor_parts(node):
+    """A divisor's operands, flattened through ``*`` and through ``^`` by a
+    literal integer from 1 to ``_MAX_SPLIT_POWER``, left to right."""
+    parts, stack = [], [node]
+    while stack:
+        e = stack.pop()
+        if type(e) is dsl.Mul:
+            stack += (e.right, e.left)
+        elif (type(e) is dsl.Pow and type(e.exponent) is dsl.Lit
+              and e.exponent.value.denominator == 1
+              and 1 <= e.exponent.value <= _MAX_SPLIT_POWER):
+            stack += [e.base] * e.exponent.value.numerator
+        else:
+            parts.append(e)
+    return parts
+
+
+def _product(parts):
+    out = parts[0]
+    for part in parts[1:]:
+        out = dsl.Mul(out, part)
+    return out
+
+
+def _affine(node, reads_grid=False):
+    """The integer ``Affine`` that ``node`` spells, or None; None too when
+    ``reads_grid`` and it reads neither r nor s."""
+    terms = dsl.affine_terms(node)
+    if terms is None:
+        return None
+    coeffs, const = terms
+    if not coeffs.keys() <= {"k", "n", "r", "s"}:
+        return None
+    if reads_grid and not (coeffs.get("r") or coeffs.get("s")):
+        return None
+    coeffs["const"] = const
+    if not all(type(c) is int for c in coeffs.values()):
+        return None
+    return Affine(**coeffs)
+
+
+def _reads_grid(affine):
+    return bool(affine.r or affine.s)
+
+
+def _factor(node, divided):
+    """The ``FBinom`` or ``FRecipAffine`` that an operand reading r or s
+    spells, or None."""
+    if type(node) is dsl.Call and node.fn in ("binom", "rbinom"):
+        top, bot = (_affine(a) for a in node.args)
+        if top is None or bot is None or not (_reads_grid(top) or _reads_grid(bot)):
+            return None
+        return FBinom(top, bot, -1 if divided == (node.fn == "binom") else 1)
+    if divided:
+        affine = _affine(node, reads_grid=True)
+        if affine is not None:
+            return FRecipAffine(affine)
+    return None
+
+
+def _bracket(node):
+    """The bracket pieces of a sum of ``±H(affine)`` and ``±1/affine``
+    terms, left to right, when one of them reads r or s; else ()."""
+    pieces, stack = [], [(node, 1)]
+    while stack:
+        e, sign = stack.pop()
+        cls = type(e)
+        if cls is dsl.Add or cls is dsl.Sub:
+            stack += ((e.right, sign if cls is dsl.Add else -sign), (e.left, sign))
+        elif cls is dsl.Neg:
+            stack.append((e.operand, -sign))
+        elif cls is dsl.Call and e.fn == "H":
+            affine = _affine(e.args[0])
+            if affine is None:
+                return ()
+            pieces.append(HPiece(Fraction(sign), affine))
+        elif cls is dsl.Div and type(e.left) is dsl.Lit and e.left.value == 1:
+            affine = _affine(e.right)
+            if affine is None:
+                return ()
+            pieces.append(RecipPiece(Fraction(sign), affine))
+        else:
+            return ()
+    return tuple(pieces) if any(_reads_grid(p.argument) for p in pieces) else ()
 
 
 def _objects(doc, key, name):

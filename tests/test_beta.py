@@ -5,8 +5,15 @@ binomial transforms, exact evaluation, and the float derivative cross-check.
 Soundness here always means: transform a polynomial identity that is known to
 hold, then check the resulting closed identity exactly at many points."""
 
+import collections
+import functools
 import hashlib
+import itertools
+import json
+import re
+from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -20,7 +27,8 @@ from finsum.beta import (Affine, ClosedTerm, FBinom, FRecipAffine, HPiece,
 from finsum.errors import (DivisionByZero, EvalTypeError, PoleError,
                            ShapeError)
 from finsum.field import SymConst, half, lift, to_int
-from finsum.model import ClosedSide, ClosedSummand, load_identity
+from finsum.model import (ClosedSide, ClosedSummand, admissible, grid_params_read,
+                          is_negative_integer, load_identity, split_closed_term)
 
 F = Fraction
 R = SymConst.rational
@@ -306,18 +314,203 @@ def test_memo_serves_every_grid_point(monkeypatch):
     assert counts[0] > 0 and counts[1] == counts[0]
 
 
-def test_loaded_identity_verifies_as_it_is():
-    """verify_closed takes a loaded identity with no conversion; its report
-    on dattoli-ddr is pinned point for point by a sha256 of each point's n,
-    parameters, values and error."""
-    (entry,) = corpus.load_entries(names={"dattoli-ddr"})
-    report = verify_closed(entry.identity, entry.n_values, entry.param_grid)
-    assert (report.name, len(report.results)) == ("dattoli-ddr", 510)
-    assert not report.failures and not report.undefined
-    text = "\n".join(f"{p.n} {' '.join(f'{name}={val}' for name, val in p.params)}"
+def report_text(report):
+    """One line per point: n, parameters, values and error."""
+    return "\n".join(f"{p.n} {' '.join(f'{name}={val}' for name, val in p.params)}"
                      f" {p.lhs} {p.rhs} {p.error}" for p in report.results)
-    assert hashlib.sha256(text.encode()).hexdigest() == (
-        "3606836424e3d13315f1f75adac4517655592a757743a8f6b7a6b360fb36def8")
+
+
+def test_loaded_identity_verifies_as_it_is():
+    """verify_closed takes a loaded identity with no conversion; the report
+    of every closed corpus entry on its shipped n range and grid is pinned
+    point for point by a sha256 of its ``report_text``, taken before loaded
+    coefficients were split into factors."""
+    pinned = json.loads((Path(__file__).parent / "closed_report_sha256.json").read_text())
+    got = {}
+    for entry in corpus.load_entries():
+        if entry.identity.is_closed:
+            report = verify_closed(entry.identity, entry.n_values, entry.param_grid)
+            got[entry.name] = hashlib.sha256(report_text(report).encode()).hexdigest()
+    assert len(got) == 89
+    assert got == pinned
+
+
+# ---------------------------------------------------------------------------
+# loaded coefficients split into factors
+
+WIDE = [F(twice, 2) for twice in range(-4, 7)]     # -2, -3/2, ..., 3
+
+
+def reachable(point):
+    """A point that the corpus and the command line accept."""
+    if "r" in point and "s" in point:
+        return admissible(point["r"], point["s"])
+    return not any(is_negative_integer(v) for v in point.values()) and point.get("s") != 0
+
+
+def unsplit(identity, document):
+    """The identity with each summand's coefficient as written in the document."""
+    def side(loaded, doc):
+        return replace(loaded, summands=tuple(
+            replace(sm, term=ClosedTerm(dsl.parse(d["coeff"])))
+            for sm, d in zip(loaded.summands, doc.get("sums", []))))
+    return replace(identity, lhs=side(identity.lhs, document["lhs"]),
+                   rhs=side(identity.rhs, document["rhs"]))
+
+
+@functools.lru_cache(maxsize=None)
+def wide_grid_reports():
+    """(entry name, grid point, split point, unsplit point) over the wide
+    grid and n = 0..4 for every closed entry that reads only r and/or s."""
+    rows = []
+    for file_name in corpus.load_manifest()["entries"]:
+        document = json.loads((corpus.DEFAULT_DIR / file_name).read_text())
+        identity = corpus.load_entry(document).identity
+        read = sorted(grid_params_read(identity)) if identity.is_closed else []
+        if not read or not set(read) <= {"r", "s"}:
+            continue
+        grid = [dict(zip(read, values)) for values in itertools.product(WIDE, repeat=len(read))]
+        points = [point for _ in range(5) for point in grid]
+        split_report = verify_closed(identity, range(5), grid)
+        unsplit_report = verify_closed(unsplit(identity, document), range(5), grid)
+        rows += zip([identity.name] * len(points), points,
+                    split_report.results, unsplit_report.results)
+    return rows
+
+
+def test_split_matches_unsplit_at_every_reachable_point():
+    """Value, defined status and error text agree at every point that the
+    corpus and the command line accept, r = 0 of an r-only entry too."""
+    rows = [row for row in wide_grid_reports() if reachable(row[1])]
+    assert (len({row[0] for row in rows}), len(rows)) == (27, 3790)
+    assert [row for row in rows if row[2] != row[3]] == []
+    assert sum(1 for row in rows if row[2].error) == 166   # errors compared too
+
+
+def test_split_differs_only_at_the_limit_convention():
+    """Off the reachable points, a split term is zeroed at an Infinite
+    reciprocal binomial before its bracket runs (``_run_term``'s limit
+    convention); the unsplit product runs the bracket's H and meets its
+    pole.  That happens at 100 points of cheb-ddr and dattoli-ddr."""
+    differ = [row for row in wide_grid_reports() if row[2] != row[3]]
+    assert not any(reachable(point) for _, point, _, _ in differ)
+    assert collections.Counter(name for name, _, _, _ in differ) == {
+        "cheb-ddr": 50, "dattoli-ddr": 50}
+    for _, point, split_point, unsplit_point in differ:
+        assert is_negative_integer(point["r"])
+        assert split_point.defined
+        assert re.fullmatch(r"H_-\d+ is a pole", unsplit_point.error)
+
+
+def test_loaded_summands_off_the_factor_path_are_pinned():
+    """53 of the 59 loaded summands that read r or s (and not u or v) are
+    split.  The six left as written have no binomial or affine divisor in
+    r or s; a change that stops splitting another one fails here."""
+    split, kept = 0, []
+    for entry in corpus.load_entries():
+        identity = entry.identity
+        if not identity.is_closed:
+            continue
+        for side in (identity.lhs, identity.rhs):
+            for sm in side.summands:
+                term = sm.term
+                if term.factors:
+                    split += 1
+                    assert term.source is not None
+                    assert term.factors and not term.coeff_vars & {"u", "v"}
+                elif term.coeff_vars & {"r", "s"} and not term.coeff_vars & {"u", "v"}:
+                    kept.append((entry.name, dsl.render(term.coeff)))
+    assert split == 53
+    assert kept == [
+        ("dattoli-general-r", "fact(n)/fact(n + r)*fact(k + r - 1)/fact(k)/(k + 2)"),
+        ("dattoli-harmonic-r", "fact(n)/fact(n + r)*H(n + r)*fact(k + r - 1)/fact(k)/(k + 2)"),
+        ("dattoli-harmonic-r", "-fact(n)/fact(n + r)*H(n - k)*fact(k + r - 1)/fact(k)/(k + 2)"),
+        ("dattoli-setsr-display",
+         "fact(n)/fact(n + r)*(H(k + r) - H(n - k))*fact(k + r - 1)/fact(k)/(k + 2)"),
+        ("dattoli-setsr-display", "-fact(n)/fact(n + r)*fact(k + r - 1)/fact(k)/(k + 2)"),
+        ("dattoli-square-r",
+         "fact(n)/fact(n + r)*(H(n + r) - H(k + r) + 1/(k + r))*fact(k + r - 1)/fact(k)/(k + 2)"),
+    ]
+
+
+@pytest.mark.parametrize("coeff, rest, factors, extras", [
+    # the rest keeps its operands in order; divisors come first, right to left
+    ("binom(n,k)/((k+2)*(k+s))*rbinom(n+r,k+s)", "binom(n, k)/(k + 2)",
+     ("1/(k + s)", "1/binom(n + r, k + s)"), ()),
+    # a power of a divisor is flattened, a divided binom has power -1
+    ("-(r+1)/(r-s+1)^2/binom(k+r,s)*k", "-(r + 1)*k",
+     ("1/binom(k + r, s)", "1/(r - s + 1)", "1/(r - s + 1)"), ()),
+    # a multiplied binom keeps power 1 and a divided rbinom gets it
+    ("binom(k+r,k)/rbinom(n+s,k)", "1", ("binom(n + s, k)", "binom(k + r, k)"), ()),
+    # only the first multiplied sum of pieces is the bracket
+    ("(H(k)-H(n+r)+1/(k+s))*H(k+r)/(k+s)", "H(k + r)", ("1/(k + s)",),
+     (HPiece(F(1), Affine(k=1)), HPiece(F(-1), Affine(n=1, r=1)),
+      RecipPiece(F(1), Affine(k=1, s=1)))),
+    ("-H(n+r)*rbinom(n+r,k)", "1", ("1/binom(n + r, k)",), (HPiece(F(-1), Affine(n=1, r=1)),)),
+])
+def test_split_rules(coeff, rest, factors, extras):
+    term = split_closed_term(dsl.parse(coeff))
+    assert (dsl.render(term.coeff), tuple(f.render() for f in term.factors), term.extras) == (
+        rest, factors, extras)
+    assert term.source == dsl.parse(coeff)
+    assert term.coeff_vars == frozenset(dsl.free_vars(term.coeff))
+
+
+@pytest.mark.parametrize("coeff", [
+    "binom(n,k)/(k+2)",                      # reads neither r nor s
+    "H(k+r)*binom(n,k)",                     # a bracket alone is no factor
+    "rbinom(k+r,v/2)/(k+s)",                 # reads v
+    "rbinom(k/2+r,s)*fact(n+r)",             # an argument that is not integer-affine
+    "(k+s)^5*binom(n+r,k)^2",                # a power beyond the limit, a multiplied power
+])
+def test_unsplit_coefficients_stay_as_written(coeff):
+    term = split_closed_term(dsl.parse(coeff))
+    assert (term.coeff, term.factors, term.extras, term.source) == (dsl.parse(coeff), (), (), None)
+
+
+def test_loaded_display_is_the_derivative_of_its_parent():
+    """d/dr and d/ds of the loaded dattoli-rs equal the shipped dattoli-ddr
+    and dattoli-dds side by side, each side exactly, at all 510 points."""
+    entries = {e.name: e for e in corpus.load_entries(
+        names={"dattoli-rs", "dattoli-ddr", "dattoli-dds"})}
+    parent = entries["dattoli-rs"].identity
+    for param, name in (("r", "dattoli-ddr"), ("s", "dattoli-dds")):
+        shipped = entries[name]
+        derived = differentiate(parent, param)
+        assert derived.provenance == f"d/d{param}(dattoli-rs)"
+        ours = verify_closed(derived, shipped.n_values, shipped.param_grid).results
+        theirs = verify_closed(shipped.identity, shipped.n_values, shipped.param_grid).results
+        assert len(ours) == 510
+        assert [(p.lhs, p.rhs) for p in ours] == [(p.lhs, p.rhs) for p in theirs]
+        assert all(p.defined for p in ours)
+
+
+def test_derivative_leaves_out_terms_without_the_parameter():
+    """cheb-general-r reads r alone, so its d/ds is 0 = 0: every term is
+    left out, not kept with an empty bracket, which reads as the factor 1."""
+    (entry,) = corpus.load_entries(names={"cheb-general-r"})
+    derived = differentiate(entry.identity, "s")
+    assert derived.lhs.summands == derived.rhs.summands == ()
+    assert eval_closed(derived, 3, r=F(1, 2)) == (R(0), R(0))
+    # a side keeps the terms whose factors read the parameter
+    side = {"kind": "closed", "sums": [
+        {"coeff": "binom(n,k)*rbinom(n+r,k)", "lower": "0", "upper": "n"},
+        {"coeff": "binom(n,k)/(k+s)", "lower": "0", "upper": "n"}]}
+    mixed = load_identity({"name": "mixed", "lhs": side, "rhs": side})
+    (kept,) = differentiate(mixed, "s").lhs.summands
+    assert kept.term.extras == (RecipPiece(F(-1), Affine(k=1, s=1)),)
+
+
+def test_differentiate_refuses_a_coefficient_reading_r_or_s():
+    """Only factors are differentiated, so an s left in the coefficient
+    would be dropped from the derivative."""
+    side = {"kind": "closed", "sums": [
+        {"coeff": "s*binom(n,k)*rbinom(n+r,k+s)", "lower": "0", "upper": "n"}]}
+    identity = load_identity({"name": "s-outside", "lhs": side, "rhs": side})
+    assert identity.lhs.summands[0].term.factors
+    for param in ("r", "s"):
+        with pytest.raises(ShapeError, match=r"s-outside: coefficient s\*binom\(n, k\) reads s"):
+            differentiate(identity, param)
 
 
 def test_derived_outputs_pinned_point_for_point():
@@ -383,8 +576,9 @@ def test_integral_side_is_lift_of_an_int():
 
 def test_memo_holds_no_grid_coefficient():
     """A coefficient that reads r or s has a new key at every grid point, so
-    it is evaluated directly and never stored."""
-    (entry,) = corpus.load_entries(names={"dattoli-ddr"})
+    it is evaluated directly and never stored.  The fact(n)/fact(n + r)
+    summands of dattoli-harmonic-r stay unsplit, so their coefficients read r."""
+    (entry,) = corpus.load_entries(names={"dattoli-harmonic-r"})
     cid = entry.identity
     grid_coeffs = [sm.term.coeff for side in (cid.lhs, cid.rhs) for sm in side.summands
                    if dsl.free_vars(sm.term.coeff) & {"r", "s"}]

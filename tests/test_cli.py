@@ -306,6 +306,15 @@ class TestVerify:
         assert run(capsys, "verify", path, "--r", "-2")[0] == 2
         assert run(capsys, "verify", path, "--s", "-1")[0] == 2
 
+    @pytest.mark.parametrize("grid, unbound", [
+        (["--r", "1"], "s"), (["--s", "1"], "r"), (["--u", "1"], "r, s")])
+    def test_grid_leaving_a_read_parameter_unbound_exits_2(self, capsys, tmp_path, grid, unbound):
+        # refused before any entry runs, including an earlier path that reads no grid
+        closed = write(tmp_path, GOOD_CLOSED)
+        path = str(corpus.DEFAULT_DIR / "dattoli-rs.json")
+        assert run(capsys, "verify", closed, path, *grid, "--n", "0..2") == (
+            2, "", f"error: dattoli-rs: the command-line grid leaves {unbound} unbound\n")
+
     @pytest.mark.parametrize("flags", [
         ("--n", "0..x"), ("--n", "1/0"), ("--n", "0..2:1/0"), ("--n", "0..1/3"),
         ("--r", "x"), ("--s", "1..1/0"),
@@ -530,6 +539,28 @@ class TestTransform:
     def test_dds_without_beta_exits_4(self, capsys, tmp_path):
         path = write(tmp_path, STANDARD)
         assert run(capsys, "transform", path, "--op", "dds")[0] == 4
+
+    def test_loaded_display_differentiates(self, capsys):
+        # its coefficients are split into factors at load, so d/dr applies
+        path = str(corpus.DEFAULT_DIR / "dattoli-rs.json")
+        code, out, err = run(capsys, "transform", path, "--op", "ddr", "--check", "--n", "0..3")
+        assert (code, err) == (0, "")
+        assert out.splitlines()[:3] == [
+            "# d/dr(dattoli-rs)",
+            "lhs: sum(k=0..n) binom(n, k)/(k + 2) * 1/(k + s) * 1/binom(n + r, k + s)"
+            " * [-H(n + r) + H(-k + n + r - s)]",
+            "rhs: sum(k=0..n) sign(k)*binom(n, k)/((k + 1)*(k + 2)) * 1/(k + s)"
+            " * 1/binom(k + r, k + s) * [-H(k + r) + H(r - s)]"]
+        assert out.splitlines()[3].startswith("check: equal over n=0..3")
+
+    def test_coefficient_reading_r_or_s_does_not_differentiate(self, capsys, tmp_path):
+        side = {"kind": "closed", "sums": [
+            {"coeff": "s*binom(n,k)*rbinom(n+r,k+s)", "lower": "0", "upper": "n"}]}
+        doc = {"name": "s-outside", "lhs": side, "rhs": side,
+               "grid": {"r": ["1"], "s": ["1"]}}
+        code, out, err = run(capsys, "transform", write(tmp_path, doc), "--op", "dds")
+        assert (code, out) == (4, "")
+        assert err == "error: s-outside: coefficient s*binom(n, k) reads s outside the factors\n"
 
 
 class TestCorpusCommand:
