@@ -21,24 +21,28 @@ Closed identities are evaluated exactly over half-integer parameter points;
 a float evaluator (mpmath) backs the derivative cross-check.  Exact
 evaluation compiles each term of an identity once per ``verify_closed`` or
 ``eval_closed`` call, never at load time and never per point: the
-coefficient becomes a ``dsl.compile`` closure, each factor and bracket
-argument a closure for twice its value, and the factor product is
-accumulated as an int numerator and denominator.  A loaded term runs this
-factor path too: the loader has split its r/s-reading binomials,
-reciprocals and bracket out of its coefficient
-(``model.split_closed_term``).  Rational values stay plain
-``int``/``Fraction`` and special values come from the ``special`` accessors
-at twice-int arguments.  Each side is summed in one ``field.Sum``, which
-adds every value, rational or not, per monomial into an unreduced int
-numerator and denominator: each term adds its value times its factor
-product, a derivative bracket piece by piece, and the side reduces once and
-lifts the sum to SymConst once.  The module's one cache, the
-coefficient memo ``_expr_memo``, holds the lowered values of the
-coefficients, sum bounds and standalone expressions that read no grid
-parameter (r, s, u, v), since only those repeat from one grid point to the
-next; a split loaded coefficient is one of them when only its factors and
-bracket read r and s.  The memo lives for the whole process and keeps every
-expression alive.
+coefficient becomes a ``dsl.compile`` closure, and the factors and bracket
+keep their integer affine arguments.  A loaded term runs this factor path
+too: the loader has split its r/s-reading binomials, reciprocals and
+bracket out of its coefficient (``model.split_closed_term``).
+
+Each term then runs as an integer kernel (``_run_term``).  A side reads the
+point's n, r and s as twice-values once; at each point every affine argument
+becomes two ints, its twice-value at k = 0 and a step of twice its k
+coefficient, so the k loop reads it as ``base + step*k``.  A binomial from
+``special.binom_at`` is rational or c*sqrt(pi)^e, so the factor product is
+an unreduced int numerator and denominator and an int sqrt(pi) exponent,
+and no SymConst is multiplied unless the coefficient is one.  Each side is
+summed in one ``field.Sum``, which adds every value, rational or not, per
+monomial into an unreduced int numerator and denominator, at the term's
+sqrt(pi) offset: a term adds its coefficient times its factor product in
+one add, a derivative bracket piece by piece, and the side reduces once and
+lifts the sum to SymConst once.  The module's one cache, the coefficient
+memo ``_expr_memo``, holds the lowered values of the coefficients, sum
+bounds and standalone expressions that read no grid parameter (r, s, u, v),
+since only those repeat from one grid point to the next; a split loaded
+coefficient is one of them when only its factors and bracket read r and s.
+The memo lives for the whole process and keeps every expression alive.
 """
 
 from __future__ import annotations
@@ -49,7 +53,7 @@ from fractions import Fraction
 from . import dsl, special
 from .errors import (DivisionByZero, EvalTypeError, PoleError, ShapeError,
                      UnboundVariable)
-from .field import Sum, SymConst, half, lift, lower, to_int
+from .field import Sum, SymConst, half, lift, lower, to_int, to_twice
 from .model import (Affine, ClosedSide, ClosedSummand, ClosedTerm, FBinom,
                     FRecipAffine, HPiece, RecipPiece, substitute_neg_t)
 
@@ -324,96 +328,185 @@ def _compile_value(expr, names=None):
     return lambda b: lower(value(b))
 
 
+# The names a point reads as twice-values: a side steps k itself, while
+# ``eval_term`` reads it from its bindings like the others.
+_STEPPED = ("n", "r", "s")
+_FIXED = ("k", "n", "r", "s")
+
+
+def _twice_point(bindings, names):
+    """The point's twice-values (k, n, r, s), read once, and the set of
+    ``names`` that are unbound or not half-integers.  Such a name, and k when
+    it is not in ``names``, counts as 0."""
+    twice = dict.fromkeys(_FIXED, 0)
+    bad = set()
+    for name in names:
+        try:
+            twice[name] = to_twice(bindings[name])
+        except (KeyError, EvalTypeError):
+            bad.add(name)
+    return (twice["k"], twice["n"], twice["r"], twice["s"]), bad
+
+
 def _compile_term(term):
-    """The plan of a closed term: (factors, coefficient, bracket, term)."""
+    """The plan of a closed term: its compiled coefficient and the term,
+    whose factors and bracket ``_at_point`` reads at each point."""
+    return _compile_value(term.coeff, term.coeff_vars), term
+
+
+def _unknown_factor(f):
+    def fail(bindings):
+        raise EvalTypeError(f"unknown factor {f!r}")
+    return fail
+
+
+def _at_point(term, point):
+    """The term's factors and bracket at one point, as the kernel reads
+    them: each affine becomes its twice-value at k = 0 and its step 2*c_k,
+    so that at k it is ``base + step*k``.  A factor is (power, top base,
+    top step, bottom base, bottom step, factor): power 1 for a binomial, -1
+    for a reciprocal one (any ``FBinom.power`` other than 1, as the float
+    path reads it), 0 for a reciprocal affine.  A bracket piece is (1 for H
+    or 0 for a reciprocal, coefficient numerator, denominator, base, step).
+    The first factor or piece that cannot be read there, an unknown factor
+    or an affine reading a name the point lacks, becomes (None, fail, ...)
+    and ends its list: the kernel never gets past it, and ``fail(bindings)``
+    raises the error the factor raises (``Affine.compile_twice`` for an
+    affine)."""
+    (tk, tn, tr, ts), bad = point
+
+    def base(a):
+        return 2 * a.const + a.k * tk + a.n * tn + a.r * tr + a.s * ts
+
+    def lacks(a):
+        return bad and any(getattr(a, name) for name in bad)
+
     factors = []
     for f in term.factors:
         if isinstance(f, FBinom):
-            factors.append((f, f.top.compile_twice(), f.bot.compile_twice()))
+            failing = f.top if lacks(f.top) else f.bot if lacks(f.bot) else None
+            if failing is None:
+                factors.append((1 if f.power == 1 else -1, base(f.top), 2 * f.top.k,
+                                base(f.bot), 2 * f.bot.k, f))
+                continue
         elif isinstance(f, FRecipAffine):
-            factors.append((f, f.affine.compile_twice(), None))
+            failing = f.affine if lacks(f.affine) else None
+            if failing is None:
+                factors.append((0, base(f.affine), 2 * f.affine.k, 0, 0, f))
+                continue
         else:
-            factors.append((f, None, None))  # raises when it is reached
-    bracket = tuple((isinstance(p, HPiece), p.coeff.numerator, p.coeff.denominator,
-                     p.argument.compile_twice())
-                    for p in term.extras)
-    return tuple(factors), _compile_value(term.coeff, term.coeff_vars), bracket, term
+            factors.append((None, _unknown_factor(f), 0, 0, 0, f))
+            return factors, ()
+        factors.append((None, failing.compile_twice(), 0, 0, 0, f))
+        return factors, ()
+    bracket = []
+    for p in term.extras:
+        if lacks(p.argument):
+            bracket.append((None, 0, 0, p.argument.compile_twice(), 0))
+            break
+        bracket.append((int(isinstance(p, HPiece)), p.coeff.numerator, p.coeff.denominator,
+                        base(p.argument), 2 * p.argument.k))
+    return factors, bracket
 
 
-def _run_term(plan, bindings, total):
-    """Add the exact value of a compiled term at a fully bound point to the
-    ``Sum`` total.
+def _run_term(plan, point, bindings, ks, total):
+    """Add the exact value of a compiled term at each k of ``ks`` to the
+    ``Sum`` total, in order; with ``ks`` None, add its value at the k that
+    ``bindings`` holds, which ``point`` then reads too.
 
-    Factors are evaluated first: a reciprocal binomial hitting the Infinite
-    pole sends the whole term to 0 before the coefficient or the bracket is
-    looked at, which is the limit reading of the transformed identities.
-    The factor product's rational part is an int numerator and denominator
-    that scale what the term adds, and a binomial with sqrt(pi) in it is
-    kept apart as a SymConst.  A bracket's pieces, c*H(x) and c/x, are added
-    in order, so no term is reduced on its own unless its coefficient or a
-    factor carries ln2 or sqrt(pi).
+    The kernel runs on ints.  Each affine argument is ``base + step*k``
+    (``_at_point``).  A binomial from ``special.binom_at`` is rational or
+    one monomial c*sqrt(pi)^e: c multiplies into an unreduced int numerator
+    and denominator, e into an int exponent (negated for a reciprocal).
+    Factors are evaluated first and in order: a reciprocal binomial at the
+    Infinite pole makes the term 0 at that k before anything after it is
+    looked at, which is the limit reading of the transformed identities,
+    and a zero binomial makes it 0 after the last factor.  The coefficient
+    then multiplies in, and the term goes into ``total`` by one add at
+    sqrt(pi) offset e; a bracket's pieces, c*H(x) and c/x, go in one by one
+    the same way.  Only a coefficient that is itself a SymConst sums the
+    pieces apart and multiplies them in as a SymConst.
 
     A term split at load that fails re-runs its coefficient as written, so
     the point reports the error the unsplit coefficient raises: that
     product runs every operand the factor path does, so it fails too."""
-    factors, coeff, bracket, term = plan
+    coeff, term = plan
+    factors, bracket = _at_point(term, point)
+    binom_at, infinite = special.binom_at, special.INFINITE
+    stepped = ks is not None
     try:
-        num = den = 1
-        sym = None
-        for f, x, y in factors:
-            if isinstance(f, FBinom):
-                b = special.binom_at(x(bindings), y(bindings))
-                if f.power == 1:
-                    if b is special.INFINITE:
+        for k in ks if stepped else (0,):
+            if stepped:
+                bindings["k"] = k
+            num = den = 1
+            e = 0
+            for power, xb, xs, yb, ys, f in factors:
+                if power == 0:
+                    twice = xb + xs * k
+                    if not twice:
+                        raise DivisionByZero(f"zero affine under reciprocal: {f.render()}")
+                    num *= 2
+                    den *= twice
+                    continue
+                if power is None:
+                    xb(bindings)        # raises
+                b = binom_at(xb + xs * k, yb + ys * k)
+                kind = type(b)
+                if power == 1:
+                    if kind is int:
+                        num *= b
+                    elif kind is Fraction:
+                        num *= b.numerator
+                        den *= b.denominator
+                    elif b is infinite:
                         raise PoleError(f"infinite binomial factor {f.render()}")
-                else:
-                    if b is special.INFINITE:
-                        return
-                    if b == 0:
+                    else:
+                        ((_, p), c), = b.terms.items()
+                        num *= c.numerator
+                        den *= c.denominator
+                        e += p
+                elif kind is int:
+                    if not b:
                         raise DivisionByZero(f"zero binomial under reciprocal: {f.render()}")
-                if type(b) is SymConst:
-                    if f.power != 1:
-                        b = b.inverse()
-                    sym = b if sym is None else sym * b
-                elif f.power == 1:
-                    num *= b.numerator
-                    den *= b.denominator
-                else:
+                    den *= b
+                elif kind is Fraction:
                     num *= b.denominator
                     den *= b.numerator
-            elif isinstance(f, FRecipAffine):
-                twice = x(bindings)
-                if twice == 0:
-                    raise DivisionByZero(f"zero affine under reciprocal: {f.render()}")
-                num *= 2
-                den *= twice
+                elif b is infinite:
+                    break
+                else:
+                    ((_, p), c), = b.terms.items()
+                    num *= c.denominator
+                    den *= c.numerator
+                    e -= p
             else:
-                raise EvalTypeError(f"unknown factor {f!r}")
-        if num == 0:
-            return
-        value = coeff(bindings)
-        if sym is not None:
-            value = value * sym
-        if not bracket:
-            total.add(value, num, den)
-            return
-        # pieces times a SymConst are summed apart and multiplied once
-        if type(value) is SymConst:
-            pieces = Sum()
-        else:
-            pieces = total
-            num *= value.numerator
-            den *= value.denominator
-        for is_harmonic, cn, cd, x in bracket:
-            twice = x(bindings)
-            if is_harmonic:
-                pieces.add(special.harmonic_at(twice), cn * num, cd * den)
-            else:
-                if twice == 0:
-                    raise DivisionByZero(f"bracket reciprocal at zero: {term.render()}")
-                pieces.add(2 * cn * num, 1, cd * den * twice)  # c / (twice/2)
-        if pieces is not total:
-            total.add(value * pieces.value())
+                if not num:
+                    continue
+                value = coeff(bindings)
+                if not bracket:
+                    total.add(value, num, den, e)
+                    continue
+                if type(value) is SymConst:
+                    pieces, shift = Sum(), 0
+                else:
+                    pieces, shift = total, e
+                    if type(value) is int:
+                        num *= value
+                    else:
+                        num *= value.numerator
+                        den *= value.denominator
+                for is_harmonic, cn, cd, xb, xs in bracket:
+                    if is_harmonic is None:
+                        xb(bindings)    # raises
+                    twice = xb + xs * k
+                    if is_harmonic:
+                        pieces.add(special.harmonic_at(twice), cn * num, cd * den, shift)
+                    else:
+                        if not twice:
+                            raise DivisionByZero(f"bracket reciprocal at zero: {term.render()}")
+                        pieces.add(2 * cn * num, 1, cd * den * twice, shift)  # c / (twice/2)
+                if pieces is not total:
+                    total.add(value * pieces.value(), 1, 1, e)
     except (PoleError, DivisionByZero, EvalTypeError, UnboundVariable):
         if term.source is not None:
             dsl.compile(term.source)(bindings)
@@ -424,29 +517,31 @@ def eval_term(term, bindings):
     """Exact value of one closed term at a fully bound point: a plain int or
     Fraction when rational, a SymConst otherwise."""
     total = Sum()
-    _run_term(_compile_term(term), bindings, total)
+    _run_term(_compile_term(term), _twice_point(bindings, _FIXED), bindings, None, total)
     return total.value()
 
 
 def _compile_side(side):
     summands = tuple((_compile_value(sm.lower), _compile_value(sm.upper), _compile_term(sm.term))
                      for sm in side.summands)
-    extra = None if side.extra is None else _compile_value(side.extra)
+    extra = None if side.extra is None else _compile_value(side.extra, side.extra_vars)
     return summands, extra
 
 
 def _run_side(plan, bindings):
-    """The side's value as a SymConst: every term and the standalone
-    expression added in order to one ``Sum``, reduced once, and lifted."""
+    """The side's value as a SymConst.  The point's n, r and s are read as
+    twice-values once; each term runs its k range through the kernel
+    (``_run_term``), adding into one ``Sum`` in order, and the standalone
+    expression is added last.  The sum is reduced once and lifted."""
     summands, extra = plan
     total = Sum()
+    point = _twice_point(bindings, _STEPPED)
+    inner = dict(bindings)
     for lower_bound, upper_bound, term in summands:
         lo = to_int(lower_bound(bindings))
         hi = to_int(upper_bound(bindings))
-        inner = dict(bindings)
-        for k in range(lo, hi + 1):
-            inner["k"] = k
-            _run_term(term, inner, total)
+        if lo <= hi:
+            _run_term(term, point, inner, range(lo, hi + 1), total)
     if extra is not None:
         total.add(extra(bindings))
     return lift(total.value())

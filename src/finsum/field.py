@@ -10,8 +10,9 @@ as ``int`` or ``Fraction`` and lift a value to ``SymConst`` only where an ln2
 or sqrt(pi) term can appear.  ``lift``, ``lower``, ``to_int`` and
 ``to_twice`` are the one boundary between the two kinds; ``exact_div``
 divides either kind without leaving exact arithmetic.  ``Sum`` adds values of
-either kind: it keeps one unreduced int numerator and denominator per
-monomial and reduces each once, when the sum is read.
+either kind, each times an int ratio and a power of sqrt(pi): it keeps one
+unreduced int numerator and denominator per monomial and reduces each once,
+when the sum is read.
 
 A half-integer (a grid point's n, r, s, u, v, or a sum index) is a plain
 rational too: ``half`` puts one in normal form, an int when integral and
@@ -352,12 +353,15 @@ def exact_div(num, denom):
 
 class Sum:
     """An exact running sum of int, Fraction and SymConst values, each times
-    an int ratio.
+    an int ratio and an integer power of sqrt(pi).
 
     Each monomial (ln2 exponent, sqrt(pi) exponent) keeps an unreduced int
     numerator and an int denominator, a least common multiple of the
     denominators added to it, so an addition costs a few int operations and
-    no reduction.  ``value`` reduces each coefficient once.
+    no reduction.  The sqrt(pi) power is an offset on the monomial, so the
+    closed-term kernel in ``beta`` adds a rational times c*sqrt(pi)^e, or an
+    H value q - 2*ln2 times it, without building the product.  ``value``
+    reduces each coefficient once.
     """
 
     __slots__ = ("parts",)
@@ -365,16 +369,17 @@ class Sum:
     def __init__(self):
         self.parts = {}     # monomial -> [numerator, denominator]
 
-    def add(self, value, cn=1, cd=1):
-        """Add value * cn / cd, for ints cn and cd with cd nonzero."""
+    def add(self, value, cn=1, cd=1, shift=0):
+        """Add value * cn / cd * sqrt(pi)^shift, for ints cn, cd and shift
+        with cd nonzero."""
         if type(value) is int:
-            self._add((0, 0), value * cn, cd)
+            self._add((0, shift), value * cn, cd)
         elif type(value) is SymConst:
-            for key, c in value.terms.items():
-                self._add(key, c.numerator * cn, c.denominator * cd)
+            for (a, b), c in value.terms.items():
+                self._add((a, b + shift), c.numerator * cn, c.denominator * cd)
         else:
             q = _as_fraction(value)
-            self._add((0, 0), q.numerator * cn, q.denominator * cd)
+            self._add((0, shift), q.numerator * cn, q.denominator * cd)
 
     def _add(self, key, num, den):
         if not num:

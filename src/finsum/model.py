@@ -202,8 +202,18 @@ class ClosedSummand:
 
 @dataclass(frozen=True)
 class ClosedSide:
+    """Closed summands plus an optional standalone expression.
+
+    ``extra_vars`` holds the free variables of ``extra``, walked once when
+    the side is built, as ``ClosedTerm.coeff_vars`` holds its coefficient's."""
+
     summands: tuple = ()
     extra: object = None     # optional standalone SeqExpr (may contain sum(...))
+    extra_vars: frozenset = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "extra_vars", frozenset(
+            () if self.extra is None else dsl.free_vars(self.extra)))
 
 
 @dataclass(frozen=True)
@@ -230,7 +240,8 @@ def grid_params_read(identity):
     bracket argument, a coefficient, a sum bound or a standalone expression."""
     names = set()
     for side in (identity.lhs, identity.rhs):
-        exprs = [] if side.extra is None else [side.extra]
+        names |= side.extra_vars
+        exprs = []
         for sm in side.summands:
             exprs += (sm.lower, sm.upper)
             names |= sm.term.coeff_vars
@@ -297,8 +308,9 @@ def _load_side(doc, name):
     (``split_closed_term``): r/s-reading ``binom``/``rbinom`` factors,
     integer-affine divisors and one harmonic bracket leave it for the factor
     path; the rest, and any coefficient that reads u or v or offers no such
-    factor, stays as written.  The names of that one walk serve the ``t``
-    check here and ``grid_params_read`` later."""
+    factor, stays as written.  The names of that one walk, and of the one
+    walk of a standalone expression, serve the ``t`` check here and later
+    ``grid_params_read`` and ``beta``'s compilation."""
     if not isinstance(doc, dict) or "kind" not in doc:
         raise FormatError(f"{name}: side must be an object with a 'kind'")
     kind = doc["kind"]
@@ -319,11 +331,11 @@ def _load_side(doc, name):
         extra = _dsl_field(doc, "expr", name) if "expr" in doc else None
         if not summands and extra is None:
             raise FormatError(f"{name}: empty closed side")
+        side = ClosedSide(summands, extra)
         # a split factor or bracket reads only k, n, r and s, so t stays in coeff
-        if (any("t" in sm.term.coeff_vars for sm in summands)
-                or extra is not None and "t" in dsl.free_vars(extra)):
+        if any("t" in sm.term.coeff_vars for sm in summands) or "t" in side.extra_vars:
             raise FormatError(f"{name}: closed side contains t or U(...)")
-        return ClosedSide(summands, extra)
+        return side
     raise FormatError(f"{name}: unknown side kind {kind!r}")
 
 

@@ -85,3 +85,68 @@ def test_one_pair_is_rejected(tmp_path, capsys):
     with pytest.raises(SystemExit):
         bench_summary.main(argv + ["--parent-trace", str(log)])
     assert "both sides or for neither" in capsys.readouterr().err
+
+
+def runs_of(values, key="corpus.ref_time"):
+    """One run per value, the value in ``key`` and 1.0 everywhere else."""
+    runs = [synthetic_run(1.0) for _ in values]
+    for run, value in zip(runs, values):
+        run["metrics"][key]["value"] = value
+    return runs
+
+
+def test_read_bounds(tmp_path):
+    path = tmp_path / "BENCHMARK.json"
+    path.write_text(json.dumps({"end_to_end": [
+        {"name": "wall_s", "bound": 0.25}, {"name": "peak_rss_mb", "bound": 0.1}]}))
+    assert bench_summary.read_bounds(path) == {"wall_s": 0.25, "peak_rss_mb": 0.1}
+
+
+def test_rows_are_flagged_against_their_bounds():
+    # parent median 100 with an interquartile range of 10; the change median 112
+    parent = runs_of([90.0, 95.0, 100.0, 105.0, 110.0])
+    change = runs_of([108.0, 110.0, 112.0, 114.0, 116.0])
+    row = bench_summary.summarize(parent, change, {"ref_time": 0.2})["corpus"]["ref_time"]
+    assert (row["bound"], row["within_bound"], row["resolved"]) == (0.2, True, True)
+    row = bench_summary.summarize(parent, change, {"ref_time": 0.1})["corpus"]["ref_time"]
+    assert (row["within_bound"], row["resolved"]) == (False, False)
+    # exactly at the bound is within it; no bound, no flags
+    row = bench_summary.summarize(parent, change, {"ref_time": 0.12})["corpus"]["ref_time"]
+    assert row["within_bound"] is True
+    assert "within_bound" not in bench_summary.summarize(parent, change)["corpus"]["ref_time"]
+
+
+@pytest.mark.parametrize("change, failed, met", [
+    ([80.0 + i for i in range(9)] + [200.0], (0, 0), True),   # lower in 9 of 10, gap 15 > 4.5
+    ([80.0 + i for i in range(8)] + [200.0, 200.0], (0, 0), False),  # lower in 8 of 10 only
+    ([94.5 + i for i in range(10)], (0, 0), False),            # lower in 10, gap 0.5 < 4.5
+    ([80.0 + i for i in range(10)], (1, 1), True),             # as many failures as the parent
+    ([80.0 + i for i in range(10)], (0, 1), False),            # more failures than the parent
+])
+def test_claim_needs_nine_of_ten_pairs_and_a_gap_past_the_range(change, failed, met):
+    parent = runs_of([95.0 + i for i in range(10)])       # median 99.5, range 4.5
+    row = bench_summary.summarize(parent, runs_of(change))["corpus"]["ref_time"]
+    operations = {"parent": {"failed": failed[0]}, "change": {"failed": failed[1]}}
+    got = bench_summary.claim(row, 10, operations)
+    assert got["claim_met"] is met
+    assert got["parent_iqr"] == pytest.approx(4.5)
+    assert got["median_gap"] == pytest.approx(99.5 - row["change"]["median"])
+
+
+def test_unknown_claim_is_rejected(tmp_path, capsys):
+    logs = []
+    for i in range(2):
+        log = tmp_path / f"run-{i}.log"
+        log.write_text(json.dumps(synthetic_run(1.0)) + "\n")
+        logs.append(str(log))
+    bench = tmp_path / "BENCHMARK.json"
+    bench.write_text(json.dumps({"end_to_end": [{"name": "ref_time", "bound": 0.2}]}))
+    argv = ["--out", str(tmp_path / "BENCH.json"), "--parent-repo", ".",
+            "--change-repo", ".", "--parent-logs", *logs, "--change-logs", *logs,
+            "--parent-corpus", "p.json", "--change-corpus", "c.json",
+            "--benchmark", str(bench), "--claim", "corpus.speed"]
+    with pytest.raises(SystemExit) as exc:
+        bench_summary.main(argv)
+    assert exc.value.code == 2
+    assert "--claim corpus.speed: no such workload.metric" in capsys.readouterr().err
+    assert not (tmp_path / "BENCH.json").exists()

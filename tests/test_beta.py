@@ -16,17 +16,19 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from finsum import beta, corpus, dsl
+from finsum import beta, corpus, dsl, special
 from finsum.beta import (Affine, ClosedTerm, FBinom, FRecipAffine, HPiece,
                          RecipPiece, beta_transform, central_transform_uv,
                          central_transform_v, derivative_bracket,
                          differentiate, eval_closed, eval_side,
                          eval_side_float, eval_term, float_derivative_check,
                          normalized_for_beta, verify_closed)
-from finsum.errors import (DivisionByZero, EvalTypeError, PoleError,
-                           ShapeError)
-from finsum.field import SymConst, half, lift, to_int
+from finsum.errors import (DivisionByZero, EvalTypeError, FinsumError, PoleError,
+                           ShapeError, UnboundVariable)
+from finsum.field import SymConst, half, lift, to_int, to_twice
 from finsum.model import (ClosedSide, ClosedSummand, admissible, grid_params_read,
                           is_negative_integer, load_identity, split_closed_term)
 
@@ -456,6 +458,13 @@ def test_split_rules(coeff, rest, factors, extras):
     assert term.coeff_vars == frozenset(dsl.free_vars(term.coeff))
 
 
+def test_side_extra_vars_follow_its_expression():
+    side = ClosedSide((), dsl.parse("r + n"))
+    assert side.extra_vars == {"r", "n"}
+    assert replace(side, extra=dsl.parse("2*s")).extra_vars == {"s"}
+    assert replace(side, extra=None).extra_vars == frozenset()
+
+
 @pytest.mark.parametrize("coeff", [
     "binom(n,k)/(k+2)",                      # reads neither r nor s
     "H(k+r)*binom(n,k)",                     # a bracket alone is no factor
@@ -682,6 +691,154 @@ def test_central_shape_errors():
         central_transform_v(seed, F(1, 2))
     with pytest.raises(EvalTypeError):
         central_transform_uv(seed, 1, -2)
+
+
+# ---------------------------------------------------------------------------
+# the term kernel against a SymConst oracle
+
+def twice_oracle(affine, point):
+    """Twice the affine's value at the point, reading k, n, r, s in order."""
+    total = 2 * affine.const
+    for name in ("k", "n", "r", "s"):
+        c = getattr(affine, name)
+        if c:
+            if name not in point:
+                raise UnboundVariable(f"variable {name!r} is unbound")
+            total += c * to_twice(point[name])
+    return total
+
+
+def oracle_term(term, point):
+    """A term's value as a SymConst, multiplied out one ``special`` value at
+    a time in the documented order: factors in order, where an Infinite
+    reciprocal binomial makes the term 0 at once and a zero product makes it
+    0 after the last factor; then the coefficient; then the bracket pieces
+    in order.  The first error met on the way is raised."""
+    product = lift(1)
+    for f in term.factors:
+        if isinstance(f, FBinom):
+            b = special.binom_at(twice_oracle(f.top, point), twice_oracle(f.bot, point))
+            if f.power == 1:
+                if b is special.INFINITE:
+                    raise PoleError(f"infinite binomial factor {f.render()}")
+                product = product * lift(b)
+            else:
+                if b is special.INFINITE:
+                    return lift(0)
+                if b == 0:
+                    raise DivisionByZero(f"zero binomial under reciprocal: {f.render()}")
+                product = product * lift(b).inverse()
+        else:
+            twice = twice_oracle(f.affine, point)
+            if twice == 0:
+                raise DivisionByZero(f"zero affine under reciprocal: {f.render()}")
+            product = product * lift(F(2, twice))
+    if product.is_zero:
+        return product
+    value = lift(dsl.compile(term.coeff)(point)) * product
+    if not term.extras:
+        return value
+    bracket = lift(0)
+    for p in term.extras:
+        twice = twice_oracle(p.argument, point)
+        if isinstance(p, HPiece):
+            bracket = bracket + lift(special.harmonic_at(twice)) * p.coeff
+        else:
+            if twice == 0:
+                raise DivisionByZero(f"bracket reciprocal at zero: {term.render()}")
+            bracket = bracket + lift(F(2, twice)) * p.coeff
+    return value * bracket
+
+
+def oracle_side(side, point):
+    total = lift(0)
+    for sm in side.summands:
+        lo = to_int(dsl.compile(sm.lower)(point))
+        hi = to_int(dsl.compile(sm.upper)(point))
+        for k in range(lo, hi + 1):
+            total = total + oracle_term(sm.term, dict(point, k=k))
+    return total
+
+
+def outcome(fn, *args):
+    """The value as a SymConst, or the error as (type, text)."""
+    try:
+        return lift(fn(*args))
+    except FinsumError as exc:
+        return type(exc), str(exc)
+
+
+small_ints = st.integers(min_value=-2, max_value=2)
+affines = st.builds(Affine, k=small_ints, n=small_ints, r=small_ints, s=small_ints,
+                    const=small_ints)
+kernel_factors = st.one_of(st.builds(FBinom, affines, affines, st.sampled_from((1, -1, 0, 2))),
+                           st.builds(FRecipAffine, affines))
+piece_coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool)
+kernel_pieces = st.one_of(st.builds(HPiece, piece_coeffs, affines),
+                          st.builds(RecipPiece, piece_coeffs, affines))
+# rational, sqrt(pi)-bearing and ln2-bearing coefficients; each may fail too
+KERNEL_COEFFS = ("1", "-3/2", "binom(n, k)", "binom(k + 1/2, 1/2)/(k + 2)", "H(n - 1/2)")
+kernel_terms = st.builds(
+    lambda coeff, factors, pieces: ClosedTerm(dsl.parse(coeff), tuple(factors), tuple(pieces)),
+    st.sampled_from(KERNEL_COEFFS), st.lists(kernel_factors, max_size=4),
+    st.lists(kernel_pieces, max_size=3))
+half_ints = st.integers(min_value=-6, max_value=6).map(lambda t: half(F(t, 2)))
+# a binding is a half-integer, one time in ten absent (None) or not a half-integer
+kernel_bindings = st.tuples(half_ints, st.integers(min_value=0, max_value=19)).map(
+    lambda drawn: {9: None, 10: F(1, 3)}.get(drawn[1], drawn[0]))
+
+
+def kernel_point(names, values):
+    return {name: value for name, value in zip(names, values) if value is not None}
+
+
+@settings(max_examples=400, deadline=None)
+@given(kernel_terms, st.tuples(kernel_bindings, kernel_bindings, kernel_bindings, kernel_bindings))
+def test_eval_term_matches_symconst_oracle(term, values):
+    """Value, or error type and text, of random binomial, reciprocal and
+    bracket terms at random points, Infinite poles, zero binomials, H poles,
+    unbound names and non-half-integer bindings among them."""
+    point = kernel_point(("k", "n", "r", "s"), values)
+    assert outcome(eval_term, term, point) == outcome(oracle_term, term, point)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(kernel_terms, st.integers(min_value=-2, max_value=1),
+                          st.integers(min_value=-1, max_value=3)), min_size=1, max_size=2),
+       st.tuples(kernel_bindings, kernel_bindings, kernel_bindings))
+def test_eval_side_matches_symconst_oracle(summands, values):
+    """The same over whole sides: each term summed over k = lo..hi in order,
+    the first error ending the side."""
+    side = ClosedSide(tuple(ClosedSummand(term, dsl.parse(str(lo)), dsl.parse(str(lo + span)))
+                            for term, lo, span in summands))
+    point = kernel_point(("n", "r", "s"), values)
+    assert outcome(eval_side, side, point) == outcome(oracle_side, side, point)
+
+
+def test_error_texts_reachable_only_from_the_api():
+    """A beta output with s left unbound, and a term whose reciprocal
+    binomial is Infinite at k = lo ahead of a factor reading the unbound s:
+    the first k that reaches that factor raises, with these texts."""
+    cid = beta_transform(ident("binom-harmonic-gf"))
+    for call in (lambda: eval_closed(cid, 3, r=F(1, 2)),
+                 lambda: eval_side(cid.lhs, bind(n=3, r="1/2"))):
+        with pytest.raises(UnboundVariable) as exc:
+            call()
+        assert str(exc.value) == "variable 's' is unbound"
+    term = ClosedTerm(dsl.Lit(F(1)), factors=(FBinom(Affine(k=1, r=1), Affine(n=1), -1),
+                                              FRecipAffine(Affine(k=1, s=1))))
+    side = ClosedSide((ClosedSummand(term, dsl.Lit(F(0)), dsl.Lit(F(2))),))
+    cid = replace(cid, lhs=side, rhs=side)
+    assert eval_term(term, bind(k=0, n="1/2", r=-1)) == 0     # 1/binom(-1, 1/2) = 0
+    for call in (lambda: eval_closed(cid, F(1, 2), r=-1),
+                 lambda: eval_side(side, bind(n="1/2", r=-1))):
+        with pytest.raises(UnboundVariable) as exc:
+            call()
+        assert str(exc.value) == "variable 's' is unbound"
+    # a binding that is not a half-integer fails where it is first read
+    with pytest.raises(EvalTypeError) as exc:
+        eval_side(side, {"n": F(1, 2), "r": -1, "s": F(1, 3)})
+    assert str(exc.value) == "1/3 is not a half-integer"
 
 
 # ---------------------------------------------------------------------------

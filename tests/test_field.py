@@ -236,6 +236,31 @@ class TestSum:
         with pytest.raises(EvalTypeError, match="cannot interpret"):
             Sum().add(0.5)
 
+    @given(st.lists(st.tuples(operands, st.integers(min_value=-12, max_value=12),
+                              st.integers(min_value=-30, max_value=30).filter(bool),
+                              st.integers(min_value=-3, max_value=3)), max_size=12))
+    def test_shifted_add_matches_left_to_right_symconst_arithmetic(self, items):
+        """add(value, cn, cd, shift) adds value * cn/cd * sqrt(pi)^shift."""
+        want = ZERO
+        total = Sum()
+        for value, cn, cd, shift in items:
+            want = want + lift(value) * Fraction(cn, cd) * SQRT_PI ** shift
+            total.add(value, cn, cd, shift)
+        got = total.value()
+        assert lift(got) == want
+        if want.is_rational:
+            assert type(got) in (int, Fraction)
+        else:
+            assert type(got) is SymConst and got.terms == want.terms
+
+    def test_shifted_add_examples(self):
+        total = Sum()
+        total.add(3, 1, 2, -2)                          # 3/2 / pi
+        total.add(Fraction(1, 3) - 2 * LN2, 3, 1, 1)    # (1 - 6 ln2) sqrt(pi)
+        total.add(SQRT_PI, -1, 1, -1)                   # -1, on the rational monomial
+        assert total.value() == SymConst({(0, -2): Fraction(3, 2), (0, 1): 1, (1, 1): -6,
+                                          (0, 0): -1})
+
 
 class TestRendering:
     @given(sym_consts)

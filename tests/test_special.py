@@ -264,6 +264,36 @@ class TestTwiceIntAccessors:
             assert type(special.harmonic(Fraction(q2, 2))) is SymConst
 
 
+    # the closed-term kernel in ``beta`` folds a binomial into an int
+    # numerator, denominator and sqrt(pi) exponent, and adds an H value
+    # directly to a side's sum; these pin the shapes it relies on
+
+    def test_finite_binom_at_is_rational_or_one_sqrt_pi_monomial(self):
+        shapes = set()
+        for x2 in range(-40, 41):
+            for y2 in range(-40, 41):
+                got = special.binom_at(x2, y2)
+                if got is special.INFINITE or type(got) in (int, Fraction):
+                    shapes.add(type(got).__name__)
+                    continue
+                assert type(got) is SymConst, (x2, y2, got)
+                (a, b), = got.terms
+                assert a == 0 and b != 0, (x2, y2, got)
+                shapes.add(b)
+        assert shapes == {"BinomValue", "int", "Fraction", -2}   # 1/pi: x integer, y half-odd
+
+    def test_harmonic_at_is_rational_or_q_minus_two_ln2(self):
+        for q2 in range(-41, 81):
+            if q2 < 0 and q2 % 2 == 0:
+                continue
+            got = special.harmonic_at(q2)
+            if q2 % 2 == 0:
+                assert type(got) in (int, Fraction), q2
+                continue
+            assert type(got) is SymConst, q2
+            assert got.terms[(1, 0)] == -2 and set(got.terms) <= {(0, 0), (1, 0)}, (q2, got)
+
+
 class TestChebyshev:
     def test_base_cases(self):
         assert chebyshev_u(0).coeffs == (Fraction(1),)
