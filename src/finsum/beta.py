@@ -293,9 +293,10 @@ GRID_PARAMS = dsl.GRID_PARAMS   # the keyword parameters of eval_closed
 _expr_memo = {}
 
 
-def _eval_memo(expr, bindings, value):
+def _eval_memo(expr, bindings, value, names):
     """``lower(value(bindings))``, memoized per expression on its free
-    variables, for an expression that reads no grid parameter.
+    variables ``names``, a sorted tuple, for an expression that reads no
+    grid parameter.
 
     Grid verification revisits the same coefficient at every parameter point
     even though it usually depends on (k, n) only; the memo collapses that.
@@ -304,7 +305,7 @@ def _eval_memo(expr, bindings, value):
     lowered: a plain int or Fraction when rational."""
     entry = _expr_memo.get(id(expr))
     if entry is None:
-        entry = _expr_memo[id(expr)] = (expr, tuple(sorted(dsl.free_vars(expr))), {})
+        entry = _expr_memo[id(expr)] = (expr, names, {})
     _, names, cache = entry
     try:
         key = tuple(bindings[name] for name in names)
@@ -316,15 +317,16 @@ def _eval_memo(expr, bindings, value):
     return result
 
 
-def _compile_value(expr, names=None):
+def _compile_value(expr, names):
     """A closure for the lowered value of a coefficient, a sum bound or a
-    standalone expression, whose free variables are ``names`` when given.
-    One that reads a grid parameter is evaluated directly: its key would
-    differ at every grid point, so the memo would only keep it alive.  Any
-    other goes through ``_eval_memo``."""
+    standalone expression, whose free variables are ``names``, as its term,
+    summand or side holds them.  One that reads a grid parameter is
+    evaluated directly: its key would differ at every grid point, so the
+    memo would only keep it alive.  Any other goes through ``_eval_memo``."""
     value = dsl.compile(expr)
-    if (dsl.free_vars(expr) if names is None else names).isdisjoint(GRID_PARAMS):
-        return lambda b: _eval_memo(expr, b, value)
+    if names.isdisjoint(GRID_PARAMS):
+        names = tuple(sorted(names))
+        return lambda b: _eval_memo(expr, b, value, names)
     return lambda b: lower(value(b))
 
 
@@ -364,10 +366,10 @@ def _at_point(term, point):
     """The term's factors and bracket at one point, as the kernel reads
     them: each affine becomes its twice-value at k = 0 and its step 2*c_k,
     so that at k it is ``base + step*k``.  A factor is (power, top base,
-    top step, bottom base, bottom step, factor): power 1 for a binomial, -1
-    for a reciprocal one (any ``FBinom.power`` other than 1, as the float
-    path reads it), 0 for a reciprocal affine.  A bracket piece is (1 for H
-    or 0 for a reciprocal, coefficient numerator, denominator, base, step).
+    top step, bottom base, bottom step, factor): the ``FBinom.power``, 1 for
+    a binomial or -1 for a reciprocal one, and 0 for a reciprocal affine.  A
+    bracket piece is (1 for H or 0 for a reciprocal, coefficient numerator,
+    denominator, base, step).
     The first factor or piece that cannot be read there, an unknown factor
     or an affine reading a name the point lacks, becomes (None, fail, ...)
     and ends its list: the kernel never gets past it, and ``fail(bindings)``
@@ -386,7 +388,7 @@ def _at_point(term, point):
         if isinstance(f, FBinom):
             failing = f.top if lacks(f.top) else f.bot if lacks(f.bot) else None
             if failing is None:
-                factors.append((1 if f.power == 1 else -1, base(f.top), 2 * f.top.k,
+                factors.append((f.power, base(f.top), 2 * f.top.k,
                                 base(f.bot), 2 * f.bot.k, f))
                 continue
         elif isinstance(f, FRecipAffine):
@@ -522,7 +524,8 @@ def eval_term(term, bindings):
 
 
 def _compile_side(side):
-    summands = tuple((_compile_value(sm.lower), _compile_value(sm.upper), _compile_term(sm.term))
+    summands = tuple((_compile_value(sm.lower, sm.bound_vars[0]),
+                      _compile_value(sm.upper, sm.bound_vars[1]), _compile_term(sm.term))
                      for sm in side.summands)
     extra = None if side.extra is None else _compile_value(side.extra, side.extra_vars)
     return summands, extra

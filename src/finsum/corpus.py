@@ -49,7 +49,7 @@ def parse_half(text):
 class CorpusEntry:
     identity: object
     expected: str
-    witness: object          # beta.PointResult or None
+    witness: object          # beta.PointResult, PolyWitness or None
     n_values: tuple
     param_grid: tuple        # tuple of dicts
 
@@ -133,24 +133,40 @@ def load_entry(document):
     return CorpusEntry(identity, expected, witness, tuple(n_values), grid)
 
 
+@dataclass(frozen=True)
+class PolyWitness:
+    """The lowest power of t at which a polynomial identity's sides differ
+    at n, with both coefficients: ``PolyReport.first_difference`` there."""
+
+    n: int
+    power: int
+    lhs: SymConst
+    rhs: SymConst
+
+
 def _load_witness(w, identity):
-    """A document's witness as the ``beta.PointResult`` of a closed
-    identity's failing point; FormatError for any malformed value."""
+    """A document's witness: the ``beta.PointResult`` of a closed identity's
+    failing point, or the ``PolyWitness`` of a polynomial identity's first
+    differing power; FormatError for any malformed value."""
     name = identity.name
-    if not (isinstance(w, dict) and is_json_int(w.get("n"))
-            and isinstance(w.get("lhs"), str) and isinstance(w.get("rhs"), str)
-            and isinstance(w.get("params", {}), dict)):
-        raise FormatError(f"{name}: witness needs an integer n, string lhs, rhs"
-                          " and an object of params")
-    if not identity.is_closed:
-        raise FormatError(f"{name}: a witness needs a closed identity")
-    params = {key: _document_half(key, v, name) for key, v in w.get("params", {}).items()}
-    _require_bound(identity, params, "witness")
+    shaped = (isinstance(w, dict) and is_json_int(w.get("n"))
+              and isinstance(w.get("lhs"), str) and isinstance(w.get("rhs"), str))
+    if identity.is_closed:
+        if not (shaped and isinstance(w.get("params", {}), dict)):
+            raise FormatError(f"{name}: witness needs an integer n, string lhs, rhs"
+                              " and an object of params")
+        params = {key: _document_half(key, v, name) for key, v in w.get("params", {}).items()}
+        _require_bound(identity, params, "witness")
+    elif not (shaped and is_json_int(w.get("power")) and w["power"] >= 0):
+        raise FormatError(f"{name}: a polynomial witness needs integers n and power >= 0"
+                          " and string lhs, rhs")
     try:
         lhs, rhs = SymConst.parse(w["lhs"]), SymConst.parse(w["rhs"])
     except FinsumError as exc:
         raise FormatError(f"{name}: bad witness value: {exc}") from None
-    return beta.PointResult(w["n"], tuple(sorted(params.items())), lhs, rhs)
+    if identity.is_closed:
+        return beta.PointResult(w["n"], tuple(sorted(params.items())), lhs, rhs)
+    return PolyWitness(w["n"], w["power"], lhs, rhs)
 
 
 def _require_bound(identity, values, where):
@@ -249,9 +265,17 @@ def _finish(entry, actual, detail):
 
 
 def _witness_holds(entry):
-    """Re-evaluate the stored witness point: it holds when both exact sides
-    come out as stored and differ.  A point that is undefined does not."""
+    """Re-evaluate the stored witness: it holds when both exact sides come
+    out as stored and differ, at the witness point of a closed identity or
+    as the first difference at n of a polynomial one.  A point that is
+    undefined, or an n that cannot be expanded, does not."""
     w = entry.witness
+    if isinstance(w, PolyWitness):
+        try:
+            found = polyverify.verify_poly(entry.identity, w.n).first_difference
+        except FinsumError:
+            return False
+        return found == (w.power, w.lhs, w.rhs)
     return not w.equal and beta.verify_closed(
         entry.identity, (w.n,), (dict(w.params),)).results == (w,)
 

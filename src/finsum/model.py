@@ -120,11 +120,16 @@ class PolySide:
 
 @dataclass(frozen=True)
 class FBinom:
-    """binom(top, bot)^power factor, power in {1, -1}."""
+    """binom(top, bot)^power factor, power in {1, -1}; any other power is a
+    ShapeError."""
 
     top: Affine
     bot: Affine
     power: int = 1
+
+    def __post_init__(self):
+        if type(self.power) is not int or self.power not in (1, -1):
+            raise ShapeError(f"binomial factor power must be 1 or -1, got {self.power!r}")
 
     def render(self):
         body = f"binom({self.top.render()}, {self.bot.render()})"
@@ -195,9 +200,18 @@ class ClosedTerm:
 
 @dataclass(frozen=True)
 class ClosedSummand:
+    """A term summed over k = lower..upper.  ``bound_vars`` holds the free
+    variables of ``lower`` and of ``upper``, walked once when the summand
+    is built."""
+
     term: ClosedTerm
     lower: object            # SeqExpr over {n}
     upper: object
+    bound_vars: tuple = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "bound_vars", (frozenset(dsl.free_vars(self.lower)),
+                                                frozenset(dsl.free_vars(self.upper))))
 
 
 @dataclass(frozen=True)
@@ -241,16 +255,12 @@ def grid_params_read(identity):
     names = set()
     for side in (identity.lhs, identity.rhs):
         names |= side.extra_vars
-        exprs = []
         for sm in side.summands:
-            exprs += (sm.lower, sm.upper)
-            names |= sm.term.coeff_vars
+            names.update(sm.term.coeff_vars, *sm.bound_vars)
             affines = [p.argument for p in sm.term.extras]
             for f in sm.term.factors:
                 affines += (f.top, f.bot) if isinstance(f, FBinom) else (f.affine,)
             names.update(name for a in affines for name in ("r", "s") if getattr(a, name))
-        for e in exprs:
-            names |= dsl.free_vars(e)
     return names.intersection(dsl.GRID_PARAMS)
 
 

@@ -7,32 +7,49 @@ bound to ``DensePoly.variable()``.  Two sides agree iff their coefficient vector
 agree; there is no tolerance anywhere.  ``DensePoly`` is the one polynomial
 type, and ``chebyshev_u`` gives the DSL's ``U(m)`` as one.
 
-A ``DensePoly`` holds its coefficients lowered, as the evaluators do: a plain
-int or Fraction for a rational coefficient and a SymConst only for one with
-an ln2 or sqrt(pi) term.  ``coeffs``, ``coefficient()`` and evaluation lift
-their results to SymConst on the way out.  The ring operations and ``/``
-take a plain or SymConst operand on either side as a constant polynomial;
-division is only by a nonzero constant.
+A ``DensePoly`` is the polynomial form of ``field.Sum``: for each field
+monomial (ln2 exponent, sqrt(pi) exponent) of its coefficients it holds one
+tuple of int numerators, index = power of t, over one positive int
+denominator.  The ring operations are int arithmetic on these parts: ``+``
+brings two denominators to their lcm, ``*`` convolves each pair of parts
+over the product of their denominators, and each result part is reduced
+once.  ``coeffs``, ``coefficient()`` and evaluation lift their results to
+SymConst on the way out.  The ring operations and ``/`` take a plain or
+SymConst operand on either side as a constant polynomial; division is only
+by a nonzero constant.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
+from math import gcd
 
 from . import dsl
 from .errors import DivisionByZero, EvalTypeError, NegativeExponent
-from .field import exact_div, half, lift, lower, to_int
+from .field import ZERO, SymConst, exact_div, half, lift, lower, to_int
 from .model import PolySide, StandardSide
 
 
 class DensePoly:
-    """Polynomial in t over the constant field, trailing zeros trimmed."""
+    """Polynomial in t over the constant field.
 
-    __slots__ = ("_coeffs",)
+    ``parts`` is a tuple of (monomial, denominator, numerators), sorted by
+    monomial: the coefficient of t^i is the sum over the parts of
+    numerators[i] / denominator times the monomial.  Each part's numerators
+    end in a nonzero int, share no common factor with its positive
+    denominator, and no part is empty, so equal polynomials have equal
+    parts."""
+
+    __slots__ = ("parts",)
 
     def __init__(self, coeffs=()):
-        self._coeffs = _trimmed([lift(c) for c in coeffs])
+        acc = {}
+        for i, c in enumerate(coeffs):
+            for key, p, q in _terms(c):
+                _add(acc, key, (p,), q, 1, i)
+        self.parts = _parts(acc)
 
     @classmethod
     def constant(cls, value):
@@ -40,64 +57,63 @@ class DensePoly:
 
     @classmethod
     def variable(cls):
-        return _poly([0, 1])
+        return _poly(_T)
 
     @property
     def coeffs(self):
         """The coefficients as SymConst, index = power of t."""
-        return tuple(lift(c) for c in self._coeffs)
+        return tuple(self.coefficient(i) for i in range(self.degree + 1))
 
     @property
     def degree(self):
-        return len(self._coeffs) - 1
+        return max((len(nums) for _, _, nums in self.parts), default=0) - 1
 
     @property
     def is_zero(self):
-        return not self._coeffs
+        return not self.parts
 
     def coefficient(self, i):
-        if 0 <= i < len(self._coeffs):
-            return lift(self._coeffs[i])
-        return lift(0)
+        return SymConst({key: Fraction(nums[i], den) for key, den, nums in self.parts
+                         if 0 <= i < len(nums)})
+
+    def _combine(self, other, sign):
+        if type(other) is not DensePoly:
+            other = DensePoly.constant(other)
+        if not other.parts:
+            return self
+        acc = {key: [den, list(nums)] for key, den, nums in self.parts}
+        for key, den, nums in other.parts:
+            _add(acc, key, nums, den, sign)
+        return _poly(_parts(acc))
 
     def __add__(self, other):
-        if type(other) is not DensePoly:
-            other = _poly([other])
-        a, b = self._coeffs, other._coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        return _poly([x + y for x, y in zip(a, b)] + list(a[len(b):]))
+        return self._combine(other, 1)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if type(other) is not DensePoly:
-            other = _poly([other])
-        a, b = self._coeffs, other._coeffs
-        out = [x - y for x, y in zip(a, b)]
-        out += a[len(b):] if len(a) > len(b) else [-y for y in b[len(a):]]
-        return _poly(out)
+        return self._combine(other, -1)
 
     def __rsub__(self, other):
-        return _poly([other]) - self
+        return (-self)._combine(other, 1)
 
     def __neg__(self):
-        return _poly([-c for c in self._coeffs])
+        return _poly(tuple((key, den, tuple(-x for x in nums)) for key, den, nums in self.parts))
 
     def __mul__(self, other):
         if type(other) is not DensePoly:
             return self.scale(other)
-        a, b = self._coeffs, other._coeffs
-        if not a or not b:
-            return _poly([])
-        if len(a) < len(b):
-            a, b = b, a
-        width = len(a)
-        out = [0] * (width + len(b) - 1)
-        for i, y in enumerate(b):
-            if y:  # a zero is a plain 0; a held SymConst is never zero
-                out[i:i + width] = [o + x * y for o, x in zip(out[i:i + width], a)]
-        return _poly(out)
+        acc = {}
+        for (a, b), da, na in self.parts:
+            for (x, y), db, nb in other.parts:
+                wide, narrow = (na, nb) if len(na) >= len(nb) else (nb, na)
+                width = len(wide)
+                out = [0] * (width + len(narrow) - 1)
+                for i, c in enumerate(narrow):      # schoolbook int convolution
+                    if c:
+                        out[i:i + width] = [o + v * c for o, v in zip(out[i:i + width], wide)]
+                _add(acc, (a + x, b + y), out, da * db)
+        return _poly(_parts(acc))
 
     __rmul__ = __mul__
 
@@ -107,31 +123,34 @@ class DensePoly:
         if type(other) is DensePoly:
             if other.degree > 0:
                 raise EvalTypeError(f"division by the polynomial {other}")
-            other = other._coeffs[0] if other._coeffs else 0
+            other = lower(other.coefficient(0))
         if other == 0:
             raise DivisionByZero("division by the zero polynomial")
         return self.scale(exact_div(1, other))
 
     def __rtruediv__(self, other):
-        return _poly([other]) / self
+        return DensePoly.constant(other) / self
 
     def scale(self, c):
         """Each coefficient times c, an int, Fraction or SymConst."""
-        return _poly([x * c for x in self._coeffs])
+        acc = {}
+        for (a, b), p, q in _terms(c):
+            for (x, y), den, nums in self.parts:
+                _add(acc, (a + x, b + y), nums, den * q, p)
+        return _poly(_parts(acc))
 
     def __pow__(self, n):
         """t^n is a shift and (1+-t)^n the binomial theorem; any other base
         goes by square-and-multiply.  Only a nonzero constant takes a
         negative power."""
-        c = self._coeffs
-        if not isinstance(n, int) or n < 0 and len(c) != 1:
+        if not isinstance(n, int) or n < 0 and self.degree != 0:
             raise NegativeExponent(f"polynomial exponent must be a nonnegative integer, got {n}")
         if n < 0:
-            return _poly([exact_div(1, c[0]) ** -n])
-        if c == (0, 1):
-            return _poly([0] * n + [1])
-        if c == (1, 1) or c == (1, -1):
-            return binomial_power("1+t" if c[1] == 1 else "1-t", n)
+            return DensePoly.constant(exact_div(1, lower(self.coefficient(0))) ** -n)
+        if self.parts == _T:
+            return _poly((((0, 0), 1, (0,) * n + (1,)),))
+        if self.parts in _BASES:
+            return binomial_power(_BASES[self.parts], n)
         out = DensePoly.constant(1)
         base = self
         while n:
@@ -143,37 +162,82 @@ class DensePoly:
         return out
 
     def __eq__(self, other):
-        return isinstance(other, DensePoly) and self._coeffs == other._coeffs
+        return isinstance(other, DensePoly) and self.parts == other.parts
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash(self.parts)
 
     def __call__(self, t):
         """Exact evaluation at a rational point."""
         t = Fraction(t)
-        total = 0
-        for c in reversed(self._coeffs):
-            total = total * t + c
-        return lift(total)
+        terms = {}
+        for key, den, nums in self.parts:
+            total = 0
+            for c in reversed(nums):
+                total = total * t + c
+            terms[key] = total / den
+        return SymConst(terms)
 
     def __repr__(self):
         return f"DensePoly([{', '.join(str(c) for c in self.coeffs)}])"
 
 
-def _trimmed(values):
-    """The coefficient tuple of plain or SymConst values: each lowered
-    (``field.lower``), trailing zeros dropped."""
-    values = [lower(c) for c in values]
-    while values and values[-1] == 0:
-        values.pop()
-    return tuple(values)
+def _terms(value):
+    """(monomial, numerator, denominator) of each nonzero term of an int,
+    Fraction or SymConst."""
+    if type(value) is int:
+        return (((0, 0), value, 1),) if value else ()
+    return tuple((key, c.numerator, c.denominator) for key, c in lift(value).terms.items())
 
 
-def _poly(values):
-    """A DensePoly around a list of plain or SymConst coefficient values."""
+def _add(acc, key, nums, den, mult=1, shift=0):
+    """Add mult * t^shift * nums / den to the part of ``key`` in ``acc``, a
+    dict {monomial: [denominator, numerator list]} whose denominators are
+    each the lcm of those added, left unreduced."""
+    part = acc.get(key)
+    if part is None:
+        acc[key] = [den, [0] * shift + [mult * x for x in nums]]
+        return
+    common, out = part
+    if common % den:
+        g = gcd(common, den)
+        part[1] = out = [x * (den // g) for x in out]
+        part[0] = common // g * den
+        mult *= common // g
+    else:
+        mult *= common // den
+    end = shift + len(nums)
+    if len(out) < end:
+        out += [0] * (end - len(out))
+    out[shift:end] = [o + mult * x for o, x in zip(out[shift:end], nums)]
+
+
+def _parts(acc):
+    """The parts tuple of an accumulator: each part trimmed of trailing zeros
+    and reduced once, empty parts dropped, sorted by monomial."""
+    parts = []
+    for key in sorted(acc):
+        den, nums = acc[key]
+        while nums and not nums[-1]:
+            nums.pop()
+        if nums:
+            g = gcd(den, *nums) if den != 1 else 1
+            if g != 1:
+                den //= g
+                nums = [x // g for x in nums]
+            parts.append((key, den, tuple(nums)))
+    return tuple(parts)
+
+
+def _poly(parts):
+    """A DensePoly around a canonical parts tuple."""
     poly = object.__new__(DensePoly)
-    poly._coeffs = _trimmed(values)
+    poly.parts = parts
     return poly
+
+
+_T = (((0, 0), 1, (0, 1)),)
+_BASES = {(((0, 0), 1, (1, 1)),): "1+t", (((0, 0), 1, (1, -1)),): "1-t"}
 
 
 def binomial_power(base, exponent):
@@ -188,18 +252,19 @@ def binomial_power(base, exponent):
     for j in range(exponent + 1):
         coeffs.append(-c if alternate and j & 1 else c)
         c = c * (exponent - j) // (j + 1)
-    return _poly(coeffs)
+    return _poly((((0, 0), 1, tuple(coeffs)),))
 
 
 def expand_side(side, n):
     """Dense expansion of one side of a polynomial identity at concrete n.
 
     Each standard summand coeff * t^a * (1+-t)^b adds coeff times the
-    binomial row of (1+-t)^b, shifted by a, into one coefficient list.
+    binomial row of (1+-t)^b, shifted by a, into one int accumulator per
+    monomial of the coefficients.
     """
     base_bindings = {"n": half(n)}
     if isinstance(side, StandardSide):
-        acc = []
+        acc = {}
         for term in side.terms:
             lo = to_int(dsl.compile(term.lower)(base_bindings))
             hi = to_int(dsl.compile(term.upper)(base_bindings))
@@ -209,19 +274,17 @@ def expand_side(side, n):
             for k in range(lo, hi + 1):
                 kb = dict(base_bindings)
                 kb["k"] = k
-                coeff = lower(coeff_of(kb))
-                if coeff == 0:
+                terms = _terms(coeff_of(kb))
+                if not terms:
                     continue
                 a = to_int(exact_div(twice_a(kb), 2))
                 if a < 0:
                     raise NegativeExponent(f"t^{a} at k={k}, n={n}")
                 b = to_int(exact_div(twice_b(kb), 2))
-                row = binomial_power(term.base, b)._coeffs
-                end = a + len(row)
-                if len(acc) < end:
-                    acc += [0] * (end - len(acc))
-                acc[a:end] = [o + coeff * x for o, x in zip(acc[a:end], row)]
-        return _poly(acc)
+                (_, _, row), = binomial_power(term.base, b).parts
+                for key, p, q in terms:
+                    _add(acc, key, row, q, p, a)
+        return _poly(_parts(acc))
     if isinstance(side, PolySide):
         return eval_poly(side.expr, base_bindings)
     raise EvalTypeError(f"not a polynomial side: {side!r}")
@@ -232,7 +295,7 @@ def eval_poly(expr, bindings):
     closure with t bound to the variable, a scalar value wrapped as a
     constant."""
     value = dsl.compile(expr)(dict(bindings, t=DensePoly.variable()))
-    return value if type(value) is DensePoly else _poly([value])
+    return value if type(value) is DensePoly else DensePoly.constant(value)
 
 
 @dataclass(frozen=True)
@@ -250,11 +313,8 @@ class PolyReport:
         """(index, lhs coeff, rhs coeff) of the lowest differing power, or None."""
         if self.equal:
             return None
-        top = max(self.lhs.degree, self.rhs.degree)
-        for i in range(top + 1):
-            if self.lhs.coefficient(i) != self.rhs.coefficient(i):
-                return (i, self.lhs.coefficient(i), self.rhs.coefficient(i))
-        return None
+        pairs = zip_longest(self.lhs.coeffs, self.rhs.coeffs, fillvalue=ZERO)
+        return next(((i, lc, rc) for i, (lc, rc) in enumerate(pairs) if lc != rc), None)
 
 
 def verify_poly(identity, n):
@@ -264,7 +324,7 @@ def verify_poly(identity, n):
     return PolyReport(identity.name, n, lhs == rhs, lhs, rhs)
 
 
-_chebyshev = [_poly([1]), _poly([0, 2])]   # U_0, U_1, ... built so far
+_chebyshev = [_poly((((0, 0), 1, (1,)),)), _poly(_T).scale(2)]   # U_0, U_1, ... built so far
 
 
 def chebyshev_u(m):
@@ -273,10 +333,10 @@ def chebyshev_u(m):
     if m < 0:
         raise EvalTypeError("chebyshev_u needs m >= 0")
     while len(_chebyshev) <= m:
-        prev, prev2 = _chebyshev[-1]._coeffs, _chebyshev[-2]._coeffs
+        (_, _, prev), = _chebyshev[-1].parts
+        (_, _, prev2), = _chebyshev[-2].parts
         nxt = [0] + [2 * c for c in prev]
         for i, c in enumerate(prev2):
             nxt[i] -= c
-        _chebyshev.append(_poly(nxt))
+        _chebyshev.append(_poly((((0, 0), 1, tuple(nxt)),)))
     return _chebyshev[m]
-

@@ -10,12 +10,13 @@ from pathlib import Path
 
 import pytest
 
-from finsum import corpus
+from finsum import cli, corpus
 from finsum.beta import PointResult
 from finsum.corpus import (_document_grid, check_coverage, corpus_dir, grid_points,
                            load_entries, load_entry, load_manifest, parse_half,
                            run_corpus, run_entry)
 from finsum.errors import FormatError
+from finsum.field import SymConst
 
 
 GOOD_CLOSED = {
@@ -156,11 +157,12 @@ class TestLoadEntry:
             load_entry(doc)
 
     def test_witness_on_a_polynomial_document_is_format_error(self):
-        # its replay used to end in AttributeError
+        # a closed witness's shape; its replay used to end in AttributeError
         doc = {"name": "poly-claim", "status": "disputed",
                "lhs": {"kind": "poly", "expr": "t"}, "rhs": {"kind": "poly", "expr": "2*t"},
                "witness": {"n": 0, "lhs": "1", "rhs": "2"}}
-        with pytest.raises(FormatError, match="poly-claim: a witness needs a closed identity"):
+        with pytest.raises(FormatError, match="poly-claim: a polynomial witness needs integers"
+                                              " n and power >= 0 and string lhs, rhs"):
             load_entry(doc)
 
     @pytest.mark.parametrize("doc, message", [
@@ -264,6 +266,72 @@ class TestRunEntry:
         report = run_entry(load_entry(doc))
         assert report.actual == "unequal" and not report.matched
         assert "t^1" in report.detail
+
+
+POLY_CLAIM = {
+    "name": "poly-claim",
+    "status": "disputed",
+    "lhs": {"kind": "poly", "expr": "t"},
+    "rhs": {"kind": "poly", "expr": "2*t"},
+    "n": [0, 2],
+    "witness": {"n": 0, "power": 1, "lhs": "1", "rhs": "2"},
+}
+
+
+class TestPolyWitness:
+    """A disputed polynomial document ships with the first difference of its
+    sides at one n, and that difference is replayed."""
+
+    @staticmethod
+    def run_in_dir(tmp_path, witness):
+        (tmp_path / "manifest.json").write_text(json.dumps(
+            {"entries": ["poly-claim.json"], "paper_equations": []}))
+        (tmp_path / "poly-claim.json").write_text(json.dumps(dict(POLY_CLAIM, witness=witness)))
+        return run_corpus(tmp_path)
+
+    def test_true_witness_is_unequal_and_matched(self, tmp_path):
+        entry = load_entry(POLY_CLAIM)
+        assert entry.witness == corpus.PolyWitness(0, 1, SymConst.parse("1"), SymConst.parse("2"))
+        report, = self.run_in_dir(tmp_path, POLY_CLAIM["witness"])
+        assert (report.expected, report.actual, report.matched) == ("unequal", "unequal", True)
+        assert report.detail == "unequal at n=0, t^1: lhs=1, rhs=2"
+
+    @pytest.mark.parametrize("witness", [
+        {"n": 0, "power": 1, "lhs": "1", "rhs": "3"},
+        {"n": 0, "power": 0, "lhs": "0", "rhs": "0"},
+        {"n": 0, "power": 2, "lhs": "1", "rhs": "2"},
+        {"n": 0, "power": 1, "lhs": "1", "rhs": "2*L"},
+    ])
+    def test_wrong_witness_is_unmatched(self, tmp_path, witness):
+        report, = self.run_in_dir(tmp_path, witness)
+        assert report.actual == "unequal" and not report.matched
+        assert report.detail.endswith("(stored witness not reproduced)")
+
+    def test_witness_at_an_n_that_fails_is_unmatched(self):
+        doc = dict(POLY_CLAIM, lhs={"kind": "poly", "expr": "t^n"},
+                   witness={"n": -1, "power": 1, "lhs": "1", "rhs": "2"})
+        report = run_entry(load_entry(doc))
+        assert report.actual == "unequal" and not report.matched
+
+    @pytest.mark.parametrize("witness", [
+        {"n": 0, "lhs": "1", "rhs": "2"},
+        {"n": 0, "power": -1, "lhs": "1", "rhs": "2"},
+        {"n": 0, "power": "1", "lhs": "1", "rhs": "2"},
+        {"n": 0, "power": True, "lhs": "1", "rhs": "2"},
+        {"n": 0, "power": 1.0, "lhs": "1", "rhs": "2"},
+        {"n": "0", "power": 1, "lhs": "1", "rhs": "2"},
+        {"power": 1, "lhs": "1", "rhs": "2"},
+        {"n": 0, "power": 1, "lhs": 1, "rhs": "2"},
+        {"n": 0, "power": 1, "lhs": "1 + foo", "rhs": "2"},
+        {"n": 0, "power": 1, "lhs": "1", "rhs": "1/0"},
+        [0, 1, "1", "2"],
+    ])
+    def test_malformed_witness_is_format_error(self, tmp_path, witness):
+        with pytest.raises(FormatError, match="poly-claim: "):
+            load_entry(dict(POLY_CLAIM, witness=witness))
+        path = tmp_path / "poly-claim.json"
+        path.write_text(json.dumps(dict(POLY_CLAIM, witness=witness)))
+        assert cli.main(["verify", str(path)]) == 3
 
 
 class TestShippedCorpus:

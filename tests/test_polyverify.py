@@ -1,7 +1,11 @@
 """Dense polynomial arithmetic and exact polynomial-identity verification,
 anchored by integral oracles over [0, 1]."""
 
+import hashlib
+import json
+import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -106,8 +110,21 @@ def ref_mul(a, b):
     return ref_trim(out)
 
 
+def assert_canonical(p):
+    """Every part of ``p`` has a positive int denominator and a tuple of int
+    numerators ending in a nonzero one, reduced together; no part is
+    empty, and the monomials are distinct and sorted."""
+    keys = [key for key, _, _ in p.parts]
+    assert type(p.parts) is tuple and keys == sorted(set(keys))
+    for _, den, nums in p.parts:
+        assert type(den) is int and den > 0
+        assert type(nums) is tuple and nums and nums[-1] != 0
+        assert all(type(x) is int for x in nums)
+        assert math.gcd(den, *nums) == 1
+
+
 class TestLoweredCoefficients:
-    """DensePoly keeps rational coefficients as plain int/Fraction; a
+    """DensePoly keeps int numerators over one denominator per monomial; a
     reference over lists of SymConst pins its arithmetic, and ``coeffs``
     lifts every coefficient back to SymConst."""
 
@@ -119,9 +136,10 @@ class TestLoweredCoefficients:
         assert p.degree == len(want) - 1
         assert all(p.coefficient(i) == c for i, c in enumerate(want))
         assert type(p.coefficient(len(want))) is SymConst
-        # held lowered: a SymConst only where ln2 or sqrt(pi) appears
-        assert all(not c.is_rational if type(c) is SymConst
-                   else type(c) in (int, Fraction) for c in p._coeffs)
+        # held canonical, with a part only for a monomial that appears: a
+        # rational polynomial is one (0, 0) part
+        assert_canonical(p)
+        assert {key for key, _, _ in p.parts} == {key for c in want for key in c.terms}
 
     @given(field_coeff_lists, field_coeff_lists, field_coeffs,
            st.fractions(min_value=-3, max_value=3, max_denominator=4))
@@ -167,6 +185,54 @@ class TestLoweredCoefficients:
             got = base ** m
             assert got == by_hand
             self.check(got, by_hand.coeffs)
+
+
+class TestCanonicalForm:
+    """The parts are a canonical form: a polynomial built by any route has
+    the same parts, hash and equality as the same polynomial built
+    directly."""
+
+    @staticmethod
+    def same(p, q):
+        assert_canonical(p)
+        assert_canonical(q)
+        assert p.parts == q.parts
+        assert p == q and hash(p) == hash(q)
+
+    @given(field_coeff_lists, field_coeffs,
+           st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool),
+           st.integers(min_value=0, max_value=3))
+    def test_routes_agree(self, a, c, f, shift):
+        p = DensePoly(a)
+        t = DensePoly.variable()
+        # coefficient by coefficient through the ring operations
+        by_ring = DensePoly()
+        for i, x in enumerate(a):
+            by_ring = by_ring + x * t ** i
+        self.same(by_ring, p)
+        # divided and multiplied back, by a rational and by a power of sqrt(pi)
+        self.same((p / f) * f, p)
+        self.same(p.scale(f).scale(1 / f), p)
+        sqrt_pi = SymConst.monomial(1, sqrtpi_exp=1)
+        self.same((p * sqrt_pi) / sqrt_pi, p)
+        # a SymConst coefficient added and then cancelled
+        bump = DensePoly([0] * shift + [c])
+        self.same((p + bump) - bump, p)
+        self.same(p + c - c, p)
+        self.same(p - p, DensePoly())
+        self.same(p * 0, DensePoly())
+        # a product computed two ways
+        q = bump + t
+        self.same(p * q * q, p * (q ** 2))
+
+    def test_examples(self):
+        t = DensePoly.variable()
+        self.same((t / 3) * 3, t)
+        self.same(t * Fraction(2, 6) * 3, t)
+        self.same(DensePoly([Fraction(2, 4), Fraction(3, 6)]), DensePoly([1, 1]) / 2)
+        assert (t / 6).parts == (((0, 0), 6, (0, 1)),)
+        assert (t * SymConst.parse("1/2 + 1/3*L")).parts == (
+            ((0, 0), 2, (0, 1)), ((1, 0), 3, (0, 1)))
 
 
 class TestBinomialPower:
@@ -370,3 +436,28 @@ def test_expand_side_rejects_closed():
     })
     with pytest.raises(EvalTypeError):
         expand_side(ident.lhs, 3)
+
+
+PIN_N = (26, 30, 34)
+
+
+def expansion_text(identity, n_values):
+    """One line per n and side: the rendered ``coeffs`` of its expansion."""
+    return "\n".join(
+        f"{n} {side} " + " ".join(c.render() for c in
+                                  expand_side(getattr(identity, side), n).coeffs)
+        for n in n_values for side in ("lhs", "rhs"))
+
+
+def test_expansions_pinned():
+    """Both sides of every polynomial corpus entry at each shipped n and at
+    n = 26, 30, 34 are pinned by a sha256 of their ``expansion_text``, taken
+    while DensePoly held one lowered value per power of t."""
+    pinned = json.loads((Path(__file__).parent / "poly_expand_sha256.json").read_text())
+    got = {}
+    for entry in corpus.load_entries():
+        if not entry.identity.is_closed:
+            text = expansion_text(entry.identity, sorted(set(entry.n_values) | set(PIN_N)))
+            got[entry.name] = hashlib.sha256(text.encode()).hexdigest()
+    assert len(got) == 22
+    assert got == pinned
