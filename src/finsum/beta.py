@@ -23,8 +23,9 @@ evaluation compiles each term of an identity once per ``verify_closed`` or
 ``eval_closed`` call, never at load time and never per point: the
 coefficient becomes a ``dsl.compile`` closure, and the factors and bracket
 keep their integer affine arguments.  A loaded term runs this factor path
-too: the loader has split its r/s-reading binomials, reciprocals and
-bracket out of its coefficient (``model.split_closed_term``).
+too: the loader has split its r/s-reading binomials, affines and bracket
+out of its coefficient (``model.split_closed_term``), and has loaded a
+standalone expression as k-free terms.
 
 Each term then runs as an integer kernel (``_run_term``).  A side reads the
 point's n, r and s as twice-values once; at each point every affine argument
@@ -38,10 +39,10 @@ monomial into an unreduced int numerator and denominator, at the term's
 sqrt(pi) offset: a term adds its coefficient times its factor product in
 one add, a derivative bracket piece by piece, and the side reduces once and
 lifts the sum to SymConst once.  The module's one cache, the coefficient
-memo ``_expr_memo``, holds the lowered values of the coefficients, sum
-bounds and standalone expressions that read no grid parameter (r, s, u, v),
-since only those repeat from one grid point to the next; a split loaded
-coefficient is one of them when only its factors and bracket read r and s.
+memo ``_expr_memo``, holds the lowered values of the coefficients and sum
+bounds that read no grid parameter (r, s, u, v), since only those repeat
+from one grid point to the next; a split loaded coefficient is one of them
+when only its factors and bracket read r and s.
 The memo lives for the whole process and keeps every expression alive.
 """
 
@@ -54,8 +55,8 @@ from . import dsl, special
 from .errors import (DivisionByZero, EvalTypeError, PoleError, ShapeError,
                      UnboundVariable)
 from .field import Sum, SymConst, half, lift, lower, to_int, to_twice
-from .model import (Affine, ClosedSide, ClosedSummand, ClosedTerm, FBinom,
-                    FRecipAffine, HPiece, RecipPiece, substitute_neg_t)
+from .model import (Affine, ClosedSide, ClosedSummand, ClosedTerm, FAffine, FBinom,
+                    HPiece, RecipPiece, substitute_neg_t)
 
 
 def from_model(identity):
@@ -93,7 +94,7 @@ def beta_transform(identity):
             bot = term.t_exp + Affine(s=1)
             ct = ClosedTerm(term.coeff,
                             factors=(FBinom(top, bot, power=-1),
-                                     FRecipAffine(bot)))
+                                     FAffine(bot, -1)))
             out.append(ClosedSummand(ct, term.lower, term.upper))
         return ClosedSide(tuple(out))
 
@@ -106,24 +107,20 @@ def derivative_bracket(factors, param):
 
     For binom(B, C)^p the contribution is
     p*(B' H(B) - C' H(C) - (B'-C') H(B-C)); the H-coefficients sum to zero,
-    which is exactly why the digamma constant never appears.
+    which is exactly why the digamma constant never appears.  For a^p it is
+    p*a'/a.
     """
     pieces = []
     for f in factors:
         if isinstance(f, FBinom):
-            bp = f.top.derivative(param)
-            cp = f.bot.derivative(param)
+            bp, cp = getattr(f.top, param), getattr(f.bot, param)
             p = f.power
             candidates = ((p * bp, f.top), (-p * cp, f.bot),
                           (-p * (bp - cp), f.top - f.bot))
             assert sum(c for c, _ in candidates) == 0
             pieces.extend(HPiece(c, arg) for c, arg in candidates if c)
-        elif isinstance(f, FRecipAffine):
-            ap = f.affine.derivative(param)
-            if ap:
-                pieces.append(RecipPiece(-ap, f.affine))
-        else:
-            raise ShapeError(f"cannot differentiate factor {f!r}")
+        elif getattr(f.affine, param):
+            pieces.append(RecipPiece(f.power * getattr(f.affine, param), f.affine))
     return tuple(pieces)
 
 
@@ -140,8 +137,6 @@ def differentiate(identity, param):
         raise ShapeError("dds/ddr need a transformed identity (use beta first)")
 
     def conv(side):
-        if side.extra is not None:
-            raise ShapeError(f"{identity.name}: standalone expression is not differentiable")
         out = []
         for sm in side.summands:
             term = sm.term
@@ -318,11 +313,11 @@ def _eval_memo(expr, bindings, value, names):
 
 
 def _compile_value(expr, names):
-    """A closure for the lowered value of a coefficient, a sum bound or a
-    standalone expression, whose free variables are ``names``, as its term,
-    summand or side holds them.  One that reads a grid parameter is
-    evaluated directly: its key would differ at every grid point, so the
-    memo would only keep it alive.  Any other goes through ``_eval_memo``."""
+    """A closure for the lowered value of a coefficient or a sum bound,
+    whose free variables are ``names``, as its term or summand holds them.
+    One that reads a grid parameter is evaluated directly: its key would
+    differ at every grid point, so the memo would only keep it alive.  Any
+    other goes through ``_eval_memo``."""
     value = dsl.compile(expr)
     if names.isdisjoint(GRID_PARAMS):
         names = tuple(sorted(names))
@@ -356,25 +351,17 @@ def _compile_term(term):
     return _compile_value(term.coeff, term.coeff_vars), term
 
 
-def _unknown_factor(f):
-    def fail(bindings):
-        raise EvalTypeError(f"unknown factor {f!r}")
-    return fail
-
-
 def _at_point(term, point):
     """The term's factors and bracket at one point, as the kernel reads
     them: each affine becomes its twice-value at k = 0 and its step 2*c_k,
     so that at k it is ``base + step*k``.  A factor is (power, top base,
     top step, bottom base, bottom step, factor): the ``FBinom.power``, 1 for
-    a binomial or -1 for a reciprocal one, and 0 for a reciprocal affine.  A
-    bracket piece is (1 for H or 0 for a reciprocal, coefficient numerator,
-    denominator, base, step).
-    The first factor or piece that cannot be read there, an unknown factor
-    or an affine reading a name the point lacks, becomes (None, fail, ...)
+    a binomial or -1 for a reciprocal one; an ``FAffine`` is (0, base, step,
+    its power, 0, factor).  A bracket piece is (1 for H or 0 for a
+    reciprocal, coefficient numerator, denominator, base, step).  The first
+    one whose affine reads a name the point lacks becomes (None, fail, ...)
     and ends its list: the kernel never gets past it, and ``fail(bindings)``
-    raises the error the factor raises (``Affine.compile_twice`` for an
-    affine)."""
+    raises the error of ``Affine.compile_twice``."""
     (tk, tn, tr, ts), bad = point
 
     def base(a):
@@ -391,14 +378,11 @@ def _at_point(term, point):
                 factors.append((f.power, base(f.top), 2 * f.top.k,
                                 base(f.bot), 2 * f.bot.k, f))
                 continue
-        elif isinstance(f, FRecipAffine):
+        else:
             failing = f.affine if lacks(f.affine) else None
             if failing is None:
-                factors.append((0, base(f.affine), 2 * f.affine.k, 0, 0, f))
+                factors.append((0, base(f.affine), 2 * f.affine.k, f.power, 0, f))
                 continue
-        else:
-            factors.append((None, _unknown_factor(f), 0, 0, 0, f))
-            return factors, ()
         factors.append((None, failing.compile_twice(), 0, 0, 0, f))
         return factors, ()
     bracket = []
@@ -417,21 +401,24 @@ def _run_term(plan, point, bindings, ks, total):
     ``bindings`` holds, which ``point`` then reads too.
 
     The kernel runs on ints.  Each affine argument is ``base + step*k``
-    (``_at_point``).  A binomial from ``special.binom_at`` is rational or
-    one monomial c*sqrt(pi)^e: c multiplies into an unreduced int numerator
-    and denominator, e into an int exponent (negated for a reciprocal).
-    Factors are evaluated first and in order: a reciprocal binomial at the
-    Infinite pole makes the term 0 at that k before anything after it is
-    looked at, which is the limit reading of the transformed identities,
-    and a zero binomial makes it 0 after the last factor.  The coefficient
-    then multiplies in, and the term goes into ``total`` by one add at
-    sqrt(pi) offset e; a bracket's pieces, c*H(x) and c/x, go in one by one
-    the same way.  Only a coefficient that is itself a SymConst sums the
-    pieces apart and multiplies them in as a SymConst.
+    (``_at_point``).  An affine factor's twice-value multiplies into an
+    unreduced int numerator, or its denominator when divided.  A binomial
+    from ``special.binom_at`` is rational or one monomial c*sqrt(pi)^e: c
+    multiplies in the same way, e into an int exponent (negated for a
+    reciprocal).  Factors are evaluated first and in order: a reciprocal
+    binomial at the Infinite pole makes the term 0 at that k before anything
+    after it is looked at, which is the limit reading of the transformed
+    identities, and a zero binomial makes it 0 after the last factor; a zero
+    affine only once the coefficient and bracket have run, as the unsplit
+    product runs them.  The coefficient then multiplies in, and the term
+    goes into ``total`` by one add at sqrt(pi) offset e; a bracket's pieces,
+    c*H(x) and c/x, go in one by one the same way.  Only a coefficient that
+    is itself a SymConst sums the pieces apart and multiplies them in as a
+    SymConst.
 
-    A term split at load that fails re-runs its coefficient as written, so
-    the point reports the error the unsplit coefficient raises: that
-    product runs every operand the factor path does, so it fails too."""
+    A term split at load that fails re-runs its ``source``, so the point
+    reports the error the coefficient as written raises: that product runs
+    every operand the factor path does, so it fails too."""
     coeff, term = plan
     factors, bracket = _at_point(term, point)
     binom_at, infinite = special.binom_at, special.INFINITE
@@ -445,6 +432,10 @@ def _run_term(plan, point, bindings, ks, total):
             for power, xb, xs, yb, ys, f in factors:
                 if power == 0:
                     twice = xb + xs * k
+                    if yb == 1:
+                        num *= twice
+                        den *= 2
+                        continue
                     if not twice:
                         raise DivisionByZero(f"zero affine under reciprocal: {f.render()}")
                     num *= 2
@@ -482,7 +473,8 @@ def _run_term(plan, point, bindings, ks, total):
                     den *= c.numerator
                     e -= p
             else:
-                if not num:
+                if not num and not any(p == 0 and up == 1 and not base + step * k
+                                       for p, base, step, up, _, _ in factors):
                     continue
                 value = coeff(bindings)
                 if not bracket:
@@ -524,29 +516,24 @@ def eval_term(term, bindings):
 
 
 def _compile_side(side):
-    summands = tuple((_compile_value(sm.lower, sm.bound_vars[0]),
-                      _compile_value(sm.upper, sm.bound_vars[1]), _compile_term(sm.term))
-                     for sm in side.summands)
-    extra = None if side.extra is None else _compile_value(side.extra, side.extra_vars)
-    return summands, extra
+    return tuple((_compile_value(sm.lower, sm.bound_vars[0]),
+                  _compile_value(sm.upper, sm.bound_vars[1]), _compile_term(sm.term))
+                 for sm in side.summands)
 
 
 def _run_side(plan, bindings):
     """The side's value as a SymConst.  The point's n, r and s are read as
     twice-values once; each term runs its k range through the kernel
-    (``_run_term``), adding into one ``Sum`` in order, and the standalone
-    expression is added last.  The sum is reduced once and lifted."""
-    summands, extra = plan
+    (``_run_term``), adding into one ``Sum`` in order.  The sum is reduced
+    once and lifted."""
     total = Sum()
     point = _twice_point(bindings, _STEPPED)
     inner = dict(bindings)
-    for lower_bound, upper_bound, term in summands:
+    for lower_bound, upper_bound, term in plan:
         lo = to_int(lower_bound(bindings))
         hi = to_int(upper_bound(bindings))
         if lo <= hi:
             _run_term(term, point, inner, range(lo, hi + 1), total)
-    if extra is not None:
-        total.add(extra(bindings))
     return lift(total.value())
 
 
@@ -641,38 +628,30 @@ def _require_mpmath():
 def eval_side_float(side, bindings, precision_digits=30):
     """Numeric value of a side at a point whose r/s need not be half-integers.
 
-    Only factor-bearing terms support this: their coefficients and sum
-    bounds are exact in (k, n), so they run on the exact evaluator with r
-    and s left unbound, and only the factors and the bracket read r and s,
-    as numbers.
-    """
-    if side.extra is not None:
-        raise ShapeError("standalone expression has no float evaluator")
+    Coefficients and sum bounds run on the exact evaluator with r and s left
+    unbound, and only the factors and the bracket read r and s, as numbers;
+    a term whose coefficient reads r or s is a ShapeError."""
     mp = _require_mpmath()
     with mp.workdps(precision_digits):
         exact = {name: val for name, val in bindings.items() if name not in ("r", "s")}
         num = {name: mp.mpf(val.numerator) / val.denominator for name, val in bindings.items()}
         total = mp.mpf(0)
         for sm in side.summands:
+            if not sm.term.coeff_vars.isdisjoint(("r", "s")):
+                raise ShapeError(f"coefficient {dsl.render(sm.term.coeff)} reads r or s:"
+                                 " no float evaluator")
             lo = to_int(dsl.compile(sm.lower)(exact))
             hi = to_int(dsl.compile(sm.upper)(exact))
             coeff = dsl.compile(sm.term.coeff)
             for k in range(lo, hi + 1):
-                kb = dict(exact)
-                kb["k"] = k
-                kn = dict(num)
-                kn["k"] = mp.mpf(k)
-                total += _eval_term_float(sm.term, coeff, kb, kn, mp)
+                total += _eval_term_float(sm.term, coeff, dict(exact, k=k),
+                                          dict(num, k=mp.mpf(k)), mp)
         return total
 
 
 def _affine_float(aff, num):
-    total = num["k"] * 0 + aff.const
-    for name in ("k", "n", "r", "s"):
-        coef = getattr(aff, name)
-        if coef:
-            total += num[name] * coef
-    return total
+    return sum((num[name] * getattr(aff, name) for name in ("k", "n", "r", "s")
+                if getattr(aff, name)), num["k"] * 0 + aff.const)
 
 
 def _eval_term_float(term, coeff, exact_bindings, num, mp):
@@ -680,11 +659,9 @@ def _eval_term_float(term, coeff, exact_bindings, num, mp):
     for f in term.factors:
         if isinstance(f, FBinom):
             b = mp.binomial(_affine_float(f.top, num), _affine_float(f.bot, num))
-            product *= b if f.power == 1 else 1 / b
-        elif isinstance(f, FRecipAffine):
-            product *= 1 / _affine_float(f.affine, num)
         else:
-            raise EvalTypeError(f"unknown factor {f!r}")
+            b = _affine_float(f.affine, num)
+        product *= b if f.power == 1 else 1 / b
     value = lift(coeff(exact_bindings)).to_float(mp.mp.dps) * product
     if term.extras:
         bracket = mp.mpf(0)

@@ -133,12 +133,8 @@ def _emit_reports(reports, fmt):
 # transform
 
 def _render_side(side):
-    parts = []
-    for sm in side.summands:
-        parts.append(f"sum(k={dsl.render(sm.lower)}..{dsl.render(sm.upper)}) {sm.term.render()}")
-    if side.extra is not None:
-        parts.append(dsl.render(side.extra))
-    return "  +  ".join(parts) if parts else "0"
+    return "  +  ".join(f"sum(k={dsl.render(sm.lower)}..{dsl.render(sm.upper)}) {sm.term.render()}"
+                        for sm in side.summands) or "0"
 
 
 def _print_cid(cid):

@@ -5,13 +5,14 @@ An identity has two sides; each side is either
 * ``StandardSide``: a list of terms coeff(k,n) * t^a * (1+-t)^b with affine
   exponents a, b in (k, n),
 * ``PolySide``: a single DSL expression containing the indeterminate t, or
-* ``ClosedSide``: t-free summands plus an optional standalone expression.
+* ``ClosedSide``: t-free summands.
 
 Both sides must be closed, or both t-bearing.  A closed summand holds a
-``ClosedTerm``: coefficient times binomial and reciprocal factors times an
+``ClosedTerm``: coefficient times binomial and affine factors times an
 optional derivative bracket.  The ``beta`` transforms build the factors and
 the bracket; the loader splits them out of a document's coefficient once
-(``split_closed_term``), so loaded and derived closed sums are the same
+(``split_closed_term``), and loads a standalone expression as k-free
+summands over k = 0..0, so loaded and derived closed sums are the same
 objects and run the same factor path.  A derived identity is an
 ``Identity`` too, its ``provenance`` naming its transforms.
 """
@@ -63,9 +64,6 @@ class Affine:
         terms = [(name, getattr(self, name)) for name in ("k", "n", "r", "s")
                  if getattr(self, name)]
         return dsl.twice_sum(terms, self.const)
-
-    def derivative(self, param):
-        return getattr(self, param)
 
     def __add__(self, other):
         return Affine(self.k + other.k, self.n + other.n, self.r + other.r,
@@ -137,13 +135,19 @@ class FBinom:
 
 
 @dataclass(frozen=True)
-class FRecipAffine:
-    """1/affine factor: the 1/(a+s) of the Beta weight."""
+class FAffine:
+    """affine^power factor, power in {1, -1}: the 1/(a+s) of the Beta
+    weight, or a loaded coefficient's r/s-reading affine operand."""
 
     affine: Affine
+    power: int = 1
+
+    def __post_init__(self):
+        if type(self.power) is not int or self.power not in (1, -1):
+            raise ShapeError(f"affine factor power must be 1 or -1, got {self.power!r}")
 
     def render(self):
-        return f"1/({self.affine.render()})"
+        return f"({self.affine.render()})" if self.power == 1 else f"1/({self.affine.render()})"
 
 
 @dataclass(frozen=True)
@@ -164,7 +168,7 @@ class RecipPiece:
 
 @dataclass(frozen=True)
 class ClosedTerm:
-    """coeff times binomial/reciprocal factors times an optional
+    """coeff times binomial and affine factors times an optional
     harmonic-difference bracket, from differentiation or from the split of
     a loaded coefficient (``split_closed_term``).
 
@@ -216,18 +220,7 @@ class ClosedSummand:
 
 @dataclass(frozen=True)
 class ClosedSide:
-    """Closed summands plus an optional standalone expression.
-
-    ``extra_vars`` holds the free variables of ``extra``, walked once when
-    the side is built, as ``ClosedTerm.coeff_vars`` holds its coefficient's."""
-
     summands: tuple = ()
-    extra: object = None     # optional standalone SeqExpr (may contain sum(...))
-    extra_vars: frozenset = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "extra_vars", frozenset(
-            () if self.extra is None else dsl.free_vars(self.extra)))
 
 
 @dataclass(frozen=True)
@@ -251,10 +244,9 @@ class Identity:
 
 def grid_params_read(identity):
     """The grid parameters that a closed identity reads: in a factor, a
-    bracket argument, a coefficient, a sum bound or a standalone expression."""
+    bracket argument, a coefficient or a sum bound."""
     names = set()
     for side in (identity.lhs, identity.rhs):
-        names |= side.extra_vars
         for sm in side.summands:
             names.update(sm.term.coeff_vars, *sm.bound_vars)
             affines = [p.argument for p in sm.term.extras]
@@ -314,13 +306,11 @@ def load_identity(document):
 def _load_side(doc, name):
     """A side document as a ``StandardSide``, ``PolySide`` or ``ClosedSide``.
 
-    Each closed summand's coefficient is walked once and split
-    (``split_closed_term``): r/s-reading ``binom``/``rbinom`` factors,
-    integer-affine divisors and one harmonic bracket leave it for the factor
-    path; the rest, and any coefficient that reads u or v or offers no such
-    factor, stays as written.  The names of that one walk, and of the one
-    walk of a standalone expression, serve the ``t`` check here and later
-    ``grid_params_read`` and ``beta``'s compilation."""
+    Each closed summand's coefficient is walked once and split into factors,
+    a bracket and a rest (``split_closed_term``); a standalone expression
+    follows the sums as k-free summands (``_standalone``).  The names of
+    that one walk serve the ``t`` check here and later ``grid_params_read``
+    and ``beta``'s compilation."""
     if not isinstance(doc, dict) or "kind" not in doc:
         raise FormatError(f"{name}: side must be an object with a 'kind'")
     kind = doc["kind"]
@@ -332,31 +322,90 @@ def _load_side(doc, name):
             raise FormatError(f"{name}: poly side contains no t")
         return PolySide(expr)
     if kind == "closed":
-        summands = tuple(
+        summands = [
             ClosedSummand(split_closed_term(_dsl_field(s, "coeff", name)),
                           _dsl_field(s, "lower", name, bound=True),
                           _dsl_field(s, "upper", name, bound=True))
             for s in _objects(doc, "sums", name)
-        )
-        extra = _dsl_field(doc, "expr", name) if "expr" in doc else None
-        if not summands and extra is None:
+        ]
+        if "expr" in doc:
+            summands += [ClosedSummand(term, _ZERO, _ZERO)
+                         for term in _standalone(_dsl_field(doc, "expr", name), name)]
+        if not summands:
             raise FormatError(f"{name}: empty closed side")
-        side = ClosedSide(summands, extra)
         # a split factor or bracket reads only k, n, r and s, so t stays in coeff
-        if any("t" in sm.term.coeff_vars for sm in summands) or "t" in side.extra_vars:
+        if any("t" in sm.term.coeff_vars for sm in summands):
             raise FormatError(f"{name}: closed side contains t or U(...)")
-        return side
+        return ClosedSide(tuple(summands))
     raise FormatError(f"{name}: unknown side kind {kind!r}")
 
 
 _SPLIT_PARAMS = ("r", "s")
 _ONE = dsl.Lit(Fraction(1))
+_ZERO = dsl.Lit(Fraction(0))
 _MAX_SPLIT_POWER = 4        # (k+s)^m in a divisor splits into m factors up to this m
+
+
+def _standalone(expr, name):
+    """The terms, summed over k = 0..0, of a standalone expression; a free k
+    is a FormatError.  One in r or s, not u or v, is split (``_parts``) and
+    each part goes through ``split_closed_term`` with the whole expression
+    as its ``source``, where a failing point takes its error from.  Any
+    other is one term as written."""
+    names = frozenset(dsl.free_vars(expr))
+    if "k" in names:
+        raise FormatError(f"{name}: standalone expression reads k outside a sum")
+    if names.isdisjoint(_SPLIT_PARAMS) or "u" in names or "v" in names:
+        return [ClosedTerm(expr, coeff_vars=names)]
+    return [replace(split_closed_term(_chain(operands, negated)), source=expr)
+            for negated, operands in _parts(expr)]
+
+
+def _parts(e, negated=False):
+    """(negated, operands) of each top-level ``+``/``-`` term of ``e``, a
+    product distributed over its first multiplied non-bracket sum in r or s."""
+    terms = []
+    while type(e) is dsl.Add or type(e) is dsl.Sub:
+        terms.append((e.right, negated != (type(e) is dsl.Sub)))
+        e = e.left
+    parts = []
+    for e, negated in reversed(terms + [(e, negated)]):
+        operands = _operands(e)
+        i = next((i for i, (divided, node) in enumerate(operands)
+                  if not divided and type(node) in (dsl.Add, dsl.Sub) and not _bracket(node)
+                  and not dsl.free_vars(node).isdisjoint(_SPLIT_PARAMS)), None)
+        if i is None:
+            parts.append((negated, operands))
+        else:
+            parts += [(neg, operands[:i] + inner + operands[i + 1:])
+                      for neg, inner in _parts(operands[i][1], negated)]
+    return parts
+
+
+def _operands(e):
+    """(divided, node) of each operand of a ``*``/``/`` chain, left to right."""
+    spine = []
+    while type(e) is dsl.Mul or type(e) is dsl.Div:
+        spine.append(e)
+        e = e.left
+    return [(False, e)] + [(type(node) is dsl.Div, node.right) for node in reversed(spine)]
+
+
+def _chain(operands, negated=False):
+    """The ``*``/``/`` chain of (divided, node) operands, or 1; ``negated``
+    puts a minus on the first, which is then a multiplied one."""
+    out = None
+    for divided, node in operands:
+        if divided:
+            out = dsl.Div(_ONE if out is None else out, node)
+        else:
+            out = (dsl.Neg(node) if negated else node) if out is None else dsl.Mul(out, node)
+    return _ONE if out is None else out
 
 
 def split_closed_term(coeff):
     """The ``ClosedTerm`` of a loaded coefficient: its r/s-reading binomial
-    and reciprocal factors and its bracket split out once, so that the
+    and affine factors and its bracket split out once, so that the
     grid-free rest can be memoized and the factors run on twice-int affines.
 
     One pass down the top-level ``*``/``/`` chain, whose divisors are
@@ -365,14 +414,15 @@ def split_closed_term(coeff):
     * ``binom``/``rbinom`` of integer-affine arguments in k, n, r, s that
       read r or s become ``FBinom``, of power -1 for a divided ``binom`` or
       a multiplied ``rbinom`` and 1 otherwise;
-    * an integer-affine divisor that reads r or s becomes ``FRecipAffine``;
+    * an integer-affine operand that reads r or s becomes ``FAffine``, of
+      power -1 when divided and 1 otherwise;
     * the first multiplied sum of ``±H(affine)`` and ``±1/affine`` pieces
       that reads r or s becomes the bracket (one piece may read neither).
 
     Factors are listed as the product evaluates its operands: divisors
     from right to left, then multiplied operands from left to right.  All
     other operands stay in the coefficient, in order.  A coefficient that
-    reads u or v, reads neither r nor s, or has no binomial or reciprocal
+    reads u or v, reads neither r nor s, or has no binomial or affine
     factor to give stays exactly as written.
 
     The split term has the value of the unsplit one wherever that is
@@ -381,12 +431,7 @@ def split_closed_term(coeff):
     term at an Infinite reciprocal binomial or a zero binomial before its
     other operands run, while the unsplit product runs them and may fail:
     a point no admissible (r, s) reaches in the shipped corpus."""
-    spine = []
-    e = coeff
-    while type(e) is dsl.Mul or type(e) is dsl.Div:
-        spine.append(e)
-        e = e.left
-    operands = [(False, e)] + [(type(node) is dsl.Div, node.right) for node in reversed(spine)]
+    operands = _operands(coeff)
     reads = [dsl.free_vars(node) for _, node in operands]   # the one walk of coeff
     names = frozenset().union(*reads)
     if names.isdisjoint(_SPLIT_PARAMS) or "u" in names or "v" in names:
@@ -403,7 +448,7 @@ def split_closed_term(coeff):
             divisors.append([f for f in found if f is not None])
             if len(rest) < len(parts):
                 if rest:
-                    kept.append((True, _product(rest)))
+                    kept.append((True, _chain([(False, part) for part in rest])))
                     kept_names.update(*map(dsl.free_vars, rest))
                 continue
         else:
@@ -420,13 +465,8 @@ def split_closed_term(coeff):
     factors = tuple(f for group in reversed(divisors) for f in group) + tuple(multiplied)
     if not factors:
         return ClosedTerm(coeff, coeff_vars=names)
-    rest = _ONE
-    for i, (divided, node) in enumerate(kept):
-        if divided:
-            rest = dsl.Div(rest, node)
-        else:
-            rest = node if i == 0 else dsl.Mul(rest, node)
-    return ClosedTerm(rest, factors, extras, coeff_vars=frozenset(kept_names), source=coeff)
+    return ClosedTerm(_chain(kept), factors, extras, coeff_vars=frozenset(kept_names),
+                      source=coeff)
 
 
 def _divisor_parts(node):
@@ -446,23 +486,13 @@ def _divisor_parts(node):
     return parts
 
 
-def _product(parts):
-    out = parts[0]
-    for part in parts[1:]:
-        out = dsl.Mul(out, part)
-    return out
-
-
-def _affine(node, reads_grid=False):
-    """The integer ``Affine`` that ``node`` spells, or None; None too when
-    ``reads_grid`` and it reads neither r nor s."""
+def _affine(node):
+    """The integer ``Affine`` that ``node`` spells, or None."""
     terms = dsl.affine_terms(node)
     if terms is None:
         return None
     coeffs, const = terms
     if not coeffs.keys() <= {"k", "n", "r", "s"}:
-        return None
-    if reads_grid and not (coeffs.get("r") or coeffs.get("s")):
         return None
     coeffs["const"] = const
     if not all(type(c) is int for c in coeffs.values()):
@@ -471,22 +501,19 @@ def _affine(node, reads_grid=False):
 
 
 def _reads_grid(affine):
-    return bool(affine.r or affine.s)
+    return affine is not None and bool(affine.r or affine.s)
 
 
 def _factor(node, divided):
-    """The ``FBinom`` or ``FRecipAffine`` that an operand reading r or s
-    spells, or None."""
+    """The ``FBinom`` or ``FAffine`` that an operand reading r or s spells,
+    or None."""
     if type(node) is dsl.Call and node.fn in ("binom", "rbinom"):
         top, bot = (_affine(a) for a in node.args)
         if top is None or bot is None or not (_reads_grid(top) or _reads_grid(bot)):
             return None
         return FBinom(top, bot, -1 if divided == (node.fn == "binom") else 1)
-    if divided:
-        affine = _affine(node, reads_grid=True)
-        if affine is not None:
-            return FRecipAffine(affine)
-    return None
+    affine = _affine(node)
+    return FAffine(affine, -1 if divided else 1) if _reads_grid(affine) else None
 
 
 def _bracket(node):

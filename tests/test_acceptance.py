@@ -10,8 +10,8 @@ from fractions import Fraction
 import pytest
 
 from finsum import beta, corpus, dsl, polyverify, special
-from finsum.beta import (Affine, ClosedSide, ClosedSummand, ClosedTerm, FBinom,
-                         FRecipAffine)
+from finsum.beta import (Affine, ClosedSide, ClosedSummand, ClosedTerm, FAffine,
+                         FBinom)
 from finsum.field import SymConst
 from finsum.model import Identity, admissible
 from poly_oracles import cheb_u_sqrt_poly, integrate_unit
@@ -233,14 +233,16 @@ def test_criterion_6_derivative_cross_check():
     worst = 0.0
     problems = []
     for i in range(20):
-        # a random transformed-style term: binomial weight plus reciprocals
+        # a random transformed-style term: binomial weight plus affine factors
         c_top = F(rng.randint(0, 3))
         top = Affine(k=F(1), n=F(1), r=F(1), const=c_top)
         bot = Affine(k=F(1), s=F(1))
         power = rng.choice((1, -1))
-        factors = [FBinom(top, bot, power), FRecipAffine(bot)]
+        factors = [FBinom(top, bot, power), FAffine(bot, -1)]
         if rng.random() < 0.5:
-            factors.append(FRecipAffine(Affine(k=F(1), r=F(1), const=F(1))))
+            factors.append(FAffine(Affine(k=F(1), r=F(1), const=F(1)), -1))
+        if i % 2:       # a multiplied affine: its bracket piece is +a'/a
+            factors.append(FAffine(Affine(k=F(1), r=F(2), s=F(-1), const=F(1))))
         coeff = dsl.parse(rng.choice(("1", "binom(n, k)", "H(k)/(k + 1)",
                                       "sign(k)*binom(n, k)")))
         side = ClosedSide((ClosedSummand(ClosedTerm(coeff, tuple(factors)),

@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from finsum import beta, corpus, dsl, special
-from finsum.beta import (Affine, ClosedTerm, FBinom, FRecipAffine, HPiece,
+from finsum.beta import (Affine, ClosedTerm, FAffine, FBinom, HPiece,
                          RecipPiece, beta_transform, central_transform_uv,
                          central_transform_v, derivative_bracket,
                          differentiate, eval_closed, eval_side,
@@ -65,7 +65,7 @@ def test_weight_rule_examples():
     fb, fr = cid.lhs.summands[0].term.factors
     assert fb == FBinom(Affine(k=F(1), r=F(1)), Affine(k=F(1), s=F(1)), -1)
     assert fb.render() == "1/binom(k + r, k + s)"
-    assert fr == FRecipAffine(Affine(k=F(1), s=F(1)))
+    assert fr == FAffine(Affine(k=F(1), s=F(1)), -1)
     assert fr.render() == "1/(k + s)"
     # rhs summand (1-t)^(n-k): weight 1/(s * binom(n-k+r, s))
     fb2, fr2 = cid.rhs.summands[1].term.factors
@@ -79,7 +79,7 @@ def test_weight_rule_examples():
     term = ClosedTerm(dsl.Lit(F(1)),
                       factors=(FBinom(Affine(k=F(1), n=F(1), r=F(1)),
                                       Affine(k=F(1), s=F(1)), -1),
-                               FRecipAffine(Affine(k=F(1), s=F(1)))))
+                               FAffine(Affine(k=F(1), s=F(1)), -1)))
     pt = bind(k=2, n=3, r="1/2", s=1)
     want = (special.gen_binom(F(11, 2), 3).value.inverse()
             * R(F(1, 3)))
@@ -115,7 +115,7 @@ def test_transform_rejects_unflipped_base():
 def test_derivative_rule_examples():
     top = Affine(k=F(1), r=F(1))
     bot = Affine(k=F(1), s=F(1))
-    factors = (FBinom(top, bot, -1), FRecipAffine(bot))
+    factors = (FBinom(top, bot, -1), FAffine(bot, -1))
     ds = derivative_bracket(factors, "s")
     assert ds == (HPiece(F(1), bot), HPiece(F(-1), Affine(r=F(1), s=F(-1))),
                   RecipPiece(F(-1), bot))
@@ -166,13 +166,15 @@ def test_differentiate_shape_errors():
         differentiate(cid, "t")
     with pytest.raises(ShapeError):
         differentiate(differentiate(cid, "s"), "r")  # bracket already present
-    plain = ident("alt-binom-harmonic-rs")
-    with pytest.raises(ShapeError):
-        differentiate(plain, "s")  # standalone expression / no factors
+    side = {"kind": "closed", "sums": [{"coeff": "binom(n,k)", "lower": "0", "upper": "n"}],
+            "expr": "s*rbinom(n+r,s)"}
+    plain = load_identity({"name": "plain", "lhs": side, "rhs": side})
+    with pytest.raises(ShapeError, match="plain: term has no parametric factors"):
+        differentiate(plain, "s")
 
 
 def test_differentiate_refuses_an_identity_that_is_not_closed():
-    # a standard identity used to reach a side's missing ``extra``: AttributeError
+    # a standard identity has no closed summands to differentiate
     with pytest.raises(ShapeError, match=r"need a transformed identity \(use beta first\)"):
         differentiate(ident("binom-harmonic-gf"), "r")
 
@@ -256,7 +258,7 @@ def test_eval_term_pole_handling():
     with pytest.raises(DivisionByZero):
         eval_term(recip_zero, bind())
     affine_zero = ClosedTerm(dsl.Lit(F(1)),
-                             factors=(FRecipAffine(Affine(s=F(1))),))
+                             factors=(FAffine(Affine(s=F(1)), -1),))
     with pytest.raises(DivisionByZero):
         eval_term(affine_zero, bind(s=0))
 
@@ -286,7 +288,7 @@ def test_eval_term_infinite_reciprocal_is_zero_before_coefficient(monkeypatch):
     calls = count_compiled_evaluations(monkeypatch)
     term = ClosedTerm(dsl.parse("1/(k - k)"),
                       factors=(FBinom(Affine(r=F(1)), Affine(s=F(1)), -1),
-                               FRecipAffine(Affine())),
+                               FAffine(Affine(), -1)),
                       extras=(HPiece(F(1), Affine(const=F(-1))),))
     pt = bind(k=0, r=-1, s="1/2")
     assert eval_term(term, pt) == 0
@@ -362,11 +364,15 @@ def reachable(point):
 
 
 def unsplit(identity, document):
-    """The identity with each summand's coefficient as written in the document."""
+    """The identity with each summand's coefficient, and its standalone
+    expression as one k-free term, as written in the document."""
     def side(loaded, doc):
-        return replace(loaded, summands=tuple(
-            replace(sm, term=ClosedTerm(dsl.parse(d["coeff"])))
-            for sm, d in zip(loaded.summands, doc.get("sums", []))))
+        sums = [replace(sm, term=ClosedTerm(dsl.parse(d["coeff"])))
+                for sm, d in zip(loaded.summands, doc.get("sums", []))]
+        if "expr" in doc:
+            sums.append(ClosedSummand(ClosedTerm(dsl.parse(doc["expr"])), dsl.Lit(F(0)),
+                                      dsl.Lit(F(0))))
+        return ClosedSide(tuple(sums))
     return replace(identity, lhs=side(identity.lhs, document["lhs"]),
                    rhs=side(identity.rhs, document["rhs"]))
 
@@ -417,9 +423,13 @@ def test_split_differs_only_at_the_limit_convention():
 
 def test_loaded_summands_off_the_factor_path_are_pinned():
     """53 of the 59 loaded summands that read r or s (and not u or v) are
-    split.  The six left as written have no binomial or affine divisor in
-    r or s; a change that stops splitting another one fails here."""
-    split, kept = 0, []
+    split, and 34 of the 36 k-free parts of the standalone expressions that
+    read r or s.  Each summand or part whose coefficient still reads r or s
+    is named here: six summands and two parts with no binomial or affine
+    factor in r or s, and three split rests; a change that stops splitting
+    another one fails here."""
+    zero = dsl.Lit(F(0))
+    split, reads = collections.Counter(), []
     for entry in corpus.load_entries():
         identity = entry.identity
         if not identity.is_closed:
@@ -427,22 +437,31 @@ def test_loaded_summands_off_the_factor_path_are_pinned():
         for side in (identity.lhs, identity.rhs):
             for sm in side.summands:
                 term = sm.term
+                kind = "part" if sm.lower == sm.upper == zero else "sum"
                 if term.factors:
-                    split += 1
+                    split[kind] += 1
                     assert term.source is not None
-                    assert term.factors and not term.coeff_vars & {"u", "v"}
-                elif term.coeff_vars & {"r", "s"} and not term.coeff_vars & {"u", "v"}:
-                    kept.append((entry.name, dsl.render(term.coeff)))
-    assert split == 53
-    assert kept == [
-        ("dattoli-general-r", "fact(n)/fact(n + r)*fact(k + r - 1)/fact(k)/(k + 2)"),
-        ("dattoli-harmonic-r", "fact(n)/fact(n + r)*H(n + r)*fact(k + r - 1)/fact(k)/(k + 2)"),
-        ("dattoli-harmonic-r", "-fact(n)/fact(n + r)*H(n - k)*fact(k + r - 1)/fact(k)/(k + 2)"),
-        ("dattoli-setsr-display",
+                    assert not term.coeff_vars & {"u", "v"}
+                if term.coeff_vars & {"r", "s"} and not term.coeff_vars & {"u", "v"}:
+                    reads.append((entry.name, kind, len(term.factors), dsl.render(term.coeff)))
+    assert split == {"sum": 53, "part": 34}
+    assert reads == [
+        ("complement-harmonic-dds", "sum", 3,
+         "H(n - 1 - k)*(s*(k + s)*(H(k + s) - H(r - s + 1)) + k)"),
+        ("complement-setsr-display", "sum", 3, "H(n - 1 - k)*(r*(k + r)*(H(k + r) - 1) + k)"),
+        ("complement-setsr-display", "part", 0, "-H(n)*H(r)"),
+        ("dattoli-general-r", "sum", 0, "fact(n)/fact(n + r)*fact(k + r - 1)/fact(k)/(k + 2)"),
+        ("dattoli-harmonic-r", "sum", 0,
+         "fact(n)/fact(n + r)*H(n + r)*fact(k + r - 1)/fact(k)/(k + 2)"),
+        ("dattoli-harmonic-r", "sum", 0,
+         "-fact(n)/fact(n + r)*H(n - k)*fact(k + r - 1)/fact(k)/(k + 2)"),
+        ("dattoli-setsr-display", "sum", 0,
          "fact(n)/fact(n + r)*(H(k + r) - H(n - k))*fact(k + r - 1)/fact(k)/(k + 2)"),
-        ("dattoli-setsr-display", "-fact(n)/fact(n + r)*fact(k + r - 1)/fact(k)/(k + 2)"),
-        ("dattoli-square-r",
+        ("dattoli-setsr-display", "sum", 0, "-fact(n)/fact(n + r)*fact(k + r - 1)/fact(k)/(k + 2)"),
+        ("dattoli-square-r", "sum", 0,
          "fact(n)/fact(n + r)*(H(n + r) - H(k + r) + 1/(k + r))*fact(k + r - 1)/fact(k)/(k + 2)"),
+        ("sqharmonic-full-r", "part", 0, "H(n)*H(r)"),
+        ("sqharmonic-general-r", "part", 2, "H(r)"),
     ]
 
 
@@ -450,9 +469,10 @@ def test_loaded_summands_off_the_factor_path_are_pinned():
     # the rest keeps its operands in order; divisors come first, right to left
     ("binom(n,k)/((k+2)*(k+s))*rbinom(n+r,k+s)", "binom(n, k)/(k + 2)",
      ("1/(k + s)", "1/binom(n + r, k + s)"), ()),
-    # a power of a divisor is flattened, a divided binom has power -1
-    ("-(r+1)/(r-s+1)^2/binom(k+r,s)*k", "-(r + 1)*k",
-     ("1/binom(k + r, s)", "1/(r - s + 1)", "1/(r - s + 1)"), ()),
+    # a power of a divisor is flattened, a divided binom has power -1, a
+    # multiplied affine power 1
+    ("-(r+1)/(r-s+1)^2/binom(k+r,s)*k", "k",
+     ("1/binom(k + r, s)", "1/(r - s + 1)", "1/(r - s + 1)", "(-r - 1)"), ()),
     # a multiplied binom keeps power 1 and a divided rbinom gets it
     ("binom(k+r,k)/rbinom(n+s,k)", "1", ("binom(n + s, k)", "binom(k + r, k)"), ()),
     # only the first multiplied sum of pieces is the bracket
@@ -469,11 +489,28 @@ def test_split_rules(coeff, rest, factors, extras):
     assert term.coeff_vars == frozenset(dsl.free_vars(term.coeff))
 
 
-def test_side_extra_vars_follow_its_expression():
-    side = ClosedSide((), dsl.parse("r + n"))
-    assert side.extra_vars == {"r", "n"}
-    assert replace(side, extra=dsl.parse("2*s")).extra_vars == {"s"}
-    assert replace(side, extra=None).extra_vars == frozenset()
+@pytest.mark.parametrize("expr, parts", [
+    # a product distributed over its one sum in r or s, a sign on the first operand
+    ("H(n)*(s/(r-s+1)*rbinom(n+r,r-s+1) - rbinom(r,s))",
+     ["H(n) * 1/(r - s + 1) * (s) * 1/binom(n + r, r - s + 1)", "-H(n) * 1/binom(r, s)"]),
+    # a bracket, and a sum that reads neither r nor s, are not distributed
+    ("r/(n+r)*(H(n-1+r) - H(r-1)) - (n+1)*H(n)/(s*(n+1+s))",
+     ["1 * 1/(n + r) * (r) * [H(n + r - 1) + -H(r - 1)]",
+      "-(n + 1)*H(n) * 1/(s) * 1/(n + s + 1)"]),
+    ("(H(n+1)/s - H(n+s)/(n+1+s))/2", ["H(n + 1)/2 * 1/(s)", "1/2 * 1/(n + s + 1) * [-H(n + s)]"]),
+    # an expression in n alone is one term as written
+    ("H(n) + 1/(n+1)", ["H(n) + 1/(n + 1)"]),
+])
+def test_standalone_parts(expr, parts):
+    """A standalone expression loads as k-free parts over k = 0..0, after
+    the sums; each split part reports the whole expression's error."""
+    doc = {"kind": "closed", "sums": [{"coeff": "binom(n,k)", "lower": "0", "upper": "n"}],
+           "expr": expr}
+    side = load_identity({"name": "parts", "lhs": doc, "rhs": doc}).lhs
+    loaded = side.summands[1:]
+    assert [sm.term.render() for sm in loaded] == parts
+    assert all(sm.lower == sm.upper == dsl.Lit(F(0)) for sm in loaded)
+    assert {sm.term.source for sm in loaded} == ({dsl.parse(expr)} if len(parts) > 1 else {None})
 
 
 @pytest.mark.parametrize("coeff", [
@@ -505,6 +542,29 @@ def test_loaded_display_is_the_derivative_of_its_parent():
         assert all(p.defined for p in ours)
 
 
+def test_displays_that_are_not_the_derivative_of_their_parent():
+    """Side by side on each display's own grid, d/ds of a split standalone
+    parent against its shipped display: alt-binom-harmonic-dds agrees at
+    only the 34 of 510 points where both are 0, being -d/ds of its parent
+    on each side at all 510; the disputed complement-harmonic-dds agrees at
+    2 of 9 points, its lhs at all 9."""
+    names = {"alt-binom-harmonic-rs", "alt-binom-harmonic-dds", "complement-harmonic-rs",
+             "complement-harmonic-dds"}
+    entries = {e.name: e for e in corpus.load_entries(names=names)}
+    counts = {}
+    for parent in ("alt-binom-harmonic", "complement-harmonic"):
+        shipped = entries[f"{parent}-dds"]
+        derived = differentiate(entries[f"{parent}-rs"].identity, "s")
+        ours = verify_closed(derived, shipped.n_values, shipped.param_grid).results
+        theirs = verify_closed(shipped.identity, shipped.n_values, shipped.param_grid).results
+        assert all(p.defined for p in ours + theirs)
+        counts[parent] = (len(ours), sum(p.lhs == q.lhs for p, q in zip(ours, theirs)),
+                          sum((p.lhs, p.rhs) == (q.lhs, q.rhs) for p, q in zip(ours, theirs)))
+        if parent == "alt-binom-harmonic":
+            assert [(-p.lhs, -p.rhs) for p in ours] == [(q.lhs, q.rhs) for q in theirs]
+    assert counts == {"alt-binom-harmonic": (510, 34, 34), "complement-harmonic": (9, 9, 2)}
+
+
 def test_derivative_leaves_out_terms_without_the_parameter():
     """cheb-general-r reads r alone, so its d/ds is 0 = 0: every term is
     left out, not kept with an empty bracket, which reads as the factor 1."""
@@ -525,11 +585,11 @@ def test_differentiate_refuses_a_coefficient_reading_r_or_s():
     """Only factors are differentiated, so an s left in the coefficient
     would be dropped from the derivative."""
     side = {"kind": "closed", "sums": [
-        {"coeff": "s*binom(n,k)*rbinom(n+r,k+s)", "lower": "0", "upper": "n"}]}
+        {"coeff": "s^2*binom(n,k)*rbinom(n+r,k+s)", "lower": "0", "upper": "n"}]}
     identity = load_identity({"name": "s-outside", "lhs": side, "rhs": side})
     assert identity.lhs.summands[0].term.factors
     for param in ("r", "s"):
-        with pytest.raises(ShapeError, match=r"s-outside: coefficient s\*binom\(n, k\) reads s"):
+        with pytest.raises(ShapeError, match=r"s-outside: coefficient s\^2\*binom\(n, k\) reads s"):
             differentiate(identity, param)
 
 
@@ -559,23 +619,31 @@ def test_derived_outputs_pinned_point_for_point():
 
 
 def closed_side(*coeffs, extra=None):
-    """A side of sums over k = 0..n of the given coefficients."""
-    return ClosedSide(tuple(ClosedSummand(ClosedTerm(dsl.parse(c)), dsl.Lit(F(0)), dsl.Var("n"))
-                            for c in coeffs), None if extra is None else dsl.parse(extra))
+    """A side of sums over k = 0..n of the given coefficients, then the
+    k-free parts that the loader makes of a standalone expression."""
+    sums = tuple(ClosedSummand(ClosedTerm(dsl.parse(c)), dsl.Lit(F(0)), dsl.Var("n"))
+                 for c in coeffs)
+    if extra is not None:
+        doc = {"kind": "closed", "expr": extra}
+        sums += load_identity({"name": "extra", "lhs": doc, "rhs": doc}).lhs.summands
+    return ClosedSide(sums)
 
 
 def test_side_sum_matches_term_by_term_sum():
-    """A side sums every term, rational or SymConst, and its standalone
-    expression per monomial in one unreduced accumulator, reduced once: it
-    equals the sum taken term by term."""
+    """A side sums every term, rational or SymConst, and the parts of its
+    standalone expression per monomial in one unreduced accumulator, reduced
+    once: it equals the sum taken term by term plus the expression."""
+    extra = "H(n) + 1/(n+s)"
     side = closed_side("binom(n, k)", "sign(k)*binom(n, k)/(k+1)", "binom(n, k)/((k+2)*(k+s))",
-                       "H(k+s)", "H(r)/(k+1)", "1/(k+r)", extra="H(n) + 1/(n+s)")
+                       "H(k+s)", "H(r)/(k+1)", "1/(k+r)", extra=extra)
+    parts = side.summands[6:]
+    assert [sm.term.render() for sm in parts] == ["H(n)", "1 * 1/(n + s)"]
     kinds = set()
     for n in range(6):
         for s in ("1/2", "1", "3/2"):
             point = bind(n=n, r="1/2", s=s)
-            want = lift(dsl.compile(side.extra)(point))
-            for sm in side.summands:
+            want = lift(dsl.compile(dsl.parse(extra))(point))
+            for sm in side.summands[:6]:
                 for k in range(n + 1):
                     value = eval_term(sm.term, dict(point, k=k))
                     kinds.add(type(value))
@@ -721,11 +789,12 @@ def twice_oracle(affine, point):
 
 def oracle_term(term, point):
     """A term's value as a SymConst, multiplied out one ``special`` value at
-    a time in the documented order: factors in order, where an Infinite
-    reciprocal binomial makes the term 0 at once and a zero product makes it
-    0 after the last factor; then the coefficient; then the bracket pieces
-    in order.  The first error met on the way is raised."""
-    product = lift(1)
+    a time in the documented order: factors in order, an affine one by
+    twice/2 or 2/twice, where an Infinite reciprocal binomial makes the term
+    0 at once and a zero product makes it 0 after the last factor unless an
+    affine factor is 0; then the coefficient; then the bracket pieces in
+    order.  The first error met on the way is raised."""
+    product, zero_affine = lift(1), False
     for f in term.factors:
         if isinstance(f, FBinom):
             b = special.binom_at(twice_oracle(f.top, point), twice_oracle(f.bot, point))
@@ -741,10 +810,14 @@ def oracle_term(term, point):
                 product = product * lift(b).inverse()
         else:
             twice = twice_oracle(f.affine, point)
-            if twice == 0:
+            if f.power == 1:
+                product = product * lift(F(twice, 2))
+                zero_affine = zero_affine or twice == 0
+            elif twice == 0:
                 raise DivisionByZero(f"zero affine under reciprocal: {f.render()}")
-            product = product * lift(F(2, twice))
-    if product.is_zero:
+            else:
+                product = product * lift(F(2, twice))
+    if product.is_zero and not zero_affine:
         return product
     value = lift(dsl.compile(term.coeff)(point)) * product
     if not term.extras:
@@ -783,7 +856,7 @@ small_ints = st.integers(min_value=-2, max_value=2)
 affines = st.builds(Affine, k=small_ints, n=small_ints, r=small_ints, s=small_ints,
                     const=small_ints)
 kernel_factors = st.one_of(st.builds(FBinom, affines, affines, st.sampled_from((1, -1))),
-                           st.builds(FRecipAffine, affines))
+                           st.builds(FAffine, affines, st.sampled_from((1, -1))))
 piece_coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool)
 kernel_pieces = st.one_of(st.builds(HPiece, piece_coeffs, affines),
                           st.builds(RecipPiece, piece_coeffs, affines))
@@ -806,7 +879,7 @@ def kernel_point(names, values):
 @settings(max_examples=400, deadline=None)
 @given(kernel_terms, st.tuples(kernel_bindings, kernel_bindings, kernel_bindings, kernel_bindings))
 def test_eval_term_matches_symconst_oracle(term, values):
-    """Value, or error type and text, of random binomial, reciprocal and
+    """Value, or error type and text, of random binomial, affine and
     bracket terms at random points, Infinite poles, zero binomials, H poles,
     unbound names and non-half-integer bindings among them."""
     point = kernel_point(("k", "n", "r", "s"), values)
@@ -837,7 +910,7 @@ def test_error_texts_reachable_only_from_the_api():
             call()
         assert str(exc.value) == "variable 's' is unbound"
     term = ClosedTerm(dsl.Lit(F(1)), factors=(FBinom(Affine(k=1, r=1), Affine(n=1), -1),
-                                              FRecipAffine(Affine(k=1, s=1))))
+                                              FAffine(Affine(k=1, s=1), -1)))
     side = ClosedSide((ClosedSummand(term, dsl.Lit(F(0)), dsl.Lit(F(2))),))
     cid = replace(cid, lhs=side, rhs=side)
     assert eval_term(term, bind(k=0, n="1/2", r=-1)) == 0     # 1/binom(-1, 1/2) = 0
@@ -874,7 +947,27 @@ def test_float_derivative_check_passes():
         assert check.max_rel_dev < 1e-8
 
 
-def test_float_rejects_standalone_expression():
-    plain = ident("alt-binom-harmonic-rs")
-    with pytest.raises(ShapeError):
-        eval_side_float(plain.rhs, bind(n=2, r=1, s=1), 30)
+def test_float_reads_split_parts_and_refuses_a_coefficient_in_r_or_s():
+    """The split standalone rhs of alt-binom-harmonic-rs runs on the float
+    path; a part left as written that reads r has no float evaluator."""
+    import mpmath
+    side = ident("alt-binom-harmonic-rs").rhs
+    pt = bind(n=4, r="3/2", s="1/2")
+    with mpmath.workdps(40):
+        exact = eval_side(side, pt).to_float(30)
+        assert abs(exact - eval_side_float(side, pt, 40)) < mpmath.mpf(10) ** -25
+    (entry,) = corpus.load_entries(names={"sqharmonic-full-r"})
+    with pytest.raises(ShapeError, match=r"coefficient H\(n\)\*H\(r\) reads r or s"):
+        eval_side_float(entry.identity.rhs, bind(n=2, r=1), 30)
+
+
+@pytest.mark.parametrize("parent", ["alt-binom-harmonic-rs", "complement-harmonic-rs",
+                                    "ordertwo-rs"])
+@pytest.mark.parametrize("param", ["r", "s"])
+def test_float_derivative_check_of_split_parents(parent, param):
+    """The parents of shipped d/ds displays differentiate in r and s, and
+    each derivative matches a central difference of the float parent."""
+    (entry,) = corpus.load_entries(names={parent})
+    check = float_derivative_check(entry.identity, param, {"n": 3, "r": 2, "s": 1})
+    assert check.passed, (check.max_rel_dev, check.tolerance)
+    assert check.max_rel_dev < 1e-8

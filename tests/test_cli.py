@@ -295,10 +295,13 @@ class TestVerify:
                         "lhs": {"kind": "poly", "expr": "t"}, "rhs": {"kind": "poly", "expr": "2*t"},
                         "witness": {"n": 0, "lhs": "1", "rhs": "2"}}
         reads_r = dict(GOOD_CLOSED, rhs={"kind": "closed", "expr": "r"})  # and has no grid
-        for doc in (dict(GOOD_CLOSED, n="bad"), bad_witness, zero_witness, poly_witness, reads_r):
+        reads_k = dict(GOOD_CLOSED, rhs={"kind": "closed", "expr": "k+1"})  # k is bound by no sum
+        for doc in (dict(GOOD_CLOSED, n="bad"), bad_witness, zero_witness, poly_witness, reads_r,
+                    reads_k):
             code, _, err = run(capsys, "verify", write(tmp_path, doc))
             assert code == 3
             assert "Traceback" not in err
+        assert err == "error: alt-binom-basic: standalone expression reads k outside a sum\n"
 
     def test_inadmissible_parameters_exit_2(self, capsys, tmp_path):
         path = write(tmp_path, GOOD_CLOSED)
@@ -552,15 +555,23 @@ class TestTransform:
             "rhs: sum(k=0..n) sign(k)*binom(n, k)/((k + 1)*(k + 2)) * 1/(k + s)"
             " * 1/binom(k + r, k + s) * [-H(k + r) + H(r - s)]"]
         assert out.splitlines()[3].startswith("check: equal over n=0..3")
+        # a standalone expression differentiates as k-free parts after the sums
+        path = str(corpus.DEFAULT_DIR / "alt-binom-harmonic-rs.json")
+        code, out, err = run(capsys, "transform", path, "--op", "dds", "--check")
+        assert (code, err) == (0, "")
+        assert out.splitlines()[2].endswith(
+            "  +  sum(k=0..0) H(n) * 1/(r - s + 1) * (-s) * 1/binom(n + r, r - s + 1)"
+            " * [1/(r - s + 1) + -1/(-s) + -H(r - s + 1) + H(n + s - 1)]")
+        assert out.splitlines()[3].startswith("check: equal over n=0..8")
 
     def test_coefficient_reading_r_or_s_does_not_differentiate(self, capsys, tmp_path):
         side = {"kind": "closed", "sums": [
-            {"coeff": "s*binom(n,k)*rbinom(n+r,k+s)", "lower": "0", "upper": "n"}]}
+            {"coeff": "s^2*binom(n,k)*rbinom(n+r,k+s)", "lower": "0", "upper": "n"}]}
         doc = {"name": "s-outside", "lhs": side, "rhs": side,
                "grid": {"r": ["1"], "s": ["1"]}}
         code, out, err = run(capsys, "transform", write(tmp_path, doc), "--op", "dds")
         assert (code, out) == (4, "")
-        assert err == "error: s-outside: coefficient s*binom(n, k) reads s outside the factors\n"
+        assert err == "error: s-outside: coefficient s^2*binom(n, k) reads s outside the factors\n"
 
 
 class TestCorpusCommand:

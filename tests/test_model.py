@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from finsum import corpus, dsl
+from finsum import beta, corpus, dsl
 from finsum.errors import EvalTypeError, FormatError, ShapeError, UnboundVariable
 from finsum.field import half, to_twice
 from finsum.model import (Affine, PolySide, admissible, grid_params_read, is_negative_integer,
@@ -182,6 +182,16 @@ class TestValidation:
             doc["rhs"] = {"kind": "closed", "expr": expr}
             with pytest.raises(FormatError):
                 load_identity(doc)
+
+    def test_standalone_expression_reads_k_only_in_a_sum(self):
+        """A free k would silently read k = 0; a sum's own k is bound."""
+        doc = dict(CLOSED_DOC, rhs={"kind": "closed", "expr": "k + 1"})
+        with pytest.raises(FormatError, match="^demo-closed: standalone expression reads k outside"):
+            load_identity(doc)
+        doc = dict(CLOSED_DOC, lhs={"kind": "closed", "expr": "sum(k, 0, n, binom(n, k))"},
+                   rhs={"kind": "closed", "expr": "2^n"})
+        report = beta.verify_closed(load_identity(doc), range(6))
+        assert len(report.results) == 6 and report.all_equal and not report.undefined
 
     def test_empty_closed_side_rejected(self):
         doc = dict(CLOSED_DOC)
