@@ -9,7 +9,8 @@ Three transform families are implemented:
   Euler-Mascheroni constant cancels per factor by construction),
 * ``central_transform_v`` / ``central_transform_uv``: rewrite an identity of
   the shape  sum f(k)(1+t)^k = sum g(k)t^k  into central-binomial sums with
-  one or two free integer parameters.
+  one or two free integer parameters; their binomial weights are factors,
+  and only f or g and a power of 2 stay in the coefficient.
 
 Every identity, loaded or derived, is a ``model.Identity``, and every closed
 side a ``model.ClosedSide`` of ``ClosedTerm`` summands.  A transform returns
@@ -28,9 +29,10 @@ out of its coefficient (``model.split_closed_term``), and has loaded a
 standalone expression as k-free terms.
 
 Each term then runs as an integer kernel (``_run_term``).  A side reads the
-point's n, r and s as twice-values once; at each point every affine argument
-becomes two ints, its twice-value at k = 0 and a step of twice its k
-coefficient, so the k loop reads it as ``base + step*k``.  A binomial from
+point's n and grid parameters as twice-values once; at each point every
+``dsl.Affine`` argument becomes two ints, its twice-value at k = 0 and a
+step of twice its k coefficient, so the k loop reads it as
+``base + step*k``.  A binomial from
 ``special.binom_at`` is rational or c*sqrt(pi)^e, so the factor product is
 an unreduced int numerator and denominator and an int sqrt(pi) exponent,
 and no SymConst is multiplied unless the coefficient is one.  Each side is
@@ -55,8 +57,8 @@ from . import dsl, special
 from .errors import (DivisionByZero, EvalTypeError, PoleError, ShapeError,
                      UnboundVariable)
 from .field import Sum, SymConst, half, lift, lower, to_int, to_twice
-from .model import (Affine, ClosedSide, ClosedSummand, ClosedTerm, FAffine, FBinom,
-                    HPiece, RecipPiece, substitute_neg_t)
+from .model import (GRID_PARAMS, Affine, ClosedSide, ClosedSummand, ClosedTerm, FAffine,
+                    FBinom, HPiece, RecipPiece, substitute_neg_t)
 
 
 def from_model(identity):
@@ -125,12 +127,12 @@ def derivative_bracket(factors, param):
 
 
 def differentiate(identity, param):
-    """d/dr or d/ds of every term of a transformed or split loaded identity.
+    """d/dr or d/ds of every term of a transformed or loaded identity.
 
-    Only the factors are differentiated, so a term whose coefficient still
-    reads r or s is a ShapeError: its derivative would drop that part.  A
-    term none of whose factors reads ``param`` has derivative 0 and is
-    left out, since an empty bracket would read as the factor 1."""
+    Only the factors are differentiated, so a term whose coefficient reads r
+    or s is a ShapeError: its derivative would drop that part.  A term none
+    of whose factors reads ``param`` has derivative 0 and is left out, since
+    an empty bracket would read as the factor 1."""
     if param not in ("r", "s"):
         raise EvalTypeError(f"param must be 'r' or 's', not {param!r}")
     if not identity.is_closed:
@@ -142,8 +144,6 @@ def differentiate(identity, param):
             term = sm.term
             if term.extras:
                 raise ShapeError(f"{identity.name}: term already carries a derivative bracket")
-            if not term.factors:
-                raise ShapeError(f"{identity.name}: term has no parametric factors")
             read = sorted(term.coeff_vars.intersection(("r", "s")))
             if read:
                 raise ShapeError(f"{identity.name}: coefficient {dsl.render(term.coeff)}"
@@ -161,29 +161,13 @@ def differentiate(identity, param):
 # central-binomial transforms
 
 def _lit(q):
-    q = Fraction(q)
-    return dsl.Lit(q) if q >= 0 else dsl.Neg(dsl.Lit(-q))
+    return dsl.Lit(Fraction(q))
 
 
-def _mul(*nodes):
-    out = nodes[0]
-    for nd in nodes[1:]:
-        out = dsl.Mul(out, nd)
-    return out
-
-
-def _kv(coef_k, shift):
-    """AST for coef_k*k + shift."""
-    k = dsl.Var("k")
-    base = k if coef_k == 1 else dsl.Mul(_lit(coef_k), k)
-    if shift == 0:
-        return base
-    return dsl.Add(base, _lit(shift))
-
-
-def _pow2(exponent_coef):
-    """AST for 2^(-exponent_coef*k)."""
-    return dsl.Div(_lit(1), dsl.Pow(_lit(2), _kv(exponent_coef, 0)))
+def _over_pow2(coeff, c):
+    """AST for coeff / 2^(c*k), c = 1 or 2."""
+    k = dsl.Var("k") if c == 1 else dsl.Mul(_lit(c), dsl.Var("k"))
+    return dsl.Mul(coeff, dsl.Div(_lit(1), dsl.Pow(_lit(2), k)))
 
 
 def _floor_half(expr, shift=0):
@@ -206,20 +190,13 @@ def _central_shape(identity):
     return ft.coeff, ft.lower, ft.upper, gt.coeff, gt.lower, gt.upper
 
 
-def _central_weight(v):
-    """2^-k * binom(2k+v, k+v/2) * rbinom(k+v, v/2) as an AST."""
-    half_v = Fraction(v, 2)
-    return _mul(_pow2(1),
-                dsl.Call("binom", (_kv(2, v), _kv(1, half_v))),
-                dsl.Call("rbinom", (_kv(1, v), _lit(half_v))))
+def _central_binom(v):
+    """binom(2k+v, k+v/2) as a factor."""
+    return FBinom(Affine(k=2, const=v), Affine(k=1, const=Fraction(v, 2)))
 
 
-def _central_dual_weight(v):
-    """2^-2k * binom(2k, k) * rbinom(k+v/2, v/2) as an AST."""
-    half_v = Fraction(v, 2)
-    return _mul(_pow2(2),
-                dsl.Call("binom", (_kv(2, 0), _kv(1, 0))),
-                dsl.Call("rbinom", (_kv(1, half_v), _lit(half_v))))
+def _closed_side(coeff, factors, lower, upper):
+    return ClosedSide((ClosedSummand(ClosedTerm(coeff, factors), lower, upper),))
 
 
 def _double_k(expr):
@@ -230,50 +207,53 @@ def central_transform_v(identity, v):
     """Both one-parameter central-binomial transforms of the identity.
 
     The first reindexes the f side with weight
-    2^-k binom(2k+v, (2k+v)/2)/binom(k+v, v/2) against the even-index g side;
-    the second is its (-1)^k dual with the roles of f and g exchanged.
+    2^-k binom(2k+v, (2k+v)/2)/binom(k+v, v/2) against the even-index g side,
+    weighted 2^-2k binom(2k, k)/binom(k+v/2, v/2); the second is its (-1)^k
+    dual with the roles of f and g exchanged.  The binomials are factors;
+    only f or g and the power of 2 are in the coefficient.
     """
     if not isinstance(v, int) or v < 0:
         raise EvalTypeError("v must be a nonnegative integer")
     f, f_lo, f_hi, g, g_lo, g_hi = _central_shape(identity)
     name = identity.name
+    half_v = Fraction(v, 2)
+    weight = (_central_binom(v), FBinom(Affine(k=1, const=v), Affine(const=half_v), -1))
+    dual_weight = (_central_binom(0), FBinom(Affine(k=1, const=half_v), Affine(const=half_v), -1))
 
     first = replace(
         identity, provenance=f"central_v({name}, v={v})",
-        lhs=ClosedSide((ClosedSummand(ClosedTerm(_mul(f, _central_weight(v))), f_lo, f_hi),)),
-        rhs=ClosedSide((ClosedSummand(ClosedTerm(_mul(_double_k(g), _central_dual_weight(v))),
-                                      _floor_half(g_lo, 1), _floor_half(g_hi)),)))
+        lhs=_closed_side(_over_pow2(f, 1), weight, f_lo, f_hi),
+        rhs=_closed_side(_over_pow2(_double_k(g), 2), dual_weight,
+                         _floor_half(g_lo, 1), _floor_half(g_hi)))
 
-    alt_g = _mul(dsl.Call("sign", (dsl.Var("k"),)), g)
+    alt_g = dsl.Mul(dsl.Call("sign", (dsl.Var("k"),)), g)
     second = replace(
         identity, provenance=f"central_v_dual({name}, v={v})",
-        lhs=ClosedSide((ClosedSummand(ClosedTerm(_mul(alt_g, _central_weight(v))), g_lo, g_hi),)),
-        rhs=ClosedSide((ClosedSummand(ClosedTerm(_mul(_double_k(f), _central_dual_weight(v))),
-                                      _floor_half(f_lo, 1), _floor_half(f_hi)),)))
+        lhs=_closed_side(_over_pow2(alt_g, 1), weight, g_lo, g_hi),
+        rhs=_closed_side(_over_pow2(_double_k(f), 2), dual_weight,
+                         _floor_half(f_lo, 1), _floor_half(f_hi)))
     return first, second
 
 
 def central_transform_uv(identity, u, v):
-    """Two-parameter central-binomial transform of the identity."""
+    """Two-parameter central-binomial transform of the identity: f weighted
+    2^-2k binom(v, v/2) binom(2k+u, k+u/2)/binom(k+(u+v)/2, v/2) against
+    (-1)^k g weighted the same with u and v exchanged."""
     for val in (u, v):
         if not isinstance(val, int) or val < 0:
             raise EvalTypeError("u and v must be nonnegative integers")
     f, f_lo, f_hi, g, g_lo, g_hi = _central_shape(identity)
-    half_u, half_v = Fraction(u, 2), Fraction(v, 2)
-    half_uv = half_u + half_v
+    mid = Affine(k=1, const=Fraction(u + v, 2))
 
-    lhs_coeff = _mul(f, _pow2(2),
-                     dsl.Call("binom", (_lit(v), _lit(half_v))),
-                     dsl.Call("binom", (_kv(2, u), _kv(1, half_u))),
-                     dsl.Call("rbinom", (_kv(1, half_uv), _lit(half_v))))
-    rhs_coeff = _mul(dsl.Call("sign", (dsl.Var("k"),)), g, _pow2(2),
-                     dsl.Call("binom", (_lit(u), _lit(half_u))),
-                     dsl.Call("binom", (_kv(2, v), _kv(1, half_v))),
-                     dsl.Call("rbinom", (_kv(1, half_uv), _lit(half_u))))
+    def weight(a, b):
+        return (FBinom(Affine(const=a), Affine(const=Fraction(a, 2))), _central_binom(b),
+                FBinom(mid, Affine(const=Fraction(a, 2)), -1))
+
+    alt_g = dsl.Mul(dsl.Call("sign", (dsl.Var("k"),)), g)
     return replace(
         identity, provenance=f"central_uv({identity.name}, u={u}, v={v})",
-        lhs=ClosedSide((ClosedSummand(ClosedTerm(lhs_coeff), f_lo, f_hi),)),
-        rhs=ClosedSide((ClosedSummand(ClosedTerm(rhs_coeff), g_lo, g_hi),)))
+        lhs=_closed_side(_over_pow2(f, 2), weight(v, u), f_lo, f_hi),
+        rhs=_closed_side(_over_pow2(alt_g, 2), weight(u, v), g_lo, g_hi))
 
 
 # ---------------------------------------------------------------------------
@@ -282,8 +262,6 @@ def central_transform_uv(identity, u, v):
 # A plan is a compiled side or term.  ``verify_closed`` compiles both sides
 # once and runs their plans at every point; ``eval_closed``, ``eval_side``
 # and ``eval_term`` compile what they are given and run it once.
-
-GRID_PARAMS = dsl.GRID_PARAMS   # the keyword parameters of eval_closed
 
 _expr_memo = {}
 
@@ -325,24 +303,16 @@ def _compile_value(expr, names):
     return lambda b: lower(value(b))
 
 
-# The names a point reads as twice-values: a side steps k itself, while
-# ``eval_term`` reads it from its bindings like the others.
-_STEPPED = ("n", "r", "s")
-_FIXED = ("k", "n", "r", "s")
-
-
-def _twice_point(bindings, names):
-    """The point's twice-values (k, n, r, s), read once, and the set of
-    ``names`` that are unbound or not half-integers.  Such a name, and k when
-    it is not in ``names``, counts as 0."""
-    twice = dict.fromkeys(_FIXED, 0)
-    bad = set()
-    for name in names:
+def _twice_point(bindings):
+    """The twice-values of the point's bindings, read once, by name; one
+    that is not a half-integer is left out."""
+    twice = {}
+    for name, value in bindings.items():
         try:
-            twice[name] = to_twice(bindings[name])
-        except (KeyError, EvalTypeError):
-            bad.add(name)
-    return (twice["k"], twice["n"], twice["r"], twice["s"]), bad
+            twice[name] = to_twice(value)
+        except EvalTypeError:
+            pass
+    return twice
 
 
 def _compile_term(term):
@@ -351,7 +321,7 @@ def _compile_term(term):
     return _compile_value(term.coeff, term.coeff_vars), term
 
 
-def _at_point(term, point):
+def _at_point(term, twice):
     """The term's factors and bracket at one point, as the kernel reads
     them: each affine becomes its twice-value at k = 0 and its step 2*c_k,
     so that at k it is ``base + step*k``.  A factor is (power, top base,
@@ -359,39 +329,42 @@ def _at_point(term, point):
     a binomial or -1 for a reciprocal one; an ``FAffine`` is (0, base, step,
     its power, 0, factor).  A bracket piece is (1 for H or 0 for a
     reciprocal, coefficient numerator, denominator, base, step).  The first
-    one whose affine reads a name the point lacks becomes (None, fail, ...)
-    and ends its list: the kernel never gets past it, and ``fail(bindings)``
-    raises the error of ``Affine.compile_twice``."""
-    (tk, tn, tr, ts), bad = point
+    one whose affine reads a name missing from ``twice`` becomes
+    (None, fail, ...) and ends its list: the kernel never gets past it, and
+    ``fail(bindings)`` raises the error of ``Affine.compile_twice``."""
 
-    def base(a):
-        return 2 * a.const + a.k * tk + a.n * tn + a.r * tr + a.s * ts
-
-    def lacks(a):
-        return bad and any(getattr(a, name) for name in bad)
+    def at(a):
+        base = a.twice_const
+        for name, c in a.terms:
+            x = twice.get(name)
+            if x is None:
+                return None
+            base += c * x
+        return base, 2 * a.k
 
     factors = []
     for f in term.factors:
-        if isinstance(f, FBinom):
-            failing = f.top if lacks(f.top) else f.bot if lacks(f.bot) else None
-            if failing is None:
-                factors.append((f.power, base(f.top), 2 * f.top.k,
-                                base(f.bot), 2 * f.bot.k, f))
+        if type(f) is FBinom:
+            top, bot = at(f.top), at(f.bot)
+            if top and bot:
+                factors.append((f.power, *top, *bot, f))
                 continue
+            failing = f.bot if top else f.top
         else:
-            failing = f.affine if lacks(f.affine) else None
-            if failing is None:
-                factors.append((0, base(f.affine), 2 * f.affine.k, f.power, 0, f))
+            x = at(f.affine)
+            if x:
+                factors.append((0, *x, f.power, 0, f))
                 continue
+            failing = f.affine
         factors.append((None, failing.compile_twice(), 0, 0, 0, f))
         return factors, ()
     bracket = []
     for p in term.extras:
-        if lacks(p.argument):
+        x = at(p.argument)
+        if x is None:
             bracket.append((None, 0, 0, p.argument.compile_twice(), 0))
             break
-        bracket.append((int(isinstance(p, HPiece)), p.coeff.numerator, p.coeff.denominator,
-                        base(p.argument), 2 * p.argument.k))
+        bracket.append((int(type(p) is HPiece), p.coeff.numerator, p.coeff.denominator, *x))
     return factors, bracket
 
 
@@ -511,7 +484,7 @@ def eval_term(term, bindings):
     """Exact value of one closed term at a fully bound point: a plain int or
     Fraction when rational, a SymConst otherwise."""
     total = Sum()
-    _run_term(_compile_term(term), _twice_point(bindings, _FIXED), bindings, None, total)
+    _run_term(_compile_term(term), _twice_point(bindings), bindings, None, total)
     return total.value()
 
 
@@ -522,12 +495,13 @@ def _compile_side(side):
 
 
 def _run_side(plan, bindings):
-    """The side's value as a SymConst.  The point's n, r and s are read as
-    twice-values once; each term runs its k range through the kernel
-    (``_run_term``), adding into one ``Sum`` in order.  The sum is reduced
-    once and lifted."""
+    """The side's value as a SymConst.  The point's n and grid parameters
+    are read as twice-values once; each term runs its k range through the
+    kernel (``_run_term``), adding into one ``Sum`` in order.  The sum is
+    reduced once and lifted."""
     total = Sum()
-    point = _twice_point(bindings, _STEPPED)
+    point = _twice_point(bindings)
+    point["k"] = 0              # each affine's k part is its step
     inner = dict(bindings)
     for lower_bound, upper_bound, term in plan:
         lo = to_int(lower_bound(bindings))
@@ -650,8 +624,7 @@ def eval_side_float(side, bindings, precision_digits=30):
 
 
 def _affine_float(aff, num):
-    return sum((num[name] * getattr(aff, name) for name in ("k", "n", "r", "s")
-                if getattr(aff, name)), num["k"] * 0 + aff.const)
+    return sum((num[name] * c for name, c in aff.terms), num["k"] * 0 + aff.const)
 
 
 def _eval_term_float(term, coeff, exact_bindings, num, mp):

@@ -16,10 +16,10 @@ from dataclasses import replace
 from fractions import Fraction
 
 from . import beta, corpus, dsl
-from .beta import GRID_PARAMS
 from .errors import EvalTypeError, FinsumError, FormatError, ShapeError
 from .field import half, to_int, to_twice
-from .model import grid_params_read, is_negative_integer, load_identity, substitute_neg_t
+from .model import (GRID_PARAMS, grid_params_read, is_negative_integer, load_identity,
+                    substitute_neg_t)
 
 EXIT_OK, EXIT_MISMATCH, EXIT_USAGE = 0, 1, 2
 

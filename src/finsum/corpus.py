@@ -18,10 +18,9 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import beta, polyverify
-from .beta import GRID_PARAMS
 from .errors import EvalTypeError, FinsumError, FormatError
 from .field import SymConst, half
-from .model import admissible, grid_params_read, is_json_int, load_identity
+from .model import GRID_PARAMS, admissible, grid_params_read, is_json_int, load_identity
 
 DEFAULT_DIR = Path(__file__).parent / "corpus_data"
 

@@ -31,18 +31,25 @@ operators carry it.  Bound to ``polyverify.DensePoly.variable()``, ``t``
 makes the value a polynomial in t the same way, through the same closures,
 and ``U(m)`` is the cached Chebyshev polynomial ``polyverify.chebyshev_u(m)``;
 ``U`` is an error wherever ``t`` is not bound to that variable.
+
+``Affine`` is the one integer affine form: integer coefficients on the
+variables other than t and a half-integer constant.  ``affine`` reads one
+out of an expression, and ``Affine.compile_twice`` computes twice its value
+as an int; ``binom``, ``rbinom`` and ``H`` arguments run that way here, and
+the exponents of standard terms and the factors and brackets of closed
+terms are ``Affine`` values.
 """
 
 from __future__ import annotations
 
 import operator
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import (ArityError, DivisionByZero, DslSyntaxError, EvalTypeError,
                      PoleError, UnboundVariable)
-from .field import SymConst, exact_div, lift, to_int, to_twice
+from .field import SymConst, exact_div, half, lift, to_int, to_twice
 from . import special
 
 VAR_NAMES = ("n", "k", "j", "r", "s", "u", "v", "t")
@@ -424,10 +431,9 @@ def compile(expr):
     a long flat sum or product recurses neither here nor when it runs.  A
     product reduces once: its int and Fraction operands multiply one int
     numerator and denominator, whether its other operands are SymConst
-    values or polynomials.  An argument of ``binom``, ``rbinom`` or ``H``,
-    and a product's operand in a grid parameter, that is affine with integer
-    coefficients (``n-k+r-s``, ``k+s``) is computed as an int on twice the
-    bindings' values, with no Fraction arithmetic."""
+    values or polynomials.  An argument of ``binom``, ``rbinom`` or ``H``
+    that is an ``Affine`` (``n-k+r-s``, ``k+s``) is computed as an int on
+    twice the bindings' values, with no Fraction arithmetic."""
     return _compile(expr)
 
 
@@ -491,17 +497,13 @@ def _compile_chain(e):
 
 # -- products ---------------------------------------------------------------
 
-GRID_PARAMS = ("r", "s", "u", "v")   # a product operand affine in one runs on twice-ints
-
-
 def _compile_product(e):
     """(a * b / c) ... as one loop over the left spine of ``*`` and ``/``.
 
     Operands run in tree-walk order: every divisor top-down, checked for
     zero as it is evaluated, then the leftmost operand and the spine
     bottom-up; a zero polynomial divisor is caught with the zero scalars.  A
-    step (closure, scale) gives ``scale`` times an operand; a division's
-    closure is None.  Int and Fraction values go into one int
+    division's step is None.  Int and Fraction values go into one int
     numerator and denominator, reduced once; any other value (a SymConst or
     a DensePoly) goes in by Python's operators as its step comes, so in
     order, and meets the rational part at the end."""
@@ -509,21 +511,14 @@ def _compile_product(e):
     while type(e) is Mul or type(e) is Div:
         spine.append(e)
         e = e.left
-
-    def operand(x):
-        value = _compile(x)
-        doubled = lambda b: 2 * value(b)
-        twice = _fast_twice(x, doubled, GRID_PARAMS)
-        return (value, 1) if twice is doubled else (twice, 2)
-
     divisors, steps = [], []
     for node in spine:
-        right, scale = operand(node.right)
+        right = _compile(node.right)
         if type(node) is Div:
             divisors.append((node, right))
             right = None
-        steps.append((right, scale))
-    steps.append(operand(e))
+        steps.append(right)
+    steps.append(_compile(e))
     steps.reverse()
 
     def product(b):
@@ -535,16 +530,16 @@ def _compile_product(e):
             pending.append(d)
         num = den = 1
         rest = None
-        for f, scale in steps:
+        for f in steps:
             x = pending.pop() if f is None else f(b)
             if type(x) is int:
-                p, q = x, scale
+                p, q = x, 1
             elif type(x) is Fraction:
-                p, q = x.numerator, x.denominator * scale
+                p, q = x.numerator, x.denominator
             else:
                 # a popped divisor's node sits at pending's new length
                 divisor = None if f is not None else divisors[len(pending)][0]
-                rest = _product_step(rest, x, divisor, scale)
+                rest = _product_step(rest, x, divisor)
                 continue
             if f is None:
                 p, q = q, p
@@ -556,12 +551,10 @@ def _compile_product(e):
     return product
 
 
-def _product_step(value, x, divisor, scale):
-    """``value`` (None before any operand) times ``x / scale``, or over it
-    when ``divisor``, the ``Div`` node that ``x`` is the divisor of, is given.
+def _product_step(value, x, divisor):
+    """``value`` (None before any operand) times ``x``, or over it when
+    ``divisor``, the ``Div`` node that ``x`` is the divisor of, is given.
     A divisor with t in it is an EvalTypeError naming that node."""
-    if scale != 1:
-        x = exact_div(x, scale)
     if divisor is None:
         return x if value is None else value * x
     if type(x) is not SymConst and x.degree > 0:
@@ -627,77 +620,136 @@ def _compile_twice(e):
 
 # -- affine expressions on twice-ints -----------------------------------------
 
-def affine_terms(e):
-    """``({name: coefficient}, constant)`` when ``e`` is built from literals
-    and variables other than t by ``+``, ``-`` and ``literal*e``; else None.
-    Integer literals count as ints, so integer forms give int coefficients.
-    A cancelled name stays, with coefficient 0."""
-    coeffs = {}
+AFFINE_VARS = ("k", "n", "j", "r", "s", "u", "v")   # every variable but t
+
+
+@dataclass(frozen=True)
+class Affine:
+    """The integer affine form k*k + n*n + j*j + r*r + s*s + u*u + v*v +
+    const: a binomial, harmonic or reciprocal argument, an exponent, or an
+    affine factor.  Every coefficient is an integer and the constant a
+    half-integer, so at half-integer bindings twice the value is an int.
+    An integral Fraction coefficient is stored as an int and the constant
+    in ``field.half`` normal form; any other value raises EvalTypeError.
+
+    ``terms`` holds the nonzero ((name, coefficient), ...) in the order of
+    ``AFFINE_VARS`` and ``twice_const`` twice the constant, set once."""
+
+    k: int = 0
+    n: int = 0
+    j: int = 0
+    r: int = 0
+    s: int = 0
+    u: int = 0
+    v: int = 0
+    const: object = 0
+    terms: tuple = field(init=False, compare=False, repr=False)
+    twice_const: int = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        for name in AFFINE_VARS:
+            c = getattr(self, name)
+            if type(c) is not int:
+                if c != int(c):
+                    raise EvalTypeError(f"affine coefficient {name} = {c} is not an integer")
+                object.__setattr__(self, name, int(c))
+        try:
+            const = half(self.const)
+        except EvalTypeError:
+            raise EvalTypeError(f"affine constant {self.const} is not a half-integer") from None
+        object.__setattr__(self, "const", const)
+        object.__setattr__(self, "twice_const", to_twice(const))
+        object.__setattr__(self, "terms", tuple((name, getattr(self, name))
+                                                for name in AFFINE_VARS if getattr(self, name)))
+
+    @property
+    def is_zero(self):
+        return not (self.terms or self.const)
+
+    def _combine(self, other, sign):
+        return Affine(*(getattr(self, name) + sign * getattr(other, name)
+                        for name in AFFINE_VARS + ("const",)))
+
+    def __add__(self, other):
+        return self._combine(other, 1)
+
+    def __sub__(self, other):
+        return self._combine(other, -1)
+
+    def __neg__(self):
+        return Affine() - self
+
+    def compile_twice(self, fallback=None):
+        """A closure for twice the value under half-integer bindings, as an
+        int computed on twice the bindings' values.  An unbound name raises
+        UnboundVariable, and a binding that is not a half-integer
+        EvalTypeError, unless a ``fallback`` closure is given: then the
+        closure returns ``fallback(b)`` instead."""
+        terms, twice_const = self.terms, self.twice_const
+
+        def twice(b):
+            total = twice_const
+            try:
+                for name, c in terms:
+                    v = b[name]
+                    total += c * (2 * v if type(v) is int else to_twice(v))
+            except (KeyError, EvalTypeError) as exc:
+                if fallback is not None:
+                    return fallback(b)
+                if type(exc) is KeyError:
+                    raise UnboundVariable(f"variable {name!r} is unbound") from None
+                raise
+            return total
+        return twice
+
+    def render(self):
+        """DSL text, e.g. ``k + 2*n - 1/2``."""
+        parts = [name if c == 1 else f"-{name}" if c == -1 else f"{c}*{name}"
+                 for name, c in self.terms]
+        if self.const or not parts:
+            parts.append(str(self.const))
+        out = parts[0]
+        for p in parts[1:]:
+            out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
+        return out
+
+
+def affine(e):
+    """The ``Affine`` that ``e`` spells when it is built from literals and
+    variables other than t by ``+``, ``-`` and ``literal*e``, with integer
+    coefficients and a half-integer constant; else None."""
+    coeffs = dict.fromkeys(AFFINE_VARS, 0)
     const = 0
     stack = [(e, 1)]
     while stack:
         node, scale = stack.pop()
         cls = type(node)
         if cls is Lit:
-            value = node.value
-            const += scale * (value.numerator if value.denominator == 1 else value)
-        elif cls is Var and node.name != "t":
-            coeffs[node.name] = coeffs.get(node.name, 0) + scale
+            const += scale * node.value
+        elif cls is Var and node.name in coeffs:
+            coeffs[node.name] += scale
         elif cls is Add or cls is Sub:
             stack.append((node.right, scale if cls is Add else -scale))
             stack.append((node.left, scale))
         elif cls is Neg:
             stack.append((node.operand, -scale))
         elif cls is Mul and type(node.left) is Lit:
-            value = node.left.value
-            stack.append((node.right, scale * (value.numerator if value.denominator == 1 else value)))
+            stack.append((node.right, scale * node.left.value))
         else:
             return None
-    return coeffs, const
-
-
-def _fast_twice(e, slow, names=None):
-    """A closure for twice the value of ``e`` as an int, by ``twice_sum``,
-    when ``e`` is an ``affine_terms`` form with integer coefficients that
-    reads a name in ``names`` (any when None); else ``slow``.  A name
-    unbound or not bound to a half-integer falls back to ``slow``."""
-    terms = affine_terms(e)
-    if terms is None:
-        return slow
-    coeffs, const = terms
-    if names is not None and coeffs.keys().isdisjoint(names):
-        return slow
-    return twice_sum(coeffs.items(), const, slow) or slow
-
-
-def twice_sum(terms, const, fallback=None):
-    """A closure for twice the value of ``const + sum(c * name)`` over
-    ``terms`` = ((name, c), ...) at half-integer bindings, as an int computed
-    on twice the bindings' values; None unless every c is an integer and
-    ``const`` a half-integer.  An unbound name raises UnboundVariable, and a
-    binding that is not a half-integer EvalTypeError, unless a ``fallback``
-    closure is given: then the closure returns ``fallback(b)`` instead."""
-    terms = tuple((name, Fraction(c)) for name, c in terms)
-    twice_const = 2 * Fraction(const)
-    if twice_const.denominator != 1 or any(c.denominator != 1 for _, c in terms):
+    try:
+        return Affine(const=const, **coeffs)
+    except EvalTypeError:
         return None
-    terms = tuple((name, c.numerator) for name, c in terms)
-    twice_const = twice_const.numerator
 
-    def twice(b):
-        total = twice_const
-        try:
-            for name, c in terms:
-                v = b[name]
-                total += c * (2 * v if type(v) is int else to_twice(v))
-        except (KeyError, EvalTypeError) as exc:
-            if fallback is not None:
-                return fallback(b)
-            if type(exc) is KeyError:
-                raise UnboundVariable(f"variable {name!r} is unbound") from None
-            raise
-        return total
-    return twice
+
+def _fast_twice(e, slow):
+    """A closure for twice the value of ``e`` as an int, by
+    ``Affine.compile_twice``, when ``e`` is an ``affine`` form; else
+    ``slow``.  A name unbound or not bound to a half-integer falls back to
+    ``slow``."""
+    a = affine(e)
+    return slow if a is None else a.compile_twice(slow)
 
 
 # -- calls ----------------------------------------------------------------

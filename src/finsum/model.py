@@ -9,11 +9,12 @@ An identity has two sides; each side is either
 
 Both sides must be closed, or both t-bearing.  A closed summand holds a
 ``ClosedTerm``: coefficient times binomial and affine factors times an
-optional derivative bracket.  The ``beta`` transforms build the factors and
-the bracket; the loader splits them out of a document's coefficient once
-(``split_closed_term``), and loads a standalone expression as k-free
-summands over k = 0..0, so loaded and derived closed sums are the same
-objects and run the same factor path.  A derived identity is an
+optional derivative bracket.  Exponents, factors and bracket pieces read
+``dsl.Affine`` arguments; ``model.Affine`` is that type.  The ``beta``
+transforms build the factors and the bracket; the loader splits them out of
+a document's coefficient once (``split_closed_term``), and loads a
+standalone expression as k-free summands over k = 0..0, so loaded and
+derived closed sums are the same objects and run the same factor path.  A derived identity is an
 ``Identity`` too, its ``provenance`` naming its transforms.
 """
 
@@ -23,75 +24,12 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from . import dsl
-from .errors import EvalTypeError, FormatError, ShapeError
+from .dsl import Affine
+from .errors import FormatError, ShapeError
 from .field import half
 
 STATUSES = ("verified", "check", "disputed", "erratum_claimed")
-
-
-@dataclass(frozen=True)
-class Affine:
-    """Affine exponent or binomial argument k*k + n*n + r*r + s*s + const.
-
-    Every coefficient is an integer: document exponents are integer forms in
-    k and n, and the transforms add integer multiples of r and s.  An
-    integral Fraction is stored as an int; any other value raises
-    EvalTypeError.
-    """
-
-    k: int = 0
-    n: int = 0
-    r: int = 0
-    s: int = 0
-    const: int = 0
-
-    def __post_init__(self):
-        for name in ("k", "n", "r", "s", "const"):
-            c = getattr(self, name)
-            if type(c) is not int:
-                if c != int(c):
-                    raise EvalTypeError(f"affine coefficient {name} = {c} is not an integer")
-                object.__setattr__(self, name, int(c))
-
-    @property
-    def is_zero(self):
-        return not (self.k or self.n or self.r or self.s or self.const)
-
-    def compile_twice(self):
-        """A closure for twice the value under half-integer bindings, as an
-        int: integer arithmetic on the bindings' ``twice`` values.  An
-        unbound name raises UnboundVariable."""
-        terms = [(name, getattr(self, name)) for name in ("k", "n", "r", "s")
-                 if getattr(self, name)]
-        return dsl.twice_sum(terms, self.const)
-
-    def __add__(self, other):
-        return Affine(self.k + other.k, self.n + other.n, self.r + other.r,
-                      self.s + other.s, self.const + other.const)
-
-    def __sub__(self, other):
-        return Affine(self.k - other.k, self.n - other.n, self.r - other.r,
-                      self.s - other.s, self.const - other.const)
-
-    def render(self):
-        """DSL text, e.g. ``k + 2*n - 1``."""
-        parts = []
-        for name in ("k", "n", "r", "s"):
-            c = getattr(self, name)
-            if c == 0:
-                continue
-            if c == 1:
-                parts.append(name)
-            elif c == -1:
-                parts.append(f"-{name}")
-            else:
-                parts.append(f"{c}*{name}")
-        if self.const or not parts:
-            parts.append(str(self.const))
-        out = parts[0]
-        for p in parts[1:]:
-            out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return out
+GRID_PARAMS = ("r", "s", "u", "v")   # the parameters of a closed identity's grid
 
 
 @dataclass(frozen=True)
@@ -192,13 +130,19 @@ class ClosedTerm:
         parts = [dsl.render(self.coeff)] + [f.render() for f in self.factors]
         body = " * ".join(parts)
         if self.extras:
-            bracket = []
+            bracket = ""
             for p in self.extras:
-                c = "" if p.coeff == 1 else ("-" if p.coeff == -1 else f"{p.coeff}*")
-                inner = (f"H({p.argument.render()})" if isinstance(p, HPiece)
-                         else f"1/({p.argument.render()})")
-                bracket.append(f"{c}{inner}")
-            body += " * [" + " + ".join(bracket) + "]"
+                c, x = p.coeff, p.argument
+                if isinstance(p, RecipPiece) and x.render().startswith("-"):
+                    c, x = -c, -x           # c/(-a) reads -c/a
+                if bracket:
+                    bracket += " - " if c < 0 else " + "
+                elif c < 0:
+                    bracket = "-"
+                if abs(c) != 1:
+                    bracket += f"{abs(c)}*"
+                bracket += f"H({x.render()})" if isinstance(p, HPiece) else f"1/({x.render()})"
+            body += f" * [{bracket}]"
         return body
 
 
@@ -252,8 +196,8 @@ def grid_params_read(identity):
             affines = [p.argument for p in sm.term.extras]
             for f in sm.term.factors:
                 affines += (f.top, f.bot) if isinstance(f, FBinom) else (f.affine,)
-            names.update(name for a in affines for name in ("r", "s") if getattr(a, name))
-    return names.intersection(dsl.GRID_PARAMS)
+            names.update(name for a in affines for name, _ in a.terms)
+    return names.intersection(GRID_PARAMS)
 
 
 def admissible(r, s):
@@ -487,17 +431,10 @@ def _divisor_parts(node):
 
 
 def _affine(node):
-    """The integer ``Affine`` that ``node`` spells, or None."""
-    terms = dsl.affine_terms(node)
-    if terms is None:
-        return None
-    coeffs, const = terms
-    if not coeffs.keys() <= {"k", "n", "r", "s"}:
-        return None
-    coeffs["const"] = const
-    if not all(type(c) is int for c in coeffs.values()):
-        return None
-    return Affine(**coeffs)
+    """The ``dsl.affine`` of ``node`` when it reads only k, n, r and s; else
+    None."""
+    affine = dsl.affine(node)
+    return None if affine is None or affine.j or affine.u or affine.v else affine
 
 
 def _reads_grid(affine):

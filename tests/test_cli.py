@@ -474,8 +474,8 @@ class TestTransform:
                            "--v", "0", "--check", "--n", "0..3")
         assert code == 0
         tail = " + 0" * 1499
-        weight = "(1/2^k*binom(2*k, k)*rbinom(k, 0))"
-        dual_weight = "(1/2^(2*k)*binom(2*k, k)*rbinom(k, 0))"
+        weight = "(1/2^k) * binom(2*k, k) * 1/binom(k, 0)"
+        dual_weight = "(1/2^(2*k)) * binom(2*k, k) * 1/binom(k, 0)"
         half_range = "k=floor((0 + 1)/2)..floor(n/2)"
         check = "check: equal over n=0..3, 1 grid point(s)"
         assert out.splitlines() == [
@@ -561,7 +561,7 @@ class TestTransform:
         assert (code, err) == (0, "")
         assert out.splitlines()[2].endswith(
             "  +  sum(k=0..0) H(n) * 1/(r - s + 1) * (-s) * 1/binom(n + r, r - s + 1)"
-            " * [1/(r - s + 1) + -1/(-s) + -H(r - s + 1) + H(n + s - 1)]")
+            " * [1/(r - s + 1) + 1/(s) - H(r - s + 1) + H(n + s - 1)]")
         assert out.splitlines()[3].startswith("check: equal over n=0..8")
 
     def test_coefficient_reading_r_or_s_does_not_differentiate(self, capsys, tmp_path):

@@ -210,10 +210,10 @@ class TestScalarEval:
     def test_integral_fraction_binding_is_not_halved(self):
         # Fraction(4, 2) is the integer 2: twice it is 4, not its numerator 2
         point = {"k": Fraction(4, 2), "n": Fraction(3, 2)}
-        assert dsl.compile(dsl.parse("binom(k + n, 1)"))(point) == Fraction(7, 2)   # twice_sum
+        assert dsl.compile(dsl.parse("binom(k + n, 1)"))(point) == Fraction(7, 2)   # an Affine
         assert dsl.compile(dsl.parse("kron(k, 2)"))(point) == 1            # compile_twice
         assert dsl.compile(dsl.parse("floor(k)"))(point) == 2
-        assert dsl.twice_sum((("k", 3), ("n", -2)), Fraction(1, 2))(point) == 12 - 6 + 1
+        assert dsl.Affine(k=3, n=-2, const=Fraction(1, 2)).compile_twice()(point) == 12 - 6 + 1
 
     def test_sign_needs_integer(self):
         with pytest.raises(EvalTypeError):

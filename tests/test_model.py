@@ -5,11 +5,11 @@ from fractions import Fraction
 
 import pytest
 
-from finsum import beta, corpus, dsl
+from finsum import beta, corpus, dsl, special
 from finsum.errors import EvalTypeError, FormatError, ShapeError, UnboundVariable
 from finsum.field import half, to_twice
-from finsum.model import (Affine, PolySide, admissible, grid_params_read, is_negative_integer,
-                          load_identity, substitute_neg_t)
+from finsum.model import (Affine, ClosedTerm, FBinom, PolySide, admissible, grid_params_read,
+                          is_negative_integer, load_identity, substitute_neg_t)
 
 STANDARD_DOC = {
     "name": "demo-standard",
@@ -65,8 +65,22 @@ class TestAffine:
             with pytest.raises(UnboundVariable, match="is unbound"):
                 affine.compile_twice()({})
 
+    def test_half_integer_constant(self):
+        a = Affine(k=2, const=Fraction(1, 2))
+        assert a.compile_twice()({"k": Fraction(3, 2)}) == 2 * 3 + 1
+        binom = FBinom(Affine(k=2, const=1), Affine(k=1, const=Fraction(1, 2)))
+        for k in range(6):
+            assert beta.eval_term(ClosedTerm(dsl.parse("1"), (binom,)), {"k": k}) == \
+                special.binom_at(4 * k + 2, 2 * k + 1)
+
+    @pytest.mark.parametrize("text, want", [
+        ("2*k + v", Affine(k=2, v=1)), ("k + v/2", None), ("t + 1", None), ("binom(k, 1)", None),
+    ])
+    def test_dsl_affine(self, text, want):
+        assert dsl.affine(dsl.parse(text)) == want
+
     @pytest.mark.parametrize("coeffs", [
-        {"k": 2, "const": Fraction(1, 2)},
+        {"k": 2, "const": Fraction(1, 3)},
         {"k": Fraction(1, 2), "n": Fraction(1, 2)},
         {"k": 3, "n": Fraction(-1, 2), "const": Fraction(3, 2)},
     ])
