@@ -166,13 +166,13 @@ def _lit(q):
 
 def _over_pow2(coeff, c):
     """AST for coeff / 2^(c*k), c = 1 or 2."""
-    k = dsl.Var("k") if c == 1 else dsl.Mul(_lit(c), dsl.Var("k"))
-    return dsl.Mul(coeff, dsl.Div(_lit(1), dsl.Pow(_lit(2), k)))
+    k = dsl.Var("k") if c == 1 else dsl.Mul((_lit(c), dsl.Var("k")), (False, False))
+    return dsl.Mul((coeff, dsl.Mul((_lit(1), dsl.Pow(_lit(2), k)), (False, True))), (False, False))
 
 
 def _floor_half(expr, shift=0):
-    inner = dsl.Add(expr, _lit(shift)) if shift else expr
-    return dsl.Call("floor", (dsl.Div(inner, _lit(2)),))
+    inner = dsl.Add((expr, _lit(shift)), (False, False)) if shift else expr
+    return dsl.Call("floor", (dsl.Mul((inner, _lit(2)), (False, True)),))
 
 
 def _central_shape(identity):
@@ -200,7 +200,7 @@ def _closed_side(coeff, factors, lower, upper):
 
 
 def _double_k(expr):
-    return dsl.substitute(expr, "k", dsl.Mul(_lit(2), dsl.Var("k")))
+    return dsl.substitute(expr, "k", dsl.Mul((_lit(2), dsl.Var("k")), (False, False)))
 
 
 def central_transform_v(identity, v):
@@ -226,7 +226,7 @@ def central_transform_v(identity, v):
         rhs=_closed_side(_over_pow2(_double_k(g), 2), dual_weight,
                          _floor_half(g_lo, 1), _floor_half(g_hi)))
 
-    alt_g = dsl.Mul(dsl.Call("sign", (dsl.Var("k"),)), g)
+    alt_g = dsl.Mul((dsl.Call("sign", (dsl.Var("k"),)), g), (False, False))
     second = replace(
         identity, provenance=f"central_v_dual({name}, v={v})",
         lhs=_closed_side(_over_pow2(alt_g, 1), weight, g_lo, g_hi),
@@ -249,7 +249,7 @@ def central_transform_uv(identity, u, v):
         return (FBinom(Affine(const=a), Affine(const=Fraction(a, 2))), _central_binom(b),
                 FBinom(mid, Affine(const=Fraction(a, 2)), -1))
 
-    alt_g = dsl.Mul(dsl.Call("sign", (dsl.Var("k"),)), g)
+    alt_g = dsl.Mul((dsl.Call("sign", (dsl.Var("k"),)), g), (False, False))
     return replace(
         identity, provenance=f"central_uv({identity.name}, u={u}, v={v})",
         lhs=_closed_side(_over_pow2(f, 2), weight(v, u), f_lo, f_hi),

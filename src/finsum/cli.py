@@ -16,17 +16,12 @@ from dataclasses import replace
 from fractions import Fraction
 
 from . import beta, corpus, dsl
-from .errors import EvalTypeError, FinsumError, FormatError, ShapeError
+from .errors import EvalTypeError, FinsumError, FormatError, ShapeError, UsageError
 from .field import half, to_int, to_twice
 from .model import (GRID_PARAMS, grid_params_read, is_negative_integer, load_identity,
                     substitute_neg_t)
 
 EXIT_OK, EXIT_MISMATCH, EXIT_USAGE = 0, 1, 2
-
-
-class UsageError(FinsumError):
-    """A command line that names a bad value, option or operation."""
-    exit_code = EXIT_USAGE
 
 
 def parse_grid(text):
@@ -178,12 +173,13 @@ def cmd_transform(args):
     exit_code = EXIT_OK
     grid_values = _grid_values_from_args(args)
     given_grid = _grid_points(grid_values) if grid_values else None
-    if args.check and given_grid:
-        # the given grid replaces the default one, so it must bind what the outputs read
-        for cid in produced:
-            unbound = sorted(grid_params_read(cid).difference(grid_values))
-            if unbound:
-                raise UsageError(f"variable {unbound[0]!r} is unbound")
+    for cid in produced if args.check else ():
+        if not (cid.lhs.summands or cid.rhs.summands):
+            raise ShapeError(f"{cid.provenance}: both sides are 0, so --check has nothing to check")
+        # a given grid replaces the default one, so it must bind what the outputs read
+        unbound = sorted(grid_params_read(cid).difference(grid_values)) if given_grid else ()
+        if unbound:
+            raise UsageError(f"variable {unbound[0]!r} is unbound")
     n_values = [to_int(v) for v in parse_grid(args.n)] if args.n else list(range(0, 9))
     for cid in produced:
         _print_cid(cid)

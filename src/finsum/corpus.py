@@ -18,7 +18,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import beta, polyverify
-from .errors import EvalTypeError, FinsumError, FormatError
+from .errors import EvalTypeError, FinsumError, FormatError, UsageError
 from .field import SymConst, half
 from .model import GRID_PARAMS, admissible, grid_params_read, is_json_int, load_identity
 
@@ -204,14 +204,16 @@ def _listed_entries(directory, manifest):
 
 
 def load_entries(directory=None, names=None, status=None):
+    """The manifest's entries, those in ``names`` and of ``status`` when given;
+    a name that no entry has is a UsageError naming each such name."""
     directory = corpus_dir(directory)
-    entries = []
+    entries, unknown = [], set(names or ())
     for entry in _listed_entries(directory, load_manifest(directory)):
-        if names and entry.name not in names:
-            continue
-        if status and entry.identity.status != status:
-            continue
-        entries.append(entry)
+        unknown.discard(entry.name)
+        if (not names or entry.name in names) and (not status or entry.identity.status == status):
+            entries.append(entry)
+    if unknown:
+        raise UsageError(f"no corpus entry named {', '.join(map(repr, sorted(unknown)))}")
     return entries
 
 

@@ -14,6 +14,10 @@ Parentheses, unary minus, ``^`` and call arguments nest at most
 ``MAX_DEPTH`` levels deep; deeper text is a ``DslSyntaxError``, never a
 ``RecursionError``.
 
+A ``+ -`` or ``* /`` chain is one n-ary node, ``Add`` or ``Mul``, with its
+operands in order; every walk of the tree (``children``, ``render``,
+``substitute``, ``compile``, ``affine``) iterates them.
+
 ``sum(index, lo, hi, body)`` is the surface form of a bounded sum.  A rational
 literal like 5/2 parses as a division of integers; the two spellings evaluate
 identically.  ``t`` is accepted as a variable, but not as a sum index.
@@ -72,58 +76,60 @@ FUNCTIONS = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Lit:
     value: Fraction
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Var:
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Neg:
     operand: object
 
 
-@dataclass(frozen=True)
-class Add:
-    left: object
-    right: object
+@dataclass(frozen=True, slots=True)
+class _Chain:
+    """A whole ``+ -`` or ``* /`` chain: its ``operands``, and whether each is
+    subtracted or divided (``inverted``, never the first).  A first operand
+    of the chain's own type is spliced in: ``(a+b)+c`` is ``a+b+c``."""
+
+    operands: tuple
+    inverted: tuple
+
+    def __post_init__(self):
+        first = self.operands[0]
+        if type(first) is type(self):
+            object.__setattr__(self, "operands", first.operands + self.operands[1:])
+            object.__setattr__(self, "inverted", first.inverted + self.inverted[1:])
 
 
-@dataclass(frozen=True)
-class Sub:
-    left: object
-    right: object
+@dataclass(frozen=True, slots=True)
+class Add(_Chain):
+    """operands[0] + or - operands[1] + or - ..."""
 
 
-@dataclass(frozen=True)
-class Mul:
-    left: object
-    right: object
+@dataclass(frozen=True, slots=True)
+class Mul(_Chain):
+    """operands[0] * or / operands[1] * or / ..."""
 
 
-@dataclass(frozen=True)
-class Div:
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Pow:
     base: object
     exponent: object
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Call:
     fn: str
     args: tuple
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoundedSum:
     index: str
     lower: object
@@ -192,27 +198,20 @@ class _Parser:
             raise DslSyntaxError("trailing input", off, expected=("end of input",))
         return expr
 
-    def expr(self):
-        node = self.term()
-        while True:
+    def expr(self, term=False):
+        """An ``expr``, or with ``term`` a ``term``, by one loop over its
+        operands: one ``Add`` or ``Mul`` node, or the lone operand."""
+        node, ops = (self.unary(), "*/") if term else (self.expr(True), "+-")
+        kind, val, _ = self.peek()
+        if kind != "op" or val not in ops:
+            return node
+        operands, inverted = [node], [False]
+        while kind == "op" and val in ops:
+            self.next()
+            operands.append(self.unary() if term else self.expr(True))
+            inverted.append(val == ops[1])
             kind, val, _ = self.peek()
-            if kind == "op" and val in "+-":
-                self.next()
-                rhs = self.term()
-                node = Add(node, rhs) if val == "+" else Sub(node, rhs)
-            else:
-                return node
-
-    def term(self):
-        node = self.unary()
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val in "*/":
-                self.next()
-                rhs = self.unary()
-                node = Mul(node, rhs) if val == "*" else Div(node, rhs)
-            else:
-                return node
+        return (Mul if term else Add)(tuple(operands), tuple(inverted))
 
     def unary(self):
         kind, val, off = self.peek()
@@ -296,8 +295,12 @@ def _render(e, parent_prec):
         return e.name
     if isinstance(e, Neg):
         return _wrap(f"-{_render(e.operand, 3)}", 3, parent_prec)
-    if isinstance(e, (Add, Sub, Mul, Div)):
-        return _render_chain(e, parent_prec)
+    if isinstance(e, _Chain):
+        prec, symbols = (1, (" + ", " - ")) if type(e) is Add else (2, ("*", "/"))
+        text = _render(e.operands[0], prec) + "".join(
+            symbols[inverted] + _render(x, prec + 1)
+            for x, inverted in zip(e.operands[1:], e.inverted[1:]))
+        return _wrap(text, prec, parent_prec)
     if isinstance(e, Pow):
         return _wrap(f"{_render(e.base, 5)}^{_render(e.exponent, 4)}", 4, parent_prec)
     if isinstance(e, Call):
@@ -305,21 +308,6 @@ def _render(e, parent_prec):
     if isinstance(e, BoundedSum):
         return f"sum({e.index}, {_render(e.lower, 0)}, {_render(e.upper, 0)}, {_render(e.body, 0)})"
     raise EvalTypeError(f"not an AST node: {e!r}")
-
-
-_CHAIN_TEXT = {Add: " + ", Sub: " - ", Mul: "*", Div: "/"}   # the node types of a chain
-
-
-def _render_chain(e, parent_prec):
-    """A left-associative chain of ``+ -`` or of ``* /`` rendered by one loop
-    down its left spine."""
-    prec, group = (2, (Mul, Div)) if type(e) in (Mul, Div) else (1, (Add, Sub))
-    parts = []
-    while type(e) in group:
-        parts.append(_CHAIN_TEXT[type(e)] + _render(e.right, prec + 1))
-        e = e.left
-    parts.append(_render(e, prec))
-    return _wrap("".join(reversed(parts)), prec, parent_prec)
 
 
 def _wrap(s, prec, parent_prec):
@@ -338,8 +326,8 @@ def children(expr):
         return ()
     if isinstance(expr, Neg):
         return (expr.operand,)
-    if isinstance(expr, (Add, Sub, Mul, Div)):
-        return (expr.left, expr.right)
+    if isinstance(expr, _Chain):
+        return expr.operands
     if isinstance(expr, Pow):
         return (expr.base, expr.exponent)
     if isinstance(expr, Call):
@@ -362,8 +350,8 @@ def free_vars(expr):
             names.add(e.name)
         elif cls is Lit:
             pass
-        elif cls in _CHAIN_TEXT:
-            stack += (e.left, e.right)
+        elif cls is Add or cls is Mul:
+            stack += e.operands
         elif cls is Call:
             if e.fn == "U":
                 names.add("t")
@@ -377,17 +365,7 @@ def free_vars(expr):
 
 
 def substitute(expr, name, replacement):
-    """Replace every free occurrence of variable ``name`` by an AST.  A flat
-    ``+ - * /`` chain is rebuilt by one loop down its left spine."""
-    if type(expr) in _CHAIN_TEXT:
-        spine = []
-        while type(expr) in _CHAIN_TEXT:
-            spine.append(expr)
-            expr = expr.left
-        out = substitute(expr, name, replacement)
-        for node in reversed(spine):
-            out = type(node)(out, substitute(node.right, name, replacement))
-        return out
+    """Replace every free occurrence of variable ``name`` by an AST."""
     if isinstance(expr, Var):
         return replacement if expr.name == name else expr
     kids = [substitute(child, name, replacement) for child in children(expr)]
@@ -397,6 +375,8 @@ def substitute(expr, name, replacement):
         return BoundedSum(expr.index, *kids)
     if isinstance(expr, Call):
         return Call(expr.fn, tuple(kids))
+    if isinstance(expr, _Chain):
+        return type(expr)(tuple(kids), expr.inverted)
     return type(expr)(*kids) if kids else expr
 
 
@@ -408,11 +388,12 @@ def substitute(expr, name, replacement):
 # to one.  Python's operators mix them: int and Fraction decline a SymConst
 # or DensePoly operand, and SymConst declines a DensePoly, which then takes
 # the reflected operation.  int / int and int ** -m would leave exact
-# arithmetic for a float, so Div and Pow go through Fraction there.
+# arithmetic for a float, so a division and Pow go through Fraction there.
 #
-# Every node evaluates its operands in the same order as a plain tree walk
-# would (left to right, but a Div's denominator and a Pow's exponent first),
-# so the first error a point meets does not depend on how it was compiled.
+# Every node evaluates its operands in the same order as a walk of the
+# binary tree of its chain would: left to right, but a Pow's exponent first,
+# and a product's divisors right to left before its other operands.  So the
+# first error a point meets does not depend on how it was compiled.
 
 def eval_scalar(expr, bindings):
     """Exact value of a scalar expression under its bindings."""
@@ -427,13 +408,14 @@ def compile(expr):
     with denominator 2.  Node dispatch and literals are settled here, once;
     every error is raised by the closure, never by the compiler.
 
-    A left-associative chain of ``+ -``, or of ``* /``, runs as one loop, so
-    a long flat sum or product recurses neither here nor when it runs.  A
-    product reduces once: its int and Fraction operands multiply one int
-    numerator and denominator, whether its other operands are SymConst
-    values or polynomials.  An argument of ``binom``, ``rbinom`` or ``H``
-    that is an ``Affine`` (``n-k+r-s``, ``k+s``) is computed as an int on
-    twice the bindings' values, with no Fraction arithmetic."""
+    A ``+ -`` or ``* /`` chain is one node and runs as one loop over its
+    operands, so a long flat sum or product recurses neither here nor when
+    it runs.  A product reduces once: its int and Fraction operands
+    multiply one int numerator and denominator, whether its other operands
+    are SymConst values or polynomials.  An argument of ``binom``,
+    ``rbinom`` or ``H`` that is an ``Affine`` (``n-k+r-s``, ``k+s``) is
+    computed as an int on twice the bindings' values, with no Fraction
+    arithmetic."""
     return _compile(expr)
 
 
@@ -444,9 +426,9 @@ def _compile(e):
     if cls is Lit:
         value = e.value.numerator if e.value.denominator == 1 else e.value
         return lambda b: value
-    if cls is Add or cls is Sub:
+    if cls is Add:
         return _compile_chain(e)
-    if cls is Mul or cls is Div:
+    if cls is Mul:
         return _compile_product(e)
     if cls is Call:
         return _compile_call(e)
@@ -475,22 +457,15 @@ def _compile_var(name):
     return var
 
 
-_CHAIN_OPS = {Add: operator.add, Sub: operator.sub}
-
-
 def _compile_chain(e):
-    """((a +- b) +- c) ... as one loop over the chain's left spine."""
-    steps = []
-    while type(e) in _CHAIN_OPS:
-        steps.append((_CHAIN_OPS[type(e)], _compile(e.right)))
-        e = e.left
-    first = _compile(e)
-    steps.reverse()
+    """a + or - b + or - c ... as one loop over the operands."""
+    first, *rest = map(_compile, e.operands)
+    steps = [(operator.sub if sub else operator.add, f) for f, sub in zip(rest, e.inverted[1:])]
 
     def chain(b):
         value = first(b)
-        for op, right in steps:
-            value = op(value, right(b))
+        for op, f in steps:
+            value = op(value, f(b))
         return value
     return chain
 
@@ -498,35 +473,30 @@ def _compile_chain(e):
 # -- products ---------------------------------------------------------------
 
 def _compile_product(e):
-    """(a * b / c) ... as one loop over the left spine of ``*`` and ``/``.
+    """a * or / b * or / c ... as one loop over the operands.
 
-    Operands run in tree-walk order: every divisor top-down, checked for
-    zero as it is evaluated, then the leftmost operand and the spine
-    bottom-up; a zero polynomial divisor is caught with the zero scalars.  A
-    division's step is None.  Int and Fraction values go into one int
-    numerator and denominator, reduced once; any other value (a SymConst or
-    a DensePoly) goes in by Python's operators as its step comes, so in
-    order, and meets the rational part at the end."""
-    spine = []
-    while type(e) is Mul or type(e) is Div:
-        spine.append(e)
-        e = e.left
+    Operands run in tree-walk order: every divisor right to left, checked
+    for zero as it is evaluated, then the others left to right; a zero
+    polynomial divisor is caught with the zero scalars.  A division's step
+    is None.  Int and Fraction values go into one int numerator and
+    denominator, reduced once; any other value (a SymConst or a DensePoly)
+    goes in by Python's operators as its step comes, so in order, and meets
+    the rational part at the end."""
     divisors, steps = [], []
-    for node in spine:
-        right = _compile(node.right)
-        if type(node) is Div:
-            divisors.append((node, right))
-            right = None
-        steps.append(right)
-    steps.append(_compile(e))
-    steps.reverse()
+    for i, (node, inverted) in enumerate(zip(e.operands, e.inverted)):
+        f = _compile(node)
+        if inverted:
+            divisors.append((i, f))
+            f = None
+        steps.append(f)
+    divisors.reverse()
 
     def product(b):
         pending = []
-        for node, f in divisors:
+        for i, f in divisors:
             d = f(b)
             if d == 0 or type(d) is not int and type(d) is not Fraction and d.is_zero:
-                raise DivisionByZero(f"division by zero in {render(node)}")
+                raise DivisionByZero(f"division by zero in {_render_upto(e, i)}")
             pending.append(d)
         num = den = 1
         rest = None
@@ -537,9 +507,9 @@ def _compile_product(e):
             elif type(x) is Fraction:
                 p, q = x.numerator, x.denominator
             else:
-                # a popped divisor's node sits at pending's new length
-                divisor = None if f is not None else divisors[len(pending)][0]
-                rest = _product_step(rest, x, divisor)
+                # a popped divisor's index sits at pending's new length
+                i = None if f is not None else divisors[len(pending)][0]
+                rest = _product_step(rest, x, e, i)
                 continue
             if f is None:
                 p, q = q, p
@@ -551,16 +521,21 @@ def _compile_product(e):
     return product
 
 
-def _product_step(value, x, divisor):
+def _product_step(value, x, e, i):
     """``value`` (None before any operand) times ``x``, or over it when
-    ``divisor``, the ``Div`` node that ``x`` is the divisor of, is given.
-    A divisor with t in it is an EvalTypeError naming that node."""
-    if divisor is None:
+    ``x`` is the product ``e``'s operand ``i``, a divisor.  A divisor with t
+    in it is an EvalTypeError naming it."""
+    if i is None:
         return x if value is None else value * x
     if type(x) is not SymConst and x.degree > 0:
-        raise EvalTypeError(f"division by the polynomial {render(divisor.right)}"
-                            f" in {render(divisor)}")
+        raise EvalTypeError(f"division by the polynomial {render(e.operands[i])}"
+                            f" in {_render_upto(e, i)}")
     return exact_div(1 if value is None else value, x)
+
+
+def _render_upto(e, i):
+    """The text of the product ``e`` up to its operand ``i``, built on error."""
+    return render(Mul(e.operands[:i + 1], e.inverted[:i + 1]))
 
 
 def _compile_pow(e):
@@ -728,13 +703,12 @@ def affine(e):
             const += scale * node.value
         elif cls is Var and node.name in coeffs:
             coeffs[node.name] += scale
-        elif cls is Add or cls is Sub:
-            stack.append((node.right, scale if cls is Add else -scale))
-            stack.append((node.left, scale))
+        elif cls is Add:
+            stack += [(x, -scale if sub else scale) for x, sub in zip(node.operands, node.inverted)]
         elif cls is Neg:
             stack.append((node.operand, -scale))
-        elif cls is Mul and type(node.left) is Lit:
-            stack.append((node.right, scale * node.left.value))
+        elif cls is Mul and node.inverted == (False, False) and type(node.operands[0]) is Lit:
+            stack.append((node.operands[1], scale * node.operands[0].value))
         else:
             return None
     try:

@@ -46,6 +46,12 @@ class ArityError(FinsumError):
     exit_code = 2
 
 
+class UsageError(FinsumError):
+    """A command line or call that names a bad value, option, operation or
+    corpus entry."""
+    exit_code = 2
+
+
 class FormatError(FinsumError):
     """An identity document is malformed."""
     exit_code = 3

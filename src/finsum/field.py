@@ -76,22 +76,15 @@ class SymConst:
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other):
-        if type(other) is not SymConst:
-            other = _coerce_sym(other)
-            if other is NotImplemented:
-                return NotImplemented
+        other = _coerce_sym(other)
+        if other is NotImplemented:
+            return NotImplemented
         a = self.terms
         b = other.terms
         if not b:
             return self
         if not a:
             return other
-        if len(a) == 1 and len(b) == 1:
-            (ka, ca), = a.items()
-            (kb, cb), = b.items()
-            if ka == kb:
-                c = ca + cb
-                return _canonical({ka: c}) if c else ZERO
         terms = dict(a)
         for key, c in b.items():
             if key in terms:
@@ -120,23 +113,13 @@ class SymConst:
         return _canonical({key: -c for key, c in self.terms.items()})
 
     def __mul__(self, other):
-        if type(other) is not SymConst:
-            if type(other) is int or type(other) is Fraction:
-                if not other or not self.terms:
-                    return ZERO
-                return _canonical({key: c * other for key, c in self.terms.items()})
-            other = _coerce_sym(other)
-            if other is NotImplemented:
-                return NotImplemented
+        other = _coerce_sym(other)
+        if other is NotImplemented:
+            return NotImplemented
         a = self.terms
         b = other.terms
         if not a or not b:
             return ZERO
-        if len(b) == 1 and (0, 0) in b:
-            a, b = b, a
-        if len(a) == 1 and (0, 0) in a:
-            c = a[(0, 0)]
-            return _canonical({key: c * x for key, x in b.items()})
         terms = {}
         for (a1, b1), c1 in a.items():
             for (a2, b2), c2 in b.items():
@@ -382,6 +365,8 @@ class Sum:
             self._add((0, shift), q.numerator * cn, q.denominator * cd)
 
     def _add(self, key, num, den):
+        # not polyverify._add's degree-0 case: a scalar add sent there as a one-element
+        # row costs about 4x as much, and a corpus run makes about 217k of them
         if not num:
             return
         part = self.parts.get(key)

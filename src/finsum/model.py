@@ -308,43 +308,34 @@ def _standalone(expr, name):
 def _parts(e, negated=False):
     """(negated, operands) of each top-level ``+``/``-`` term of ``e``, a
     product distributed over its first multiplied non-bracket sum in r or s."""
-    terms = []
-    while type(e) is dsl.Add or type(e) is dsl.Sub:
-        terms.append((e.right, negated != (type(e) is dsl.Sub)))
-        e = e.left
     parts = []
-    for e, negated in reversed(terms + [(e, negated)]):
-        operands = _operands(e)
+    for term, subtracted in zip(e.operands, e.inverted) if type(e) is dsl.Add else ((e, False),):
+        operands = _operands(term)
         i = next((i for i, (divided, node) in enumerate(operands)
-                  if not divided and type(node) in (dsl.Add, dsl.Sub) and not _bracket(node)
+                  if not divided and type(node) is dsl.Add and not _bracket(node)
                   and not dsl.free_vars(node).isdisjoint(_SPLIT_PARAMS)), None)
         if i is None:
-            parts.append((negated, operands))
+            parts.append((negated != subtracted, operands))
         else:
             parts += [(neg, operands[:i] + inner + operands[i + 1:])
-                      for neg, inner in _parts(operands[i][1], negated)]
+                      for neg, inner in _parts(operands[i][1], negated != subtracted)]
     return parts
 
 
 def _operands(e):
     """(divided, node) of each operand of a ``*``/``/`` chain, left to right."""
-    spine = []
-    while type(e) is dsl.Mul or type(e) is dsl.Div:
-        spine.append(e)
-        e = e.left
-    return [(False, e)] + [(type(node) is dsl.Div, node.right) for node in reversed(spine)]
+    return list(zip(e.inverted, e.operands)) if type(e) is dsl.Mul else [(False, e)]
 
 
 def _chain(operands, negated=False):
     """The ``*``/``/`` chain of (divided, node) operands, or 1; ``negated``
     puts a minus on the first, which is then a multiplied one."""
-    out = None
-    for divided, node in operands:
-        if divided:
-            out = dsl.Div(_ONE if out is None else out, node)
-        else:
-            out = (dsl.Neg(node) if negated else node) if out is None else dsl.Mul(out, node)
-    return _ONE if out is None else out
+    if not operands or operands[0][0]:
+        operands = [(False, _ONE)] + operands
+    elif negated:
+        operands = [(False, dsl.Neg(operands[0][1]))] + operands[1:]
+    inverted, nodes = zip(*operands)
+    return dsl.Mul(nodes, inverted) if len(nodes) > 1 else nodes[0]
 
 
 def split_closed_term(coeff):
@@ -414,13 +405,17 @@ def split_closed_term(coeff):
 
 
 def _divisor_parts(node):
-    """A divisor's operands, flattened through ``*`` and through ``^`` by a
-    literal integer from 1 to ``_MAX_SPLIT_POWER``, left to right."""
+    """A divisor's operands, left to right: its operands up to its last ``/``
+    as one part, and each after it flattened through ``*`` and through
+    ``^`` by a literal integer from 1 to ``_MAX_SPLIT_POWER``."""
     parts, stack = [], [node]
     while stack:
         e = stack.pop()
         if type(e) is dsl.Mul:
-            stack += (e.right, e.left)
+            last = max((i for i, divided in enumerate(e.inverted) if divided), default=0)
+            if last:
+                parts.append(dsl.Mul(e.operands[:last + 1], e.inverted[:last + 1]))
+            stack += reversed(e.operands[last + 1:] if last else e.operands)
         elif (type(e) is dsl.Pow and type(e.exponent) is dsl.Lit
               and e.exponent.value.denominator == 1
               and 1 <= e.exponent.value <= _MAX_SPLIT_POWER):
@@ -460,8 +455,8 @@ def _bracket(node):
     while stack:
         e, sign = stack.pop()
         cls = type(e)
-        if cls is dsl.Add or cls is dsl.Sub:
-            stack += ((e.right, sign if cls is dsl.Add else -sign), (e.left, sign))
+        if cls is dsl.Add:
+            stack += reversed([(x, -sign if sub else sign) for x, sub in zip(e.operands, e.inverted)])
         elif cls is dsl.Neg:
             stack.append((e.operand, -sign))
         elif cls is dsl.Call and e.fn == "H":
@@ -469,8 +464,8 @@ def _bracket(node):
             if affine is None:
                 return ()
             pieces.append(HPiece(Fraction(sign), affine))
-        elif cls is dsl.Div and type(e.left) is dsl.Lit and e.left.value == 1:
-            affine = _affine(e.right)
+        elif cls is dsl.Mul and e.inverted == (False, True) and e.operands[0] == _ONE:
+            affine = _affine(e.operands[1])
             if affine is None:
                 return ()
             pieces.append(RecipPiece(Fraction(sign), affine))
@@ -538,7 +533,7 @@ def substitute_neg_t(identity):
         for term in side.terms:
             coeff = term.coeff
             if not term.t_exp.is_zero:
-                coeff = dsl.Mul(dsl.Call("sign", (dsl.parse(term.t_exp.render()),)), coeff)
+                coeff = dsl.Mul((dsl.Call("sign", (dsl.parse(term.t_exp.render()),)), coeff), (False, False))
             base = term.base
             if not term.base_exp.is_zero:
                 base = "1+t" if base == "1-t" else "1-t"

@@ -194,6 +194,8 @@ def _add(acc, key, nums, den, mult=1, shift=0):
     """Add mult * t^shift * nums / den to the part of ``key`` in ``acc``, a
     dict {monomial: [denominator, numerator list]} whose denominators are
     each the lcm of those added, left unreduced."""
+    # kept apart from field.Sum._add, the same sum on one scalar per monomial,
+    # which runs about 4x faster on the ~217k scalar adds of a corpus run
     part = acc.get(key)
     if part is None:
         acc[key] = [den, [0] * shift + [mult * x for x in nums]]

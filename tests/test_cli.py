@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, output text, and argument parsing."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -573,6 +574,45 @@ class TestTransform:
         assert (code, out) == (4, "")
         assert err == "error: s-outside: coefficient s^2*binom(n, k) reads s outside the factors\n"
 
+    def test_check_of_two_empty_sides_exits_4(self, capsys):
+        # both sides of this derivative are 0: --check used to report them equal
+        path = str(corpus.DEFAULT_DIR / "alt-recip-shift.json")
+        assert run(capsys, "transform", path, "--op", "dds", "--check") == (
+            4, "", "error: d/ds(alt-recip-shift): both sides are 0,"
+            " so --check has nothing to check\n")
+        assert run(capsys, "transform", path, "--op", "dds") == (
+            0, "# d/ds(alt-recip-shift)\nlhs: 0\nrhs: 0\n", "")
+
+
+PINNED_TRANSFORMS = [
+    ("--op", "beta"), ("--op", "beta", "--negate-t"), ("--op", "beta,dds"),
+    ("--op", "beta,ddr"), ("--op", "dds"), ("--op", "ddr"), ("--op", "central_v", "--v", "1"),
+    ("--op", "central_uv", "--u", "1", "--v", "2"),
+]
+
+
+def transform_digests(capsys):
+    """{document file name: sha256 over the exit code, stdout and stderr of
+    ``finsum transform`` of that document with each of ``PINNED_TRANSFORMS``}
+    for every shipped document."""
+    digests = {}
+    for file_name in corpus.load_manifest()["entries"]:
+        digest = hashlib.sha256()
+        for ops in PINNED_TRANSFORMS:
+            result = run(capsys, "transform", str(corpus.DEFAULT_DIR / file_name), *ops)
+            digest.update(repr((ops, *result)).encode())
+        digests[file_name] = digest.hexdigest()
+    return digests
+
+
+def test_transform_render_is_pinned(capsys):
+    """The text of every transform output, error or exit code that the
+    shipped documents produce under eight transform chains (888 runs)."""
+    pinned = json.loads((Path(__file__).parent / "transform_render_sha256.json").read_text())
+    got = transform_digests(capsys)
+    assert len(got) == 111
+    assert got == pinned
+
 
 class TestCorpusCommand:
     def test_run_subset(self, capsys):
@@ -581,6 +621,16 @@ class TestCorpusCommand:
                            "--name", "alt-recip-shift", "--jobs", "2")
         assert code == 0
         assert "2 entries, 0 mismatched" in out
+
+    def test_unknown_name_exits_2_before_any_entry_runs(self, capsys):
+        code, out, err = run(capsys, "corpus", "run", "--name", "nope",
+                             "--name", "binomial-theorem", "--name", "binomial-theorm")
+        assert (code, out) == (2, "")
+        assert err == "error: no corpus entry named 'binomial-theorm', 'nope'\n"
+        # a known name whose status the filter excludes is no error
+        code, out, err = run(capsys, "corpus", "run", "--name", "binomial-theorem",
+                             "--status", "disputed")
+        assert (code, out, err) == (0, "0 entries, 0 mismatched\n", "")
 
     @pytest.mark.parametrize("jobs", ["-3", "0"])
     def test_jobs_below_one_exits_2(self, capsys, jobs):

@@ -51,16 +51,27 @@ class TestParsing:
 
     def test_precedence(self):
         assert dsl.parse("1 + 2*3") == dsl.Add(
-            dsl.Lit(Fraction(1)),
-            dsl.Mul(dsl.Lit(Fraction(2)), dsl.Lit(Fraction(3))))
+            (dsl.Lit(Fraction(1)),
+             dsl.Mul((dsl.Lit(Fraction(2)), dsl.Lit(Fraction(3))), (False, False))),
+            (False, False))
         # ^ binds tighter than unary minus on the left
         assert rat("-2^2") == -4
         assert rat("(-2)^2") == 4
         assert rat("2^3^1") == 8
 
     def test_rational_literal_is_division(self):
-        assert dsl.parse("5/2") == dsl.Div(dsl.Lit(Fraction(5)), dsl.Lit(Fraction(2)))
+        assert dsl.parse("5/2") == dsl.Mul((dsl.Lit(Fraction(5)), dsl.Lit(Fraction(2))),
+                                           (False, True))
         assert rat("5/2") == Fraction(5, 2)
+
+    def test_chain_is_one_node(self):
+        n, k, r, s, j = map(dsl.Var, "nkrsj")
+        assert dsl.parse("n - k + r*s/j") == dsl.Add(
+            (n, k, dsl.Mul((r, s, j), (False, False, True))), (False, True, False))
+        # a parenthesized first operand of its own chain's type is spliced in
+        assert dsl.parse("(n - k) + r") == dsl.parse("n - k + r")
+        assert dsl.parse("(n/k)*r") == dsl.parse("n/k*r")
+        assert dsl.parse("n - (k + r)") != dsl.parse("n - k + r")
 
     def test_syntax_errors_carry_offsets(self):
         with pytest.raises(DslSyntaxError) as exc:
@@ -256,27 +267,30 @@ def test_nested_sum_matches_direct(n, m):
 
 def walk(e, b):
     """The value of an expression of literals, variables, + - * / and calls,
-    by one SymConst or DensePoly operator per node in tree-walk order: a
-    Div's divisor first, checked for zero, then its dividend, then the
-    division, where a divisor with t in it is an error; calls and powers are
-    compiled alone."""
+    by one SymConst or DensePoly operator per binary node in tree-walk
+    order.  A chain is its last operator applied to the chain before it.  A
+    division runs its divisor first, checked for zero, then its dividend,
+    then the division, where a divisor with t in it is an error; calls and
+    powers are compiled alone."""
     cls = type(e)
-    if cls is dsl.Div:
-        d = walk(e.right, b)
-        if d == 0 or type(d) is DensePoly and d.is_zero:
-            raise DivisionByZero(f"division by zero in {dsl.render(e)}")
-        left = walk(e.left, b)
-        if type(d) is DensePoly and d.degree > 0:
-            raise EvalTypeError(f"division by the polynomial {dsl.render(e.right)}"
-                                f" in {dsl.render(e)}")
-        return left / d
-    if cls is dsl.Mul:
-        left = walk(e.left, b)
-        return left * walk(e.right, b)
-    if cls in (dsl.Add, dsl.Sub):
-        left = walk(e.left, b)
-        right = walk(e.right, b)
-        return left + right if cls is dsl.Add else left - right
+    if cls in (dsl.Add, dsl.Mul):
+        *head, right = e.operands
+        left = head[0] if len(head) == 1 else cls(tuple(head), e.inverted[:-1])
+        inverted = e.inverted[-1]
+        if cls is dsl.Mul and inverted:
+            d = walk(right, b)
+            if d == 0 or type(d) is DensePoly and d.is_zero:
+                raise DivisionByZero(f"division by zero in {dsl.render(e)}")
+            dividend = walk(left, b)
+            if type(d) is DensePoly and d.degree > 0:
+                raise EvalTypeError(f"division by the polynomial {dsl.render(right)}"
+                                    f" in {dsl.render(e)}")
+            return dividend / d
+        left = walk(left, b)
+        right = walk(right, b)
+        if cls is dsl.Mul:
+            return left * right
+        return left - right if inverted else left + right
     if cls is dsl.Neg:
         return -walk(e.operand, b)
     if cls is dsl.Lit:
