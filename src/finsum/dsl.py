@@ -53,7 +53,7 @@ from fractions import Fraction
 
 from .errors import (ArityError, DivisionByZero, DslSyntaxError, EvalTypeError,
                      PoleError, UnboundVariable)
-from .field import SymConst, exact_div, half, lift, to_int, to_twice
+from .field import Sum, SymConst, exact_div, half, lift, to_int, to_twice
 from . import special
 
 VAR_NAMES = ("n", "k", "j", "r", "s", "u", "v", "t")
@@ -415,7 +415,8 @@ def compile(expr):
     are SymConst values or polynomials.  An argument of ``binom``,
     ``rbinom`` or ``H`` that is an ``Affine`` (``n-k+r-s``, ``k+s``) is
     computed as an int on twice the bindings' values, with no Fraction
-    arithmetic."""
+    arithmetic.  A bounded sum adds its body values into one accumulator
+    and builds its value once, at the end."""
     return _compile(expr)
 
 
@@ -555,6 +556,12 @@ def _compile_pow(e):
 
 
 def _compile_sum(e):
+    """sum(index, lo, hi, body) as one accumulator per evaluation: a scalar
+    body value goes into a ``field.Sum``, a polynomial one into a row of int
+    numerators per field monomial (``polyverify._add``).  The rows are
+    trimmed and reduced once at the end and joined with the scalar total,
+    so no step builds a value; an empty range is the int 0."""
+    from .polyverify import DensePoly, _add, _parts, _poly
     index = e.index
     lower = _compile_int(e.lower, "sum lower bound")
     upper = _compile_int(e.upper, "sum upper bound")
@@ -563,12 +570,24 @@ def _compile_sum(e):
     def bounded_sum(b):
         lo = lower(b)
         hi = upper(b)
-        total = 0
+        scalars = Sum()
+        rows = None
         inner = dict(b)
         for i in range(lo, hi + 1):
             inner[index] = i
-            total = total + body(inner)
-        return total
+            value = body(inner)
+            if type(value) is DensePoly:
+                if rows is None:
+                    rows = {}
+                for key, den, nums in value.parts:
+                    _add(rows, key, nums, den)
+            else:
+                scalars.add(value)
+        total = scalars.value()
+        if rows is None:
+            return total
+        poly = _poly(_parts(rows))
+        return poly if total == 0 else poly + total
     return bounded_sum
 
 
@@ -728,13 +747,25 @@ def _fast_twice(e, slow):
 
 # -- calls ----------------------------------------------------------------
 
+def _harmonic_call(name, f):
+    """``f(n, m)`` called as the DSL's ``name``: an argument out of range is
+    an EvalTypeError that names the call as written, not ``f``."""
+    def call(n, m=None):
+        if n < 0 or m is not None and m < 1:
+            if m is None:
+                raise EvalTypeError(f"{name}({n}) needs n >= 0")
+            raise EvalTypeError(f"{name}({n}, {m}) needs n >= 0 and m >= 1")
+        return f(n, 1 if m is None else m)
+    return call
+
+
 # name -> the value of a call at its compiled arguments
 _CALLS = {
     "rbinom": special.rbinom_at,
     "H": special.harmonic_at,
-    "Hm": special.harmonic_m,
-    "O": lambda n: special.odd_harmonic_m(n, 1),
-    "Om": special.odd_harmonic_m,
+    "Hm": _harmonic_call("Hm", special.harmonic_m),
+    "O": _harmonic_call("O", special.odd_harmonic_m),
+    "Om": _harmonic_call("Om", special.odd_harmonic_m),
     "kron": lambda x, y: 1 if x == y else 0,
     "fact": special.factorial,
     "sign": lambda n: -1 if n % 2 else 1,

@@ -6,7 +6,9 @@ conventions.  Polynomials in t, Chebyshev U_m among them, live in
 All arguments are half-integers and all results live in the constant field,
 so every value is exact.  H_q and binom(x, y) are cached for the life of the
 process, keyed by plain ints; Gamma values are not, since the binomial cache
-holds every result built from them.
+holds every result built from them.  H_n^(m) and O_n^(m) are cached by
+(n, m) and built by their recurrence from the value at n - 1 when that is
+cached, so the ascending runs of a polynomial side add one term per value.
 
 Like the evaluators, the caches hold a rational value as a plain ``int`` or
 ``Fraction`` and a SymConst only where ln2 or sqrt(pi) appears.  The
@@ -35,17 +37,38 @@ def factorial(n):
 
 
 def harmonic_m(n, m=1):
-    """Generalized harmonic number H_n^(m) = sum_{j=1..n} 1/j^m."""
+    """Generalized harmonic number H_n^(m) = sum_{j=1..n} 1/j^m, a Fraction."""
     if n < 0 or m < 1:
         raise EvalTypeError("harmonic_m needs n >= 0 and m >= 1")
-    return sum((Fraction(1, j ** m) for j in range(1, n + 1)), Fraction(0))
+    return _power_sum(False, n, m)
 
 
 def odd_harmonic_m(n, m=1):
-    """Odd harmonic number O_n^(m) = sum_{j=1..n} 1/(2j-1)^m."""
+    """Odd harmonic number O_n^(m) = sum_{j=1..n} 1/(2j-1)^m, a Fraction."""
     if n < 0 or m < 1:
         raise EvalTypeError("odd_harmonic_m needs n >= 0 and m >= 1")
-    return sum((Fraction(1, (2 * j - 1) ** m) for j in range(1, n + 1)), Fraction(0))
+    return _power_sum(True, n, m)
+
+
+_power_sums = {}    # (odd, n, m) -> H_n^(m), or O_n^(m) when odd
+
+
+def _power_sum(odd, n, m):
+    """sum_{j=1..n} 1/d_j^m, d_j = 2j - 1 when ``odd`` and j otherwise,
+    cached.  A missing value is the cached value at n - 1 plus one term when
+    there is one, else the whole sum, so an ascending run costs one Fraction
+    add per value and a lone large n stores one value."""
+    key = (odd, n, m)
+    value = _power_sums.get(key)
+    if value is None:
+        prev = _power_sums.get((odd, n - 1, m))
+        if prev is None:
+            value = sum((Fraction(1, (2 * j - 1 if odd else j) ** m) for j in range(1, n + 1)),
+                        Fraction(0))
+        else:
+            value = prev + Fraction(1, (2 * n - 1 if odd else n) ** m)
+        _power_sums[key] = value
+    return value
 
 
 _harmonic_cache = {}

@@ -167,6 +167,15 @@ class TestEval:
         assert run(capsys, "eval", "-k", "-n", "--bind", "k=1")[0] == 2
         assert run(capsys, "eval")[0] == 2
 
+    @pytest.mark.parametrize("expr, message", [
+        ("Hm(-1,2)", "Hm(-1, 2) needs n >= 0 and m >= 1"),
+        ("Hm(2,0)", "Hm(2, 0) needs n >= 0 and m >= 1"),
+        ("O(-2)", "O(-2) needs n >= 0"),
+        ("Om(1,0)", "Om(1, 0) needs n >= 0 and m >= 1"),
+    ])
+    def test_harmonic_argument_errors_name_the_dsl_function(self, capsys, expr, message):
+        assert run(capsys, "eval", expr) == (2, "", f"error: {message}\n")
+
     @pytest.mark.parametrize("expr", ["binom(1)", "sum(k,0)"])
     def test_arity_error_exits_2(self, capsys, expr):
         code, out, err = run(capsys, "eval", expr)

@@ -270,9 +270,15 @@ def walk(e, b):
     by one SymConst or DensePoly operator per binary node in tree-walk
     order.  A chain is its last operator applied to the chain before it.  A
     division runs its divisor first, checked for zero, then its dividend,
-    then the division, where a divisor with t in it is an error; calls and
+    then the division, where a divisor with t in it is an error.  A bounded
+    sum is the left fold ``total = total + body`` from the int 0; calls and
     powers are compiled alone."""
     cls = type(e)
+    if cls is dsl.BoundedSum:
+        total = 0
+        for i in range(dsl.compile(e.lower)(b), dsl.compile(e.upper)(b) + 1):
+            total = total + walk(e.body, dict(b, **{e.index: i}))
+        return total
     if cls in (dsl.Add, dsl.Mul):
         *head, right = e.operands
         left = head[0] if len(head) == 1 else cls(tuple(head), e.inverted[:-1])
@@ -344,3 +350,50 @@ def test_product_matches_tree_walk(text, k, n, r, s):
         assert str(got.value) == str(exc)
     else:
         assert lifted(dsl.compile(expr)(point)) == want
+
+
+# -- bounded sums against a left fold -----------------------------------------
+
+SUMMANDS = st.sampled_from([
+    "k", "(-3)", "2*k - 1", "1/(k+1)", "k/2",                 # int and Fraction
+    "H(k+1/2)", "binom(k, 1/2)", "H(k+1/2)*binom(n, 1/2)",   # ln2 and sqrt(pi)
+    "t^k", "(1-t)^k", "binom(n, k)*t^k", "U(k)", "H(k+1/2)*t^k", "t/(k+1)",
+    "sum(j, 0, k, 1/(j+1))", "sum(j, 1, k, H(j-1/2)*t^j)", "sum(j, k, 2, binom(k, j))",
+    "sum(j, 0, k - 1, t^j)",       # empty at k = 0: a scalar body among polynomial ones
+])
+
+
+@given(st.lists(SUMMANDS, min_size=1, max_size=3), st.integers(0, 4), st.integers(-1, 6),
+       st.integers(0, 3))
+@example(["k"], 3, 2, 0)
+@example(["sum(j, 0, k - 1, t^j)", "H(k+1/2)"], 0, 3, 1)
+def test_sum_matches_left_fold(summands, lo, hi, n):
+    """A compiled bounded sum, one accumulator per evaluation, has the value
+    of the left fold, and the same parts when that is a polynomial; an empty
+    range is the int 0."""
+    expr = dsl.parse(f"sum(k, {lo}, {hi}, {' + '.join(summands)})")
+    point = {"n": n, "t": DensePoly.variable()}
+    got = dsl.compile(expr)(point)
+    want = walk(expr, point)
+    if type(want) is DensePoly:
+        assert type(got) is DensePoly and got.parts == want.parts
+    else:
+        assert lift(got) == want
+    if lo > hi:
+        assert type(got) is int and got == 0
+
+
+def test_sum_of_polynomials_builds_no_intermediate(monkeypatch):
+    """sum(k, 0, 30, t^k) adds its 31 bodies into one accumulator; the left
+    fold builds a new polynomial through ``DensePoly._combine`` at each."""
+    calls = []
+    combine = DensePoly._combine
+    monkeypatch.setattr(DensePoly, "_combine",
+                        lambda self, other, sign: calls.append(sign) or combine(self, other, sign))
+    expr = dsl.parse("sum(k, 0, 30, t^k)")
+    point = {"t": DensePoly.variable()}
+    want = walk(expr, point)
+    assert len(calls) == 31
+    calls.clear()
+    assert dsl.compile(expr)(point) == want
+    assert calls == []

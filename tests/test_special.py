@@ -85,6 +85,37 @@ class TestHarmonic:
             special.harmonic_m(-1)
 
 
+class TestPowerSums:
+    """H_n^(m) and O_n^(m), cached by (n, m) and built from the value at
+    n - 1 when that is cached."""
+
+    @pytest.mark.parametrize("f, d", [(special.harmonic_m, lambda j: j),
+                                      (special.odd_harmonic_m, lambda j: 2 * j - 1)],
+                             ids=["harmonic_m", "odd_harmonic_m"])
+    def test_equal_the_direct_sum_in_either_order(self, monkeypatch, f, d):
+        for order in (range(60, -1, -1), range(61)):   # each from scratch, then by recurrence
+            monkeypatch.setattr(special, "_power_sums", {})
+            for m in (1, 2, 3):
+                for n in order:
+                    value = f(n, m)
+                    assert type(value) is Fraction
+                    assert value == sum((Fraction(1, d(j) ** m) for j in range(1, n + 1)),
+                                        Fraction(0))
+
+    def test_a_lone_large_argument_stores_one_value(self, monkeypatch):
+        monkeypatch.setattr(special, "_power_sums", {})
+        special.harmonic_m(3000, 2)
+        assert len(special._power_sums) == 1
+
+    @pytest.mark.parametrize("n, m", [(-1, 1), (-1, 2), (3, 0), (0, -1)])
+    def test_out_of_range_raises_before_caching(self, monkeypatch, n, m):
+        monkeypatch.setattr(special, "_power_sums", {})
+        for f in (special.harmonic_m, special.odd_harmonic_m):
+            with pytest.raises(EvalTypeError):
+                f(n, m)
+        assert special._power_sums == {}
+
+
 class TestGammaHalf:
     @pytest.mark.parametrize("q", [Fraction(p, 2) for p in range(-9, 12)])
     def test_matches_sympy(self, q):
