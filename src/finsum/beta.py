@@ -20,32 +20,20 @@ derived one alike.
 
 Closed identities are evaluated exactly over half-integer parameter points;
 a float evaluator (mpmath) backs the derivative cross-check.  Exact
-evaluation compiles each term of an identity once per ``verify_closed`` or
-``eval_closed`` call, never at load time and never per point: the
-coefficient becomes a ``dsl.compile`` closure, and the factors and bracket
-keep their integer affine arguments.  A loaded term runs this factor path
-too: the loader has split its r/s-reading binomials, affines and bracket
-out of its coefficient (``model.split_closed_term``), and has loaded a
-standalone expression as k-free terms.
+evaluation compiles an identity's sides once per ``verify_closed`` or
+``eval_closed`` call, never at load time and never per point: each
+coefficient and sum bound becomes a ``dsl.compile`` closure, and the factors
+and bracket keep their integer affine arguments.  A loaded term runs this
+factor path too: the loader has split its r/s-reading binomials, affines and
+bracket out of its coefficient (``model.split_closed_term``), and has loaded
+a standalone expression as k-free terms.
 
-Each term then runs as an integer kernel (``_run_term``).  A side reads the
-point's n and grid parameters as twice-values once; at each point every
-``dsl.Affine`` argument becomes two ints, its twice-value at k = 0 and a
-step of twice its k coefficient, so the k loop reads it as
-``base + step*k``.  A binomial from
-``special.binom_at`` is rational or c*sqrt(pi)^e, so the factor product is
-an unreduced int numerator and denominator and an int sqrt(pi) exponent,
-and no SymConst is multiplied unless the coefficient is one.  Each side is
-summed in one ``field.Sum``, which adds every value, rational or not, per
-monomial into an unreduced int numerator and denominator, at the term's
-sqrt(pi) offset: a term adds its coefficient times its factor product in
-one add, a derivative bracket piece by piece, and the side reduces once and
-lifts the sum to SymConst once.  The module's one cache, the coefficient
-memo ``_expr_memo``, holds the lowered values of the coefficients and sum
-bounds that read no grid parameter (r, s, u, v), since only those repeat
-from one grid point to the next; a split loaded coefficient is one of them
-when only its factors and bracket read r and s.
-The memo lives for the whole process and keeps every expression alive.
+``verify_closed`` runs n-major: the grid points of one n go through each
+summand together (``_run_points``), so a bound or coefficient that reads no
+grid parameter (r, s, u, v) is evaluated once per (n, k), or once per k when
+it reads no n either, not once per point; nothing outlives the call.  Each
+term runs as an integer kernel on twice-values (``_run_term``), and each side
+of a point is summed in one ``field.Sum``, reduced and lifted once.
 """
 
 from __future__ import annotations
@@ -62,10 +50,8 @@ from .model import (GRID_PARAMS, Affine, ClosedSide, ClosedSummand, ClosedTerm, 
 
 
 def from_model(identity):
-    """The closed identity itself; ShapeError for one that is not closed.
-
-    ``verify_closed`` and ``eval_closed`` take a loaded identity as it is;
-    this is kept only for the benchmark harness, which still calls it."""
+    """The closed identity itself, or ShapeError; only the benchmark harness
+    still calls this, since ``verify_closed`` takes a loaded identity."""
     if not identity.is_closed:
         raise ShapeError(f"{identity.name}: not a closed identity")
     return identity
@@ -258,54 +244,44 @@ def central_transform_uv(identity, u, v):
 
 # ---------------------------------------------------------------------------
 # exact evaluation
-#
-# A plan is a compiled side or term.  ``verify_closed`` compiles both sides
-# once and runs their plans at every point; ``eval_closed``, ``eval_side``
-# and ``eval_term`` compile what they are given and run it once.
 
+_UNDEFINED = (PoleError, DivisionByZero, EvalTypeError)   # an undefined point
+
+# Nothing reads or calls these two: the benchmark's tracer still wraps them
+# for its beta.memo.* metrics, which read 0.  ROADMAP item 1 deletes them.
 _expr_memo = {}
+_eval_memo = None
 
 
-def _eval_memo(expr, bindings, value, names):
-    """``lower(value(bindings))``, memoized per expression on its free
-    variables ``names``, a sorted tuple, for an expression that reads no
-    grid parameter.
-
-    Grid verification revisits the same coefficient at every parameter point
-    even though it usually depends on (k, n) only; the memo collapses that.
-    Keyed by object identity: the entry keeps the expression alive and is
-    never removed, so no other object can take its id.  Values are held
-    lowered: a plain int or Fraction when rational."""
-    entry = _expr_memo.get(id(expr))
-    if entry is None:
-        entry = _expr_memo[id(expr)] = (expr, names, {})
-    _, names, cache = entry
-    try:
-        key = tuple(bindings[name] for name in names)
-    except KeyError:
-        return lower(value(bindings))  # unbound: uniform error path
-    result = cache.get(key)
-    if result is None:
-        result = cache[key] = lower(value(bindings))
-    return result
-
-
-def _compile_value(expr, names):
-    """A closure for the lowered value of a coefficient or a sum bound,
-    whose free variables are ``names``, as its term or summand holds them.
-    One that reads a grid parameter is evaluated directly: its key would
-    differ at every grid point, so the memo would only keep it alive.  Any
-    other goes through ``_eval_memo``."""
+def _compile_value(expr, names, caches):
+    """A closure for the lowered value of a coefficient or a sum bound whose
+    free variables are ``names``.  One that reads no grid parameter keeps its
+    value or error at each k (None for a bound) in two dicts, which go into
+    ``caches`` for ``_run_points`` to empty at each n when it reads n."""
     value = dsl.compile(expr)
-    if names.isdisjoint(GRID_PARAMS):
-        names = tuple(sorted(names))
-        return lambda b: _eval_memo(expr, b, value, names)
-    return lambda b: lower(value(b))
+    if not names.isdisjoint(GRID_PARAMS):
+        return lambda b: lower(value(b))
+    values, errors = {}, {}
+    if "n" in names:
+        caches += values, errors
+
+    def once_per_k(b):
+        k = b.get("k")
+        result = values.get(k)
+        if result is None:
+            if k not in errors:
+                try:
+                    result = values[k] = lower(value(b))
+                    return result
+                except _UNDEFINED as exc:
+                    errors[k] = exc
+            raise errors[k].with_traceback(None)
+        return result
+    return once_per_k
 
 
 def _twice_point(bindings):
-    """The twice-values of the point's bindings, read once, by name; one
-    that is not a half-integer is left out."""
+    """The twice-values of the point's half-integer bindings, by name."""
     twice = {}
     for name, value in bindings.items():
         try:
@@ -313,12 +289,6 @@ def _twice_point(bindings):
         except EvalTypeError:
             pass
     return twice
-
-
-def _compile_term(term):
-    """The plan of a closed term: its compiled coefficient and the term,
-    whose factors and bracket ``_at_point`` reads at each point."""
-    return _compile_value(term.coeff, term.coeff_vars), term
 
 
 def _at_point(term, twice):
@@ -484,45 +454,66 @@ def eval_term(term, bindings):
     """Exact value of one closed term at a fully bound point: a plain int or
     Fraction when rational, a SymConst otherwise."""
     total = Sum()
-    _run_term(_compile_term(term), _twice_point(bindings), bindings, None, total)
+    plan = _compile_value(term.coeff, term.coeff_vars, []), term
+    _run_term(plan, _twice_point(bindings), bindings, None, total)
     return total.value()
 
 
-def _compile_side(side):
-    return tuple((_compile_value(sm.lower, sm.bound_vars[0]),
-                  _compile_value(sm.upper, sm.bound_vars[1]), _compile_term(sm.term))
-                 for sm in side.summands)
+def _compile_sides(sides):
+    """The plan of closed sides, per summand its two bounds and its term's
+    plan (compiled coefficient, term), and the caches to empty at each n."""
+    caches = []
+    plan = tuple(tuple((_compile_value(sm.lower, sm.bound_vars[0], caches),
+                        _compile_value(sm.upper, sm.bound_vars[1], caches),
+                        (_compile_value(sm.term.coeff, sm.term.coeff_vars, caches), sm.term))
+                       for sm in side.summands)
+                 for side in sides)
+    return plan, caches
 
 
-def _run_side(plan, bindings):
-    """The side's value as a SymConst.  The point's n and grid parameters
-    are read as twice-values once; each term runs its k range through the
-    kernel (``_run_term``), adding into one ``Sum`` in order.  The sum is
-    reduced once and lifted."""
-    total = Sum()
-    point = _twice_point(bindings)
-    point["k"] = 0              # each affine's k part is its step
-    inner = dict(bindings)
-    for lower_bound, upper_bound, term in plan:
-        lo = to_int(lower_bound(bindings))
-        hi = to_int(upper_bound(bindings))
-        if lo <= hi:
-            _run_term(term, point, inner, range(lo, hi + 1), total)
-    return lift(total.value())
+def _run_points(plan, caches, points):
+    """Per point of one n (a bindings dict), its side values as a tuple of
+    SymConst, or the error that left it undefined.  Each summand runs at
+    every live point before the next, its k range through ``_run_term`` into
+    the point's ``Sum`` for the side.  A point meets the summands in order,
+    lhs before rhs, and drops out at its first error, which is the error it
+    raises when run alone."""
+    for cache in caches:
+        cache.clear()
+    outcomes = [None] * len(points)
+    # at k = 0 in the twice-point, each affine's k part is its step
+    live = [(i, b, dict(_twice_point(b), k=0), dict(b), []) for i, b in enumerate(points)]
+    for side in plan:
+        for *_, totals in live:
+            totals.append(Sum())
+        for lower_bound, upper_bound, term in side:
+            kept = []
+            for point in live:
+                i, bindings, twice, inner, totals = point
+                try:
+                    lo, hi = to_int(lower_bound(bindings)), to_int(upper_bound(bindings))
+                    if lo <= hi:
+                        _run_term(term, twice, inner, range(lo, hi + 1), totals[-1])
+                    kept.append(point)
+                except _UNDEFINED as exc:
+                    outcomes[i] = exc
+            live = kept
+    for i, *_, totals in live:
+        outcomes[i] = tuple(lift(total.value()) for total in totals)
+    return outcomes
 
 
 def eval_side(side, bindings):
-    """Exact value of one side at a fully bound point, as a SymConst, summed
-    as ``_run_side`` sums it."""
-    return _run_side(_compile_side(side), bindings)
+    """Exact value of one side at a fully bound point, as a SymConst."""
+    (outcome,) = _run_points(*_compile_sides((side,)), [bindings])
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome[0]
 
 
 def _point(n, r=None, s=None, u=None, v=None):
-    bindings = {"n": half(n)}
-    for name, val in zip(GRID_PARAMS, (r, s, u, v)):
-        if val is not None:
-            bindings[name] = half(val)
-    return bindings
+    return {"n": half(n), **{name: half(val) for name, val in zip(GRID_PARAMS, (r, s, u, v))
+                             if val is not None}}
 
 
 def eval_closed(cid, n, r=None, s=None, u=None, v=None):
@@ -572,22 +563,20 @@ class ClosedReport:
 
 
 def verify_closed(cid, n_range, param_grid=({},)):
-    """Pointwise comparison over n in n_range and parameter dicts in param_grid.
-
-    Evaluation errors (poles, zero divisions) are recorded as undefined
-    points, never silently skipped.
-    """
-    lhs_plan, rhs_plan = _compile_side(cid.lhs), _compile_side(cid.rhs)
+    """Pointwise comparison over n in n_range and parameter dicts in param_grid, n-major
+    (``_run_points``); an evaluation error is recorded as an undefined point, never skipped."""
+    plan, caches = _compile_sides((cid.lhs, cid.rhs))
+    grid = [(tuple(sorted((name, half(val)) for name, val in params.items())), params)
+            for params in param_grid]
     results = []
     for n in n_range:
-        for params in param_grid:
-            key = tuple(sorted((name, half(val)) for name, val in params.items()))
-            try:
-                bindings = _point(n, **params)
-                lhs, rhs = _run_side(lhs_plan, bindings), _run_side(rhs_plan, bindings)
-                results.append(PointResult(n, key, lhs, rhs))
-            except (PoleError, DivisionByZero, EvalTypeError) as exc:
-                results.append(PointResult(n, key, None, None, error=str(exc)))
+        try:
+            outcomes = _run_points(plan, caches, [_point(n, **params) for _, params in grid])
+        except EvalTypeError as exc:    # n is no half-integer
+            outcomes = [exc] * len(grid)
+        results.extend(PointResult(n, key, None, None, error=str(outcome))
+                       if isinstance(outcome, Exception) else PointResult(n, key, *outcome)
+                       for (key, _), outcome in zip(grid, outcomes))
     return ClosedReport(cid.name, tuple(results))
 
 

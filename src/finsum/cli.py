@@ -79,10 +79,16 @@ def _grid_points(values):
     return grid
 
 
-def _load_entry(path, args):
+def _refuse_unread(name, grid_values, read):
+    """UsageError naming each grid flag given whose parameter nothing reads."""
+    unread = [f"--{param}" for param in grid_values if param not in read]
+    if unread:
+        raise UsageError(f"{name}: nothing reads {', '.join(unread)}")
+
+
+def _load_entry(path, args, grid_values):
     """A corpus entry whose n values and parameter grid the command line may
     replace; UsageError for a grid that leaves a parameter it reads unbound."""
-    grid_values = _grid_values_from_args(args)
     n_values = tuple(to_int(v) for v in parse_grid(args.n)) if args.n else None
     entry = corpus.load_entry(_load_document(path))
     if grid_values:
@@ -103,7 +109,10 @@ def _load_entry(path, args):
 # verify
 
 def cmd_verify(args):
-    entries = [_load_entry(path, args) for path in args.paths]   # every refusal before any run
+    grid_values = _grid_values_from_args(args)
+    entries = [_load_entry(path, args, grid_values) for path in args.paths]
+    for entry in entries if grid_values else ():    # after every unbound check
+        _refuse_unread(entry.name, grid_values, grid_params_read(entry.identity))
     reports = [corpus.run_entry(entry) for entry in entries]
     _emit_reports(reports, args.format)
     return EXIT_OK if all(r.matched for r in reports) else EXIT_MISMATCH
@@ -146,8 +155,8 @@ def cmd_transform(args):
     ops = [op.strip() for op in args.op.split(",") if op.strip()]
     if not ops:
         raise UsageError("no transform operation given")
+    read = {"u", "v"} if "central_uv" in ops else {"v"} if "central_v" in ops else set()
     if not args.check:
-        read = {"u", "v"} if "central_uv" in ops else {"v"} if "central_v" in ops else set()
         unread = [f"--{name}" for name in ("n",) + GRID_PARAMS
                   if getattr(args, name) is not None and name not in read]
         if unread:
@@ -180,6 +189,8 @@ def cmd_transform(args):
         unbound = sorted(grid_params_read(cid).difference(grid_values)) if given_grid else ()
         if unbound:
             raise UsageError(f"variable {unbound[0]!r} is unbound")
+    for cid in produced if args.check else ():      # after every unbound check
+        _refuse_unread(cid.provenance, grid_values, read | grid_params_read(cid))
     n_values = [to_int(v) for v in parse_grid(args.n)] if args.n else list(range(0, 9))
     for cid in produced:
         _print_cid(cid)

@@ -341,7 +341,7 @@ def _chain(operands, negated=False):
 def split_closed_term(coeff):
     """The ``ClosedTerm`` of a loaded coefficient: its r/s-reading binomial
     and affine factors and its bracket split out once, so that the
-    grid-free rest can be memoized and the factors run on twice-int affines.
+    grid-free rest runs once per (n, k) and the factors on twice-int affines.
 
     One pass down the top-level ``*``/``/`` chain, whose divisors are
     flattened through products and small integer powers:

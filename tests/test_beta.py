@@ -7,10 +7,12 @@ hold, then check the resulting closed identity exactly at many points."""
 
 import collections
 import functools
+import gc
 import hashlib
 import itertools
 import json
 import re
+import sys
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -264,9 +266,11 @@ def test_eval_term_pole_handling():
         eval_term(affine_zero, bind(s=0))
 
 
-def count_compiled_evaluations(monkeypatch):
+def count_compiled_evaluations(monkeypatch, at=None):
     """Patch ``dsl.compile`` so that every call of a closure it returns
-    appends the compiled expression to the returned list."""
+    appends the compiled expression to the returned list; with ``at``, a
+    tuple of names, the expression followed by the value each name is bound
+    to in that call (None if unbound)."""
     calls = []
     compile_ = dsl.compile
 
@@ -274,7 +278,7 @@ def count_compiled_evaluations(monkeypatch):
         value = compile_(expr)
 
         def counted(bindings):
-            calls.append(expr)
+            calls.append(expr if at is None else (expr, *map(bindings.get, at)))
             return value(bindings)
         return counted
 
@@ -663,21 +667,98 @@ def test_integral_side_is_lift_of_an_int():
         assert value.as_rational() == 2 ** (n + 1) - 1
 
 
-def test_memo_holds_no_grid_coefficient():
-    """A coefficient that reads r or s has a new key at every grid point, so
-    it is evaluated directly and never stored.  The fact(n)/fact(n + r)
-    summands of dattoli-harmonic-r stay unsplit, so their coefficients read r."""
+def test_grid_free_values_run_once_per_n_and_k(monkeypatch):
+    """A coefficient that reads r is evaluated at every point and k it
+    reaches, so its count grows with the grid; one that reads no grid
+    parameter at most once per (n, k), however many points share that n.
+    The fact(n)/fact(n + r) summands of dattoli-harmonic-r stay unsplit, so
+    their coefficients read r."""
     (entry,) = corpus.load_entries(names={"dattoli-harmonic-r"})
-    cid = entry.identity
-    grid_coeffs = [sm.term.coeff for side in (cid.lhs, cid.rhs) for sm in side.summands
-                   if dsl.free_vars(sm.term.coeff) & {"r", "s"}]
-    assert grid_coeffs
-    report = verify_closed(cid, range(0, 4), entry.param_grid)
-    assert len(report.results) == 4 * len(entry.param_grid) > 4
-    for coeff in grid_coeffs:
-        assert id(coeff) not in beta._expr_memo
-    for expr, _, _ in beta._expr_memo.values():
-        assert dsl.free_vars(expr).isdisjoint(beta.GRID_PARAMS)
+    cid, grid = entry.identity, entry.param_grid
+    coeffs = [sm.term.coeff for side in (cid.lhs, cid.rhs) for sm in side.summands]
+    reads_grid = {id(c) for c in coeffs if dsl.free_vars(c) & set(beta.GRID_PARAMS)}
+    assert 0 < len(reads_grid) < len(coeffs) and len(grid) == 3
+    calls = count_compiled_evaluations(monkeypatch, at=("n", "k"))
+    report = verify_closed(cid, range(0, 5), grid)
+    assert report.all_equal and not report.undefined
+    together = collections.Counter((id(expr), n, k) for expr, n, k in calls
+                                   if any(expr is c for c in coeffs))
+    alone = collections.Counter()
+    for n in range(0, 5):
+        for params in grid:
+            calls.clear()
+            verify_closed(cid, [n], [params])
+            alone.update((id(expr), n, k) for expr, _, k in calls if any(expr is c for c in coeffs))
+    assert together.keys() == alone.keys()
+    for key, count in together.items():
+        if key[0] in reads_grid:
+            assert count == alone[key] == len(grid)
+        else:
+            assert count == 1 < alone[key]
+
+
+def test_verify_keeps_no_expression_alive():
+    """Nothing that verify_closed builds outlives the call: the reference
+    count of every coefficient of both central_v outputs is what it was
+    before."""
+    outputs = central_transform_v(ident("kb-standard-delta"), 1)
+    coeffs = [sm.term.coeff for cid in outputs for side in (cid.lhs, cid.rhs)
+              for sm in side.summands]
+    gc.collect()
+    before = [sys.getrefcount(c) for c in coeffs]
+    for cid in outputs:
+        assert verify_closed(cid, range(0, 6)).all_equal
+    gc.collect()
+    assert [sys.getrefcount(c) for c in coeffs] == before
+
+
+def _coefficient_errors():
+    # the grid-free 1/(k - 2) raises at k = 2 and 1/(n - k - 3) at k = n - 3,
+    # each unless binom(r, k) is 0 there
+    def side(coeff):
+        return {"kind": "closed", "sums": [{"coeff": coeff, "lower": "0", "upper": "n"}]}
+    cid = load_identity({"name": "coefficient-errors", "lhs": side("binom(r, k)/(k - 2)"),
+                         "rhs": side("binom(r, k)/(n - k - 3)")})
+    return cid, range(0, 5), ({"r": F(5, 2)}, {"r": 1}, {"r": 3}, {"r": F(1, 2)})
+
+
+def _n_major_cases():
+    yield "beta-binom-harmonic-gf", (beta_transform(ident("binom-harmonic-gf")),
+                                     range(-2, 3), rs_grid())
+    (entry,) = corpus.load_entries(names={"complement-harmonic-dds"})
+    assert entry.param_grid[0] in rs_grid()
+    yield "complement-harmonic-dds", (entry.identity, entry.n_values, rs_grid())
+    yield "coefficient-errors", _coefficient_errors()
+
+
+@pytest.mark.parametrize("cid, ns, grid", [case for _, case in _n_major_cases()],
+                         ids=[name for name, _ in _n_major_cases()])
+def test_n_major_run_matches_each_point_alone(cid, ns, grid):
+    """Running every point of an n together gives each point the result,
+    error text included, that it gets when run alone."""
+    report = verify_closed(cid, ns, grid)
+    assert len(report.results) == len(ns) * len(grid)
+    assert report.undefined or report.failures
+    points = iter(report.results)
+    for n in ns:
+        for params in grid:
+            assert next(points) == verify_closed(cid, [n], [params]).results[0]
+
+
+def test_grid_free_errors_are_kept_per_n_or_per_call(monkeypatch):
+    """1/(k - 2) reads no n, so it raises at k = 2 once in the whole call;
+    1/(n - k - 3) raises at k = n - 3 once per n.  Neither runs again at
+    another point that reaches it.  r = 1 skips the first, since binom(1, 2)
+    is 0, and so meets the second at n = 3 and 4."""
+    cid, ns, grid = _coefficient_errors()
+    lhs, rhs = (side.summands[0].term.coeff for side in (cid.lhs, cid.rhs))
+    calls = count_compiled_evaluations(monkeypatch, at=("n", "k"))
+    report = verify_closed(cid, ns, grid)
+    assert [p.where for p in report.undefined if "n - k - 3" in p.error] == [
+        "(n=3, r=1)", "(n=4, r=1)"]
+    assert len(report.undefined) == 11
+    assert [n for expr, n, k in calls if expr is lhs and k == 2] == [2]
+    assert [n for expr, n, k in calls if expr is rhs and k == n - 3] == [3, 4]
 
 
 def test_compiles_once_per_verification(monkeypatch):

@@ -593,6 +593,25 @@ class TestTransform:
             0, "# d/ds(alt-recip-shift)\nlhs: 0\nrhs: 0\n", "")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "dattoli-rs.json", "--r", "1/2", "--s", "1/2", "--u", "1"],
+     "dattoli-rs: nothing reads --u"),
+    (["verify", None, "--v", "0", "--u", "1"],
+     "alt-binom-basic: nothing reads --u, --v"),
+    (["transform", "kb-standard-delta.json", "--op", "central_v", "--v", "1", "--check",
+      "--r", "1/2", "--u", "2"], "central_v(kb-standard-delta, v=1): nothing reads --r, --u"),
+    (["transform", "kb-standard-delta.json", "--op", "central_uv", "--u", "1", "--v", "0",
+      "--check", "--s", "1"], "central_uv(kb-standard-delta, u=1, v=0): nothing reads --s"),
+    (["transform", "binom-harmonic-gf.json", "--op", "beta", "--check", "--r", "1", "--s", "1",
+      "--u", "1"], "beta_transform(binom-harmonic-gf): nothing reads --u"),
+], ids=["verify", "verify-reads-no-grid", "central-v-check", "central-uv-check", "beta-check"])
+def test_grid_flag_that_nothing_reads_exits_2(capsys, tmp_path, argv, message):
+    # a grid flag is never parsed and then ignored; each unread one is named
+    command, name, *flags = argv
+    path = str(corpus.DEFAULT_DIR / name) if name else write(tmp_path, GOOD_CLOSED)
+    assert run(capsys, command, path, *flags) == (2, "", f"error: {message}\n")
+
+
 PINNED_TRANSFORMS = [
     ("--op", "beta"), ("--op", "beta", "--negate-t"), ("--op", "beta,dds"),
     ("--op", "beta,ddr"), ("--op", "dds"), ("--op", "ddr"), ("--op", "central_v", "--v", "1"),
