@@ -19,19 +19,20 @@ so ``verify_closed`` and ``eval_closed`` take a loaded closed identity and a
 derived one alike.
 
 Closed identities are evaluated exactly over half-integer parameter points;
-a float evaluator (mpmath) backs the derivative cross-check.  Exact
-evaluation compiles an identity's sides once per ``verify_closed`` or
-``eval_closed`` call, never at load time and never per point: each
-coefficient and sum bound becomes a ``dsl.compile`` closure, and the factors
-and bracket keep their integer affine arguments.  A loaded term runs this
-factor path too: the loader has split its r/s-reading binomials, affines and
-bracket out of its coefficient (``model.split_closed_term``), and has loaded
-a standalone expression as k-free terms.
+the float evaluator that backs the derivative cross-check is a test oracle
+(``tests/float_oracle.py``).  Exact evaluation compiles an identity's sides
+once per ``verify_closed`` or ``eval_closed`` call, never at load time and
+never per point: each coefficient and sum bound becomes a ``dsl.compile``
+closure, and the factors and bracket keep their affine arguments.  A loaded term runs this factor
+path too: the loader has split its grid-reading binomials, factorials,
+affines and bracket out of its coefficient (``model.split_closed_term``),
+and has loaded a standalone expression as k-free terms.  So no coefficient
+or sum bound reads a grid parameter (r, s, u, v); the model refuses one.
 
 ``verify_closed`` runs n-major: the grid points of one n go through each
-summand together (``_run_points``), so a bound or coefficient that reads no
-grid parameter (r, s, u, v) is evaluated once per (n, k), or once per k when
-it reads no n either, not once per point; nothing outlives the call.  Each
+summand together (``_run_points``), so each bound and coefficient is
+evaluated once per (n, k), or once per k when it reads no n either, not
+once per point; nothing outlives the call.  Each
 term runs as an integer kernel on twice-values (``_run_term``), and each side
 of a point is summed in one ``field.Sum``, reduced and lifted once.
 """
@@ -46,7 +47,7 @@ from .errors import (DivisionByZero, EvalTypeError, PoleError, ShapeError,
                      UnboundVariable)
 from .field import Sum, SymConst, half, lift, lower, to_int, to_twice
 from .model import (GRID_PARAMS, Affine, ClosedSide, ClosedSummand, ClosedTerm, FAffine,
-                    FBinom, HPiece, RecipPiece, substitute_neg_t)
+                    FBinom, FFact, FHarm, HPiece, RecipPiece, substitute_neg_t)
 
 
 def from_model(identity):
@@ -96,11 +97,15 @@ def derivative_bracket(factors, param):
     For binom(B, C)^p the contribution is
     p*(B' H(B) - C' H(C) - (B'-C') H(B-C)); the H-coefficients sum to zero,
     which is exactly why the digamma constant never appears.  For a^p it is
-    p*a'/a.
+    p*a'/a.  For fact(a)^p = Gamma(a + 1)^p it is p*a'*H(a), which is exact
+    only when these p*a' sum to 0 over the factorials: each digamma carries
+    an Euler constant, which the field lacks, so any other sum is a
+    ShapeError.  An ``FHarm`` factor comes only with a bracket, which
+    ``differentiate`` refuses before it gets here.
     """
-    pieces = []
+    pieces, euler = [], 0
     for f in factors:
-        if isinstance(f, FBinom):
+        if type(f) is FBinom:
             bp, cp = getattr(f.top, param), getattr(f.bot, param)
             p = f.power
             candidates = ((p * bp, f.top), (-p * cp, f.bot),
@@ -108,17 +113,24 @@ def derivative_bracket(factors, param):
             assert sum(c for c, _ in candidates) == 0
             pieces.extend(HPiece(c, arg) for c, arg in candidates if c)
         elif getattr(f.affine, param):
-            pieces.append(RecipPiece(f.power * getattr(f.affine, param), f.affine))
+            c = f.power * getattr(f.affine, param)
+            pieces.append((HPiece if type(f) is FFact else RecipPiece)(Fraction(c), f.affine))
+            euler += c if type(f) is FFact else 0
+    if euler:
+        raise ShapeError(f"d/d{param} of {' * '.join(f.render() for f in factors)}: the"
+                         f" factorials' weights in {param} sum to {euler}, not 0, so an"
+                         " Euler constant is left")
     return tuple(pieces)
 
 
 def differentiate(identity, param):
     """d/dr or d/ds of every term of a transformed or loaded identity.
 
-    Only the factors are differentiated, so a term whose coefficient reads r
-    or s is a ShapeError: its derivative would drop that part.  A term none
-    of whose factors reads ``param`` has derivative 0 and is left out, since
-    an empty bracket would read as the factor 1."""
+    Only the factors are differentiated: no coefficient reads r or s.  A
+    term that already has a bracket is a ShapeError, and so is one whose
+    factorials leave an Euler constant (``derivative_bracket``).  A term
+    none of whose factors reads ``param`` has derivative 0 and is left
+    out, since an empty bracket would read as the factor 1."""
     if param not in ("r", "s"):
         raise EvalTypeError(f"param must be 'r' or 's', not {param!r}")
     if not identity.is_closed:
@@ -130,10 +142,6 @@ def differentiate(identity, param):
             term = sm.term
             if term.extras:
                 raise ShapeError(f"{identity.name}: term already carries a derivative bracket")
-            read = sorted(term.coeff_vars.intersection(("r", "s")))
-            if read:
-                raise ShapeError(f"{identity.name}: coefficient {dsl.render(term.coeff)}"
-                                 f" reads {', '.join(read)} outside the factors")
             bracket = derivative_bracket(term.factors, param)
             if bracket:
                 out.append(replace(sm, term=replace(term, extras=bracket)))
@@ -255,12 +263,10 @@ _eval_memo = None
 
 def _compile_value(expr, names, caches):
     """A closure for the lowered value of a coefficient or a sum bound whose
-    free variables are ``names``.  One that reads no grid parameter keeps its
-    value or error at each k (None for a bound) in two dicts, which go into
+    free variables are ``names``, none a grid parameter.  It keeps its value
+    or error at each k (None for a bound) in two dicts, which go into
     ``caches`` for ``_run_points`` to empty at each n when it reads n."""
     value = dsl.compile(expr)
-    if not names.isdisjoint(GRID_PARAMS):
-        return lambda b: lower(value(b))
     values, errors = {}, {}
     if "n" in names:
         caches += values, errors
@@ -297,10 +303,12 @@ def _at_point(term, twice):
     so that at k it is ``base + step*k``.  A factor is (power, top base,
     top step, bottom base, bottom step, factor): the ``FBinom.power``, 1 for
     a binomial or -1 for a reciprocal one; an ``FAffine`` is (0, base, step,
-    its power, 0, factor).  A bracket piece is (1 for H or 0 for a
-    reciprocal, coefficient numerator, denominator, base, step).  The first
-    one whose affine reads a name missing from ``twice`` becomes
-    (None, fail, ...) and ends its list: the kernel never gets past it, and
+    its power, 0, factor) and an ``FFact`` (None, base, step, its power, 0,
+    factor).  An ``FHarm`` is (base, step) in a third list.  A bracket piece
+    is (1 for H or 0 for a reciprocal, coefficient numerator, denominator,
+    base, step).  The first one whose affine reads a name missing from
+    ``twice``, or is no half-integer there, becomes (None, fail, 0, 0, ...)
+    and ends its list: the kernel never gets past it, and
     ``fail(bindings)`` raises the error of ``Affine.compile_twice``."""
 
     def at(a):
@@ -310,9 +318,13 @@ def _at_point(term, twice):
             if x is None:
                 return None
             base += c * x
+        if type(base) is not int:       # a half coefficient
+            if base.denominator != 1:
+                return None
+            base = base.numerator
         return base, 2 * a.k
 
-    factors = []
+    factors, harm = [], []
     for f in term.factors:
         if type(f) is FBinom:
             top, bot = at(f.top), at(f.bot)
@@ -322,12 +334,15 @@ def _at_point(term, twice):
             failing = f.bot if top else f.top
         else:
             x = at(f.affine)
+            if x and type(f) is FHarm:
+                harm.append(x)
+                continue
             if x:
-                factors.append((0, *x, f.power, 0, f))
+                factors.append((0 if type(f) is FAffine else None, *x, f.power, 0, f))
                 continue
             failing = f.affine
         factors.append((None, failing.compile_twice(), 0, 0, 0, f))
-        return factors, ()
+        return factors, (), ()
     bracket = []
     for p in term.extras:
         x = at(p.argument)
@@ -335,7 +350,7 @@ def _at_point(term, twice):
             bracket.append((None, 0, 0, p.argument.compile_twice(), 0))
             break
         bracket.append((int(type(p) is HPiece), p.coeff.numerator, p.coeff.denominator, *x))
-    return factors, bracket
+    return factors, bracket, harm
 
 
 def _run_term(plan, point, bindings, ks, total):
@@ -348,22 +363,25 @@ def _run_term(plan, point, bindings, ks, total):
     unreduced int numerator, or its denominator when divided.  A binomial
     from ``special.binom_at`` is rational or one monomial c*sqrt(pi)^e: c
     multiplies in the same way, e into an int exponent (negated for a
-    reciprocal).  Factors are evaluated first and in order: a reciprocal
-    binomial at the Infinite pole makes the term 0 at that k before anything
-    after it is looked at, which is the limit reading of the transformed
-    identities, and a zero binomial makes it 0 after the last factor; a zero
-    affine only once the coefficient and bracket have run, as the unsplit
-    product runs them.  The coefficient then multiplies in, and the term
-    goes into ``total`` by one add at sqrt(pi) offset e; a bracket's pieces,
-    c*H(x) and c/x, go in one by one the same way.  Only a coefficient that
-    is itself a SymConst sums the pieces apart and multiplies them in as a
-    SymConst.
+    reciprocal), and so does a factorial's Gamma(a + 1) = c*sqrt(pi)^e
+    from ``special.fact_at``, which has no limit reading: at its pole the
+    term fails, divided or not, as the unsplit product does.  Factors are
+    evaluated first and in order: a reciprocal binomial at the Infinite pole
+    makes the term 0 at that k before anything after it is looked at, which
+    is the limit reading of the transformed identities, and a zero binomial
+    makes it 0 after the last factor; a zero affine only once the
+    coefficient and bracket have run, as the unsplit product runs them.
+    The coefficient then multiplies in, and the term goes into ``total`` by
+    one add at sqrt(pi) offset e; a bracket's pieces, c*H(x) and c/x, go in
+    one by one the same way.  Only a coefficient that is itself a SymConst,
+    or a term with ``FHarm`` factors, sums the pieces apart and multiplies
+    them in as a SymConst, times those H values.
 
     A term split at load that fails re-runs its ``source``, so the point
     reports the error the coefficient as written raises: that product runs
     every operand the factor path does, so it fails too."""
     coeff, term = plan
-    factors, bracket = _at_point(term, point)
+    factors, bracket, harm = _at_point(term, point)
     binom_at, infinite = special.binom_at, special.INFINITE
     stepped = ks is not None
     try:
@@ -385,7 +403,17 @@ def _run_term(plan, point, bindings, ks, total):
                     den *= twice
                     continue
                 if power is None:
-                    xb(bindings)        # raises
+                    if not yb:
+                        xb(bindings)    # raises
+                    c, p = special.fact_at(xb + xs * k)     # Gamma(a + 1)^yb
+                    if yb == 1:
+                        num *= c.numerator
+                        den *= c.denominator
+                    else:
+                        num *= c.denominator
+                        den *= c.numerator
+                    e += yb * p
+                    continue
                 b = binom_at(xb + xs * k, yb + ys * k)
                 kind = type(b)
                 if power == 1:
@@ -423,8 +451,10 @@ def _run_term(plan, point, bindings, ks, total):
                 if not bracket:
                     total.add(value, num, den, e)
                     continue
-                if type(value) is SymConst:
+                if type(value) is SymConst or harm:
                     pieces, shift = Sum(), 0
+                    for xb, xs in harm:
+                        value = value * special.harmonic_at(xb + xs * k)
                 else:
                     pieces, shift = total, e
                     if type(value) is int:
@@ -578,115 +608,6 @@ def verify_closed(cid, n_range, param_grid=({},)):
                        if isinstance(outcome, Exception) else PointResult(n, key, *outcome)
                        for (key, _), outcome in zip(grid, outcomes))
     return ClosedReport(cid.name, tuple(results))
-
-
-# ---------------------------------------------------------------------------
-# float evaluation and the derivative cross-check
-
-def _require_mpmath():
-    import mpmath
-    return mpmath
-
-
-def eval_side_float(side, bindings, precision_digits=30):
-    """Numeric value of a side at a point whose r/s need not be half-integers.
-
-    Coefficients and sum bounds run on the exact evaluator with r and s left
-    unbound, and only the factors and the bracket read r and s, as numbers;
-    a term whose coefficient reads r or s is a ShapeError."""
-    mp = _require_mpmath()
-    with mp.workdps(precision_digits):
-        exact = {name: val for name, val in bindings.items() if name not in ("r", "s")}
-        num = {name: mp.mpf(val.numerator) / val.denominator for name, val in bindings.items()}
-        total = mp.mpf(0)
-        for sm in side.summands:
-            if not sm.term.coeff_vars.isdisjoint(("r", "s")):
-                raise ShapeError(f"coefficient {dsl.render(sm.term.coeff)} reads r or s:"
-                                 " no float evaluator")
-            lo = to_int(dsl.compile(sm.lower)(exact))
-            hi = to_int(dsl.compile(sm.upper)(exact))
-            coeff = dsl.compile(sm.term.coeff)
-            for k in range(lo, hi + 1):
-                total += _eval_term_float(sm.term, coeff, dict(exact, k=k),
-                                          dict(num, k=mp.mpf(k)), mp)
-        return total
-
-
-def _affine_float(aff, num):
-    return sum((num[name] * c for name, c in aff.terms), num["k"] * 0 + aff.const)
-
-
-def _eval_term_float(term, coeff, exact_bindings, num, mp):
-    product = mp.mpf(1)
-    for f in term.factors:
-        if isinstance(f, FBinom):
-            b = mp.binomial(_affine_float(f.top, num), _affine_float(f.bot, num))
-        else:
-            b = _affine_float(f.affine, num)
-        product *= b if f.power == 1 else 1 / b
-    value = lift(coeff(exact_bindings)).to_float(mp.mp.dps) * product
-    if term.extras:
-        bracket = mp.mpf(0)
-        for p in term.extras:
-            c = mp.mpf(p.coeff.numerator) / p.coeff.denominator
-            x = _affine_float(p.argument, num)
-            if isinstance(p, HPiece):
-                bracket += c * (mp.digamma(x + 1) + mp.euler)
-            else:
-                bracket += c / x
-        value *= bracket
-    return value
-
-
-@dataclass(frozen=True)
-class DerivativeCheck:
-    param: str
-    point: dict
-    h: Fraction
-    lhs_numeric: object
-    lhs_symbolic: object
-    rhs_numeric: object
-    rhs_symbolic: object
-    max_rel_dev: float
-    tolerance: float
-    passed: bool
-
-
-def float_derivative_check(cid_parent, param, point, h=Fraction(1, 10 ** 6),
-                           precision_digits=40):
-    """Cross-check the symbolic d/d(param) against a central difference.
-
-    ``point`` binds n and the continuous parameters to half-integers;
-    the parent identity is evaluated numerically at param +- h and the
-    quotient is compared against the exact derivative pushed to floats.
-    """
-    mp = _require_mpmath()
-    h = Fraction(h)
-    derived = differentiate(cid_parent, param)
-    exact_point = {name: half(val) for name, val in point.items()}
-    sym = {side: eval_side(getattr(derived, side), exact_point).to_float(precision_digits)
-           for side in ("lhs", "rhs")}
-
-    with mp.workdps(precision_digits):
-        num = {}
-        for side in ("lhs", "rhs"):
-            shifted = dict(exact_point)
-            base = exact_point[param]
-            shifted[param] = base + h
-            hi = eval_side_float(getattr(cid_parent, side), shifted, precision_digits)
-            shifted[param] = base - h
-            lo = eval_side_float(getattr(cid_parent, side), shifted, precision_digits)
-            num[side] = (hi - lo) / (2 * mp.mpf(h.numerator) / h.denominator)
-
-        devs = []
-        for side in ("lhs", "rhs"):
-            scale = max(abs(num[side]), abs(sym[side]), mp.mpf(1))
-            devs.append(abs(num[side] - sym[side]) / scale)
-        max_dev = float(max(devs))
-    tol = max(10 * float(h) ** 2, 10.0 ** (4 - precision_digits))
-    return DerivativeCheck(param, dict(point), h,
-                           num["lhs"], sym["lhs"], num["rhs"], sym["rhs"],
-                           max_dev, tol, max_dev <= tol)
 
 
 def normalized_for_beta(identity):

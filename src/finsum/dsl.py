@@ -16,7 +16,7 @@ Parentheses, unary minus, ``^`` and call arguments nest at most
 
 A ``+ -`` or ``* /`` chain is one n-ary node, ``Add`` or ``Mul``, with its
 operands in order; every walk of the tree (``children``, ``render``,
-``substitute``, ``compile``, ``affine``) iterates them.
+``substitute``, ``compile``, ``signed_terms``) iterates them.
 
 ``sum(index, lo, hi, body)`` is the surface form of a bounded sum.  A rational
 literal like 5/2 parses as a division of integers; the two spellings evaluate
@@ -36,12 +36,14 @@ makes the value a polynomial in t the same way, through the same closures,
 and ``U(m)`` is the cached Chebyshev polynomial ``polyverify.chebyshev_u(m)``;
 ``U`` is an error wherever ``t`` is not bound to that variable.
 
-``Affine`` is the one integer affine form: integer coefficients on the
-variables other than t and a half-integer constant.  ``affine`` reads one
-out of an expression, and ``Affine.compile_twice`` computes twice its value
-as an int; ``binom``, ``rbinom`` and ``H`` arguments run that way here, and
-the exponents of standard terms and the factors and brackets of closed
-terms are ``Affine`` values.
+``Affine`` is the one affine form: integer coefficients on the variables
+other than t, a coefficient of 1/2 allowed on n, u and v, and a
+half-integer constant.  ``affine`` reads one out of an expression, and
+``Affine.compile_twice`` computes twice its value as an int; ``binom``,
+``rbinom``, ``H`` and ``fact`` arguments run that way here, and the
+exponents of standard terms and the factors and brackets of closed terms
+are ``Affine`` values.  ``signed_terms`` is the one walk of a signed
+``+ -`` sum, which ``affine`` and the closed-term split both read.
 """
 
 from __future__ import annotations
@@ -413,10 +415,11 @@ def compile(expr):
     it runs.  A product reduces once: its int and Fraction operands
     multiply one int numerator and denominator, whether its other operands
     are SymConst values or polynomials.  An argument of ``binom``,
-    ``rbinom`` or ``H`` that is an ``Affine`` (``n-k+r-s``, ``k+s``) is
-    computed as an int on twice the bindings' values, with no Fraction
-    arithmetic.  A bounded sum adds its body values into one accumulator
-    and builds its value once, at the end."""
+    ``rbinom``, ``H`` or ``fact`` that is an ``Affine`` (``n-k+r-s``,
+    ``k+s``) is computed as an int on twice the bindings' values, with no
+    Fraction arithmetic unless it has a half coefficient.  A bounded sum
+    adds its body values into one accumulator and builds its value once, at
+    the end."""
     return _compile(expr)
 
 
@@ -615,16 +618,19 @@ def _compile_twice(e):
 # -- affine expressions on twice-ints -----------------------------------------
 
 AFFINE_VARS = ("k", "n", "j", "r", "s", "u", "v")   # every variable but t
+HALF_VARS = ("n", "u", "v")     # a closed identity binds them to integers
 
 
 @dataclass(frozen=True)
 class Affine:
-    """The integer affine form k*k + n*n + j*j + r*r + s*s + u*u + v*v +
-    const: a binomial, harmonic or reciprocal argument, an exponent, or an
-    affine factor.  Every coefficient is an integer and the constant a
-    half-integer, so at half-integer bindings twice the value is an int.
-    An integral Fraction coefficient is stored as an int and the constant
-    in ``field.half`` normal form; any other value raises EvalTypeError.
+    """The affine form k*k + n*n + j*j + r*r + s*s + u*u + v*v + const: a
+    binomial, harmonic, factorial or reciprocal argument, an exponent, or an
+    affine factor.  Every coefficient is an integer, but that of n, u or v
+    may be a half-integer, so that ``(n + v)/2`` is affine; the constant is
+    a half-integer.  So at half-integer bindings twice the value is an int,
+    but where a half coefficient meets a half-odd binding.  A coefficient is
+    stored as an int when integral and the constant in ``field.half``
+    normal form; any other value raises EvalTypeError.
 
     ``terms`` holds the nonzero ((name, coefficient), ...) in the order of
     ``AFFINE_VARS`` and ``twice_const`` twice the constant, set once."""
@@ -644,9 +650,13 @@ class Affine:
         for name in AFFINE_VARS:
             c = getattr(self, name)
             if type(c) is not int:
-                if c != int(c):
-                    raise EvalTypeError(f"affine coefficient {name} = {c} is not an integer")
-                object.__setattr__(self, name, int(c))
+                value = int(c)
+                if c != value:
+                    if name not in HALF_VARS or 2 * c != int(2 * c):
+                        kind = "a half-integer" if name in HALF_VARS else "an integer"
+                        raise EvalTypeError(f"affine coefficient {name} = {c} is not {kind}")
+                    value = Fraction(c)
+                object.__setattr__(self, name, value)
         try:
             const = half(self.const)
         except EvalTypeError:
@@ -676,9 +686,9 @@ class Affine:
     def compile_twice(self, fallback=None):
         """A closure for twice the value under half-integer bindings, as an
         int computed on twice the bindings' values.  An unbound name raises
-        UnboundVariable, and a binding that is not a half-integer
-        EvalTypeError, unless a ``fallback`` closure is given: then the
-        closure returns ``fallback(b)`` instead."""
+        UnboundVariable, and a binding or a value that is not a
+        half-integer EvalTypeError, unless a ``fallback`` closure is given:
+        then the closure returns ``fallback(b)`` instead."""
         terms, twice_const = self.terms, self.twice_const
 
         def twice(b):
@@ -687,6 +697,8 @@ class Affine:
                 for name, c in terms:
                     v = b[name]
                     total += c * (2 * v if type(v) is int else to_twice(v))
+                if type(total) is not int:      # a half coefficient
+                    total = to_twice(Fraction(total, 2))
             except (KeyError, EvalTypeError) as exc:
                 if fallback is not None:
                     return fallback(b)
@@ -697,9 +709,11 @@ class Affine:
         return twice
 
     def render(self):
-        """DSL text, e.g. ``k + 2*n - 1/2``."""
-        parts = [name if c == 1 else f"-{name}" if c == -1 else f"{c}*{name}"
-                 for name, c in self.terms]
+        """DSL text, e.g. ``k + 2*n - 1/2`` or ``k + v/2``."""
+        parts = []
+        for name, c in self.terms:
+            p, over = (c, "") if type(c) is int else (c.numerator, "/2")
+            parts.append((name if p == 1 else f"-{name}" if p == -1 else f"{p}*{name}") + over)
         if self.const or not parts:
             parts.append(str(self.const))
         out = parts[0]
@@ -708,10 +722,29 @@ class Affine:
         return out
 
 
+def signed_terms(e, scale=1):
+    """(term, scale) of each term of the signed ``+ -`` sum ``e``, left to
+    right, through nested ``Add`` chains and ``Neg``: ``scale`` negated
+    once per minus that the term sits under.  Any other node is one term."""
+    if type(e) is not Add and type(e) is not Neg:
+        return ((e, scale),)
+    terms, stack = [], [(e, scale)]
+    while stack:
+        node, scale = stack.pop()
+        if type(node) is Add:
+            stack += reversed([(x, -scale if sub else scale)
+                               for x, sub in zip(node.operands, node.inverted)])
+        elif type(node) is Neg:
+            stack.append((node.operand, -scale))
+        else:
+            terms.append((node, scale))
+    return terms
+
+
 def affine(e):
     """The ``Affine`` that ``e`` spells when it is built from literals and
-    variables other than t by ``+``, ``-`` and ``literal*e``, with integer
-    coefficients and a half-integer constant; else None."""
+    variables other than t by ``+``, ``-``, ``literal*e`` and ``e/literal``
+    with coefficients that ``Affine`` takes; else None."""
     coeffs = dict.fromkeys(AFFINE_VARS, 0)
     const = 0
     stack = [(e, 1)]
@@ -722,12 +755,13 @@ def affine(e):
             const += scale * node.value
         elif cls is Var and node.name in coeffs:
             coeffs[node.name] += scale
-        elif cls is Add:
-            stack += [(x, -scale if sub else scale) for x, sub in zip(node.operands, node.inverted)]
-        elif cls is Neg:
-            stack.append((node.operand, -scale))
+        elif cls is Add or cls is Neg:
+            stack += signed_terms(node, scale)
         elif cls is Mul and node.inverted == (False, False) and type(node.operands[0]) is Lit:
             stack.append((node.operands[1], scale * node.operands[0].value))
+        elif cls is Mul and node.inverted == (False, True) and type(node.operands[1]) is Lit \
+                and node.operands[1].value:
+            stack.append((node.operands[0], scale / node.operands[1].value))
         else:
             return None
     try:
@@ -759,6 +793,11 @@ def _harmonic_call(name, f):
     return call
 
 
+def _gamma_value(c, p):
+    """c*sqrt(pi)^p, p in {0, 1}, as an evaluator's value."""
+    return SymConst.monomial(c, sqrtpi_exp=1) if p else c
+
+
 # name -> the value of a call at its compiled arguments
 _CALLS = {
     "rbinom": special.rbinom_at,
@@ -767,7 +806,7 @@ _CALLS = {
     "O": _harmonic_call("O", special.odd_harmonic_m),
     "Om": _harmonic_call("Om", special.odd_harmonic_m),
     "kron": lambda x, y: 1 if x == y else 0,
-    "fact": special.factorial,
+    "fact": lambda x: _gamma_value(*special.fact_at(x)),
     "sign": lambda n: -1 if n % 2 else 1,
     "floor": lambda x: x // 2,
 }
@@ -777,7 +816,6 @@ _INT_ARGS = {
     "Hm": ("Hm order-n", "Hm order-m"),
     "O": ("O argument",),
     "Om": ("Om argument", "Om order"),
-    "fact": ("factorial argument",),
     "sign": ("sign argument",),
     "U": ("U degree",),
 }
@@ -785,7 +823,7 @@ _INT_ARGS = {
 
 def _compile_call(e):
     fn = e.fn
-    if fn in ("binom", "rbinom", "H"):
+    if fn in ("binom", "rbinom", "H", "fact"):
         xs = [_fast_twice(a, _compile_twice(a)) for a in e.args]
     elif fn in ("kron", "floor"):
         xs = [_compile_twice(a) for a in e.args]

@@ -8,13 +8,14 @@ An identity has two sides; each side is either
 * ``ClosedSide``: t-free summands.
 
 Both sides must be closed, or both t-bearing.  A closed summand holds a
-``ClosedTerm``: coefficient times binomial and affine factors times an
-optional derivative bracket.  Exponents, factors and bracket pieces read
-``dsl.Affine`` arguments; ``model.Affine`` is that type.  The ``beta``
-transforms build the factors and the bracket; the loader splits them out of
-a document's coefficient once (``split_closed_term``), and loads a
-standalone expression as k-free summands over k = 0..0, so loaded and
-derived closed sums are the same objects and run the same factor path.  A derived identity is an
+``ClosedTerm``: a coefficient that reads no grid parameter, times binomial,
+affine, factorial and H factors, times an optional derivative bracket.
+Exponents, factors and bracket pieces read ``dsl.Affine`` arguments;
+``model.Affine`` is that type.  The ``beta`` transforms build the factors
+and the bracket; the loader splits them out of a document's coefficient once
+(``split_closed_term``), and loads a standalone expression as k-free
+summands over k = 0..0, so loaded and derived closed sums are the same
+objects and run the same factor path.  A derived identity is an
 ``Identity`` too, its ``provenance`` naming its transforms.
 """
 
@@ -88,6 +89,22 @@ class FAffine:
         return f"({self.affine.render()})" if self.power == 1 else f"1/({self.affine.render()})"
 
 
+class FFact(FAffine):
+    """fact(affine)^power factor, Gamma(affine + 1)^power: a loaded
+    coefficient's grid-reading factorial operand."""
+
+    def render(self):
+        return ("" if self.power == 1 else "1/") + f"fact({self.affine.render()})"
+
+
+class FHarm(FAffine):
+    """H(affine) factor, power 1: a lone multiplied H of a loaded coefficient
+    that already has its bracket, which the factor multiplies."""
+
+    def render(self):
+        return f"H({self.affine.render()})"
+
+
 @dataclass(frozen=True)
 class HPiece:
     """Summand coeff * H(argument) of a derivative bracket."""
@@ -106,17 +123,19 @@ class RecipPiece:
 
 @dataclass(frozen=True)
 class ClosedTerm:
-    """coeff times binomial and affine factors times an optional
-    harmonic-difference bracket, from differentiation or from the split of
-    a loaded coefficient (``split_closed_term``).
+    """coeff times binomial, affine, factorial and H factors times an
+    optional harmonic-difference bracket, from differentiation or from the
+    split of a loaded coefficient (``split_closed_term``).
 
-    ``coeff_vars`` holds the free variables of ``coeff``, walked once when
-    the term is built; a term made by ``replace`` with a new ``coeff`` must
-    not pass the old one on.  A split term keeps the coefficient as written
-    in ``source``, so that a point where it fails reports the error the
-    unsplit coefficient raises."""
+    The coefficient reads no grid parameter: one that does is a
+    FormatError here, where the term is built, and so is an ``FHarm`` in a
+    term without a bracket.  ``coeff_vars`` holds the free variables of
+    ``coeff``, walked once when the term is built; a term made by
+    ``replace`` with a new ``coeff`` must not pass the old one on.  A split
+    term keeps the coefficient as written in ``source``, so that a point
+    where it fails reports the error the unsplit coefficient raises."""
 
-    coeff: object            # SeqExpr over {k, n, r, s, u, v}
+    coeff: object            # SeqExpr over {k, n}
     factors: tuple = ()
     extras: tuple = ()       # bracket pieces; () means no bracket (factor 1)
     coeff_vars: frozenset = field(default=None, compare=False, repr=False)
@@ -125,6 +144,9 @@ class ClosedTerm:
     def __post_init__(self):
         if self.coeff_vars is None:
             object.__setattr__(self, "coeff_vars", frozenset(dsl.free_vars(self.coeff)))
+        _refuse_grid("coefficient", self.coeff, self.coeff_vars)
+        if not self.extras and any(type(f) is FHarm for f in self.factors):
+            raise FormatError(f"an H factor multiplies a bracket, and {self.render()} has none")
 
     def render(self):
         parts = [dsl.render(self.coeff)] + [f.render() for f in self.factors]
@@ -150,7 +172,7 @@ class ClosedTerm:
 class ClosedSummand:
     """A term summed over k = lower..upper.  ``bound_vars`` holds the free
     variables of ``lower`` and of ``upper``, walked once when the summand
-    is built."""
+    is built; a bound that reads a grid parameter is a FormatError."""
 
     term: ClosedTerm
     lower: object            # SeqExpr over {n}
@@ -160,6 +182,22 @@ class ClosedSummand:
     def __post_init__(self):
         object.__setattr__(self, "bound_vars", (frozenset(dsl.free_vars(self.lower)),
                                                 frozenset(dsl.free_vars(self.upper))))
+        for bound, names in zip((self.lower, self.upper), self.bound_vars):
+            _refuse_grid("sum bound", bound, names)
+
+
+def _grid_read(names):
+    """The grid parameters among ``names``, in ``GRID_PARAMS`` order."""
+    return [name for name in GRID_PARAMS if name in names]
+
+
+def _refuse_grid(what, expr, names):
+    """FormatError naming ``expr`` and each grid parameter among its free
+    ``names``: only a factor or a bracket piece reads one."""
+    read = _grid_read(names)
+    if read:
+        raise FormatError(f"{what} {dsl.render(expr)} reads {', '.join(read)}:"
+                          " only a factor or a bracket may read a grid parameter")
 
 
 @dataclass(frozen=True)
@@ -187,12 +225,11 @@ class Identity:
 
 
 def grid_params_read(identity):
-    """The grid parameters that a closed identity reads: in a factor, a
-    bracket argument, a coefficient or a sum bound."""
+    """The grid parameters that a closed identity reads, all of them in a
+    factor or a bracket argument."""
     names = set()
     for side in (identity.lhs, identity.rhs):
         for sm in side.summands:
-            names.update(sm.term.coeff_vars, *sm.bound_vars)
             affines = [p.argument for p in sm.term.extras]
             for f in sm.term.factors:
                 affines += (f.top, f.bot) if isinstance(f, FBinom) else (f.affine,)
@@ -250,11 +287,11 @@ def load_identity(document):
 def _load_side(doc, name):
     """A side document as a ``StandardSide``, ``PolySide`` or ``ClosedSide``.
 
-    Each closed summand's coefficient is walked once and split into factors,
-    a bracket and a rest (``split_closed_term``); a standalone expression
-    follows the sums as k-free summands (``_standalone``).  The names of
-    that one walk serve the ``t`` check here and later ``grid_params_read``
-    and ``beta``'s compilation."""
+    Each closed summand's coefficient, and a standalone expression as
+    k-free summands after the sums, is distributed and split into terms
+    (``_split``); a coefficient that keeps a grid parameter is a
+    FormatError.  The names of the one walk of each coefficient serve the
+    ``t`` check here and ``beta``'s compilation."""
     if not isinstance(doc, dict) or "kind" not in doc:
         raise FormatError(f"{name}: side must be an object with a 'kind'")
     kind = doc["kind"]
@@ -267,59 +304,62 @@ def _load_side(doc, name):
         return PolySide(expr)
     if kind == "closed":
         summands = [
-            ClosedSummand(split_closed_term(_dsl_field(s, "coeff", name)),
-                          _dsl_field(s, "lower", name, bound=True),
+            ClosedSummand(term, _dsl_field(s, "lower", name, bound=True),
                           _dsl_field(s, "upper", name, bound=True))
             for s in _objects(doc, "sums", name)
+            for term in _split(_dsl_field(s, "coeff", name), name)
         ]
         if "expr" in doc:
-            summands += [ClosedSummand(term, _ZERO, _ZERO)
-                         for term in _standalone(_dsl_field(doc, "expr", name), name)]
+            expr = _dsl_field(doc, "expr", name)
+            if "k" in dsl.free_vars(expr):
+                raise FormatError(f"{name}: standalone expression reads k outside a sum")
+            summands += [ClosedSummand(term, _ZERO, _ZERO) for term in _split(expr, name)]
         if not summands:
             raise FormatError(f"{name}: empty closed side")
-        # a split factor or bracket reads only k, n, r and s, so t stays in coeff
+        # a split factor or bracket reads no t, so t stays in coeff
         if any("t" in sm.term.coeff_vars for sm in summands):
             raise FormatError(f"{name}: closed side contains t or U(...)")
         return ClosedSide(tuple(summands))
     raise FormatError(f"{name}: unknown side kind {kind!r}")
 
 
-_SPLIT_PARAMS = ("r", "s")
 _ONE = dsl.Lit(Fraction(1))
 _ZERO = dsl.Lit(Fraction(0))
 _MAX_SPLIT_POWER = 4        # (k+s)^m in a divisor splits into m factors up to this m
 
 
-def _standalone(expr, name):
-    """The terms, summed over k = 0..0, of a standalone expression; a free k
-    is a FormatError.  One in r or s, not u or v, is split (``_parts``) and
-    each part goes through ``split_closed_term`` with the whole expression
-    as its ``source``, where a failing point takes its error from.  Any
-    other is one term as written."""
+def _split(expr, name):
+    """The terms of a loaded coefficient or standalone expression.  One
+    that reads a grid parameter is split into its ``+ -`` terms, each
+    distributed over its multiplied sums (``_parts``), and each part is
+    split (``split_closed_term``) with the whole ``expr`` as its
+    ``source``, where a failing point takes its error from.  Any other is
+    one term as written.  A part whose rest still reads a grid parameter is
+    a FormatError naming the identity."""
     names = frozenset(dsl.free_vars(expr))
-    if "k" in names:
-        raise FormatError(f"{name}: standalone expression reads k outside a sum")
-    if names.isdisjoint(_SPLIT_PARAMS) or "u" in names or "v" in names:
+    if not _grid_read(names):
         return [ClosedTerm(expr, coeff_vars=names)]
-    return [replace(split_closed_term(_chain(operands, negated)), source=expr)
-            for negated, operands in _parts(expr)]
+    try:
+        return [replace(split_closed_term(_chain(operands, negated)), source=expr)
+                for term, sign in dsl.signed_terms(expr)
+                for negated, operands in _parts(_operands(term), sign < 0)]
+    except FormatError as exc:
+        raise FormatError(f"{name}: {exc}") from None
 
 
-def _parts(e, negated=False):
-    """(negated, operands) of each top-level ``+``/``-`` term of ``e``, a
-    product distributed over its first multiplied non-bracket sum in r or s."""
-    parts = []
-    for term, subtracted in zip(e.operands, e.inverted) if type(e) is dsl.Add else ((e, False),):
-        operands = _operands(term)
-        i = next((i for i, (divided, node) in enumerate(operands)
-                  if not divided and type(node) is dsl.Add and not _bracket(node)
-                  and not dsl.free_vars(node).isdisjoint(_SPLIT_PARAMS)), None)
-        if i is None:
-            parts.append((negated != subtracted, operands))
-        else:
-            parts += [(neg, operands[:i] + inner + operands[i + 1:])
-                      for neg, inner in _parts(operands[i][1], negated != subtracted)]
-    return parts
+def _parts(operands, negated=False):
+    """(negated, operands) of each product that the product of the
+    (divided, node) ``operands`` distributes into: over its first
+    multiplied sum that reads a grid parameter and is no bracket, term by
+    term (``dsl.signed_terms``), and so on over each product made."""
+    i = next((i for i, (divided, node) in enumerate(operands)
+              if not divided and type(node) is dsl.Add and not _bracket(node)
+              and _grid_read(dsl.free_vars(node))), None)
+    if i is None:
+        return [(negated, operands)]
+    return [part for term, sign in dsl.signed_terms(operands[i][1])
+            for part in _parts(operands[:i] + _operands(term) + operands[i + 1:],
+                               negated != (sign < 0))]
 
 
 def _operands(e):
@@ -332,33 +372,34 @@ def _chain(operands, negated=False):
     puts a minus on the first, which is then a multiplied one."""
     if not operands or operands[0][0]:
         operands = [(False, _ONE)] + operands
-    elif negated:
+    if negated:
         operands = [(False, dsl.Neg(operands[0][1]))] + operands[1:]
     inverted, nodes = zip(*operands)
     return dsl.Mul(nodes, inverted) if len(nodes) > 1 else nodes[0]
 
 
 def split_closed_term(coeff):
-    """The ``ClosedTerm`` of a loaded coefficient: its r/s-reading binomial
-    and affine factors and its bracket split out once, so that the
-    grid-free rest runs once per (n, k) and the factors on twice-int affines.
+    """The ``ClosedTerm`` of a loaded product: its grid-reading factors and
+    its bracket split out once, so that the grid-free rest runs once per
+    (n, k) and the factors on twice-int affines.
 
     One pass down the top-level ``*``/``/`` chain, whose divisors are
     flattened through products and small integer powers:
 
-    * ``binom``/``rbinom`` of integer-affine arguments in k, n, r, s that
-      read r or s become ``FBinom``, of power -1 for a divided ``binom`` or
-      a multiplied ``rbinom`` and 1 otherwise;
-    * an integer-affine operand that reads r or s becomes ``FAffine``, of
-      power -1 when divided and 1 otherwise;
+    * ``binom``/``rbinom`` of affine arguments that read a grid parameter,
+      negated or not, become ``FBinom``, of power -1 for a divided
+      ``binom`` or a multiplied ``rbinom`` and 1 otherwise;
+    * ``fact`` of such an affine becomes ``FFact``, and such an affine
+      operand ``FAffine``, of power -1 when divided and 1 otherwise;
     * the first multiplied sum of ``±H(affine)`` and ``±1/affine`` pieces
-      that reads r or s becomes the bracket (one piece may read neither).
+      that reads a grid parameter, or lone ``H(affine)``, becomes the
+      bracket (one piece may read none); a later lone ``H(affine)`` becomes
+      ``FHarm``.
 
     Factors are listed as the product evaluates its operands: divisors
     from right to left, then multiplied operands from left to right.  All
-    other operands stay in the coefficient, in order.  A coefficient that
-    reads u or v, reads neither r nor s, or has no binomial or affine
-    factor to give stays exactly as written.
+    other operands stay in the coefficient, in order; if they read a grid
+    parameter, building the term is a FormatError.
 
     The split term has the value of the unsplit one wherever that is
     defined, and fails where it fails with the same error (its ``source``
@@ -369,12 +410,12 @@ def split_closed_term(coeff):
     operands = _operands(coeff)
     reads = [dsl.free_vars(node) for _, node in operands]   # the one walk of coeff
     names = frozenset().union(*reads)
-    if names.isdisjoint(_SPLIT_PARAMS) or "u" in names or "v" in names:
+    if not _grid_read(names):
         return ClosedTerm(coeff, coeff_vars=names)
-    divisors, multiplied, extras = [], [], ()
+    divisors, multiplied, extras, negated = [], [], (), False
     kept, kept_names = [], set()       # (divided, node) left in the coefficient, in order
     for (divided, node), node_names in zip(operands, reads):
-        if node_names.isdisjoint(_SPLIT_PARAMS):
+        if not _grid_read(node_names):
             pass                       # kept below
         elif divided:
             parts = _divisor_parts(node)
@@ -388,19 +429,24 @@ def split_closed_term(coeff):
                 continue
         else:
             f = _factor(node, False)
+            minus = f is None and type(node) is dsl.Neg     # -binom(...): the minus stays
+            if minus:
+                f = _factor(node.operand, False)
             if f is not None:
                 multiplied.append(f)
+                negated ^= minus
                 continue
-            if not extras:
-                extras = _bracket(node)
-                if extras:
-                    continue
+            pieces = _bracket(node)
+            if pieces and not extras:
+                extras = pieces
+                continue
+            if pieces and type(node) is dsl.Call:      # a second lone H
+                multiplied.append(FHarm(pieces[0].argument))
+                continue
         kept.append((divided, node))
         kept_names |= node_names
     factors = tuple(f for group in reversed(divisors) for f in group) + tuple(multiplied)
-    if not factors:
-        return ClosedTerm(coeff, coeff_vars=names)
-    return ClosedTerm(_chain(kept), factors, extras, coeff_vars=frozenset(kept_names),
+    return ClosedTerm(_chain(kept, negated), factors, extras, coeff_vars=frozenset(kept_names),
                       source=coeff)
 
 
@@ -426,51 +472,43 @@ def _divisor_parts(node):
 
 
 def _affine(node):
-    """The ``dsl.affine`` of ``node`` when it reads only k, n, r and s; else
-    None."""
+    """The ``dsl.affine`` of ``node`` when it reads no j; else None."""
     affine = dsl.affine(node)
-    return None if affine is None or affine.j or affine.u or affine.v else affine
+    return None if affine is None or affine.j else affine
 
 
 def _reads_grid(affine):
-    return affine is not None and bool(affine.r or affine.s)
+    return affine is not None and bool(_grid_read(dict(affine.terms)))
 
 
 def _factor(node, divided):
-    """The ``FBinom`` or ``FAffine`` that an operand reading r or s spells,
-    or None."""
+    """The ``FBinom``, ``FFact`` or ``FAffine`` that an operand reading a
+    grid parameter spells, or None."""
     if type(node) is dsl.Call and node.fn in ("binom", "rbinom"):
         top, bot = (_affine(a) for a in node.args)
         if top is None or bot is None or not (_reads_grid(top) or _reads_grid(bot)):
             return None
         return FBinom(top, bot, -1 if divided == (node.fn == "binom") else 1)
-    affine = _affine(node)
-    return FAffine(affine, -1 if divided else 1) if _reads_grid(affine) else None
+    cls = FFact if type(node) is dsl.Call and node.fn == "fact" else FAffine
+    affine = _affine(node.args[0] if cls is FFact else node)
+    return cls(affine, -1 if divided else 1) if _reads_grid(affine) else None
 
 
 def _bracket(node):
     """The bracket pieces of a sum of ``±H(affine)`` and ``±1/affine``
-    terms, left to right, when one of them reads r or s; else ()."""
-    pieces, stack = [], [(node, 1)]
-    while stack:
-        e, sign = stack.pop()
-        cls = type(e)
-        if cls is dsl.Add:
-            stack += reversed([(x, -sign if sub else sign) for x, sub in zip(e.operands, e.inverted)])
-        elif cls is dsl.Neg:
-            stack.append((e.operand, -sign))
-        elif cls is dsl.Call and e.fn == "H":
-            affine = _affine(e.args[0])
-            if affine is None:
-                return ()
-            pieces.append(HPiece(Fraction(sign), affine))
-        elif cls is dsl.Mul and e.inverted == (False, True) and e.operands[0] == _ONE:
-            affine = _affine(e.operands[1])
-            if affine is None:
-                return ()
-            pieces.append(RecipPiece(Fraction(sign), affine))
+    terms, or of a lone ``H(affine)``, left to right, when one of them
+    reads a grid parameter; else ()."""
+    pieces = []
+    for e, sign in dsl.signed_terms(node):
+        if type(e) is dsl.Call and e.fn == "H":
+            piece, affine = HPiece, _affine(e.args[0])
+        elif type(e) is dsl.Mul and e.inverted == (False, True) and e.operands[0] == _ONE:
+            piece, affine = RecipPiece, _affine(e.operands[1])
         else:
             return ()
+        if affine is None:
+            return ()
+        pieces.append(piece(Fraction(sign), affine))
     return tuple(pieces) if any(_reads_grid(p.argument) for p in pieces) else ()
 
 

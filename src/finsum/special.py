@@ -1,7 +1,7 @@
-"""Exact special values: factorials, (odd/generalized) harmonic numbers,
-Gamma at half-integers and generalized binomial coefficients with pole
-conventions.  Polynomials in t, Chebyshev U_m among them, live in
-``polyverify``.
+"""Exact special values: (odd/generalized) harmonic numbers, Gamma at
+half-integers (``fact_at`` is Gamma(x + 1), the DSL's ``fact``) and
+generalized binomial coefficients with pole conventions.  Polynomials in t,
+Chebyshev U_m among them, live in ``polyverify``.
 
 All arguments are half-integers and all results live in the constant field,
 so every value is exact.  H_q and binom(x, y) are cached for the life of the
@@ -27,13 +27,6 @@ from fractions import Fraction
 
 from .errors import DivisionByZero, EvalTypeError, PoleError
 from .field import SymConst, half, lift, lower, to_twice
-
-
-def factorial(n):
-    """Exact n! as an int."""
-    if n < 0:
-        raise EvalTypeError("factorial of a negative integer")
-    return math.factorial(n)
 
 
 def harmonic_m(n, m=1):
@@ -103,23 +96,30 @@ def harmonic(q):
     return lift(harmonic_at(to_twice(q)))
 
 
+def fact_at(twice):
+    """Gamma(x + 1) at x = twice/2 as (c, p), the value c*sqrt(pi)^p: x! by
+    ``math.factorial`` and p = 0 for an integer x; p = 1 at a half-odd x,
+    walked from Gamma(1/2) = sqrt(pi) by Gamma(y + 1) = y*Gamma(y).
+    PoleError at a negative integer x, naming the DSL call ``fact(x)``."""
+    if twice % 2 == 0:
+        if twice < 0:
+            raise PoleError(f"fact({twice // 2}) is a pole")
+        return math.factorial(twice // 2), 0
+    c = Fraction(1)
+    for y2 in range(1, twice + 1, 2):
+        c *= Fraction(y2, 2)
+    for y2 in range(-1, twice, -2):
+        c /= Fraction(y2, 2)
+    return lower(c), 1
+
+
 def gamma_half(q):
     """Exact Gamma(q) for half-integer q; PoleError at 0, -1, -2, ..."""
     q = half(q)
-    if type(q) is int:
-        if q <= 0:
-            raise PoleError(f"Gamma({q}) is a pole")
-        return SymConst.rational(factorial(q - 1))
-    # walk from Gamma(1/2) = sqrt(pi) via Gamma(x+1) = x*Gamma(x)
-    coeff = Fraction(1)
-    x = Fraction(1, 2)
-    while x < q:
-        coeff *= x
-        x += 1
-    while x > q:
-        x -= 1
-        coeff /= x
-    return SymConst.monomial(coeff, sqrtpi_exp=1)
+    if type(q) is int and q <= 0:
+        raise PoleError(f"Gamma({q}) is a pole")
+    c, p = fact_at(to_twice(q) - 2)
+    return SymConst.monomial(c, sqrtpi_exp=p)
 
 
 @dataclass(frozen=True)
@@ -161,7 +161,7 @@ def _binom_uncached(x2, y2):
         num = 1
         for i in range(yi):
             num *= x2 - 2 * i
-        return lower(Fraction(num, factorial(yi) << yi))
+        return lower(Fraction(num, math.factorial(yi) << yi))
     diff2 = x2 - y2
     if diff2 >= 0 and diff2 % 2 == 0:
         return binom_at(x2, diff2)

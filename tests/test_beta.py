@@ -25,14 +25,14 @@ from finsum import beta, corpus, dsl, special
 from finsum.beta import (Affine, ClosedTerm, FAffine, FBinom, HPiece,
                          RecipPiece, beta_transform, central_transform_uv,
                          central_transform_v, derivative_bracket,
-                         differentiate, eval_closed, eval_side,
-                         eval_side_float, eval_term, float_derivative_check,
+                         differentiate, eval_closed, eval_side, eval_term,
                          normalized_for_beta, verify_closed)
-from finsum.errors import (DivisionByZero, EvalTypeError, FinsumError, PoleError,
-                           ShapeError, UnboundVariable)
+from finsum.errors import (DivisionByZero, EvalTypeError, FinsumError, FormatError,
+                           PoleError, ShapeError, UnboundVariable)
 from finsum.field import SymConst, half, lift, to_int, to_twice
-from finsum.model import (ClosedSide, ClosedSummand, admissible, grid_params_read,
+from finsum.model import (ClosedSide, ClosedSummand, FHarm, admissible, grid_params_read,
                           is_negative_integer, load_identity, split_closed_term)
+from float_oracle import eval_side_float, float_derivative_check
 
 F = Fraction
 R = SymConst.rational
@@ -359,6 +359,7 @@ def test_loaded_identity_verifies_as_it_is():
 # loaded coefficients split into factors
 
 WIDE = [F(twice, 2) for twice in range(-4, 7)]     # -2, -3/2, ..., 3
+WIDE_UV = range(0, 9)                               # u and v are integer parameters
 
 
 def reachable(point):
@@ -368,47 +369,57 @@ def reachable(point):
     return not any(is_negative_integer(v) for v in point.values()) and point.get("s") != 0
 
 
-def unsplit(identity, document):
-    """The identity with each summand's coefficient, and its standalone
-    expression as one k-free term, as written in the document."""
-    def side(loaded, doc):
-        sums = [replace(sm, term=ClosedTerm(dsl.parse(d["coeff"])))
-                for sm, d in zip(loaded.summands, doc.get("sums", []))]
-        if "expr" in doc:
-            sums.append(ClosedSummand(ClosedTerm(dsl.parse(doc["expr"])), dsl.Lit(F(0)),
-                                      dsl.Lit(F(0))))
-        return ClosedSide(tuple(sums))
-    return replace(identity, lhs=side(identity.lhs, document["lhs"]),
-                   rhs=side(identity.rhs, document["rhs"]))
+def as_written(document, ns, grid):
+    """The ``PointResult`` of each (n, grid point), n-major, of the document's
+    text: each side's sums and standalone expression as one DSL expression,
+    compiled once and run at each point."""
+    def side(doc):
+        terms = [f"sum(k, {d['lower']}, {d['upper']}, {d['coeff']})" for d in doc.get("sums", [])]
+        terms += [f"({doc['expr']})"] if "expr" in doc else []
+        return dsl.compile(dsl.parse(" + ".join(terms)))
+    sides = side(document["lhs"]), side(document["rhs"])
+    results = []
+    for n in ns:
+        for params in grid:
+            key = tuple(sorted((name, half(val)) for name, val in params.items()))
+            try:
+                values = [lift(f({"n": n, **dict(key)})) for f in sides]
+                results.append(beta.PointResult(n, key, *values))
+            except (PoleError, DivisionByZero, EvalTypeError) as exc:
+                results.append(beta.PointResult(n, key, None, None, error=str(exc)))
+    return results
 
 
 @functools.lru_cache(maxsize=None)
 def wide_grid_reports():
-    """(entry name, grid point, split point, unsplit point) over the wide
-    grid and n = 0..4 for every closed entry that reads only r and/or s."""
+    """(entry name, grid point, split point, as-written point) over n = 0..4
+    and the wide grid, r, s in ``WIDE`` and u, v in ``WIDE_UV``, for every
+    closed entry that reads a grid parameter; the second point evaluates the
+    document's text per point (``as_written``)."""
     rows = []
     for file_name in corpus.load_manifest()["entries"]:
         document = json.loads((corpus.DEFAULT_DIR / file_name).read_text())
         identity = corpus.load_entry(document).identity
         read = sorted(grid_params_read(identity)) if identity.is_closed else []
-        if not read or not set(read) <= {"r", "s"}:
-            continue
-        grid = [dict(zip(read, values)) for values in itertools.product(WIDE, repeat=len(read))]
-        points = [point for _ in range(5) for point in grid]
-        split_report = verify_closed(identity, range(5), grid)
-        unsplit_report = verify_closed(unsplit(identity, document), range(5), grid)
-        rows += zip([identity.name] * len(points), points,
-                    split_report.results, unsplit_report.results)
+        values = [WIDE if name in ("r", "s") else WIDE_UV for name in read]
+        grid = [dict(zip(read, point)) for point in itertools.product(*values)]
+        if read:
+            rows += zip([identity.name] * (5 * len(grid)), [point for _ in range(5) for point in grid],
+                        verify_closed(identity, range(5), grid).results,
+                        as_written(document, range(5), grid))
     return rows
 
 
 def test_split_matches_unsplit_at_every_reachable_point():
-    """Value, defined status and error text agree at every point that the
-    corpus and the command line accept, r = 0 of an r-only entry too."""
+    """Value, defined status and error text agree with the document's text at
+    every point that the corpus and the command line accept, r = 0 of an
+    r-only entry too."""
     rows = [row for row in wide_grid_reports() if reachable(row[1])]
-    assert (len({row[0] for row in rows}), len(rows)) == (27, 3790)
+    rs_rows = [row for row in rows if set(row[1]) <= {"r", "s"}]
+    assert (len({row[0] for row in rs_rows}), len(rs_rows)) == (27, 3790)
+    assert (len({row[0] for row in rows}), len(rows)) == (31, 3790 + 5 * (9 + 81 + 9 + 9))
     assert [row for row in rows if row[2] != row[3]] == []
-    assert sum(1 for row in rows if row[2].error) == 166   # errors compared too
+    assert sum(1 for row in rs_rows if row[2].error) == 66    # errors compared too
 
 
 def test_split_differs_only_at_the_limit_convention():
@@ -426,15 +437,84 @@ def test_split_differs_only_at_the_limit_convention():
         assert re.fullmatch(r"H_-\d+ is a pole", unsplit_point.error)
 
 
+# Each closed entry that reads a grid parameter, over n = 0..4 among its own
+# n values and the reachable points of the wide grid: how many points are
+# equal, unequal, or undefined with each error.  Every undefined point has
+# r = 0, which only an entry that reads r alone reaches.
+WIDE_GRID_OUTCOMES = {
+    "alt-binom-harmonic-dds": {"equal": 280},
+    "alt-binom-harmonic-rs": {"equal": 280},
+    "central-ordertwo-alt-v-even": {"equal": 27},
+    "central-ordertwo-alt-v-odd": {"equal": 18},
+    "central-ordertwo-uv": {"equal": 405},
+    "central-ordertwo-v": {"equal": 45},
+    "cheb-ddr": {"equal": 280},
+    "cheb-ddr-r": {"equal": 40,
+                   "division by zero in sign(k + 1)*4^k*binom(n + k, n - k)/(k + r)": 5},
+    "cheb-general-r": {"equal": 40,
+                       "division by zero in sign(k)*4^k*binom(n + k, n - k)/(k + r)": 5},
+    "cheb-rs": {"equal": 280},
+    "complement-harmonic-compare": {"equal": 280},
+    "complement-harmonic-dds": {"equal": 116, "unequal": 164},
+    "complement-harmonic-rs": {"equal": 280},
+    "complement-setsr-display": {
+        "equal": 17, "unequal": 23, "division by zero in (r + 1)/(n + r)": 1,
+        "division by zero in H(n - 1 - k)*(r*(k + r)*(H(k + r) - 1) + k)/((k + r)^2*(n + r))": 4},
+    "dattoli-ddr": {"equal": 280},
+    "dattoli-dds": {"equal": 280},
+    "dattoli-general-r": {
+        "equal": 40, "division by zero in sign(k)*binom(n, k)/((k + 1)*(k + 2)*(k + r))": 5},
+    "dattoli-harmonic-r": {
+        "equal": 40,
+        "division by zero in sign(k)*binom(n, k)*H(k + r)/((k + 1)*(k + 2)*(k + r))": 5},
+    "dattoli-rs": {"equal": 280},
+    "dattoli-setsr-display": {"equal": 1, "unequal": 39, "fact(-1) is a pole": 5},
+    "dattoli-square-r": {
+        "equal": 40, "division by zero in sign(k)*binom(n, k)/((k + 1)*(k + 2)*(k + r)^2)": 5},
+    "frisch-final-step": {"equal": 40, "division by zero in r/(n + r)": 1, "H_-1 is a pole": 4},
+    "frisch-harmonic": {"equal": 44, "division by zero in r/(n + r)": 1},
+    "frisch-partialfrac-step": {"equal": 32, "division by zero in 1/(k*(n - k + r))": 4},
+    "frisch-sum-step": {"equal": 40, "division by zero in -r/(n + r)": 1,
+                        "division by zero in r/(k*(n - k + r))": 4},
+    "harmonic-window-three": {"equal": 40},
+    "harmonic-window-two": {"equal": 40},
+    "ordertwo-general-r": {"equal": 40, "division by zero in r/(n + r)": 1,
+                           "division by zero in -r/(n + r)*H(k)/(k + r)": 4},
+    "ordertwo-rs": {"equal": 280},
+    "sqharmonic-full-r": {
+        "equal": 9, "unequal": 31, "division by zero in 1/(n + r)": 1,
+        "division by zero in -r/(n + r)*H(n - 1 - k)*H(k + r)/(k + r)": 4},
+    "sqharmonic-general-r": {
+        "equal": 40, "division by zero in (H(n + r) - H(r))*(r*H(r) - 1)/(n + r)": 1,
+        "division by zero in -r*H(n - k + r - 1)/(k*(n - k + r))": 4},
+}
+
+
+def test_every_verdict_holds_on_the_wide_grid():
+    """The wide-grid sweep, pinned entry by entry (``WIDE_GRID_OUTCOMES``):
+    the verified entries are equal wherever they are defined, the factorial
+    displays at half-integer r too, and only the three disputed entries and
+    the check entry sqharmonic-full-r are unequal anywhere."""
+    n_values = {e.name: e.n_values for e in corpus.load_entries() if e.identity.is_closed}
+    outcomes = collections.defaultdict(collections.Counter)
+    for name, point, p, _ in wide_grid_reports():
+        if reachable(point) and p.n in n_values[name]:
+            outcomes[name]["equal" if p.equal else "unequal" if p.defined else p.error] += 1
+            assert p.defined or point["r"] == 0
+    assert outcomes == WIDE_GRID_OUTCOMES
+    assert {name for name, counts in outcomes.items() if "unequal" in counts} == {
+        "complement-harmonic-dds", "complement-setsr-display", "dattoli-setsr-display",
+        "sqharmonic-full-r"}
+
+
 def test_loaded_summands_off_the_factor_path_are_pinned():
-    """53 of the 59 loaded summands that read r or s (and not u or v) are
-    split, and 34 of the 36 k-free parts of the standalone expressions that
-    read r or s.  Each summand or part whose coefficient still reads r or s
-    is named here: six summands and two parts with no binomial or affine
-    factor in r or s, and three split rests; a change that stops splitting
-    another one fails here."""
+    """No loaded summand is off the factor path: over the whole corpus, no
+    coefficient or sum bound reads a grid parameter.  73 summands and 40
+    k-free parts of standalone expressions have a factor or a bracket split
+    out, each with the coefficient as written as its ``source``, and one of
+    them an H factor."""
     zero = dsl.Lit(F(0))
-    split, reads = collections.Counter(), []
+    split, h_factors, off_path = collections.Counter(), [], []
     for entry in corpus.load_entries():
         identity = entry.identity
         if not identity.is_closed:
@@ -442,32 +522,15 @@ def test_loaded_summands_off_the_factor_path_are_pinned():
         for side in (identity.lhs, identity.rhs):
             for sm in side.summands:
                 term = sm.term
-                kind = "part" if sm.lower == sm.upper == zero else "sum"
-                if term.factors:
-                    split[kind] += 1
+                if not term.coeff_vars.union(*sm.bound_vars).isdisjoint(beta.GRID_PARAMS):
+                    off_path.append((entry.name, dsl.render(term.coeff)))
+                if term.factors or term.extras:
+                    split["part" if sm.lower == sm.upper == zero else "sum"] += 1
                     assert term.source is not None
-                    assert not term.coeff_vars & {"u", "v"}
-                if term.coeff_vars & {"r", "s"} and not term.coeff_vars & {"u", "v"}:
-                    reads.append((entry.name, kind, len(term.factors), dsl.render(term.coeff)))
-    assert split == {"sum": 53, "part": 34}
-    assert reads == [
-        ("complement-harmonic-dds", "sum", 3,
-         "H(n - 1 - k)*(s*(k + s)*(H(k + s) - H(r - s + 1)) + k)"),
-        ("complement-setsr-display", "sum", 3, "H(n - 1 - k)*(r*(k + r)*(H(k + r) - 1) + k)"),
-        ("complement-setsr-display", "part", 0, "-H(n)*H(r)"),
-        ("dattoli-general-r", "sum", 0, "fact(n)/fact(n + r)*fact(k + r - 1)/fact(k)/(k + 2)"),
-        ("dattoli-harmonic-r", "sum", 0,
-         "fact(n)/fact(n + r)*H(n + r)*fact(k + r - 1)/fact(k)/(k + 2)"),
-        ("dattoli-harmonic-r", "sum", 0,
-         "-fact(n)/fact(n + r)*H(n - k)*fact(k + r - 1)/fact(k)/(k + 2)"),
-        ("dattoli-setsr-display", "sum", 0,
-         "fact(n)/fact(n + r)*(H(k + r) - H(n - k))*fact(k + r - 1)/fact(k)/(k + 2)"),
-        ("dattoli-setsr-display", "sum", 0, "-fact(n)/fact(n + r)*fact(k + r - 1)/fact(k)/(k + 2)"),
-        ("dattoli-square-r", "sum", 0,
-         "fact(n)/fact(n + r)*(H(n + r) - H(k + r) + 1/(k + r))*fact(k + r - 1)/fact(k)/(k + 2)"),
-        ("sqharmonic-full-r", "part", 0, "H(n)*H(r)"),
-        ("sqharmonic-general-r", "part", 2, "H(r)"),
-    ]
+                h_factors += [(entry.name, term.render()) for f in term.factors if type(f) is FHarm]
+    assert off_path == []
+    assert split == {"sum": 73, "part": 40}
+    assert h_factors == [("sqharmonic-general-r", "1 * 1/(n + r) * (r) * H(r) * [H(n + r) - H(r)]")]
 
 
 @pytest.mark.parametrize("coeff, rest, factors, extras", [
@@ -480,11 +543,21 @@ def test_loaded_summands_off_the_factor_path_are_pinned():
      ("1/binom(k + r, s)", "1/(r - s + 1)", "1/(r - s + 1)", "(-r - 1)"), ()),
     # a multiplied binom keeps power 1 and a divided rbinom gets it
     ("binom(k+r,k)/rbinom(n+s,k)", "1", ("binom(n + s, k)", "binom(k + r, k)"), ()),
-    # only the first multiplied sum of pieces is the bracket
-    ("(H(k)-H(n+r)+1/(k+s))*H(k+r)/(k+s)", "H(k + r)", ("1/(k + s)",),
+    # only the first multiplied sum of pieces is the bracket; a later lone H
+    # is an H factor
+    ("(H(k)-H(n+r)+1/(k+s))*H(k+r)/(k+s)", "1", ("1/(k + s)", "H(k + r)"),
      (HPiece(F(1), Affine(k=1)), HPiece(F(-1), Affine(n=1, r=1)),
       RecipPiece(F(1), Affine(k=1, s=1)))),
     ("-H(n+r)*rbinom(n+r,k)", "1", ("1/binom(n + r, k)",), (HPiece(F(-1), Affine(n=1, r=1)),)),
+    # a lone H is the bracket even with no factor
+    ("H(k+r)*binom(n,k)", "binom(n, k)", (), (HPiece(F(1), Affine(k=1, r=1)),)),
+    # u and v take a coefficient of 1/2; the minus of a negated factor stays
+    ("rbinom(k+r,v/2)/(k+s)", "1", ("1/(k + s)", "1/binom(k + r, v/2)"), ()),
+    ("-binom(v,v/2)*rbinom((n+v)/2,k+u/2)*H(n)", "-H(n)",
+     ("binom(v, v/2)", "1/binom(n/2 + v/2, k + u/2)"), ()),
+    # fact of an affine in a grid parameter is a factorial factor
+    ("fact(n)/fact(n+r)*fact(k+r-1)/fact(k)/(k+2)", "fact(n)/fact(k)/(k + 2)",
+     ("1/fact(n + r)", "fact(k + r - 1)"), ()),
 ])
 def test_split_rules(coeff, rest, factors, extras):
     term = split_closed_term(dsl.parse(coeff))
@@ -505,6 +578,11 @@ def test_split_rules(coeff, rest, factors, extras):
     ("(H(n+1)/s - H(n+s)/(n+1+s))/2", ["H(n + 1)/2 * 1/(s)", "1/2 * 1/(n + s + 1) * [-H(n + s)]"]),
     # an expression in n alone is one term as written
     ("H(n) + 1/(n+1)", ["H(n) + 1/(n + 1)"]),
+    # every sum is distributed, the parts of a part too; a lone H in r is a bracket
+    ("H(n)*(r*(n+r)*(H(n+r) - 1) + n)/(n+r) - H(n)*H(r)",
+     ["H(n)*n * 1/(n + r) * (r) * [H(n + r)]", "-H(n)*n*1 * 1/(n + r) * (r)",
+      "H(n) * 1/(n + r) * (r) * (r) * [H(n + r)]", "-H(n)*1 * 1/(n + r) * (r) * (r)",
+      "H(n)*n * 1/(n + r)", "-H(n) * [H(r)]"]),
 ])
 def test_standalone_parts(expr, parts):
     """A standalone expression loads as k-free parts over k = 0..0, after
@@ -519,15 +597,43 @@ def test_standalone_parts(expr, parts):
 
 
 @pytest.mark.parametrize("coeff", [
-    "binom(n,k)/(k+2)",                      # reads neither r nor s
-    "H(k+r)*binom(n,k)",                     # a bracket alone is no factor
-    "rbinom(k+r,v/2)/(k+s)",                 # reads v
-    "rbinom(k/2+r,s)*fact(n+r)",             # an argument that is not integer-affine
-    "(k+s)^5*binom(n+r,k)^2",                # a power beyond the limit, a multiplied power
+    "binom(n,k)/(k+2)",                      # reads no grid parameter
+    "fact(n)/fact(k)*H(n - k)/2^k",          # nor does this
 ])
 def test_unsplit_coefficients_stay_as_written(coeff):
     term = split_closed_term(dsl.parse(coeff))
     assert (term.coeff, term.factors, term.extras, term.source) == (dsl.parse(coeff), (), (), None)
+
+
+@pytest.mark.parametrize("coeff, rest, read", [
+    # an argument that is not affine: k takes no coefficient of 1/2
+    ("rbinom(k/2+r,s)*fact(n+r)", "rbinom(k/2 + r, s)", "r, s"),
+    # a power beyond the limit, a multiplied power
+    ("(k+s)^5*binom(n+r,k)^2", "(k + s)^5*binom(n + r, k)^2", "r, s"),
+    # a second bracket after a lone H
+    ("H(k+r)*(H(n+r) - H(k))*binom(n,k)", "(H(n + r) - H(k))*binom(n, k)", "r"),
+])
+def test_unsplittable_coefficients_are_refused(coeff, rest, read):
+    """A rest that still reads a grid parameter is refused where the term is
+    built, naming it and the parameters, and so is the document at load."""
+    message = f"coefficient {rest} reads {read}: only a factor or a bracket may read a grid parameter"
+    with pytest.raises(FormatError) as exc:
+        split_closed_term(dsl.parse(coeff))
+    assert str(exc.value) == message
+    side = {"kind": "closed", "sums": [{"coeff": coeff, "lower": "0", "upper": "n"}]}
+    with pytest.raises(FormatError) as exc:
+        load_identity({"name": "unsplittable", "lhs": side, "rhs": side})
+    assert str(exc.value) == f"unsplittable: {message}"
+
+
+def test_a_grid_reading_coefficient_or_bound_is_refused_where_it_is_built():
+    with pytest.raises(FormatError, match=r"^coefficient H\(r\)/\(k \+ 1\) reads r: "):
+        ClosedTerm(dsl.parse("H(r)/(k+1)"))
+    term = ClosedTerm(dsl.parse("binom(n, k)"))
+    with pytest.raises(FormatError, match=r"^sum bound n \+ u reads u: "):
+        ClosedSummand(term, dsl.Lit(F(0)), dsl.parse("n + u"))
+    with pytest.raises(FormatError, match=r"an H factor multiplies a bracket"):
+        ClosedTerm(dsl.parse("1"), (FHarm(Affine(r=1)),))
 
 
 def test_loaded_display_is_the_derivative_of_its_parent():
@@ -586,16 +692,31 @@ def test_derivative_leaves_out_terms_without_the_parameter():
     assert kept.term.extras == (RecipPiece(F(-1), Affine(k=1, s=1)),)
 
 
-def test_differentiate_refuses_a_coefficient_reading_r_or_s():
+def test_loader_refuses_a_coefficient_reading_r_or_s():
     """Only factors are differentiated, so an s left in the coefficient
-    would be dropped from the derivative."""
+    would be dropped from the derivative: no such term loads."""
     side = {"kind": "closed", "sums": [
         {"coeff": "s^2*binom(n,k)*rbinom(n+r,k+s)", "lower": "0", "upper": "n"}]}
-    identity = load_identity({"name": "s-outside", "lhs": side, "rhs": side})
-    assert identity.lhs.summands[0].term.factors
-    for param in ("r", "s"):
-        with pytest.raises(ShapeError, match=r"s-outside: coefficient s\^2\*binom\(n, k\) reads s"):
-            differentiate(identity, param)
+    with pytest.raises(FormatError, match=r"^s-outside: coefficient s\^2\*binom\(n, k\) reads s: "):
+        load_identity({"name": "s-outside", "lhs": side, "rhs": side})
+
+
+def test_factorial_derivative_needs_its_euler_constants_to_cancel():
+    """d/dr of fact(a)^p is p*a_r*H(a) only where the p*a_r of a term's
+    factorials sum to 0: a lone fact(k + r) is refused, and so is its
+    d/ds as soon as a factorial reads s.  The dattoli ratio differentiates."""
+    def identity(coeff):
+        side = {"kind": "closed", "sums": [{"coeff": coeff, "lower": "0", "upper": "n"}]}
+        return load_identity({"name": "gamma", "lhs": side, "rhs": side})
+    with pytest.raises(ShapeError) as exc:
+        differentiate(identity("binom(n, k)*fact(k + r)"), "r")
+    assert str(exc.value) == ("d/dr of fact(k + r): the factorials' weights in r sum to 1,"
+                              " not 0, so an Euler constant is left")
+    assert differentiate(identity("binom(n, k)*fact(k + r)"), "s").lhs.summands == ()
+    with pytest.raises(ShapeError, match="weights in s sum to -2, not 0"):
+        differentiate(identity("fact(k + r)/fact(n + 2*s)"), "s")
+    (sm,) = differentiate(identity("fact(k + r)/fact(n + r)"), "r").lhs.summands
+    assert sm.term.extras == (HPiece(F(-1), Affine(n=1, r=1)), HPiece(F(1), Affine(k=1, r=1)))
 
 
 def test_derived_outputs_pinned_point_for_point():
@@ -626,7 +747,7 @@ def test_derived_outputs_pinned_point_for_point():
 def closed_side(*coeffs, extra=None):
     """A side of sums over k = 0..n of the given coefficients, then the
     k-free parts that the loader makes of a standalone expression."""
-    sums = tuple(ClosedSummand(ClosedTerm(dsl.parse(c)), dsl.Lit(F(0)), dsl.Var("n"))
+    sums = tuple(ClosedSummand(split_closed_term(dsl.parse(c)), dsl.Lit(F(0)), dsl.Var("n"))
                  for c in coeffs)
     if extra is not None:
         doc = {"kind": "closed", "expr": extra}
@@ -668,16 +789,18 @@ def test_integral_side_is_lift_of_an_int():
 
 
 def test_grid_free_values_run_once_per_n_and_k(monkeypatch):
-    """A coefficient that reads r is evaluated at every point and k it
-    reaches, so its count grows with the grid; one that reads no grid
-    parameter at most once per (n, k), however many points share that n.
-    The fact(n)/fact(n + r) summands of dattoli-harmonic-r stay unsplit, so
-    their coefficients read r."""
+    """Each coefficient reads no grid parameter, so it is evaluated once per
+    (n, k) that a point reaches, however many points share that n, where
+    running each point alone evaluates it once per point.  The
+    fact(n)/fact(n + r) summands of dattoli-harmonic-r are split into
+    factorial factors and a bracket, so their coefficients read only k and n."""
     (entry,) = corpus.load_entries(names={"dattoli-harmonic-r"})
     cid, grid = entry.identity, entry.param_grid
     coeffs = [sm.term.coeff for side in (cid.lhs, cid.rhs) for sm in side.summands]
-    reads_grid = {id(c) for c in coeffs if dsl.free_vars(c) & set(beta.GRID_PARAMS)}
-    assert 0 < len(reads_grid) < len(coeffs) and len(grid) == 3
+    assert [dsl.render(c) for c in coeffs] == [
+        "sign(k)*binom(n, k)/((k + 1)*(k + 2))", "fact(n)/fact(k)/(k + 2)",
+        "-fact(n)*H(n - k)/fact(k)/(k + 2)"]
+    assert len(grid) == 3
     calls = count_compiled_evaluations(monkeypatch, at=("n", "k"))
     report = verify_closed(cid, range(0, 5), grid)
     assert report.all_equal and not report.undefined
@@ -690,11 +813,7 @@ def test_grid_free_values_run_once_per_n_and_k(monkeypatch):
             verify_closed(cid, [n], [params])
             alone.update((id(expr), n, k) for expr, _, k in calls if any(expr is c for c in coeffs))
     assert together.keys() == alone.keys()
-    for key, count in together.items():
-        if key[0] in reads_grid:
-            assert count == alone[key] == len(grid)
-        else:
-            assert count == 1 < alone[key]
+    assert all(count == 1 and alone[key] == len(grid) for key, count in together.items())
 
 
 def test_verify_keeps_no_expression_alive():
@@ -840,6 +959,18 @@ def test_central_particular_displays():
     # anchor value computed by hand: u = v = 0, n = 2 gives -17/32
     d_lhs, d_rhs = eval_closed(uv_entry.identity, 2, u=0, v=0)
     assert d_lhs == d_rhs == R(F(-17, 32))
+
+
+def test_central_displays_are_undefined_at_a_half_integer_v():
+    """v/2 and k + v/2 are affine with a coefficient of 1/2 on v, so the
+    binomials of the u/v displays are factors; at v = 1/2 their value 1/4
+    is no half-integer, and the point is undefined, naming it."""
+    for name in ("central-ordertwo-v", "central-ordertwo-uv"):
+        entry = _ENTRIES[name]
+        assert all(sm.term.factors for side in (entry.identity.lhs, entry.identity.rhs)
+                   for sm in side.summands)
+        (point,) = verify_closed(entry.identity, [0], [dict(entry.param_grid[0], v=F(1, 2))]).results
+        assert point.error == "1/4 is not a half-integer"
 
 
 def test_central_shape_errors():
@@ -1029,18 +1160,34 @@ def test_float_derivative_check_passes():
         assert check.max_rel_dev < 1e-8
 
 
-def test_float_reads_split_parts_and_refuses_a_coefficient_in_r_or_s():
-    """The split standalone rhs of alt-binom-harmonic-rs runs on the float
-    path; a part left as written that reads r has no float evaluator."""
+@pytest.mark.parametrize("name, side", [
+    ("alt-binom-harmonic-rs", "rhs"),    # split standalone parts
+    ("sqharmonic-full-r", "rhs"),        # a lone H(r) as a one-piece bracket
+    ("sqharmonic-general-r", "rhs"),     # an H factor
+    ("dattoli-general-r", "rhs"),        # factorial factors
+    ("central-ordertwo-uv", "lhs"),      # half coefficients on u and v
+])
+def test_float_reads_split_parts_brackets_and_factors(name, side):
+    """The split sides of loaded documents run on the float path, which
+    reads a factorial as a Gamma value and an H factor as a digamma value,
+    and agree with their exact values at a half-integer r."""
     import mpmath
-    side = ident("alt-binom-harmonic-rs").rhs
-    pt = bind(n=4, r="3/2", s="1/2")
+    (entry,) = corpus.load_entries(names={name})
+    side = getattr(entry.identity, side)
+    pt = bind(n=4, r="3/2", s="1/2", u=2, v=3)
     with mpmath.workdps(40):
         exact = eval_side(side, pt).to_float(30)
         assert abs(exact - eval_side_float(side, pt, 40)) < mpmath.mpf(10) ** -25
-    (entry,) = corpus.load_entries(names={"sqharmonic-full-r"})
-    with pytest.raises(ShapeError, match=r"coefficient H\(n\)\*H\(r\) reads r or s"):
-        eval_side_float(entry.identity.rhs, bind(n=2, r=1), 30)
+
+
+def test_float_derivative_check_of_factorial_factors():
+    """d/dr of dattoli-general-r, whose factorials' Euler constants cancel,
+    matches a central difference of the float parent."""
+    (entry,) = corpus.load_entries(names={"dattoli-general-r"})
+    for point in ({"n": 3, "r": 2}, {"n": 4, "r": F(3, 2)}):
+        check = float_derivative_check(entry.identity, "r", point)
+        assert check.passed, (check.max_rel_dev, check.tolerance)
+        assert check.max_rel_dev < 1e-8
 
 
 @pytest.mark.parametrize("parent", ["alt-binom-harmonic-rs", "complement-harmonic-rs",

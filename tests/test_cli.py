@@ -176,6 +176,18 @@ class TestEval:
     def test_harmonic_argument_errors_name_the_dsl_function(self, capsys, expr, message):
         assert run(capsys, "eval", expr) == (2, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize("expr, code, out, err", [
+        ("fact(-1)", 2, "", "error: fact(-1) is a pole\n"),
+        ("fact(-3)", 2, "", "error: fact(-3) is a pole\n"),
+        ("fact(1/3)", 2, "", "error: 1/3 is not a half-integer\n"),
+        ("fact(1/2)", 0, "1/2*P\n", ""),          # Gamma(3/2) = sqrt(pi)/2
+        ("fact(-3/2)", 0, "-2*P\n", ""),          # Gamma(-1/2) = -2*sqrt(pi)
+        ("fact(5)", 0, "120\n", ""),
+    ])
+    def test_fact_is_gamma_at_half_integers_and_its_errors_name_the_call(
+            self, capsys, expr, code, out, err):
+        assert run(capsys, "eval", expr) == (code, out, err)
+
     @pytest.mark.parametrize("expr", ["binom(1)", "sum(k,0)"])
     def test_arity_error_exits_2(self, capsys, expr):
         code, out, err = run(capsys, "eval", expr)
@@ -575,13 +587,39 @@ class TestTransform:
         assert out.splitlines()[3].startswith("check: equal over n=0..8")
 
     def test_coefficient_reading_r_or_s_does_not_differentiate(self, capsys, tmp_path):
+        # no such document loads, so it reaches no transform and no verification
         side = {"kind": "closed", "sums": [
             {"coeff": "s^2*binom(n,k)*rbinom(n+r,k+s)", "lower": "0", "upper": "n"}]}
         doc = {"name": "s-outside", "lhs": side, "rhs": side,
                "grid": {"r": ["1"], "s": ["1"]}}
-        code, out, err = run(capsys, "transform", write(tmp_path, doc), "--op", "dds")
-        assert (code, out) == (4, "")
-        assert err == "error: s-outside: coefficient s^2*binom(n, k) reads s outside the factors\n"
+        for argv in (["transform", write(tmp_path, doc), "--op", "dds"],
+                     ["verify", write(tmp_path, doc)]):
+            assert run(capsys, *argv) == (
+                3, "", "error: s-outside: coefficient s^2*binom(n, k) reads s:"
+                " only a factor or a bracket may read a grid parameter\n")
+
+    def test_unsplittable_document_exits_3(self, capsys, tmp_path):
+        side = {"kind": "closed", "sums": [
+            {"coeff": "binom(n, k)*rbinom(k/2 + r, s)", "lower": "0", "upper": "n"}]}
+        doc = {"name": "half-k", "lhs": side, "rhs": side, "grid": {"r": ["1"], "s": ["1"]}}
+        assert run(capsys, "verify", write(tmp_path, doc)) == (
+            3, "", "error: half-k: coefficient"
+            " binom(n, k)*rbinom(k/2 + r, s) reads r, s: only a factor or a bracket"
+            " may read a grid parameter\n")
+
+    def test_factorial_display_at_half_integer_r(self, capsys):
+        # fact(n + r) and fact(k + r - 1) are Gamma factors, defined at r = 1/2,
+        # and their derivative in r is a bracket whose Euler constants cancel
+        path = str(corpus.DEFAULT_DIR / "dattoli-general-r.json")
+        code, out, _ = run(capsys, "verify", path, "--r", "1/2")
+        assert (code, out.splitlines()[0]) == (
+            0, "ok  dattoli-general-r expected=equal actual=equal")
+        code, out, err = run(capsys, "transform", path, "--op", "ddr", "--check")
+        assert (code, err) == (0, "")
+        assert out.splitlines()[2:] == [
+            "rhs: sum(k=0..n) fact(n)/fact(k)/(k + 2) * 1/fact(n + r) * fact(k + r - 1)"
+            " * [-H(n + r) + H(k + r - 1)]",
+            "check: equal over n=0..8, 14 grid point(s)"]
 
     def test_check_of_two_empty_sides_exits_4(self, capsys):
         # both sides of this derivative are 0: --check used to report them equal

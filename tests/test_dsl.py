@@ -115,7 +115,7 @@ class TestParsing:
         assert dsl.free_vars(dsl.parse("sum(j, 0, k, sum(k, 0, j, k) + n)")) == {"k", "n"}
 
     def test_long_flat_chain_walks(self):
-        # render and free_vars loop down a chain's left spine
+        # render and free_vars loop over a chain's operands: a flat chain is one node
         text = " + ".join(["k"] * 2999 + ["t*n"])
         ast = dsl.parse(text)
         assert dsl.render(ast) == text
@@ -231,7 +231,7 @@ class TestScalarEval:
             ev("sign(r)", r="1/2")
 
     @pytest.mark.parametrize("text, error, message", [
-        # a Div's denominator is evaluated before its numerator
+        # a product's divisors are evaluated before its multiplied operands
         ("binom(-1, 1/2)/(k-k)", DivisionByZero, "division by zero in binom(-1, 1/2)/(k - k)"),
         # a product's operands left to right
         ("H(-1)*(1/(k-k))", PoleError, "H_-1 is a pole"),

@@ -74,15 +74,27 @@ class TestAffine:
                 special.binom_at(4 * k + 2, 2 * k + 1)
 
     @pytest.mark.parametrize("text, want", [
-        ("2*k + v", Affine(k=2, v=1)), ("k + v/2", None), ("t + 1", None), ("binom(k, 1)", None),
+        ("2*k + v", Affine(k=2, v=1)), ("k + v/2", Affine(k=1, v=Fraction(1, 2))),
+        ("(n - 1 + v)/2", Affine(n=Fraction(1, 2), v=Fraction(1, 2), const=Fraction(-1, 2))),
+        ("k/2 + v", None), ("v/0", None), ("t + 1", None), ("binom(k, 1)", None),
     ])
     def test_dsl_affine(self, text, want):
         assert dsl.affine(dsl.parse(text)) == want
 
+    def test_half_coefficient_is_no_half_integer_at_a_half_odd_binding(self):
+        """n, u and v take a coefficient of 1/2: twice ``k + v/2`` is an int
+        at an integer v, and at v = 1/2 the value 5/4 is named."""
+        a = dsl.affine(dsl.parse("k + v/2"))
+        assert a.render() == "k + v/2"
+        assert a.compile_twice()({"k": 1, "v": 3}) == 5
+        with pytest.raises(EvalTypeError, match="^5/4 is not a half-integer$"):
+            a.compile_twice()({"k": 1, "v": Fraction(1, 2)})
+
     @pytest.mark.parametrize("coeffs", [
         {"k": 2, "const": Fraction(1, 3)},
         {"k": Fraction(1, 2), "n": Fraction(1, 2)},
-        {"k": 3, "n": Fraction(-1, 2), "const": Fraction(3, 2)},
+        {"k": 3, "s": Fraction(-1, 2), "const": Fraction(3, 2)},
+        {"v": Fraction(1, 4)},
     ])
     def test_non_integer_coefficient_refused(self, coeffs):
         with pytest.raises(EvalTypeError):
@@ -297,7 +309,7 @@ class TestValidation:
 
 def test_grid_params_read():
     doc = dict(CLOSED_DOC, lhs={"kind": "closed", "sums": [
-        {"coeff": "binom(n, k)*H(k + s)", "lower": "0", "upper": "n + u"}]},
+        {"coeff": "binom(n, k)*H(k + s)*rbinom(k + u, k)", "lower": "0", "upper": "n"}]},
         rhs={"kind": "closed", "expr": "sum(r, 0, n, r)"})
     assert grid_params_read(load_identity(doc)) == {"s", "u"}
     assert grid_params_read(load_identity(CLOSED_DOC)) == set()

@@ -7,12 +7,13 @@ checked over wide integer ranges; Pascal, symmetry, and the ratio recurrence
 are checked over the full half-integer grid |x|, |y| <= 10.
 """
 
+import math
 from fractions import Fraction
 
 import pytest
 import sympy
 
-from finsum import special
+from finsum import dsl, special
 from finsum.errors import DivisionByZero, EvalTypeError, PoleError
 from finsum.field import SymConst, lift
 from finsum.polyverify import chebyshev_u
@@ -135,6 +136,27 @@ class TestGammaHalf:
             lhs = special.gamma_half(q + 1)
             rhs = SymConst.rational(q) * special.gamma_half(q)
             assert lhs == rhs
+
+
+class TestFact:
+    @pytest.mark.parametrize("twice", range(-11, 24))
+    def test_is_gamma_of_x_plus_one(self, twice):
+        """fact(x) = Gamma(x + 1): x! as an int at an integer x, one
+        rational times sqrt(pi) at a half-odd x, a pole naming fact(x) at a
+        negative integer; in the DSL as in ``special``."""
+        x = Fraction(twice, 2)
+        if x < 0 and x.denominator == 1:
+            with pytest.raises(PoleError, match=rf"^fact\({x}\) is a pole$"):
+                special.fact_at(twice)
+            with pytest.raises(PoleError, match=rf"^fact\({x}\) is a pole$"):
+                dsl.eval_scalar(dsl.parse(f"fact({x})"), {})
+            return
+        c, p = special.fact_at(twice)
+        assert p == (0 if x.denominator == 1 else 1)
+        assert SymConst.monomial(c, sqrtpi_exp=p) == special.gamma_half(x + 1)
+        assert dsl.eval_scalar(dsl.parse(f"fact({x})"), {}) == special.gamma_half(x + 1)
+        if p == 0:
+            assert type(c) is int and c == math.factorial(twice // 2)
 
 
 GRID = [Fraction(p, 2) for p in range(-20, 21)]
