@@ -30,11 +30,12 @@ and has loaded a standalone expression as k-free terms.  So no coefficient
 or sum bound reads a grid parameter (r, s, u, v); the model refuses one.
 
 ``verify_closed`` runs n-major: the grid points of one n go through each
-summand together (``_run_points``), so each bound and coefficient is
-evaluated once per (n, k), or once per k when it reads no n either, not
-once per point; nothing outlives the call.  Each
-term runs as an integer kernel on twice-values (``_run_term``), and each side
-of a point is summed in one ``field.Sum``, reduced and lifted once.
+summand together (``_run_points``), so each sum bound is evaluated once per
+n and each coefficient once per (n, k), not once per point.  The loop
+order shares them: a summand's coefficient values live for one n, and
+nothing outlives the call.  Each term runs as an integer kernel on
+twice-values (``_run_term``), and each side of a point is summed in one
+``field.Sum``, reduced and lifted once.
 """
 
 from __future__ import annotations
@@ -261,31 +262,6 @@ _expr_memo = {}
 _eval_memo = None
 
 
-def _compile_value(expr, names, caches):
-    """A closure for the lowered value of a coefficient or a sum bound whose
-    free variables are ``names``, none a grid parameter.  It keeps its value
-    or error at each k (None for a bound) in two dicts, which go into
-    ``caches`` for ``_run_points`` to empty at each n when it reads n."""
-    value = dsl.compile(expr)
-    values, errors = {}, {}
-    if "n" in names:
-        caches += values, errors
-
-    def once_per_k(b):
-        k = b.get("k")
-        result = values.get(k)
-        if result is None:
-            if k not in errors:
-                try:
-                    result = values[k] = lower(value(b))
-                    return result
-                except _UNDEFINED as exc:
-                    errors[k] = exc
-            raise errors[k].with_traceback(None)
-        return result
-    return once_per_k
-
-
 def _twice_point(bindings):
     """The twice-values of the point's half-integer bindings, by name."""
     twice = {}
@@ -353,10 +329,14 @@ def _at_point(term, twice):
     return factors, bracket, harm
 
 
-def _run_term(plan, point, bindings, ks, total):
+def _run_term(plan, point, bindings, ks, total, values):
     """Add the exact value of a compiled term at each k of ``ks`` to the
     ``Sum`` total, in order; with ``ks`` None, add its value at the k that
-    ``bindings`` holds, which ``point`` then reads too.
+    ``bindings`` holds, which ``point`` then reads too.  ``values`` holds
+    the lowered coefficient, or the error it raised, at each k where it
+    has run: the coefficient reads no grid parameter, so every point of
+    one n shares it, and it runs at k only when a point's factors get
+    there.
 
     The kernel runs on ints.  Each affine argument is ``base + step*k``
     (``_at_point``).  An affine factor's twice-value multiplies into an
@@ -447,7 +427,15 @@ def _run_term(plan, point, bindings, ks, total):
                 if not num and not any(p == 0 and up == 1 and not base + step * k
                                        for p, base, step, up, _, _ in factors):
                     continue
-                value = coeff(bindings)
+                value = values.get(k)
+                if value is None:
+                    try:
+                        value = values[k] = lower(coeff(bindings))
+                    except _UNDEFINED as exc:
+                        values[k] = exc
+                        raise
+                elif isinstance(value, Exception):
+                    raise value.with_traceback(None)
                 if not bracket:
                     total.add(value, num, den, e)
                     continue
@@ -484,32 +472,28 @@ def eval_term(term, bindings):
     """Exact value of one closed term at a fully bound point: a plain int or
     Fraction when rational, a SymConst otherwise."""
     total = Sum()
-    plan = _compile_value(term.coeff, term.coeff_vars, []), term
-    _run_term(plan, _twice_point(bindings), bindings, None, total)
+    _run_term((dsl.compile(term.coeff), term), _twice_point(bindings), bindings, None, total, {})
     return total.value()
 
 
 def _compile_sides(sides):
-    """The plan of closed sides, per summand its two bounds and its term's
-    plan (compiled coefficient, term), and the caches to empty at each n."""
-    caches = []
-    plan = tuple(tuple((_compile_value(sm.lower, sm.bound_vars[0], caches),
-                        _compile_value(sm.upper, sm.bound_vars[1], caches),
-                        (_compile_value(sm.term.coeff, sm.term.coeff_vars, caches), sm.term))
+    """The plan of closed sides: per summand its two compiled bounds and its
+    term's plan (compiled coefficient, term)."""
+    return tuple(tuple((dsl.compile(sm.lower), dsl.compile(sm.upper),
+                        (dsl.compile(sm.term.coeff), sm.term))
                        for sm in side.summands)
                  for side in sides)
-    return plan, caches
 
 
-def _run_points(plan, caches, points):
+def _run_points(plan, points):
     """Per point of one n (a bindings dict), its side values as a tuple of
     SymConst, or the error that left it undefined.  Each summand runs at
-    every live point before the next, its k range through ``_run_term`` into
-    the point's ``Sum`` for the side.  A point meets the summands in order,
-    lhs before rhs, and drops out at its first error, which is the error it
-    raises when run alone."""
-    for cache in caches:
-        cache.clear()
+    every live point before the next.  No bound or coefficient reads a grid
+    parameter, so the points share them: the two bounds run once, and the
+    coefficient's values at each k go in one dict for the summand, which
+    ``_run_term`` fills as the points reach each k.  A point meets the
+    summands in order, lhs before rhs, and drops out at its first error,
+    which is the error it raises when run alone."""
     outcomes = [None] * len(points)
     # at k = 0 in the twice-point, each affine's k part is its step
     live = [(i, b, dict(_twice_point(b), k=0), dict(b), []) for i, b in enumerate(points)]
@@ -517,13 +501,23 @@ def _run_points(plan, caches, points):
         for *_, totals in live:
             totals.append(Sum())
         for lower_bound, upper_bound, term in side:
-            kept = []
+            if not live:
+                return outcomes
+            bindings = live[0][1]
+            try:
+                ks = range(to_int(lower(lower_bound(bindings))),
+                           to_int(lower(upper_bound(bindings))) + 1)
+            except _UNDEFINED as exc:
+                for i, *_ in live:
+                    outcomes[i] = exc
+                return outcomes
+            if not ks:
+                continue
+            values, kept = {}, []
             for point in live:
-                i, bindings, twice, inner, totals = point
+                i, _, twice, inner, totals = point
                 try:
-                    lo, hi = to_int(lower_bound(bindings)), to_int(upper_bound(bindings))
-                    if lo <= hi:
-                        _run_term(term, twice, inner, range(lo, hi + 1), totals[-1])
+                    _run_term(term, twice, inner, ks, totals[-1], values)
                     kept.append(point)
                 except _UNDEFINED as exc:
                     outcomes[i] = exc
@@ -535,7 +529,7 @@ def _run_points(plan, caches, points):
 
 def eval_side(side, bindings):
     """Exact value of one side at a fully bound point, as a SymConst."""
-    (outcome,) = _run_points(*_compile_sides((side,)), [bindings])
+    (outcome,) = _run_points(_compile_sides((side,)), [bindings])
     if isinstance(outcome, Exception):
         raise outcome
     return outcome[0]
@@ -593,15 +587,17 @@ class ClosedReport:
 
 
 def verify_closed(cid, n_range, param_grid=({},)):
-    """Pointwise comparison over n in n_range and parameter dicts in param_grid, n-major
-    (``_run_points``); an evaluation error is recorded as an undefined point, never skipped."""
-    plan, caches = _compile_sides((cid.lhs, cid.rhs))
+    """Pointwise comparison over n in n_range and parameter dicts in param_grid, n-major:
+    the sides are compiled once, and each n runs all its points together
+    (``_run_points``).  An evaluation error is recorded as an undefined
+    point, never skipped."""
+    plan = _compile_sides((cid.lhs, cid.rhs))
     grid = [(tuple(sorted((name, half(val)) for name, val in params.items())), params)
             for params in param_grid]
     results = []
     for n in n_range:
         try:
-            outcomes = _run_points(plan, caches, [_point(n, **params) for _, params in grid])
+            outcomes = _run_points(plan, [_point(n, **params) for _, params in grid])
         except EvalTypeError as exc:    # n is no half-integer
             outcomes = [exc] * len(grid)
         results.extend(PointResult(n, key, None, None, error=str(outcome))

@@ -185,8 +185,9 @@ def cmd_transform(args):
     for cid in produced if args.check else ():
         if not (cid.lhs.summands or cid.rhs.summands):
             raise ShapeError(f"{cid.provenance}: both sides are 0, so --check has nothing to check")
-        # a given grid replaces the default one, so it must bind what the outputs read
-        unbound = sorted(grid_params_read(cid).difference(grid_values)) if given_grid else ()
+        # a given grid replaces the default one, which binds only r and s, so
+        # either must bind what the outputs read
+        unbound = sorted(grid_params_read(cid).difference(grid_values if given_grid else "rs"))
         if unbound:
             raise UsageError(f"variable {unbound[0]!r} is unbound")
     for cid in produced if args.check else ():      # after every unbound check
@@ -195,12 +196,8 @@ def cmd_transform(args):
     for cid in produced:
         _print_cid(cid)
         if args.check:
-            if given_grid:
-                grid = given_grid
-            elif grid_params_read(cid):
-                grid = corpus.grid_points(dict.fromkeys("rs", parse_grid("1/2..2:1/2")))
-            else:
-                grid = ({},)
+            grid = given_grid or corpus.grid_points(
+                dict.fromkeys(grid_params_read(cid), parse_grid("1/2..2:1/2")))
             report = beta.verify_closed(cid, n_values, grid)
             verdict = "equal" if report.all_equal and not report.undefined else "NOT equal"
             print(f"check: {verdict} over n={n_values[0]}..{n_values[-1]}, {len(grid)} grid point(s)")

@@ -170,20 +170,17 @@ class ClosedTerm:
 
 @dataclass(frozen=True)
 class ClosedSummand:
-    """A term summed over k = lower..upper.  ``bound_vars`` holds the free
-    variables of ``lower`` and of ``upper``, walked once when the summand
-    is built; a bound that reads a grid parameter is a FormatError."""
+    """A term summed over k = lower..upper.  Each bound is walked once when
+    the summand is built, and one that reads a grid parameter is a
+    FormatError."""
 
     term: ClosedTerm
     lower: object            # SeqExpr over {n}
     upper: object
-    bound_vars: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "bound_vars", (frozenset(dsl.free_vars(self.lower)),
-                                                frozenset(dsl.free_vars(self.upper))))
-        for bound, names in zip((self.lower, self.upper), self.bound_vars):
-            _refuse_grid("sum bound", bound, names)
+        for bound in (self.lower, self.upper):
+            _refuse_grid("sum bound", bound, dsl.free_vars(bound))
 
 
 def _grid_read(names):
@@ -350,11 +347,12 @@ def _split(expr, name):
 def _parts(operands, negated=False):
     """(negated, operands) of each product that the product of the
     (divided, node) ``operands`` distributes into: over its first
-    multiplied sum that reads a grid parameter and is no bracket, term by
-    term (``dsl.signed_terms``), and so on over each product made."""
+    multiplied sum that reads a grid parameter and is neither one affine
+    factor nor a bracket, term by term (``dsl.signed_terms``), and so on
+    over each product made."""
     i = next((i for i, (divided, node) in enumerate(operands)
-              if not divided and type(node) is dsl.Add and not _bracket(node)
-              and _grid_read(dsl.free_vars(node))), None)
+              if not divided and type(node) is dsl.Add and _grid_read(dsl.free_vars(node))
+              and _factor(node, False) is None and not _bracket(node)), None)
     if i is None:
         return [(negated, operands)]
     return [part for term, sign in dsl.signed_terms(operands[i][1])

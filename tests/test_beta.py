@@ -509,7 +509,7 @@ def test_every_verdict_holds_on_the_wide_grid():
 
 def test_loaded_summands_off_the_factor_path_are_pinned():
     """No loaded summand is off the factor path: over the whole corpus, no
-    coefficient or sum bound reads a grid parameter.  73 summands and 40
+    coefficient or sum bound reads a grid parameter.  70 summands and 37
     k-free parts of standalone expressions have a factor or a bracket split
     out, each with the coefficient as written as its ``source``, and one of
     them an H factor."""
@@ -522,14 +522,15 @@ def test_loaded_summands_off_the_factor_path_are_pinned():
         for side in (identity.lhs, identity.rhs):
             for sm in side.summands:
                 term = sm.term
-                if not term.coeff_vars.union(*sm.bound_vars).isdisjoint(beta.GRID_PARAMS):
+                bound_vars = dsl.free_vars(sm.lower) | dsl.free_vars(sm.upper)
+                if not term.coeff_vars.union(bound_vars).isdisjoint(beta.GRID_PARAMS):
                     off_path.append((entry.name, dsl.render(term.coeff)))
                 if term.factors or term.extras:
                     split["part" if sm.lower == sm.upper == zero else "sum"] += 1
                     assert term.source is not None
                 h_factors += [(entry.name, term.render()) for f in term.factors if type(f) is FHarm]
     assert off_path == []
-    assert split == {"sum": 73, "part": 40}
+    assert split == {"sum": 70, "part": 37}
     assert h_factors == [("sqharmonic-general-r", "1 * 1/(n + r) * (r) * H(r) * [H(n + r) - H(r)]")]
 
 
@@ -578,11 +579,11 @@ def test_split_rules(coeff, rest, factors, extras):
     ("(H(n+1)/s - H(n+s)/(n+1+s))/2", ["H(n + 1)/2 * 1/(s)", "1/2 * 1/(n + s + 1) * [-H(n + s)]"]),
     # an expression in n alone is one term as written
     ("H(n) + 1/(n+1)", ["H(n) + 1/(n + 1)"]),
-    # every sum is distributed, the parts of a part too; a lone H in r is a bracket
+    # every sum is distributed, the parts of a part too, but an affine one
+    # such as (n + r) is one factor; a lone H in r is a bracket
     ("H(n)*(r*(n+r)*(H(n+r) - 1) + n)/(n+r) - H(n)*H(r)",
-     ["H(n)*n * 1/(n + r) * (r) * [H(n + r)]", "-H(n)*n*1 * 1/(n + r) * (r)",
-      "H(n) * 1/(n + r) * (r) * (r) * [H(n + r)]", "-H(n)*1 * 1/(n + r) * (r) * (r)",
-      "H(n)*n * 1/(n + r)", "-H(n) * [H(r)]"]),
+     ["H(n) * 1/(n + r) * (r) * (n + r) * [H(n + r)]",
+      "-H(n)*1 * 1/(n + r) * (r) * (n + r)", "H(n)*n * 1/(n + r)", "-H(n) * [H(r)]"]),
 ])
 def test_standalone_parts(expr, parts):
     """A standalone expression loads as k-free parts over k = 0..0, after
@@ -791,28 +792,39 @@ def test_integral_side_is_lift_of_an_int():
 def test_grid_free_values_run_once_per_n_and_k(monkeypatch):
     """Each coefficient reads no grid parameter, so it is evaluated once per
     (n, k) that a point reaches, however many points share that n, where
-    running each point alone evaluates it once per point.  The
-    fact(n)/fact(n + r) summands of dattoli-harmonic-r are split into
-    factorial factors and a bracket, so their coefficients read only k and n."""
+    running each point alone evaluates it once per point.  Each sum bound
+    is evaluated once per n in the same way.  The fact(n)/fact(n + r)
+    summands of dattoli-harmonic-r are split into factorial factors and a
+    bracket, so their coefficients read only k and n."""
     (entry,) = corpus.load_entries(names={"dattoli-harmonic-r"})
     cid, grid = entry.identity, entry.param_grid
-    coeffs = [sm.term.coeff for side in (cid.lhs, cid.rhs) for sm in side.summands]
+    summands = [sm for side in (cid.lhs, cid.rhs) for sm in side.summands]
+    coeffs = [sm.term.coeff for sm in summands]
     assert [dsl.render(c) for c in coeffs] == [
         "sign(k)*binom(n, k)/((k + 1)*(k + 2))", "fact(n)/fact(k)/(k + 2)",
         "-fact(n)*H(n - k)/fact(k)/(k + 2)"]
+    bounds = [bound for sm in summands for bound in (sm.lower, sm.upper)]
+    shared = coeffs + bounds
+    assert len(set(map(id, shared))) == 9
     assert len(grid) == 3
+
+    def counted(calls):
+        return collections.Counter((id(expr), n, k) for expr, n, k in calls
+                                   if any(expr is e for e in shared))
+
     calls = count_compiled_evaluations(monkeypatch, at=("n", "k"))
     report = verify_closed(cid, range(0, 5), grid)
     assert report.all_equal and not report.undefined
-    together = collections.Counter((id(expr), n, k) for expr, n, k in calls
-                                   if any(expr is c for c in coeffs))
+    together = counted(calls)
     alone = collections.Counter()
     for n in range(0, 5):
         for params in grid:
             calls.clear()
             verify_closed(cid, [n], [params])
-            alone.update((id(expr), n, k) for expr, _, k in calls if any(expr is c for c in coeffs))
+            alone.update(counted(calls))
     assert together.keys() == alone.keys()
+    assert {(i, n) for i, n, k in together if k is None} == {
+        (id(bound), n) for bound in bounds for n in range(0, 5)}
     assert all(count == 1 and alone[key] == len(grid) for key, count in together.items())
 
 
@@ -864,11 +876,12 @@ def test_n_major_run_matches_each_point_alone(cid, ns, grid):
             assert next(points) == verify_closed(cid, [n], [params]).results[0]
 
 
-def test_grid_free_errors_are_kept_per_n_or_per_call(monkeypatch):
-    """1/(k - 2) reads no n, so it raises at k = 2 once in the whole call;
-    1/(n - k - 3) raises at k = n - 3 once per n.  Neither runs again at
-    another point that reaches it.  r = 1 skips the first, since binom(1, 2)
-    is 0, and so meets the second at n = 3 and 4."""
+def test_grid_free_errors_are_kept_per_n(monkeypatch):
+    """1/(n - k - 3) raises at k = n - 3 once per n, and so does 1/(k - 2),
+    which reads no n, at k = 2: a coefficient's values and errors are kept
+    for one n, not for the call.  Neither runs again at another point of
+    that n that reaches it.  r = 1 skips 1/(k - 2), since binom(1, 2) is 0,
+    and so meets 1/(n - k - 3) at n = 3 and 4."""
     cid, ns, grid = _coefficient_errors()
     lhs, rhs = (side.summands[0].term.coeff for side in (cid.lhs, cid.rhs))
     calls = count_compiled_evaluations(monkeypatch, at=("n", "k"))
@@ -876,7 +889,7 @@ def test_grid_free_errors_are_kept_per_n_or_per_call(monkeypatch):
     assert [p.where for p in report.undefined if "n - k - 3" in p.error] == [
         "(n=3, r=1)", "(n=4, r=1)"]
     assert len(report.undefined) == 11
-    assert [n for expr, n, k in calls if expr is lhs and k == 2] == [2]
+    assert [n for expr, n, k in calls if expr is lhs and k == 2] == [2, 3, 4]
     assert [n for expr, n, k in calls if expr is rhs and k == n - 3] == [3, 4]
 
 

@@ -54,6 +54,15 @@ PLUS_T = {
 }
 
 
+U_AND_R = {
+    "name": "u-and-r",
+    "lhs": {"kind": "closed", "sums": [
+        {"coeff": "binom(u, k)*rbinom(n + r, k)", "lower": "0", "upper": "n"}]},
+    "rhs": {"kind": "closed", "sums": [
+        {"coeff": "binom(u, k)*rbinom(n + r, k)", "lower": "0", "upper": "n"}]},
+}
+
+
 def write(tmp_path, doc, name="doc.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
@@ -528,13 +537,15 @@ class TestTransform:
         assert code == 2
         assert err.splitlines() == [f"error: variable {unbound!r} is unbound"]
 
-    @pytest.mark.parametrize("op, grid, unbound", [
-        ("beta", ["--u", "1"], "r"), ("beta", ["--r", "1", "--v", "1"], "s"),
-        ("beta,ddr", ["--s", "1"], "r")])
+    @pytest.mark.parametrize("doc, op, grid, unbound", [
+        (STANDARD, "beta", ["--u", "1"], "r"), (STANDARD, "beta", ["--r", "1", "--v", "1"], "s"),
+        (STANDARD, "beta,ddr", ["--s", "1"], "r"),
+        (U_AND_R, "ddr", [], "u"),      # the default grid spans only r and s
+    ], ids=["beta-grid0-r", "beta-grid1-s", "beta,ddr-grid2-r", "ddr-default-grid-u"])
     def test_grid_leaving_a_read_parameter_unbound_prints_nothing(self, capsys, tmp_path,
-                                                                  op, grid, unbound):
+                                                                  doc, op, grid, unbound):
         # refused before any output, not after the transform is printed
-        path = write(tmp_path, STANDARD)
+        path = write(tmp_path, doc)
         assert run(capsys, "transform", path, "--op", op, "--check", *grid) == (
             2, "", f"error: variable {unbound!r} is unbound\n")
 
@@ -619,7 +630,7 @@ class TestTransform:
         assert out.splitlines()[2:] == [
             "rhs: sum(k=0..n) fact(n)/fact(k)/(k + 2) * 1/fact(n + r) * fact(k + r - 1)"
             " * [-H(n + r) + H(k + r - 1)]",
-            "check: equal over n=0..8, 14 grid point(s)"]
+            "check: equal over n=0..8, 4 grid point(s)"]
 
     def test_check_of_two_empty_sides_exits_4(self, capsys):
         # both sides of this derivative are 0: --check used to report them equal
