@@ -245,11 +245,10 @@ def run_entry(entry):
         detail = f"unequal at {p.where}: lhs={p.lhs}, rhs={p.rhs}"
         return _finish(entry, "unequal", detail)
     # polynomial entry
-    for n in entry.n_values:
-        rep = polyverify.verify_poly(identity, n)
+    for rep in polyverify.verify_poly_each(identity, entry.n_values):
         if not rep.equal:
             i, lc, rc = rep.first_difference
-            detail = f"unequal at n={n}, t^{i}: lhs={lc}, rhs={rc}"
+            detail = f"unequal at n={rep.n}, t^{i}: lhs={lc}, rhs={rc}"
             return _finish(entry, "unequal", detail)
     return _finish(entry, "equal", "")
 

@@ -54,7 +54,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import (ArityError, DivisionByZero, DslSyntaxError, EvalTypeError,
-                     PoleError, UnboundVariable)
+                     FinsumError, PoleError, UnboundVariable)
 from .field import Sum, SymConst, exact_div, half, lift, to_int, to_twice
 from . import special
 
@@ -419,7 +419,9 @@ def compile(expr):
     ``k+s``) is computed as an int on twice the bindings' values, with no
     Fraction arithmetic unless it has a half coefficient.  A bounded sum
     adds its body values into one accumulator and builds its value once, at
-    the end."""
+    the end; a body that is a monomial c * t^m by its syntax adds c at
+    offset m there without building t^m or the product, and a step where
+    that fails runs the body as written (``_compile_sum``)."""
     return _compile(expr)
 
 
@@ -563,12 +565,23 @@ def _compile_sum(e):
     body value goes into a ``field.Sum``, a polynomial one into a row of int
     numerators per field monomial (``polyverify._add``).  The rows are
     trimmed and reduced once at the end and joined with the scalar total,
-    so no step builds a value; an empty range is the int 0."""
-    from .polyverify import DensePoly, _add, _parts, _poly
+    so no step builds a value; an empty range is the int 0.
+
+    A body that is a monomial c * t^m by its syntax (``_monomial``) adds,
+    while t is bound to the variable, c's field terms, or its rows when c
+    is a polynomial, into the rows at offset m, with no t^m or product
+    built.  A step where c or m raises a FinsumError, or m is negative,
+    runs the body as written, so that it raises that product's error."""
+    from .polyverify import DensePoly, _add, _add_terms, _parts, _poly, _terms
     index = e.index
     lower = _compile_int(e.lower, "sum lower bound")
     upper = _compile_int(e.upper, "sum upper bound")
     body = _compile(e.body)
+    monomial = _monomial(e.body)
+    if monomial is not None:
+        coeff = _compile(monomial[0])
+        exponent = _compile_int(monomial[1], "exponent")
+        variable = DensePoly.variable()
 
     def bounded_sum(b):
         lo = lower(b)
@@ -576,22 +589,54 @@ def _compile_sum(e):
         scalars = Sum()
         rows = None
         inner = dict(b)
+        fast = monomial is not None and variable == b.get("t")
         for i in range(lo, hi + 1):
             inner[index] = i
-            value = body(inner)
+            m = -1
+            if fast:
+                try:
+                    value, m = coeff(inner), exponent(inner)
+                except FinsumError:
+                    pass
+            if m < 0:
+                value, m = body(inner), 0
+                if type(value) is not DensePoly:
+                    scalars.add(value)
+                    continue
+            if rows is None:
+                rows = {}
             if type(value) is DensePoly:
-                if rows is None:
-                    rows = {}
                 for key, den, nums in value.parts:
-                    _add(rows, key, nums, den)
+                    _add(rows, key, nums, den, 1, m)
             else:
-                scalars.add(value)
+                _add_terms(rows, _terms(value), (1,), m)
         total = scalars.value()
         if rows is None:
             return total
         poly = _poly(_parts(rows))
         return poly if total == 0 else poly + total
     return bounded_sum
+
+
+def _monomial(e):
+    """(coefficient, exponent) nodes of ``t``, ``t^e``, or a ``* /`` chain
+    with one ``t``/``t^e`` operand, multiplied: the coefficient is the
+    chain of the other operands, or 1.  Else None."""
+    operands = list(zip(e.inverted, e.operands)) if type(e) is Mul else [(False, e)]
+    found = [i for i, (_, x) in enumerate(operands)
+             if x == _TVAR or type(x) is Pow and x.base == _TVAR]
+    if len(found) != 1 or operands[found[0]][0]:
+        return None
+    power = operands.pop(found[0])[1]
+    if not operands or operands[0][0]:
+        operands.insert(0, (False, _ONE))
+    inverted, rest = zip(*operands)
+    coeff = rest[0] if len(rest) == 1 else Mul(rest, inverted)
+    return coeff, _ONE if power == _TVAR else power.exponent
+
+
+_TVAR = Var("t")
+_ONE = Lit(Fraction(1))
 
 
 def _compile_int(e, what):

@@ -300,17 +300,17 @@ def _load_side(doc, name):
             raise FormatError(f"{name}: poly side contains no t")
         return PolySide(expr)
     if kind == "closed":
-        summands = [
-            ClosedSummand(term, _dsl_field(s, "lower", name, bound=True),
-                          _dsl_field(s, "upper", name, bound=True))
-            for s in _objects(doc, "sums", name)
-            for term in _split(_dsl_field(s, "coeff", name), name)
-        ]
+        summands = []
+        for s in _objects(doc, "sums", name):
+            terms = _split(_dsl_field(s, "coeff", name), name)
+            lower, upper = (_dsl_field(s, key, name, bound=True) for key in ("lower", "upper"))
+            summands += [ClosedSummand(term, lower, upper) for term in terms]
         if "expr" in doc:
             expr = _dsl_field(doc, "expr", name)
-            if "k" in dsl.free_vars(expr):
+            names = frozenset(dsl.free_vars(expr))
+            if "k" in names:
                 raise FormatError(f"{name}: standalone expression reads k outside a sum")
-            summands += [ClosedSummand(term, _ZERO, _ZERO) for term in _split(expr, name)]
+            summands += [ClosedSummand(term, _ZERO, _ZERO) for term in _split(expr, name, names)]
         if not summands:
             raise FormatError(f"{name}: empty closed side")
         # a split factor or bracket reads no t, so t stays in coeff
@@ -325,58 +325,69 @@ _ZERO = dsl.Lit(Fraction(0))
 _MAX_SPLIT_POWER = 4        # (k+s)^m in a divisor splits into m factors up to this m
 
 
-def _split(expr, name):
-    """The terms of a loaded coefficient or standalone expression.  One
-    that reads a grid parameter is split into its ``+ -`` terms, each
-    distributed over its multiplied sums (``_parts``), and each part is
-    split (``split_closed_term``) with the whole ``expr`` as its
-    ``source``, where a failing point takes its error from.  Any other is
-    one term as written.  A part whose rest still reads a grid parameter is
-    a FormatError naming the identity."""
-    names = frozenset(dsl.free_vars(expr))
+def _split(expr, name, names=None):
+    """The terms of a loaded coefficient or standalone expression, whose
+    free ``names`` the caller may have walked already.  One that reads a
+    grid parameter is split into its ``+ -`` terms, each distributed over
+    its multiplied sums (``_parts``), and each part is split
+    (``split_closed_term``) with the whole ``expr`` as its ``source``,
+    where a failing point takes its error from; the operands of each part
+    are walked once (``_read``), for ``_parts`` and the split both.  Any
+    other is one term as written.  A part whose rest still reads a grid
+    parameter is a FormatError naming the identity."""
+    names = frozenset(dsl.free_vars(expr)) if names is None else names
     if not _grid_read(names):
         return [ClosedTerm(expr, coeff_vars=names)]
     try:
-        return [replace(split_closed_term(_chain(operands, negated)), source=expr)
+        return [replace(split_closed_term(_chain(part), part), source=expr)
                 for term, sign in dsl.signed_terms(expr)
-                for negated, operands in _parts(_operands(term), sign < 0)]
+                for part in _parts(_read(term), sign < 0)]
     except FormatError as exc:
         raise FormatError(f"{name}: {exc}") from None
 
 
 def _parts(operands, negated=False):
-    """(negated, operands) of each product that the product of the
-    (divided, node) ``operands`` distributes into: over its first
+    """The operands (``_normal``) of each product that the product of
+    ``negated`` and ``operands`` distributes into: over its first
     multiplied sum that reads a grid parameter and is neither one affine
     factor nor a bracket, term by term (``dsl.signed_terms``), and so on
     over each product made."""
-    i = next((i for i, (divided, node) in enumerate(operands)
-              if not divided and type(node) is dsl.Add and _grid_read(dsl.free_vars(node))
+    i = next((i for i, (divided, node, names) in enumerate(operands)
+              if not divided and type(node) is dsl.Add and _grid_read(names)
               and _factor(node, False) is None and not _bracket(node)), None)
     if i is None:
-        return [(negated, operands)]
+        return [_normal(operands, negated)]
     return [part for term, sign in dsl.signed_terms(operands[i][1])
-            for part in _parts(operands[:i] + _operands(term) + operands[i + 1:],
+            for part in _parts(operands[:i] + _read(term) + operands[i + 1:],
                                negated != (sign < 0))]
 
 
-def _operands(e):
-    """(divided, node) of each operand of a ``*``/``/`` chain, left to right."""
-    return list(zip(e.inverted, e.operands)) if type(e) is dsl.Mul else [(False, e)]
+def _read(e):
+    """(divided, node, names) of each operand of a ``*``/``/`` chain, left
+    to right, with the free names of each walked once."""
+    operands = zip(e.inverted, e.operands) if type(e) is dsl.Mul else [(False, e)]
+    return [(divided, node, dsl.free_vars(node)) for divided, node in operands]
 
 
-def _chain(operands, negated=False):
-    """The ``*``/``/`` chain of (divided, node) operands, or 1; ``negated``
-    puts a minus on the first, which is then a multiplied one."""
+def _normal(operands, negated=False):
+    """The operands of the chain of ``operands`` as ``_chain`` builds it: a
+    1 first when there are none or the first is divided, and ``negated``
+    puts a minus on the first."""
     if not operands or operands[0][0]:
-        operands = [(False, _ONE)] + operands
+        operands = [(False, _ONE, frozenset())] + operands
     if negated:
-        operands = [(False, dsl.Neg(operands[0][1]))] + operands[1:]
-    inverted, nodes = zip(*operands)
+        _, node, names = operands[0]
+        operands = [(False, dsl.Neg(node), names)] + operands[1:]
+    return operands
+
+
+def _chain(operands):
+    """The ``*``/``/`` chain of ``_normal`` (divided, node, names) operands."""
+    inverted, nodes, _ = zip(*operands)
     return dsl.Mul(nodes, inverted) if len(nodes) > 1 else nodes[0]
 
 
-def split_closed_term(coeff):
+def split_closed_term(coeff, operands=None):
     """The ``ClosedTerm`` of a loaded product: its grid-reading factors and
     its bracket split out once, so that the grid-free rest runs once per
     (n, k) and the factors on twice-int affines.
@@ -404,15 +415,17 @@ def split_closed_term(coeff):
     gives the error).  It differs only where ``beta._run_term`` zeroes a
     term at an Infinite reciprocal binomial or a zero binomial before its
     other operands run, while the unsplit product runs them and may fail:
-    a point no admissible (r, s) reaches in the shipped corpus."""
-    operands = _operands(coeff)
-    reads = [dsl.free_vars(node) for _, node in operands]   # the one walk of coeff
-    names = frozenset().union(*reads)
+    a point no admissible (r, s) reaches in the shipped corpus.
+
+    ``operands`` are the ``_read`` operands of ``coeff`` when the loader
+    has walked them already."""
+    operands = _read(coeff) if operands is None else operands
+    names = frozenset().union(*(names for _, _, names in operands))
     if not _grid_read(names):
         return ClosedTerm(coeff, coeff_vars=names)
     divisors, multiplied, extras, negated = [], [], (), False
-    kept, kept_names = [], set()       # (divided, node) left in the coefficient, in order
-    for (divided, node), node_names in zip(operands, reads):
+    kept, kept_names = [], set()       # operands left in the coefficient, in order
+    for divided, node, node_names in operands:
         if not _grid_read(node_names):
             pass                       # kept below
         elif divided:
@@ -422,7 +435,7 @@ def split_closed_term(coeff):
             divisors.append([f for f in found if f is not None])
             if len(rest) < len(parts):
                 if rest:
-                    kept.append((True, _chain([(False, part) for part in rest])))
+                    kept.append((True, _chain([(False, part, None) for part in rest]), None))
                     kept_names.update(*map(dsl.free_vars, rest))
                 continue
         else:
@@ -441,11 +454,11 @@ def split_closed_term(coeff):
             if pieces and type(node) is dsl.Call:      # a second lone H
                 multiplied.append(FHarm(pieces[0].argument))
                 continue
-        kept.append((divided, node))
+        kept.append((divided, node, node_names))
         kept_names |= node_names
     factors = tuple(f for group in reversed(divisors) for f in group) + tuple(multiplied)
-    return ClosedTerm(_chain(kept, negated), factors, extras, coeff_vars=frozenset(kept_names),
-                      source=coeff)
+    return ClosedTerm(_chain(_normal(kept, negated)), factors, extras,
+                      coeff_vars=frozenset(kept_names), source=coeff)
 
 
 def _divisor_parts(node):

@@ -3,9 +3,11 @@
 A side is expanded into a dense polynomial in t over the constant field:
 standard sides by the binomial theorem applied to each coeff * t^a * (1+-t)^b
 summand, free-form polynomial sides by their ``dsl.compile`` closure with t
-bound to ``DensePoly.variable()``.  Two sides agree iff their coefficient vectors
-agree; there is no tolerance anywhere.  ``DensePoly`` is the one polynomial
-type, and ``chebyshev_u`` gives the DSL's ``U(m)`` as one.
+bound to ``DensePoly.variable()``.  ``compile_side`` compiles a side's
+expressions once, and ``verify_poly_each`` expands both compiled sides at
+each n.  Two sides agree iff their coefficient vectors agree; there is no
+tolerance anywhere.  ``DensePoly`` is the one polynomial type, and
+``chebyshev_u`` gives the DSL's ``U(m)`` as one.
 
 A ``DensePoly`` is the polynomial form of ``field.Sum``: for each field
 monomial (ln2 exponent, sqrt(pi) exponent) of its coefficients it holds one
@@ -47,8 +49,7 @@ class DensePoly:
     def __init__(self, coeffs=()):
         acc = {}
         for i, c in enumerate(coeffs):
-            for key, p, q in _terms(c):
-                _add(acc, key, (p,), q, 1, i)
+            _add_terms(acc, _terms(c), (1,), i)
         self.parts = _parts(acc)
 
     @classmethod
@@ -187,6 +188,8 @@ def _terms(value):
     Fraction or SymConst."""
     if type(value) is int:
         return (((0, 0), value, 1),) if value else ()
+    if type(value) is Fraction:
+        return (((0, 0), value.numerator, value.denominator),) if value else ()
     return tuple((key, c.numerator, c.denominator) for key, c in lift(value).terms.items())
 
 
@@ -212,6 +215,14 @@ def _add(acc, key, nums, den, mult=1, shift=0):
     if len(out) < end:
         out += [0] * (end - len(out))
     out[shift:end] = [o + mult * x for o, x in zip(out[shift:end], nums)]
+
+
+def _add_terms(acc, terms, row, shift):
+    """Add t^shift * row times each (monomial, numerator, denominator) of
+    ``terms`` into ``acc``: a standard summand's coefficient times its
+    binomial row, or a monomial c * t^m of a free-form sum with row (1,)."""
+    for key, p, q in terms:
+        _add(acc, key, row, q, p, shift)
 
 
 def _parts(acc):
@@ -257,46 +268,61 @@ def binomial_power(base, exponent):
     return _poly((((0, 0), 1, tuple(coeffs)),))
 
 
-def expand_side(side, n):
-    """Dense expansion of one side of a polynomial identity at concrete n.
+def compile_side(side):
+    """One side of a polynomial identity as a closure ``expand(n)`` for its
+    dense expansion at concrete n, each of its expressions compiled once.
 
     Each standard summand coeff * t^a * (1+-t)^b adds coeff times the
     binomial row of (1+-t)^b, shifted by a, into one int accumulator per
-    monomial of the coefficients.
-    """
-    base_bindings = {"n": half(n)}
+    monomial of the coefficients.  A free-form side is its ``dsl.compile``
+    closure with t bound to the variable, a scalar value wrapped as a
+    constant."""
     if isinstance(side, StandardSide):
-        acc = {}
-        for term in side.terms:
-            lo = to_int(dsl.compile(term.lower)(base_bindings))
-            hi = to_int(dsl.compile(term.upper)(base_bindings))
-            coeff_of = dsl.compile(term.coeff)
-            twice_a = term.t_exp.compile_twice()
-            twice_b = term.base_exp.compile_twice()
-            for k in range(lo, hi + 1):
-                kb = dict(base_bindings)
-                kb["k"] = k
-                terms = _terms(coeff_of(kb))
-                if not terms:
-                    continue
-                a = to_int(exact_div(twice_a(kb), 2))
-                if a < 0:
-                    raise NegativeExponent(f"t^{a} at k={k}, n={n}")
-                b = to_int(exact_div(twice_b(kb), 2))
-                (_, _, row), = binomial_power(term.base, b).parts
-                for key, p, q in terms:
-                    _add(acc, key, row, q, p, a)
-        return _poly(_parts(acc))
+        terms = [(dsl.compile(term.lower), dsl.compile(term.upper), dsl.compile(term.coeff),
+                  term.t_exp.compile_twice(), term.base_exp.compile_twice(), term.base)
+                 for term in side.terms]
+
+        def expand(n):
+            base_bindings = {"n": half(n)}
+            acc = {}
+            for lower_of, upper_of, coeff_of, twice_a, twice_b, base in terms:
+                lo = to_int(lower_of(base_bindings))
+                hi = to_int(upper_of(base_bindings))
+                for k in range(lo, hi + 1):
+                    kb = dict(base_bindings)
+                    kb["k"] = k
+                    coeff = _terms(coeff_of(kb))
+                    if not coeff:
+                        continue
+                    a = to_int(exact_div(twice_a(kb), 2))
+                    if a < 0:
+                        raise NegativeExponent(f"t^{a} at k={k}, n={n}")
+                    b = to_int(exact_div(twice_b(kb), 2))
+                    (_, _, row), = binomial_power(base, b).parts
+                    _add_terms(acc, coeff, row, a)
+            return _poly(_parts(acc))
+        return expand
     if isinstance(side, PolySide):
-        return eval_poly(side.expr, base_bindings)
+        value_of = dsl.compile(side.expr)
+        return lambda n: _as_poly(value_of({"n": half(n), "t": DensePoly.variable()}))
     raise EvalTypeError(f"not a polynomial side: {side!r}")
+
+
+def expand_side(side, n):
+    """Dense expansion of one side of a polynomial identity at concrete n;
+    ``side`` is a model side, or its ``compile_side`` closure when it is
+    expanded at many n."""
+    return (side if callable(side) else compile_side(side))(n)
 
 
 def eval_poly(expr, bindings):
     """Evaluate a DSL expression as a polynomial in t: its ``dsl.compile``
     closure with t bound to the variable, a scalar value wrapped as a
     constant."""
-    value = dsl.compile(expr)(dict(bindings, t=DensePoly.variable()))
+    return _as_poly(dsl.compile(expr)(dict(bindings, t=DensePoly.variable())))
+
+
+def _as_poly(value):
     return value if type(value) is DensePoly else DensePoly.constant(value)
 
 
@@ -321,9 +347,17 @@ class PolyReport:
 
 def verify_poly(identity, n):
     """Compare both sides coefficient-by-coefficient at concrete n."""
-    lhs = expand_side(identity.lhs, n)
-    rhs = expand_side(identity.rhs, n)
-    return PolyReport(identity.name, n, lhs == rhs, lhs, rhs)
+    return next(verify_poly_each(identity, (n,)))
+
+
+def verify_poly_each(identity, n_values):
+    """The ``verify_poly`` report at each n of ``n_values`` in turn, made
+    when it is asked for, with each side compiled once for all of them."""
+    lhs, rhs = compile_side(identity.lhs), compile_side(identity.rhs)
+    for n in n_values:
+        left = expand_side(lhs, n)
+        right = expand_side(rhs, n)
+        yield PolyReport(identity.name, n, left == right, left, right)
 
 
 _chebyshev = [_poly((((0, 0), 1, (1,)),)), _poly(_T).scale(2)]   # U_0, U_1, ... built so far

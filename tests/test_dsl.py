@@ -1,5 +1,6 @@
 """Parser, renderer, and scalar evaluator of the expression language."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -7,8 +8,8 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from finsum import dsl
-from finsum.errors import (ArityError, DivisionByZero, DslSyntaxError,
-                           EvalTypeError, FinsumError, PoleError, UnboundVariable)
+from finsum.errors import (ArityError, DivisionByZero, DslSyntaxError, EvalTypeError,
+                           FinsumError, NegativeExponent, PoleError, UnboundVariable)
 from finsum.field import SymConst, half, lift
 from finsum.polyverify import DensePoly
 
@@ -360,6 +361,8 @@ SUMMANDS = st.sampled_from([
     "t^k", "(1-t)^k", "binom(n, k)*t^k", "U(k)", "H(k+1/2)*t^k", "t/(k+1)",
     "sum(j, 0, k, 1/(j+1))", "sum(j, 1, k, H(j-1/2)*t^j)", "sum(j, k, 2, binom(k, j))",
     "sum(j, 0, k - 1, t^j)",       # empty at k = 0: a scalar body among polynomial ones
+    # monomials c * t^m, added into the rows at offset m when they are the whole body
+    "t^k*binom(n, k)", "t", "H(k+1/2)*binom(n, 1/2)*t^(k+1)", "binom(2, k)*t^k",
 ])
 
 
@@ -367,6 +370,11 @@ SUMMANDS = st.sampled_from([
        st.integers(0, 3))
 @example(["k"], 3, 2, 0)
 @example(["sum(j, 0, k - 1, t^j)", "H(k+1/2)"], 0, 3, 1)
+@example(["t^k*binom(n, k)"], 0, 4, 3)
+@example(["t"], 1, 3, 0)
+@example(["H(k+1/2)*binom(n, 1/2)*t^(k+1)"], 0, 2, 2)
+@example(["binom(2, k)*t^k"], 0, 6, 0)
+@example(["t"], 2, 1, 0)
 def test_sum_matches_left_fold(summands, lo, hi, n):
     """A compiled bounded sum, one accumulator per evaluation, has the value
     of the left fold, and the same parts when that is a polynomial; an empty
@@ -397,3 +405,62 @@ def test_sum_of_polynomials_builds_no_intermediate(monkeypatch):
     calls.clear()
     assert dsl.compile(expr)(point) == want
     assert calls == []
+
+
+def test_monomial_sum_builds_no_power(monkeypatch):
+    """sum(k, 0, 30, binom(30, k)*t^k) adds each binom(30, k) into its row
+    at offset k: no t^k is built and none is scaled, where the left fold
+    does both at each k."""
+    calls = []
+    for name in ("__pow__", "scale"):
+        method = getattr(DensePoly, name)
+        monkeypatch.setattr(DensePoly, name, lambda self, x, method=method, name=name:
+                            calls.append(name) or method(self, x))
+    expr = dsl.parse("sum(k, 0, 30, binom(30, k)*t^k)")
+    point = {"t": DensePoly.variable()}
+    want = walk(expr, point)
+    assert calls.count("__pow__") == 31 and calls.count("scale") > 0
+    calls.clear()
+    assert dsl.compile(expr)(point) == want == DensePoly([math.comb(30, k) for k in range(31)])
+    assert calls == []
+
+
+@pytest.mark.parametrize("body, error", [
+    ("binom(n, k)/(k-k)*t^k", DivisionByZero),     # c raises
+    ("t^(k-2)*binom(n, k)", NegativeExponent),    # m < 0 at k = 0
+    ("t^(k/2)*k", EvalTypeError),                 # m raises at k = 1
+    ("t^k*U(2)", None),                           # c is a polynomial
+    ("t^(k-1)*H(k-1)", NegativeExponent),         # c and m raise: the product's order decides
+    ("binom(n, k)/t^k", EvalTypeError),           # a divided t-power is no monomial
+    ("t*t^k", None),                              # nor are two t-powers
+])
+def test_monomial_sum_keeps_the_product_as_written(body, error):
+    """A sum whose body is c * t^m by its syntax has the value, or raises the
+    error with the text, of its body's product as written, added up k by k."""
+    point = {"n": 4, "t": DensePoly.variable()}
+    product = dsl.compile(dsl.parse(body))
+    compiled = dsl.compile(dsl.parse(f"sum(k, 0, 4, {body})"))
+    try:
+        want = 0
+        for k in range(5):
+            want = want + product(dict(point, k=k))
+    except FinsumError as exc:
+        assert type(exc) is error
+        with pytest.raises(error) as got:
+            compiled(point)
+        assert str(got.value) == str(exc)
+    else:
+        assert error is None
+        got = compiled(point)
+        assert type(got) is DensePoly and got.parts == want.parts
+
+
+@pytest.mark.parametrize("t", [2, Fraction(1, 2), DensePoly([1, 1]), DensePoly([0, 2])])
+def test_monomial_sum_reads_t_as_bound(t):
+    """Only t bound to the variable itself puts a monomial body on the row
+    path; bound to a scalar or another polynomial, the sum is its left fold."""
+    expr = dsl.parse("sum(k, 0, 3, binom(3, k)*t^k)")
+    got = dsl.compile(expr)({"t": t})
+    assert (got if type(t) is DensePoly else lift(got)) == walk(expr, {"t": t})
+    if t == 2:
+        assert got == 27

@@ -367,6 +367,29 @@ class TestExpandSide:
         with pytest.raises(NegativeExponent):
             verify_poly(load_identity(doc), 0)
 
+    @pytest.mark.parametrize("name", ["binom-harmonic-gf-complement", "partial-sum-gf-recip"])
+    def test_each_expression_compiles_once_per_identity(self, name, monkeypatch):
+        """``run_entry`` compiles each expression of a side once, a standard
+        term's coefficient and two bounds and a free-form side's text, and
+        expands it at every n through ``expand_side``."""
+        (entry,) = corpus.load_entries(names={name})
+        compiled, expanded = [], []
+        compile_, expand = dsl.compile, polyverify.expand_side
+        monkeypatch.setattr(dsl, "compile", lambda e: compiled.append(e) or compile_(e))
+        monkeypatch.setattr(polyverify, "expand_side",
+                            lambda side, n: expanded.append(n) or expand(side, n))
+        assert corpus.run_entry(entry).matched
+        identity = entry.identity
+        assert len(compiled) == sum(3 * len(side.terms) if hasattr(side, "terms") else 1
+                                    for side in (identity.lhs, identity.rhs))
+        assert expanded == [n for n in entry.n_values for _ in "lr"]
+
+    def test_compiled_side_expands_as_the_side(self):
+        (entry,) = corpus.load_entries(names={"binom-harmonic-gf-complement"})
+        side = entry.identity.rhs
+        compiled = polyverify.compile_side(side)
+        assert all(expand_side(compiled, n) == expand_side(side, n) for n in range(6))
+
     def test_first_difference_reports_lowest_power(self):
         doc = {
             "name": "off-by-t",
