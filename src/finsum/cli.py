@@ -200,7 +200,7 @@ def cmd_transform(args):
                 dict.fromkeys(grid_params_read(cid), parse_grid("1/2..2:1/2")))
             report = beta.verify_closed(cid, n_values, grid)
             verdict = "equal" if report.all_equal and not report.undefined else "NOT equal"
-            print(f"check: {verdict} over n={n_values[0]}..{n_values[-1]}, {len(grid)} grid point(s)")
+            print(f"check: {verdict} over n={_render_n(n_values)}, {len(grid)} grid point(s)")
             if report.failures:
                 p = report.failures[0]
                 print(f"  first failure at {p.where}: {p.lhs} vs {p.rhs}")
@@ -210,6 +210,13 @@ def cmd_transform(args):
             if not report.all_equal or report.undefined:
                 exit_code = EXIT_MISMATCH
     return exit_code
+
+
+def _render_n(n_values):
+    """``a..b`` for a contiguous ascending list of n values, else the values."""
+    if n_values == list(range(n_values[0], n_values[-1] + 1)):
+        return f"{n_values[0]}..{n_values[-1]}"
+    return ",".join(map(str, n_values))
 
 
 def _int_param(text, name):
@@ -252,7 +259,10 @@ def cmd_eval(args):
     value = dsl.eval_scalar(expr, bindings)
     print(value.render())
     if args.as_float:
-        print(value.to_float(30 if args.precision is None else args.precision))
+        import mpmath
+
+        digits = 30 if args.precision is None else args.precision
+        print(mpmath.nstr(value.to_float(digits), digits, strip_zeros=False))
     return EXIT_OK
 
 

@@ -8,8 +8,9 @@ An identity has two sides; each side is either
 * ``ClosedSide``: t-free summands.
 
 Both sides must be closed, or both t-bearing.  A closed summand holds a
-``ClosedTerm``: a coefficient that reads no grid parameter, times binomial,
-affine, factorial and H factors, times an optional derivative bracket.
+``ClosedTerm``: a coefficient that reads no grid parameter and no t, times
+binomial, affine, factorial and H factors, times an optional derivative
+bracket.
 Exponents, factors and bracket pieces read ``dsl.Affine`` arguments;
 ``model.Affine`` is that type.  The ``beta`` transforms build the factors
 and the bracket; the loader splits them out of a document's coefficient once
@@ -127,24 +128,23 @@ class ClosedTerm:
     optional harmonic-difference bracket, from differentiation or from the
     split of a loaded coefficient (``split_closed_term``).
 
-    The coefficient reads no grid parameter: one that does is a
-    FormatError here, where the term is built, and so is an ``FHarm`` in a
-    term without a bracket.  ``coeff_vars`` holds the free variables of
-    ``coeff``, walked once when the term is built; a term made by
-    ``replace`` with a new ``coeff`` must not pass the old one on.  A split
-    term keeps the coefficient as written in ``source``, so that a point
-    where it fails reports the error the unsplit coefficient raises."""
+    The coefficient reads no grid parameter and no t: one that does, or
+    calls ``U(m)``, is a FormatError here, where the term is built, and so
+    is an ``FHarm`` in a term without a bracket.  A split term keeps the
+    coefficient as written in ``source``, so that a point where it fails
+    reports the error the unsplit coefficient raises."""
 
     coeff: object            # SeqExpr over {k, n}
     factors: tuple = ()
     extras: tuple = ()       # bracket pieces; () means no bracket (factor 1)
-    coeff_vars: frozenset = field(default=None, compare=False, repr=False)
     source: object = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
-        if self.coeff_vars is None:
-            object.__setattr__(self, "coeff_vars", frozenset(dsl.free_vars(self.coeff)))
-        _refuse_grid("coefficient", self.coeff, self.coeff_vars)
+        names = dsl.free_vars(self.coeff)
+        _refuse_grid("coefficient", self.coeff, names)
+        if "t" in names:
+            raise FormatError(f"coefficient {dsl.render(self.coeff)} reads t or U(...):"
+                              " a closed term is free of t")
         if not self.extras and any(type(f) is FHarm for f in self.factors):
             raise FormatError(f"an H factor multiplies a bracket, and {self.render()} has none")
 
@@ -286,9 +286,8 @@ def _load_side(doc, name):
 
     Each closed summand's coefficient, and a standalone expression as
     k-free summands after the sums, is distributed and split into terms
-    (``_split``); a coefficient that keeps a grid parameter is a
-    FormatError.  The names of the one walk of each coefficient serve the
-    ``t`` check here and ``beta``'s compilation."""
+    (``_split``); a coefficient that keeps a grid parameter, or reads t,
+    is a FormatError."""
     if not isinstance(doc, dict) or "kind" not in doc:
         raise FormatError(f"{name}: side must be an object with a 'kind'")
     kind = doc["kind"]
@@ -307,15 +306,11 @@ def _load_side(doc, name):
             summands += [ClosedSummand(term, lower, upper) for term in terms]
         if "expr" in doc:
             expr = _dsl_field(doc, "expr", name)
-            names = frozenset(dsl.free_vars(expr))
-            if "k" in names:
+            if "k" in dsl.free_vars(expr):
                 raise FormatError(f"{name}: standalone expression reads k outside a sum")
-            summands += [ClosedSummand(term, _ZERO, _ZERO) for term in _split(expr, name, names)]
+            summands += [ClosedSummand(term, _ZERO, _ZERO) for term in _split(expr, name)]
         if not summands:
             raise FormatError(f"{name}: empty closed side")
-        # a split factor or bracket reads no t, so t stays in coeff
-        if any("t" in sm.term.coeff_vars for sm in summands):
-            raise FormatError(f"{name}: closed side contains t or U(...)")
         return ClosedSide(tuple(summands))
     raise FormatError(f"{name}: unknown side kind {kind!r}")
 
@@ -325,69 +320,57 @@ _ZERO = dsl.Lit(Fraction(0))
 _MAX_SPLIT_POWER = 4        # (k+s)^m in a divisor splits into m factors up to this m
 
 
-def _split(expr, name, names=None):
-    """The terms of a loaded coefficient or standalone expression, whose
-    free ``names`` the caller may have walked already.  One that reads a
-    grid parameter is split into its ``+ -`` terms, each distributed over
-    its multiplied sums (``_parts``), and each part is split
-    (``split_closed_term``) with the whole ``expr`` as its ``source``,
-    where a failing point takes its error from; the operands of each part
-    are walked once (``_read``), for ``_parts`` and the split both.  Any
-    other is one term as written.  A part whose rest still reads a grid
-    parameter is a FormatError naming the identity."""
-    names = frozenset(dsl.free_vars(expr)) if names is None else names
-    if not _grid_read(names):
-        return [ClosedTerm(expr, coeff_vars=names)]
+def _split(expr, name):
+    """The terms of a loaded coefficient or standalone expression.  One
+    that reads a grid parameter is split into its ``+ -`` terms, each
+    distributed over its multiplied sums (``_parts``), and each part is
+    split (``split_closed_term``) with the whole ``expr`` as its
+    ``source``, where a failing point takes its error from.  Any other is
+    one term as written.  A term that ``ClosedTerm`` refuses is a
+    FormatError naming the identity."""
     try:
-        return [replace(split_closed_term(_chain(part), part), source=expr)
+        if not _grid_read(dsl.free_vars(expr)):
+            return [ClosedTerm(expr)]
+        return [replace(split_closed_term(_chain(operands, negated)), source=expr)
                 for term, sign in dsl.signed_terms(expr)
-                for part in _parts(_read(term), sign < 0)]
+                for negated, operands in _parts(_operands(term), sign < 0)]
     except FormatError as exc:
         raise FormatError(f"{name}: {exc}") from None
 
 
 def _parts(operands, negated=False):
-    """The operands (``_normal``) of each product that the product of
-    ``negated`` and ``operands`` distributes into: over its first
+    """(negated, operands) of each product that the product of the
+    (divided, node) ``operands`` distributes into: over its first
     multiplied sum that reads a grid parameter and is neither one affine
     factor nor a bracket, term by term (``dsl.signed_terms``), and so on
     over each product made."""
-    i = next((i for i, (divided, node, names) in enumerate(operands)
-              if not divided and type(node) is dsl.Add and _grid_read(names)
+    i = next((i for i, (divided, node) in enumerate(operands)
+              if not divided and type(node) is dsl.Add and _grid_read(dsl.free_vars(node))
               and _factor(node, False) is None and not _bracket(node)), None)
     if i is None:
-        return [_normal(operands, negated)]
+        return [(negated, operands)]
     return [part for term, sign in dsl.signed_terms(operands[i][1])
-            for part in _parts(operands[:i] + _read(term) + operands[i + 1:],
+            for part in _parts(operands[:i] + _operands(term) + operands[i + 1:],
                                negated != (sign < 0))]
 
 
-def _read(e):
-    """(divided, node, names) of each operand of a ``*``/``/`` chain, left
-    to right, with the free names of each walked once."""
-    operands = zip(e.inverted, e.operands) if type(e) is dsl.Mul else [(False, e)]
-    return [(divided, node, dsl.free_vars(node)) for divided, node in operands]
+def _operands(e):
+    """(divided, node) of each operand of a ``*``/``/`` chain, left to right."""
+    return list(zip(e.inverted, e.operands)) if type(e) is dsl.Mul else [(False, e)]
 
 
-def _normal(operands, negated=False):
-    """The operands of the chain of ``operands`` as ``_chain`` builds it: a
-    1 first when there are none or the first is divided, and ``negated``
-    puts a minus on the first."""
+def _chain(operands, negated=False):
+    """The ``*``/``/`` chain of (divided, node) operands, or 1; ``negated``
+    puts a minus on the first, which is then a multiplied one."""
     if not operands or operands[0][0]:
-        operands = [(False, _ONE, frozenset())] + operands
+        operands = [(False, _ONE)] + operands
     if negated:
-        _, node, names = operands[0]
-        operands = [(False, dsl.Neg(node), names)] + operands[1:]
-    return operands
-
-
-def _chain(operands):
-    """The ``*``/``/`` chain of ``_normal`` (divided, node, names) operands."""
-    inverted, nodes, _ = zip(*operands)
+        operands = [(False, dsl.Neg(operands[0][1]))] + operands[1:]
+    inverted, nodes = zip(*operands)
     return dsl.Mul(nodes, inverted) if len(nodes) > 1 else nodes[0]
 
 
-def split_closed_term(coeff, operands=None):
+def split_closed_term(coeff):
     """The ``ClosedTerm`` of a loaded product: its grid-reading factors and
     its bracket split out once, so that the grid-free rest runs once per
     (n, k) and the factors on twice-int affines.
@@ -415,17 +398,14 @@ def split_closed_term(coeff, operands=None):
     gives the error).  It differs only where ``beta._run_term`` zeroes a
     term at an Infinite reciprocal binomial or a zero binomial before its
     other operands run, while the unsplit product runs them and may fail:
-    a point no admissible (r, s) reaches in the shipped corpus.
-
-    ``operands`` are the ``_read`` operands of ``coeff`` when the loader
-    has walked them already."""
-    operands = _read(coeff) if operands is None else operands
-    names = frozenset().union(*(names for _, _, names in operands))
-    if not _grid_read(names):
-        return ClosedTerm(coeff, coeff_vars=names)
+    a point no admissible (r, s) reaches in the shipped corpus."""
+    operands = _operands(coeff)
+    reads = [dsl.free_vars(node) for _, node in operands]   # the one walk of coeff
+    if not _grid_read(frozenset().union(*reads)):
+        return ClosedTerm(coeff)
     divisors, multiplied, extras, negated = [], [], (), False
-    kept, kept_names = [], set()       # operands left in the coefficient, in order
-    for divided, node, node_names in operands:
+    kept = []                          # (divided, node) left in the coefficient, in order
+    for (divided, node), node_names in zip(operands, reads):
         if not _grid_read(node_names):
             pass                       # kept below
         elif divided:
@@ -435,8 +415,7 @@ def split_closed_term(coeff, operands=None):
             divisors.append([f for f in found if f is not None])
             if len(rest) < len(parts):
                 if rest:
-                    kept.append((True, _chain([(False, part, None) for part in rest]), None))
-                    kept_names.update(*map(dsl.free_vars, rest))
+                    kept.append((True, _chain([(False, part) for part in rest])))
                 continue
         else:
             f = _factor(node, False)
@@ -454,11 +433,9 @@ def split_closed_term(coeff, operands=None):
             if pieces and type(node) is dsl.Call:      # a second lone H
                 multiplied.append(FHarm(pieces[0].argument))
                 continue
-        kept.append((divided, node, node_names))
-        kept_names |= node_names
+        kept.append((divided, node))
     factors = tuple(f for group in reversed(divisors) for f in group) + tuple(multiplied)
-    return ClosedTerm(_chain(_normal(kept, negated)), factors, extras,
-                      coeff_vars=frozenset(kept_names), source=coeff)
+    return ClosedTerm(_chain(kept, negated), factors, extras, source=coeff)
 
 
 def _divisor_parts(node):

@@ -523,7 +523,8 @@ def test_loaded_summands_off_the_factor_path_are_pinned():
             for sm in side.summands:
                 term = sm.term
                 bound_vars = dsl.free_vars(sm.lower) | dsl.free_vars(sm.upper)
-                if not term.coeff_vars.union(bound_vars).isdisjoint(beta.GRID_PARAMS):
+                if not dsl.free_vars(term.coeff).union(bound_vars).isdisjoint(
+                        beta.GRID_PARAMS):
                     off_path.append((entry.name, dsl.render(term.coeff)))
                 if term.factors or term.extras:
                     split["part" if sm.lower == sm.upper == zero else "sum"] += 1
@@ -565,7 +566,6 @@ def test_split_rules(coeff, rest, factors, extras):
     assert (dsl.render(term.coeff), tuple(f.render() for f in term.factors), term.extras) == (
         rest, factors, extras)
     assert term.source == dsl.parse(coeff)
-    assert term.coeff_vars == frozenset(dsl.free_vars(term.coeff))
 
 
 @pytest.mark.parametrize("expr, parts", [
@@ -584,6 +584,10 @@ def test_split_rules(coeff, rest, factors, extras):
     ("H(n)*(r*(n+r)*(H(n+r) - 1) + n)/(n+r) - H(n)*H(r)",
      ["H(n) * 1/(n + r) * (r) * (n + r) * [H(n + r)]",
       "-H(n)*1 * 1/(n + r) * (r) * (n + r)", "H(n)*n * 1/(n + r)", "-H(n) * [H(r)]"]),
+    # operands on either side of a distributed sum are kept in each part
+    ("binom(n, 2)*(H(n + s)*n + r*n)*rbinom(n + r, 2)",
+     ["binom(n, 2)*n * 1/binom(n + r, 2) * [H(n + s)]",
+      "binom(n, 2)*n * (r) * 1/binom(n + r, 2)"]),
 ])
 def test_standalone_parts(expr, parts):
     """A standalone expression loads as k-free parts over k = 0..0, after
@@ -635,6 +639,18 @@ def test_a_grid_reading_coefficient_or_bound_is_refused_where_it_is_built():
         ClosedSummand(term, dsl.Lit(F(0)), dsl.parse("n + u"))
     with pytest.raises(FormatError, match=r"an H factor multiplies a bracket"):
         ClosedTerm(dsl.parse("1"), (FHarm(Affine(r=1)),))
+
+
+def test_a_t_reading_coefficient_is_refused_where_it_is_built():
+    for text in ("t*k", "U(2)*binom(n, k)"):
+        with pytest.raises(FormatError, match=r"^coefficient .* reads t or U\(\.\.\.\): "):
+            ClosedTerm(dsl.parse(text))
+
+
+def test_a_replaced_coefficient_is_checked_again():
+    term = ClosedTerm(dsl.parse("binom(n, k)"))
+    with pytest.raises(FormatError, match=r"^coefficient r\*k reads r: "):
+        replace(term, coeff=dsl.parse("r*k"))
 
 
 def test_loaded_display_is_the_derivative_of_its_parent():

@@ -143,6 +143,14 @@ class TestEval:
         assert lines[0] == "2 - 2*L"
         assert abs(float(lines[1]) - 0.6137056388801094) < 1e-12
 
+    def test_float_prints_the_digits_precision_asks_for(self, capsys):
+        code, out, _ = run(capsys, "eval", "H(1/2)", "--float", "--precision", "40")
+        assert code == 0
+        # 2 - 2*ln 2 = 0.61370563888010938116553575708364686384899973..., rounded
+        assert out.splitlines() == ["2 - 2*L", "0.6137056388801093811655357570836468638490"]
+        code, out, _ = run(capsys, "eval", "H(1/2)", "--float", "--precision", "12")
+        assert out.splitlines()[1] == "0.613705638880"
+
     def test_precision_without_float_exits_2(self, capsys):
         assert run(capsys, "eval", "1/2", "--precision", "50") == (
             2, "", "error: --precision applies only with --float\n")
@@ -597,6 +605,13 @@ class TestTransform:
             " * [1/(r - s + 1) + 1/(s) - H(r - s + 1) + H(n + s - 1)]")
         assert out.splitlines()[3].startswith("check: equal over n=0..8")
 
+    def test_check_names_the_n_values_it_checked(self, capsys):
+        path = str(corpus.DEFAULT_DIR / "binom-harmonic-gf.json")
+        for n, shown in (("0,4", "0,4"), ("1,5,3", "1,5,3"), ("0..4", "0..4")):
+            code, out, err = run(capsys, "transform", path, "--op", "beta", "--check", "--n", n)
+            assert (code, err) == (0, "")
+            assert out.splitlines()[3] == f"check: equal over n={shown}, 14 grid point(s)"
+
     def test_coefficient_reading_r_or_s_does_not_differentiate(self, capsys, tmp_path):
         # no such document loads, so it reaches no transform and no verification
         side = {"kind": "closed", "sums": [
@@ -608,6 +623,12 @@ class TestTransform:
             assert run(capsys, *argv) == (
                 3, "", "error: s-outside: coefficient s^2*binom(n, k) reads s:"
                 " only a factor or a bracket may read a grid parameter\n")
+
+    def test_closed_side_reading_t_exits_3(self, capsys, tmp_path):
+        doc = dict(GOOD_CLOSED, name="reads-t", rhs={"kind": "closed", "expr": "t + 1"})
+        assert run(capsys, "verify", write(tmp_path, doc)) == (
+            3, "", "error: reads-t: coefficient t + 1 reads t or U(...):"
+            " a closed term is free of t\n")
 
     def test_unsplittable_document_exits_3(self, capsys, tmp_path):
         side = {"kind": "closed", "sums": [
@@ -708,6 +729,15 @@ class TestCorpusCommand:
         code, out, err = run(capsys, "corpus", "run", "--name", "binomial-theorem",
                              "--status", "disputed")
         assert (code, out, err) == (0, "0 entries, 0 mismatched\n", "")
+
+    @pytest.mark.parametrize("jobs", [[], ["--jobs", "2"]], ids=["serial", "jobs-2"])
+    def test_json_output_is_pinned(self, capsys, monkeypatch, jobs):
+        """The shipped corpus's JSON report keeps its bytes, serial or not."""
+        monkeypatch.delenv("FINSUM_CORPUS_DIR", raising=False)
+        code, out, err = run(capsys, "corpus", "run", "--format", "json", *jobs)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "346d5f644f7ef72f9def5bcaa6fe3329ae07489335fda790bc431b99a01cb031")
 
     @pytest.mark.parametrize("jobs", ["-3", "0"])
     def test_jobs_below_one_exits_2(self, capsys, jobs):

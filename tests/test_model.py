@@ -204,9 +204,9 @@ class TestValidation:
 
     def test_closed_side_rejects_t(self):
         doc = dict(CLOSED_DOC)
-        for expr in ("t + 1", "U(2)"):
+        for expr in ("t + 1", "U(2)", "t*binom(n + r, 2)"):
             doc["rhs"] = {"kind": "closed", "expr": expr}
-            with pytest.raises(FormatError):
+            with pytest.raises(FormatError, match=r"^demo-closed: coefficient .* reads t or U"):
                 load_identity(doc)
 
     def test_standalone_expression_reads_k_only_in_a_sum(self):
@@ -344,22 +344,3 @@ def test_substitute_neg_t():
     with pytest.raises(ShapeError):
         substitute_neg_t(closed)
 
-
-def test_split_walks_each_operand_once(monkeypatch):
-    """Loading a coefficient that reads a grid parameter walks its names
-    once whole and once for each operand, which ``_parts`` and
-    ``split_closed_term`` share: an operand kept in each distributed part
-    is not walked again, nor is a standalone expression after its k check."""
-    walked = []
-    free_vars = dsl.free_vars
-    monkeypatch.setattr(dsl, "free_vars", lambda e: walked.append(dsl.render(e)) or free_vars(e))
-    doc = dict(CLOSED_DOC, lhs={"kind": "closed", "sums": [
-        {"coeff": "binom(n, k)*(H(k + s)*k + r*k)*rbinom(n + r, k)", "lower": "0", "upper": "n"}]})
-    side = load_identity(doc).lhs
-    assert [sm.term.render() for sm in side.summands] == [
-        "binom(n, k)*k * 1/binom(n + r, k) * [H(k + s)]",
-        "binom(n, k)*k * (r) * 1/binom(n + r, k)"]
-    bounds = ["0", "n"] * 2           # each summand checks its own bounds
-    assert walked == ["binom(n, k)*(H(k + s)*k + r*k)*rbinom(n + r, k)",
-                      "binom(n, k)", "H(k + s)*k + r*k", "rbinom(n + r, k)",
-                      "H(k + s)", "k", "r", "k"] + bounds + ["1/(n + 1)", "0", "0"]
