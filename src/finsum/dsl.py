@@ -421,7 +421,10 @@ def compile(expr):
     adds its body values into one accumulator and builds its value once, at
     the end; a body that is a monomial c * t^m by its syntax adds c at
     offset m there without building t^m or the product, and a step where
-    that fails runs the body as written (``_compile_sum``)."""
+    that fails runs the body as written.  A sum inside the body of a sum
+    over v, whose upper bound is v + c and whose lower bound and body read
+    no v, goes on from its value at the previous step of v instead of
+    starting again from its lower bound (``_compile_sum``)."""
     return _compile(expr)
 
 
@@ -570,9 +573,19 @@ def _compile_sum(e):
     A body that is a monomial c * t^m by its syntax (``_monomial``) adds,
     while t is bound to the variable, c's field terms, or its rows when c
     is a polynomial, into the rows at offset m, with no t^m or product
-    built.  A step where c or m raises a FinsumError, or m is negative,
-    runs the body as written, so that it raises that product's error."""
-    from .polyverify import DensePoly, _add, _add_terms, _parts, _poly, _terms
+    built; an int or Fraction c is one int added at offset m
+    (``polyverify._add_one``).  A step where c or m raises a FinsumError,
+    or m is negative, runs the body as written, so that it raises that
+    product's error.
+
+    A sum whose upper bound is v + c, for a variable v and a constant c,
+    and whose lower bound and body read no v (``_carried_over``) is carried
+    when it runs in the body of a sum over v, at any depth but inside no
+    other sum: each step of that sum continues the accumulator of its
+    previous step, kept in that evaluation's bindings, instead of starting
+    again from the lower bound.  Its values, and the error and the step
+    where a step fails, are those of the restart."""
+    from .polyverify import DensePoly, _add, _add_one, _add_terms, _parts, _poly, _terms
     index = e.index
     lower = _compile_int(e.lower, "sum lower bound")
     upper = _compile_int(e.upper, "sum upper bound")
@@ -583,13 +596,11 @@ def _compile_sum(e):
         exponent = _compile_int(monomial[1], "exponent")
         variable = DensePoly.variable()
 
-    def bounded_sum(b):
-        lo = lower(b)
-        hi = upper(b)
-        scalars = Sum()
-        rows = None
-        inner = dict(b)
-        fast = monomial is not None and variable == b.get("t")
+    def add(inner, lo, hi, scalars, rows):
+        """Add the body at index lo..hi, under the bindings ``inner``, into
+        ``scalars`` and ``rows`` (None until a polynomial value comes);
+        return the rows."""
+        fast = monomial is not None and variable == inner.get("t")
         for i in range(lo, hi + 1):
             inner[index] = i
             m = -1
@@ -608,14 +619,80 @@ def _compile_sum(e):
             if type(value) is DensePoly:
                 for key, den, nums in value.parts:
                     _add(rows, key, nums, den, 1, m)
+            elif type(value) is int or type(value) is Fraction:
+                _add_one(rows, (0, 0), value.numerator, value.denominator, m)
             else:
                 _add_terms(rows, _terms(value), (1,), m)
-        total = scalars.value()
+        return rows
+
+    def total(scalars, rows):
+        value = scalars.value()
         if rows is None:
-            return total
+            return value
         poly = _poly(_parts(rows))
-        return poly if total == 0 else poly + total
-    return bounded_sum
+        return poly if value == 0 else poly + value
+
+    def bounded_sum(b):
+        lo = lower(b)
+        hi = upper(b)
+        scalars = Sum()
+        return total(scalars, add({**b, _STEP: index}, lo, hi, scalars, None))
+
+    outer = _carried_over(e)
+    if outer is None:
+        return bounded_sum
+    slot = object()     # this sum's accumulator in the bindings of a step over ``outer``
+
+    def carried_sum(b):
+        if b.get(_STEP) != outer:
+            return bounded_sum(b)
+        state = b.get(slot)
+        if state is None:   # the lower bound reads nothing that changes from step to step
+            state = (lower(b), {**b, _STEP: index}, Sum(), None)
+        lo, inner, scalars, rows = state
+        hi = upper(b)
+        # a step that fails leaves the accumulator half added, and no call reads it
+        # again: the error ends the evaluation of the sum over ``outer``, since the
+        # one handler on its way, the monomial fast path, runs the body as written,
+        # whose own copy of this sum fails at the same step
+        rows = add(inner, lo, hi, scalars, rows)
+        b[slot] = (max(lo, hi + 1), inner, scalars, rows)
+        return total(scalars, rows)
+    return carried_sum
+
+
+# the bindings key under which every sum's step bindings name its index, so that
+# a carried sum knows whether it runs in the body of a sum over its ``outer``
+_STEP = object()
+
+
+def _carried_over(e):
+    """The variable v over which the sum ``e`` can be carried, by its
+    syntax: its upper bound is v + c for a constant c, and neither its
+    lower bound nor its body reads v; else None.  The upper bound still
+    runs at every step, so a c that is not an integer fails there."""
+    a = affine(e.upper)
+    if a is None or len(a.terms) != 1 or a.terms[0][1] != 1:
+        return None
+    (v, _), = a.terms
+    if _reads(e.lower, v) or v != e.index and _reads(e.body, v):
+        return None
+    return v
+
+
+def _reads(e, name):
+    """Whether ``e`` reads the variable ``name`` free."""
+    stack = [e]
+    while stack:
+        x = stack.pop()
+        if type(x) is Var:
+            if x.name == name:
+                return True
+        elif type(x) is BoundedSum and x.index == name:
+            stack += (x.lower, x.upper)
+        else:
+            stack += children(x)
+    return False
 
 
 def _monomial(e):

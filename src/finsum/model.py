@@ -140,11 +140,7 @@ class ClosedTerm:
     source: object = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
-        names = dsl.free_vars(self.coeff)
-        _refuse_grid("coefficient", self.coeff, names)
-        if "t" in names:
-            raise FormatError(f"coefficient {dsl.render(self.coeff)} reads t or U(...):"
-                              " a closed term is free of t")
+        _refuse_grid_or_t("coefficient", self.coeff)
         if not self.extras and any(type(f) is FHarm for f in self.factors):
             raise FormatError(f"an H factor multiplies a bracket, and {self.render()} has none")
 
@@ -171,8 +167,8 @@ class ClosedTerm:
 @dataclass(frozen=True)
 class ClosedSummand:
     """A term summed over k = lower..upper.  Each bound is walked once when
-    the summand is built, and one that reads a grid parameter is a
-    FormatError."""
+    the summand is built, and one that reads a grid parameter or t, or
+    calls ``U(m)``, is a FormatError."""
 
     term: ClosedTerm
     lower: object            # SeqExpr over {n}
@@ -180,7 +176,7 @@ class ClosedSummand:
 
     def __post_init__(self):
         for bound in (self.lower, self.upper):
-            _refuse_grid("sum bound", bound, dsl.free_vars(bound))
+            _refuse_grid_or_t("sum bound", bound)
 
 
 def _grid_read(names):
@@ -188,13 +184,18 @@ def _grid_read(names):
     return [name for name in GRID_PARAMS if name in names]
 
 
-def _refuse_grid(what, expr, names):
-    """FormatError naming ``expr`` and each grid parameter among its free
-    ``names``: only a factor or a bracket piece reads one."""
+def _refuse_grid_or_t(what, expr):
+    """FormatError naming ``expr`` when, by one walk, it reads a grid
+    parameter, which only a factor or a bracket piece reads, or t, which
+    no closed term reads (``U(m)`` reads t)."""
+    names = dsl.free_vars(expr)
     read = _grid_read(names)
     if read:
         raise FormatError(f"{what} {dsl.render(expr)} reads {', '.join(read)}:"
                           " only a factor or a bracket may read a grid parameter")
+    if "t" in names:
+        raise FormatError(f"{what} {dsl.render(expr)} reads t or U(...):"
+                          " a closed term is free of t")
 
 
 @dataclass(frozen=True)
@@ -287,7 +288,7 @@ def _load_side(doc, name):
     Each closed summand's coefficient, and a standalone expression as
     k-free summands after the sums, is distributed and split into terms
     (``_split``); a coefficient that keeps a grid parameter, or reads t,
-    is a FormatError."""
+    is a FormatError, and so is a sum bound that reads either."""
     if not isinstance(doc, dict) or "kind" not in doc:
         raise FormatError(f"{name}: side must be an object with a 'kind'")
     kind = doc["kind"]
@@ -303,7 +304,10 @@ def _load_side(doc, name):
         for s in _objects(doc, "sums", name):
             terms = _split(_dsl_field(s, "coeff", name), name)
             lower, upper = (_dsl_field(s, key, name, bound=True) for key in ("lower", "upper"))
-            summands += [ClosedSummand(term, lower, upper) for term in terms]
+            try:
+                summands += [ClosedSummand(term, lower, upper) for term in terms]
+            except FormatError as exc:
+                raise FormatError(f"{name}: {exc}") from None
         if "expr" in doc:
             expr = _dsl_field(doc, "expr", name)
             if "k" in dsl.free_vars(expr):

@@ -203,24 +203,50 @@ def _add(acc, key, nums, den, mult=1, shift=0):
     if part is None:
         acc[key] = [den, [0] * shift + [mult * x for x in nums]]
         return
-    common, out = part
-    if common % den:
-        g = gcd(common, den)
-        part[1] = out = [x * (den // g) for x in out]
-        part[0] = common // g * den
-        mult *= common // g
-    else:
-        mult *= common // den
+    mult *= _rebase(part, den)
+    out = part[1]
     end = shift + len(nums)
     if len(out) < end:
         out += [0] * (end - len(out))
     out[shift:end] = [o + mult * x for o, x in zip(out[shift:end], nums)]
 
 
+def _add_one(acc, key, num, den, shift):
+    """Add num / den * t^shift to the part of ``key`` in ``acc``, as ``_add``
+    adds a row of one, with no row or product built."""
+    part = acc.get(key)
+    if part is None:
+        acc[key] = [den, [0] * shift + [num]]
+        return
+    num *= _rebase(part, den)
+    out = part[1]
+    if len(out) <= shift:
+        out += [0] * (shift + 1 - len(out))
+    out[shift] += num
+
+
+def _rebase(part, den):
+    """Bring an accumulator part [denominator, numerator list] to the lcm of
+    its denominator and ``den``; the factor that takes a numerator over
+    ``den`` to that lcm."""
+    common = part[0]
+    if common % den == 0:
+        return common // den
+    g = gcd(common, den)
+    part[0] = common // g * den
+    part[1] = [x * (den // g) for x in part[1]]
+    return common // g
+
+
 def _add_terms(acc, terms, row, shift):
     """Add t^shift * row times each (monomial, numerator, denominator) of
     ``terms`` into ``acc``: a standard summand's coefficient times its
     binomial row, or a monomial c * t^m of a free-form sum with row (1,)."""
+    if len(row) == 1:
+        x, = row
+        for key, p, q in terms:
+            _add_one(acc, key, p * x, q, shift)
+        return
     for key, p, q in terms:
         _add(acc, key, row, q, p, shift)
 

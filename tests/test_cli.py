@@ -131,6 +131,20 @@ class TestEval:
         assert code == 0
         assert out.strip() == "1/5"
 
+    @pytest.mark.parametrize("expr, value", [
+        ("sum(k,0,6,sum(j,1,k,1/j))", "223/20"),
+        ("sum(k,1,n,binom(n,k)*sum(j,1,k-1,H(j+1/2)))", "5042/105 - 34*L"),
+    ])
+    def test_nested_sums(self, capsys, expr, value):
+        # the inner sum over j goes on from one k to the next, as a scalar too
+        code, out, _ = run(capsys, "eval", expr, "--bind", "n=4")
+        assert code == 0
+        assert out.strip() == value
+
+    def test_failing_inner_sum_step_exits_2(self, capsys):
+        assert run(capsys, "eval", "sum(k,0,5,sum(j,0,k,1/(j-3)))") == (
+            2, "", "error: division by zero in 1/(j - 3)\n")
+
     def test_half_binding(self, capsys):
         code, out, _ = run(capsys, "eval", "binom(n, 2)", "--bind", "n=5/2")
         assert code == 0
@@ -629,6 +643,20 @@ class TestTransform:
         assert run(capsys, "verify", write(tmp_path, doc)) == (
             3, "", "error: reads-t: coefficient t + 1 reads t or U(...):"
             " a closed term is free of t\n")
+
+    @pytest.mark.parametrize("upper, message", [
+        ("t", "sum bound t reads t or U(...): a closed term is free of t"),
+        ("U(2)", "sum bound U(2) reads t or U(...): a closed term is free of t"),
+        ("n + u", "sum bound n + u reads u: only a factor or a bracket may read a grid parameter"),
+    ], ids=["t", "chebyshev", "grid"])
+    def test_closed_sum_bound_reading_t_or_a_grid_parameter_exits_3(
+            self, capsys, tmp_path, upper, message):
+        # refused where the summand is built; "t" used to exit 2 as unbound, and
+        # "U(2)" to exit 1 as undefined at every point
+        doc = json.loads((corpus.DEFAULT_DIR / "central-ratio-sum.json").read_text())
+        doc["lhs"]["sums"][0]["upper"] = upper
+        assert run(capsys, "verify", write(tmp_path, doc)) == (
+            3, "", f"error: central-ratio-sum: {message}\n")
 
     def test_unsplittable_document_exits_3(self, capsys, tmp_path):
         side = {"kind": "closed", "sums": [

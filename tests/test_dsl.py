@@ -1,17 +1,18 @@
 """Parser, renderer, and scalar evaluator of the expression language."""
 
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from finsum import dsl
+from finsum import corpus, dsl
 from finsum.errors import (ArityError, DivisionByZero, DslSyntaxError, EvalTypeError,
                            FinsumError, NegativeExponent, PoleError, UnboundVariable)
 from finsum.field import SymConst, half, lift
-from finsum.polyverify import DensePoly
+from finsum.polyverify import DensePoly, verify_poly
 
 
 def ev(text, **binds):
@@ -361,6 +362,11 @@ SUMMANDS = st.sampled_from([
     "t^k", "(1-t)^k", "binom(n, k)*t^k", "U(k)", "H(k+1/2)*t^k", "t/(k+1)",
     "sum(j, 0, k, 1/(j+1))", "sum(j, 1, k, H(j-1/2)*t^j)", "sum(j, k, 2, binom(k, j))",
     "sum(j, 0, k - 1, t^j)",       # empty at k = 0: a scalar body among polynomial ones
+    # nested sums carried from one k to the next, and ones that start again at each k
+    "sum(j, 1, k + 1, 1/j^2)", "binom(n, k)*sum(j, 1, k, 1/j^2)*t^k", "sum(j, 2, k - 1, H(j+1/2))",
+    "sum(j, 0, k, sum(u, 1, j, 1/u))", "sum(j, 0, k, binom(k, j)*t^(j+1))",
+    "sum(u, 0, 2, sum(j, u, k, 1/(j+1)))",     # under a sum over u, the sum over j restarts
+    "sum(j, k - 1, k + 1, 1/(j+2))", "sum(j, 0, 4 - k, t^j)",
     # monomials c * t^m, added into the rows at offset m when they are the whole body
     "t^k*binom(n, k)", "t", "H(k+1/2)*binom(n, 1/2)*t^(k+1)", "binom(2, k)*t^k",
 ])
@@ -375,6 +381,11 @@ SUMMANDS = st.sampled_from([
 @example(["H(k+1/2)*binom(n, 1/2)*t^(k+1)"], 0, 2, 2)
 @example(["binom(2, k)*t^k"], 0, 6, 0)
 @example(["t"], 2, 1, 0)
+@example(["sum(j, 1, k + 1, 1/j^2)", "sum(j, 0, k, binom(k, j)*t^(j+1))"], 0, 5, 2)
+@example(["binom(n, k)*sum(j, 1, k, 1/j^2)*t^k"], 1, 6, 3)
+@example(["sum(j, 2, k - 1, H(j+1/2))", "sum(j, 0, k, sum(u, 1, j, 1/u))"], 0, 6, 0)
+@example(["sum(u, 0, 2, sum(j, u, k, 1/(j+1)))"], 0, 5, 0)
+@example(["sum(j, k - 1, k + 1, 1/(j+2))", "sum(j, 0, 4 - k, t^j)"], 0, 5, 0)
 def test_sum_matches_left_fold(summands, lo, hi, n):
     """A compiled bounded sum, one accumulator per evaluation, has the value
     of the left fold, and the same parts when that is a polynomial; an empty
@@ -389,6 +400,79 @@ def test_sum_matches_left_fold(summands, lo, hi, n):
         assert lift(got) == want
     if lo > hi:
         assert type(got) is int and got == 0
+
+
+@pytest.mark.parametrize("text, error", [
+    ("sum(k, 0, 5, sum(j, 0, k, 1/(j-3)))", "division by zero in 1/(j - 3)"),
+    # a monomial coefficient that fails runs the body as written, which fails again
+    ("sum(k, 0, 5, binom(n, k)*sum(j, 0, k, 1/(j-3))*t^k)", "division by zero in 1/(j - 3)"),
+    # the step where the inner sum fails decides which error comes first
+    ("sum(k, 0, 5, sum(j, 0, k, 1/(j-3))*t^k + 1/(k-2))", "division by zero in 1/(k - 2)"),
+    ("sum(k, 0, 5, 1/(k-4) + sum(j, 0, k, 1/(j-3)))", "division by zero in 1/(j - 3)"),
+])
+def test_failing_inner_step_raises_the_left_folds_error(text, error):
+    """A nested sum that goes on from one outer step to the next fails at
+    the outer step, and with the error, where the left fold, which starts
+    it again at each step, fails."""
+    expr = dsl.parse(text)
+    point = {"n": 5, "t": DensePoly.variable()}
+    with pytest.raises(DivisionByZero) as want:
+        walk(expr, point)
+    with pytest.raises(DivisionByZero) as got:
+        dsl.compile(expr)(point)
+    assert str(got.value) == str(want.value) == error
+
+
+def count_evaluations(monkeypatch, watched):
+    """A Counter of the evaluations of each node of ``watched``, by wrapping
+    the closure that ``dsl._compile`` returns for it."""
+    counts = Counter()
+    compile_node = dsl._compile
+
+    def counting(e):
+        f = compile_node(e)
+        if e not in watched:
+            return f
+
+        def counted(b):
+            counts[e] += 1
+            return f(b)
+        return counted
+    monkeypatch.setattr(dsl, "_compile", counting)
+    return counts
+
+
+@pytest.mark.parametrize("text, watched, count", [
+    ("sum(k, 0, 6, sum(j, 1, k, 1/j))", "1/j", 6),
+    ("sum(k, 0, 6, sum(j, 1, k + 1, 1/j))", "1/j", 7),
+    ("sum(k, 0, 6, t^k*sum(j, 1, k - 1, 1/j))", "1/j", 5),         # in a monomial coefficient
+    ("sum(k, 0, 6, sum(j, 0, k, sum(u, 1, j, 1/u)))", "1/u", 6),    # carried over j over k
+    ("sum(k, 0, 6, sum(j, 0, k, binom(k, j)))", "binom(k, j)", 28),  # the body reads k
+    ("sum(k, 0, 6, sum(j, k, k + 1, 1/(j+1)))", "1/(j + 1)", 14),   # the lower bound reads k
+    ("sum(k, 0, 6, sum(j, 0, 6 - k, 1/(j+1)))", "1/(j + 1)", 28),   # the upper bound falls
+])
+def test_nested_sum_runs_each_inner_step_once(monkeypatch, text, watched, count):
+    """An inner sum whose upper bound is k + c, and whose lower bound and
+    body read no k, goes on from one k to the next: its body runs once per
+    inner index.  Any other inner sum starts again at each k."""
+    expr = dsl.parse(text)
+    point = {"t": DensePoly.variable()}
+    want = walk(expr, point)
+    counts = count_evaluations(monkeypatch, {dsl.parse(watched)})
+    got = dsl.compile(expr)(point)
+    assert (got if type(got) is DensePoly else lift(got)) == want
+    assert sum(counts.values()) == count
+
+
+def test_partial_sum_generating_function_carries_its_prefix(monkeypatch):
+    """partial-sum-gf-recipsq at n = 34: the lhs's sum(j, 1, k, 1/j^2) runs
+    its body 34 times, once per j, not 1 + 2 + ... + 34 = 595 times; the
+    rhs's inner sum reads k in its body, and its body runs 595 times."""
+    (entry,) = corpus.load_entries(names={"partial-sum-gf-recipsq"})
+    lhs_body, rhs_factor = dsl.parse("1/j^2"), dsl.parse("binom(k, j)")
+    counts = count_evaluations(monkeypatch, {lhs_body, rhs_factor})
+    assert verify_poly(entry.identity, 34).equal
+    assert counts == {lhs_body: 34, rhs_factor: 595}
 
 
 def test_sum_of_polynomials_builds_no_intermediate(monkeypatch):
