@@ -54,7 +54,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import (ArityError, DivisionByZero, DslSyntaxError, EvalTypeError,
-                     FinsumError, PoleError, UnboundVariable)
+                     FinsumError, NegativeExponent, PoleError, UnboundVariable)
 from .field import Sum, SymConst, exact_div, half, lift, to_int, to_twice
 from . import special
 
@@ -421,10 +421,14 @@ def compile(expr):
     adds its body values into one accumulator and builds its value once, at
     the end; a body that is a monomial c * t^m by its syntax adds c at
     offset m there without building t^m or the product, and a step where
-    that fails runs the body as written.  A sum inside the body of a sum
+    that fails runs the body as written; in the body of a sum over v, its
+    operands and exponent that read no v run once per index.  A body
+    X_k * B^(a - k), B a polynomial that reads no k, runs by Horner's rule
+    with no power of B built at any step.  A sum inside the body of a sum
     over v, whose upper bound is v + c and whose lower bound and body read
     no v, goes on from its value at the previous step of v instead of
-    starting again from its lower bound (``_compile_sum``)."""
+    starting again from its lower bound (``_compile_sum``).  A power's
+    exponent error names the power as written."""
     return _compile(expr)
 
 
@@ -548,25 +552,35 @@ def _render_upto(e, i):
 
 
 def _compile_pow(e):
+    """base^exponent; an exponent that is no integer, or a negative one on a
+    polynomial, is an error that names the power as written."""
     base = _compile(e.base)
-    exponent = _compile_int(e.exponent, "exponent")
+    exponent = _compile(e.exponent)
 
     def pow_(b):
         exp = exponent(b)
+        try:
+            exp = to_int(exp)
+        except EvalTypeError:
+            raise EvalTypeError(f"exponent must be an integer in {render(e)}, got {exp}") from None
         value = base(b)
         if exp < 0:
             if value == 0:
                 raise DivisionByZero(f"zero base with negative exponent in {render(e)}")
             if type(value) is int:
                 value = Fraction(value)
-        return value ** exp
+        try:
+            return value ** exp
+        except NegativeExponent:
+            raise NegativeExponent("polynomial exponent must be a nonnegative integer"
+                                   f" in {render(e)}, got {exp}") from None
     return pow_
 
 
 def _compile_sum(e):
     """sum(index, lo, hi, body) as one accumulator per evaluation: a scalar
     body value goes into a ``field.Sum``, a polynomial one into a row of int
-    numerators per field monomial (``polyverify._add``).  The rows are
+    numerators per field monomial (``polyverify._add_value``).  The rows are
     trimmed and reduced once at the end and joined with the scalar total,
     so no step builds a value; an empty range is the int 0.
 
@@ -576,7 +590,19 @@ def _compile_sum(e):
     built; an int or Fraction c is one int added at offset m
     (``polyverify._add_one``).  A step where c or m raises a FinsumError,
     or m is negative, runs the body as written, so that it raises that
-    product's error.
+    product's error.  When such a sum runs directly in the step bindings
+    of a sum over v, the operands of c and the exponent m that read no v
+    run once per index, not once per (v, index) (``_free_parts``): their
+    values are kept in the bindings of that evaluation of the sum over v.
+
+    Any other body that is a product with one multiplied operand B^(a - k),
+    for the index k, a B that reads no k and holds no sum, and an affine
+    a (``_horner``), runs by Horner's rule when B is a polynomial and
+    a - hi is an integer >= 0: the rows go acc <- acc * B + X_k over the
+    range, where X_k is the product of the other operands, and are
+    multiplied by B^(a - hi) once at the end, so no step builds a power of
+    B.  Else the sum runs as written; a step where X_k fails runs the body
+    as written, which raises the product's error.
 
     A sum whose upper bound is v + c, for a variable v and a constant c,
     and whose lower bound and body read no v (``_carried_over``) is carried
@@ -585,45 +611,85 @@ def _compile_sum(e):
     previous step, kept in that evaluation's bindings, instead of starting
     again from the lower bound.  Its values, and the error and the step
     where a step fails, are those of the restart."""
-    from .polyverify import DensePoly, _add, _add_one, _add_terms, _parts, _poly, _terms
+    from .polyverify import DensePoly, _add_one, _add_value, _convolve, _parts, _poly
     index = e.index
     lower = _compile_int(e.lower, "sum lower bound")
     upper = _compile_int(e.upper, "sum upper bound")
     body = _compile(e.body)
     monomial = _monomial(e.body)
+    horner = None if monomial is not None else _horner(e.body, index)
     if monomial is not None:
         coeff = _compile(monomial[0])
         exponent = _compile_int(monomial[1], "exponent")
         variable = DensePoly.variable()
+        # outer variable v -> the monomial by its parts that read v and those that do not,
+        # compiled the first time the sum runs in a step over v
+        free_parts = {}
+    elif horner is not None:
+        base = _compile(horner[0])
+        top = _compile_int(horner[1], "exponent")
+        rest = _compile(horner[2])
 
-    def add(inner, lo, hi, scalars, rows):
+    def add(inner, lo, hi, scalars, rows, kept=None, values=None):
         """Add the body at index lo..hi, under the bindings ``inner``, into
         ``scalars`` and ``rows`` (None until a polynomial value comes);
-        return the rows."""
+        return the rows.  A monomial runs as ``kept``, one of
+        ``free_parts``, with its ``values`` kept, when it is given."""
         fast = monomial is not None and variable == inner.get("t")
         for i in range(lo, hi + 1):
             inner[index] = i
-            m = -1
+            m, den = -1, 1
             if fast:
                 try:
-                    value, m = coeff(inner), exponent(inner)
+                    if kept is None:
+                        value, m = coeff(inner), exponent(inner)
+                    else:
+                        value, den, m = kept(inner, i, values)
                 except FinsumError:
                     pass
             if m < 0:
-                value, m = body(inner), 0
+                value, m, den = body(inner), 0, 1
                 if type(value) is not DensePoly:
                     scalars.add(value)
                     continue
             if rows is None:
                 rows = {}
-            if type(value) is DensePoly:
-                for key, den, nums in value.parts:
-                    _add(rows, key, nums, den, 1, m)
-            elif type(value) is int or type(value) is Fraction:
-                _add_one(rows, (0, 0), value.numerator, value.denominator, m)
+            if den == 1:
+                _add_value(rows, value, m)
             else:
-                _add_terms(rows, _terms(value), (1,), m)
+                _add_one(rows, (0, 0), value, den, m)
         return rows
+
+    def by_horner(inner, lo, hi):
+        """The sum over lo..hi, lo <= hi, by Horner's rule, or None when B
+        is no polynomial or a - hi is no integer >= 0."""
+        inner[index] = hi
+        try:
+            b, a_hi = base(inner), top(inner)
+        except FinsumError:
+            return None
+        if type(b) is not DensePoly or a_hi < 0:
+            return None
+        rows = {}
+        for i in range(lo, hi + 1):
+            inner[index] = i
+            try:
+                x = rest(inner)
+            except FinsumError:
+                body(inner)     # raises the error of the product as written
+                raise
+            if rows:
+                rows = times(rows, b.parts)
+            _add_value(rows, x, 0)
+        if a_hi:
+            rows = times(rows, (b ** a_hi).parts)
+        return _poly(_parts(rows))
+
+    def times(rows, parts):
+        """New rows: ``rows`` times the polynomial of ``parts``."""
+        out = {}
+        _convolve(out, [(key, den, nums) for key, (den, nums) in rows.items()], parts)
+        return out
 
     def total(scalars, rows):
         value = scalars.value()
@@ -632,11 +698,26 @@ def _compile_sum(e):
         poly = _poly(_parts(rows))
         return poly if value == 0 else poly + value
 
+    cache = object()    # the kept parts of the monomial in the bindings of a step over v
+
     def bounded_sum(b):
         lo = lower(b)
         hi = upper(b)
+        inner = {**b, _STEP: index}
+        if horner is not None and lo <= hi:
+            value = by_horner(inner, lo, hi)
+            if value is not None:
+                return value
+        kept = values = None
+        v = b.get(_STEP)
+        if monomial is not None and v is not None:
+            if v not in free_parts:
+                free_parts[v] = _free_parts(*monomial, v)
+            kept = free_parts[v]
+            if kept is not None:
+                values = b.setdefault(cache, {})
         scalars = Sum()
-        return total(scalars, add({**b, _STEP: index}, lo, hi, scalars, None))
+        return total(scalars, add(inner, lo, hi, scalars, None, kept, values))
 
     outer = _carried_over(e)
     if outer is None:
@@ -652,9 +733,9 @@ def _compile_sum(e):
         lo, inner, scalars, rows = state
         hi = upper(b)
         # a step that fails leaves the accumulator half added, and no call reads it
-        # again: the error ends the evaluation of the sum over ``outer``, since the
-        # one handler on its way, the monomial fast path, runs the body as written,
-        # whose own copy of this sum fails at the same step
+        # again: the error ends the evaluation of the sum over ``outer``, since each
+        # handler on its way runs the body as written, whose own copy of this sum
+        # fails at the same step
         rows = add(inner, lo, hi, scalars, rows)
         b[slot] = (max(lo, hi + 1), inner, scalars, rows)
         return total(scalars, rows)
@@ -695,21 +776,105 @@ def _reads(e, name):
     return False
 
 
+def _free_parts(coeff, power, v):
+    """For a monomial coeff * t^power, a closure ``f(bindings, i, values)
+    -> (c, den, m)`` at index i: c / den is the product of the operands of
+    ``coeff`` that read v, run every time, with those that do not, and m
+    the exponent ``power``; the operands and the exponent that read no v
+    run once per i, kept in the dict ``values``.  den is 1 but where an
+    int meets a Fraction, which is then not built.  None unless some parts
+    read v and some do not."""
+    operands = _operands(coeff)
+    reads = [_reads(x, v) for _, x in operands]
+    fixed_power = not _reads(power, v)
+    if all(reads) and not fixed_power or not any(reads) and fixed_power:
+        return None
+    free = [x for x, read in zip(operands, reads) if not read]
+    bound = [x for x, read in zip(operands, reads) if read]
+    free_of = _compile(_chain(free))
+    bound_of = _compile(_chain(bound)) if bound else None
+    power_of = _compile_int(power, "exponent")
+
+    def kept(b, i, values):
+        hit = values.get(i)
+        if hit is None:
+            c = free_of(b)
+            p, q = (c.numerator, c.denominator) if type(c) is Fraction else (None, 1)
+            hit = values[i] = (c, p, q, power_of(b) if fixed_power else None)
+        c, p, q, m = hit
+        if m is None:
+            m = power_of(b)
+        if bound_of is None:
+            return c, 1, m
+        x = bound_of(b)
+        if p is not None and type(x) is int:
+            return x * p, q, m
+        return x * c, 1, m
+    return kept
+
+
+def _operands(e):
+    """(divided, node) of each operand of a ``*``/``/`` chain, left to right,
+    or of a lone node as a chain of one."""
+    return list(zip(e.inverted, e.operands)) if type(e) is Mul else [(False, e)]
+
+
+def _chain(operands):
+    """The ``*``/``/`` chain of (divided, node) operands, or 1; a 1 goes
+    first when the first operand is divided."""
+    if not operands or operands[0][0]:
+        operands = [(False, _ONE)] + operands
+    inverted, nodes = zip(*operands)
+    return Mul(nodes, inverted) if len(nodes) > 1 else nodes[0]
+
+
+def _pick(e, match):
+    """(operand, rest) when exactly one operand of the ``* /`` chain ``e``,
+    or ``e`` itself when it is no chain, satisfies ``match`` and it is
+    multiplied: ``rest`` is the chain of the other operands, or 1.  Else
+    None."""
+    operands = _operands(e)
+    found = [i for i, (_, x) in enumerate(operands) if match(x)]
+    if len(found) != 1 or operands[found[0]][0]:
+        return None
+    picked = operands.pop(found[0])[1]
+    return picked, _chain(operands)
+
+
 def _monomial(e):
     """(coefficient, exponent) nodes of ``t``, ``t^e``, or a ``* /`` chain
     with one ``t``/``t^e`` operand, multiplied: the coefficient is the
     chain of the other operands, or 1.  Else None."""
-    operands = list(zip(e.inverted, e.operands)) if type(e) is Mul else [(False, e)]
-    found = [i for i, (_, x) in enumerate(operands)
-             if x == _TVAR or type(x) is Pow and x.base == _TVAR]
-    if len(found) != 1 or operands[found[0]][0]:
+    found = _pick(e, lambda x: x == _TVAR or type(x) is Pow and x.base == _TVAR)
+    if found is None:
         return None
-    power = operands.pop(found[0])[1]
-    if not operands or operands[0][0]:
-        operands.insert(0, (False, _ONE))
-    inverted, rest = zip(*operands)
-    coeff = rest[0] if len(rest) == 1 else Mul(rest, inverted)
+    power, coeff = found
     return coeff, _ONE if power == _TVAR else power.exponent
+
+
+def _horner(e, index):
+    """(B, E, rest) nodes of a ``* /`` chain, or a lone power, with one
+    multiplied operand B^E where B holds no sum and reads no ``index`` and
+    E is affine with coefficient -1 on ``index``: ``rest`` is the chain of
+    the other operands, or 1.  Else None."""
+    def steps_down(x):
+        if type(x) is not Pow:
+            return False
+        a = affine(x.exponent)
+        if a is None or dict(a.terms).get(index) != -1:
+            return False
+        stack = [x.base]
+        while stack:
+            y = stack.pop()
+            if type(y) is BoundedSum or type(y) is Var and y.name == index:
+                return False
+            stack += children(y)
+        return True
+    found = _pick(e, steps_down)
+    if found is None:
+        return None
+    power, rest = found
+    return power.base, power.exponent, rest
 
 
 _TVAR = Var("t")

@@ -335,9 +335,9 @@ def _split(expr, name):
     try:
         if not _grid_read(dsl.free_vars(expr)):
             return [ClosedTerm(expr)]
-        return [replace(split_closed_term(_chain(operands, negated)), source=expr)
+        return [split_closed_term(_chain(operands, negated), source=expr)
                 for term, sign in dsl.signed_terms(expr)
-                for negated, operands in _parts(_operands(term), sign < 0)]
+                for negated, operands in _parts(dsl._operands(term), sign < 0)]
     except FormatError as exc:
         raise FormatError(f"{name}: {exc}") from None
 
@@ -354,30 +354,26 @@ def _parts(operands, negated=False):
     if i is None:
         return [(negated, operands)]
     return [part for term, sign in dsl.signed_terms(operands[i][1])
-            for part in _parts(operands[:i] + _operands(term) + operands[i + 1:],
+            for part in _parts(operands[:i] + dsl._operands(term) + operands[i + 1:],
                                negated != (sign < 0))]
 
 
-def _operands(e):
-    """(divided, node) of each operand of a ``*``/``/`` chain, left to right."""
-    return list(zip(e.inverted, e.operands)) if type(e) is dsl.Mul else [(False, e)]
-
-
 def _chain(operands, negated=False):
-    """The ``*``/``/`` chain of (divided, node) operands, or 1; ``negated``
-    puts a minus on the first, which is then a multiplied one."""
-    if not operands or operands[0][0]:
-        operands = [(False, _ONE)] + operands
+    """The ``*``/``/`` chain of (divided, node) operands, or 1
+    (``dsl._chain``); ``negated`` puts a minus on the first, which is then
+    a multiplied one."""
     if negated:
+        if not operands or operands[0][0]:
+            operands = [(False, _ONE)] + operands
         operands = [(False, dsl.Neg(operands[0][1]))] + operands[1:]
-    inverted, nodes = zip(*operands)
-    return dsl.Mul(nodes, inverted) if len(nodes) > 1 else nodes[0]
+    return dsl._chain(operands)
 
 
-def split_closed_term(coeff):
+def split_closed_term(coeff, source=None):
     """The ``ClosedTerm`` of a loaded product: its grid-reading factors and
     its bracket split out once, so that the grid-free rest runs once per
-    (n, k) and the factors on twice-int affines.
+    (n, k) and the factors on twice-int affines.  Its ``source`` is
+    ``source`` when given, else ``coeff`` once split.
 
     One pass down the top-level ``*``/``/`` chain, whose divisors are
     flattened through products and small integer powers:
@@ -403,10 +399,10 @@ def split_closed_term(coeff):
     term at an Infinite reciprocal binomial or a zero binomial before its
     other operands run, while the unsplit product runs them and may fail:
     a point no admissible (r, s) reaches in the shipped corpus."""
-    operands = _operands(coeff)
+    operands = dsl._operands(coeff)
     reads = [dsl.free_vars(node) for _, node in operands]   # the one walk of coeff
     if not _grid_read(frozenset().union(*reads)):
-        return ClosedTerm(coeff)
+        return ClosedTerm(coeff, source=source)
     divisors, multiplied, extras, negated = [], [], (), False
     kept = []                          # (divided, node) left in the coefficient, in order
     for (divided, node), node_names in zip(operands, reads):
@@ -439,7 +435,8 @@ def split_closed_term(coeff):
                 continue
         kept.append((divided, node))
     factors = tuple(f for group in reversed(divisors) for f in group) + tuple(multiplied)
-    return ClosedTerm(_chain(kept, negated), factors, extras, source=coeff)
+    return ClosedTerm(_chain(kept, negated), factors, extras,
+                      source=coeff if source is None else source)
 
 
 def _divisor_parts(node):

@@ -105,15 +105,7 @@ class DensePoly:
         if type(other) is not DensePoly:
             return self.scale(other)
         acc = {}
-        for (a, b), da, na in self.parts:
-            for (x, y), db, nb in other.parts:
-                wide, narrow = (na, nb) if len(na) >= len(nb) else (nb, na)
-                width = len(wide)
-                out = [0] * (width + len(narrow) - 1)
-                for i, c in enumerate(narrow):      # schoolbook int convolution
-                    if c:
-                        out[i:i + width] = [o + v * c for o, v in zip(out[i:i + width], wide)]
-                _add(acc, (a + x, b + y), out, da * db)
+        _convolve(acc, self.parts, other.parts)
         return _poly(_parts(acc))
 
     __rmul__ = __mul__
@@ -236,6 +228,34 @@ def _rebase(part, den):
     part[0] = common // g * den
     part[1] = [x * (den // g) for x in part[1]]
     return common // g
+
+
+def _add_value(acc, value, shift):
+    """Add t^shift times an int, Fraction, SymConst or DensePoly value into
+    ``acc``."""
+    if type(value) is DensePoly:
+        for key, den, nums in value.parts:
+            _add(acc, key, nums, den, 1, shift)
+    elif type(value) is int or type(value) is Fraction:
+        _add_one(acc, (0, 0), value.numerator, value.denominator, shift)
+    else:
+        _add_terms(acc, _terms(value), (1,), shift)
+
+
+def _convolve(acc, left, right):
+    """Add the product of two polynomials, each given by its (monomial,
+    denominator, numerators) parts, into ``acc``: a schoolbook int
+    convolution of each pair of parts over the product of their
+    denominators."""
+    for (a, b), da, na in left:
+        for (x, y), db, nb in right:
+            wide, narrow = (na, nb) if len(na) >= len(nb) else (nb, na)
+            width = len(wide)
+            out = [0] * (width + len(narrow) - 1)
+            for i, c in enumerate(narrow):
+                if c:
+                    out[i:i + width] = [o + v * c for o, v in zip(out[i:i + width], wide)]
+            _add(acc, (a + x, b + y), out, da * db)
 
 
 def _add_terms(acc, terms, row, shift):

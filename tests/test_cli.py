@@ -442,6 +442,13 @@ class TestVerify:
         code, out, err = run(capsys, "verify", write(tmp_path, doc))
         assert (code, out, err) == (2, "", "error: t^-1 at k=0, n=0\n")
 
+    def test_negative_polynomial_exponent_names_the_power(self, capsys, tmp_path):
+        doc = dict(STANDARD, rhs={"kind": "poly", "expr": "sum(k,0,n,binom(n,k)*(1+t)^(n-1-k))"})
+        code, out, err = run(capsys, "verify", write(tmp_path, doc))
+        assert (code, out) == (2, "")
+        assert err == ("error: polynomial exponent must be a nonnegative integer"
+                       " in (1 + t)^(n - 1 - k), got -1\n")
+
     def test_unknown_flags_exit_2(self, capsys, tmp_path):
         path = write(tmp_path, GOOD_CLOSED)
         assert run(capsys, "verify", path, "--jobs", "2")[0] == 2

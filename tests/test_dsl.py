@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from finsum import corpus, dsl
+from finsum import corpus, dsl, polyverify
 from finsum.errors import (ArityError, DivisionByZero, DslSyntaxError, EvalTypeError,
                            FinsumError, NegativeExponent, PoleError, UnboundVariable)
 from finsum.field import SymConst, half, lift
@@ -177,6 +177,18 @@ class TestScalarEval:
             ev("2^r", r="1/2")
         with pytest.raises(DivisionByZero):
             ev("(n - 3)^(0 - 1)", n=3)
+
+    @pytest.mark.parametrize("text, error, message", [
+        ("2^r", EvalTypeError, "exponent must be an integer in 2^r, got 1/2"),
+        ("sum(k, 0, n, binom(n, k)*(1+t)^(n-1-k))", NegativeExponent,
+         "polynomial exponent must be a nonnegative integer in (1 + t)^(n - 1 - k), got -1"),
+        ("sum(k, 0, n, (1+t)^(n/2-k))", EvalTypeError,
+         "exponent must be an integer in (1 + t)^(n/2 - k), got 3/2"),
+    ])
+    def test_exponent_error_names_the_power(self, text, error, message):
+        with pytest.raises(error) as exc:
+            dsl.compile(dsl.parse(text))({"n": 3, "r": Fraction(1, 2), "t": DensePoly.variable()})
+        assert str(exc.value) == message
 
     def test_eval_errors(self):
         with pytest.raises(UnboundVariable):
@@ -369,6 +381,14 @@ SUMMANDS = st.sampled_from([
     "sum(j, k - 1, k + 1, 1/(j+2))", "sum(j, 0, 4 - k, t^j)",
     # monomials c * t^m, added into the rows at offset m when they are the whole body
     "t^k*binom(n, k)", "t", "H(k+1/2)*binom(n, 1/2)*t^(k+1)", "binom(2, k)*t^k",
+    # inner monomials whose operands or exponent read no k: run once per j
+    "sum(j, 0, k, binom(k, j)/(j+1)^2*t^(j+1))", "sum(j, 1, 3, H(j+1/2)*binom(k, j)*t^(j+k))",
+    "sum(j, 0, 3, k*U(j)*t^j)", "sum(j, 0, k, sign(j)/(j+1)*binom(k, j)*t^(j+1))",
+    # one multiplied B^(a - k): Horner's rule while B is a polynomial and a - hi >= 0
+    "binom(n, k)*(1+t)^(n-k)", "H(k+1/2)*(1-t)^(4-k)", "(1+t)^(6-k)/(k+1)",
+    "sum(j, 0, k, binom(k, j)*t^(j+1))*(t^2+1)^(n-1-k)", "k*U(1)^(5-k)", "(k-k)*(1+t)^(6-k)",
+    "2^(n-k)*binom(n, k)",          # a scalar B runs as written
+    "(1+k*t)^(6-k)", "t^k*(1+t)^(6-k)",     # B reads k; a monomial
 ])
 
 
@@ -386,18 +406,38 @@ SUMMANDS = st.sampled_from([
 @example(["sum(j, 2, k - 1, H(j+1/2))", "sum(j, 0, k, sum(u, 1, j, 1/u))"], 0, 6, 0)
 @example(["sum(u, 0, 2, sum(j, u, k, 1/(j+1)))"], 0, 5, 0)
 @example(["sum(j, k - 1, k + 1, 1/(j+2))", "sum(j, 0, 4 - k, t^j)"], 0, 5, 0)
+@example(["sum(j, 0, k, binom(k, j)/(j+1)^2*t^(j+1))"], 0, 6, 0)
+@example(["sum(j, 1, 3, H(j+1/2)*binom(k, j)*t^(j+k))", "sum(j, 0, 3, k*U(j)*t^j)"], 0, 5, 0)
+@example(["binom(n, k)*(1+t)^(n-k)"], 0, 3, 3)
+@example(["binom(n, k)*(1+t)^(n-k)"], 0, 1, 3)          # times (1+t)^2 at the end
+@example(["binom(n, k)*(1+t)^(n-k)"], 0, 5, 3)          # n - k < 0 from k = 4
+@example(["H(k+1/2)*(1-t)^(4-k)"], 0, 4, 0)
+@example(["(1+t)^(6-k)/(k+1)"], 1, 6, 0)
+@example(["sum(j, 0, k, binom(k, j)*t^(j+1))*(t^2+1)^(n-1-k)"], 0, 2, 3)
+@example(["k*U(1)^(5-k)"], 0, 5, 0)
+@example(["(k-k)*(1+t)^(6-k)"], 0, 6, 0)               # all zero: still a polynomial
+@example(["2^(n-k)*binom(n, k)"], 0, 6, 2)
+@example(["2^(n-k)*binom(n, k)"], 0, 2, 2)
+@example(["2^(n-k)*binom(n, k)"], 0, 1, 3)
+@example(["(1+t)^(6-k)/(k+1)"], 4, 2, 0)               # empty
 def test_sum_matches_left_fold(summands, lo, hi, n):
     """A compiled bounded sum, one accumulator per evaluation, has the value
-    of the left fold, and the same parts when that is a polynomial; an empty
-    range is the int 0."""
+    of the left fold, and the same parts when that is a polynomial, or
+    raises its error with its text; an empty range is the int 0."""
     expr = dsl.parse(f"sum(k, {lo}, {hi}, {' + '.join(summands)})")
     point = {"n": n, "t": DensePoly.variable()}
+    try:
+        want = walk(expr, point)
+    except FinsumError as exc:
+        with pytest.raises(type(exc)) as got:
+            dsl.compile(expr)(point)
+        assert str(got.value) == str(exc)
+        return
     got = dsl.compile(expr)(point)
-    want = walk(expr, point)
     if type(want) is DensePoly:
         assert type(got) is DensePoly and got.parts == want.parts
     else:
-        assert lift(got) == want
+        assert type(got) is not DensePoly and lift(got) == want
     if lo > hi:
         assert type(got) is int and got == 0
 
@@ -409,17 +449,32 @@ def test_sum_matches_left_fold(summands, lo, hi, n):
     # the step where the inner sum fails decides which error comes first
     ("sum(k, 0, 5, sum(j, 0, k, 1/(j-3))*t^k + 1/(k-2))", "division by zero in 1/(k - 2)"),
     ("sum(k, 0, 5, 1/(k-4) + sum(j, 0, k, 1/(j-3)))", "division by zero in 1/(j - 3)"),
+    # an operand that reads no k, kept from one k to the next, fails at one j
+    ("sum(k, 0, 5, sum(j, 0, k, binom(k, j)/(j-3)*t^j))",
+     "division by zero in binom(k, j)/(j - 3)"),
+    # Horner's rule: X_k fails at a middle step, as a nested sum or an operand
+    ("sum(k, 0, n-1, sum(j, 0, k, binom(k, j)/(j-3)*t^(j+1))*(1+t)^(n-1-k))",
+     "division by zero in binom(k, j)/(j - 3)"),
+    ("sum(k, 0, 5, 1/(k-2)*(1-t)^(n-k))", "division by zero in 1/(k - 2)"),
+    ("sum(k, 0, 5, (1-t)^(n-k)/(k-2))", "division by zero in (1 - t)^(n - k)/(k - 2)"),
+    ("sum(k, 0, 5, (t^2+1)^(n-k)*H(2-k))", "H_-1 is a pole"),
+    # a - k goes negative at k = 4, or is no integer
+    ("sum(k, 0, 5, binom(n, k)*(1+t)^(3-k))",
+     "polynomial exponent must be a nonnegative integer in (1 + t)^(3 - k), got -1"),
+    ("sum(k, 0, 5, (1+t)^(n/2-k))", "exponent must be an integer in (1 + t)^(n/2 - k), got 5/2"),
 ])
 def test_failing_inner_step_raises_the_left_folds_error(text, error):
-    """A nested sum that goes on from one outer step to the next fails at
-    the outer step, and with the error, where the left fold, which starts
-    it again at each step, fails."""
+    """A nested sum that goes on from one outer step to the next, a sum
+    whose operands that read no k are kept from one k to the next, and a
+    sum by Horner's rule fail at the step, and with the error, where the
+    left fold, which runs every step as written, fails."""
     expr = dsl.parse(text)
     point = {"n": 5, "t": DensePoly.variable()}
-    with pytest.raises(DivisionByZero) as want:
+    with pytest.raises(FinsumError) as want:
         walk(expr, point)
-    with pytest.raises(DivisionByZero) as got:
+    with pytest.raises(FinsumError) as got:
         dsl.compile(expr)(point)
+    assert type(got.value) is type(want.value)
     assert str(got.value) == str(want.value) == error
 
 
@@ -473,6 +528,28 @@ def test_partial_sum_generating_function_carries_its_prefix(monkeypatch):
     counts = count_evaluations(monkeypatch, {lhs_body, rhs_factor})
     assert verify_poly(entry.identity, 34).equal
     assert counts == {lhs_body: 34, rhs_factor: 595}
+
+
+def test_partial_sum_generating_function_rhs_runs_k_free_work_once(monkeypatch):
+    """partial-sum-gf-recipsq's rhs at n = 34 goes by Horner's rule: no
+    power of 1+t is built, where the left fold builds one at each k.  Its
+    inner monomial's k-free divisor (j+1)^2 runs once per j, 34 times, not
+    once per (k, j), 595 times; binom(k, j) reads k and runs 595 times."""
+    (entry,) = corpus.load_entries(names={"partial-sum-gf-recipsq"})
+    divisor, factor = dsl.parse("(j+1)^2"), dsl.parse("binom(k, j)")
+    counts = count_evaluations(monkeypatch, {divisor, factor})
+    calls = []
+    power, binomial = DensePoly.__pow__, polyverify.binomial_power
+    monkeypatch.setattr(DensePoly, "__pow__", lambda self, m: calls.append(m) or power(self, m))
+    monkeypatch.setattr(polyverify, "binomial_power",
+                        lambda base, m: calls.append(m) or binomial(base, m))
+    got = polyverify.expand_side(entry.identity.rhs, 34)
+    assert calls == []
+    assert counts == {divisor: 34, factor: 595}
+    monkeypatch.undo()
+    point = {"n": 34, "t": DensePoly.variable()}
+    assert got == walk(entry.identity.rhs.expr, point) == polyverify.expand_side(
+        entry.identity.lhs, 34)
 
 
 def test_sum_of_polynomials_builds_no_intermediate(monkeypatch):
