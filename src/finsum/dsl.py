@@ -485,8 +485,9 @@ def _compile_chain(e):
 
 # -- products ---------------------------------------------------------------
 
-def _compile_product(e):
-    """a * or / b * or / c ... as one loop over the operands.
+def _compile_product(e, closures=None):
+    """a * or / b * or / c ... as one loop over the operands, whose
+    ``closures`` are compiled here unless they are given.
 
     Operands run in tree-walk order: every divisor right to left, checked
     for zero as it is evaluated, then the others left to right; a zero
@@ -497,7 +498,7 @@ def _compile_product(e):
     the rational part at the end."""
     divisors, steps = [], []
     for i, (node, inverted) in enumerate(zip(e.operands, e.inverted)):
-        f = _compile(node)
+        f = _compile(node) if closures is None else closures[i]
         if inverted:
             divisors.append((i, f))
             f = None
@@ -551,11 +552,13 @@ def _render_upto(e, i):
     return render(Mul(e.operands[:i + 1], e.inverted[:i + 1]))
 
 
-def _compile_pow(e):
-    """base^exponent; an exponent that is no integer, or a negative one on a
-    polynomial, is an error that names the power as written."""
-    base = _compile(e.base)
-    exponent = _compile(e.exponent)
+def _compile_pow(e, base=None, exponent=None):
+    """base^exponent, from the closures of its base and exponent, compiled
+    here unless they are given; an exponent that is no integer, or a
+    negative one on a polynomial, is an error that names the power as
+    written."""
+    if base is None:
+        base, exponent = _compile(e.base), _compile(e.exponent)
 
     def pow_(b):
         exp = exponent(b)
@@ -582,7 +585,9 @@ def _compile_sum(e):
     body value goes into a ``field.Sum``, a polynomial one into a row of int
     numerators per field monomial (``polyverify._add_value``).  The rows are
     trimmed and reduced once at the end and joined with the scalar total,
-    so no step builds a value; an empty range is the int 0.
+    so no step builds a value; an empty range is the int 0.  A body that
+    is a monomial or fits Horner's rule (below) has each operand compiled
+    once: the body as written and the parts read apart share the closures.
 
     A body that is a monomial c * t^m by its syntax (``_monomial``) adds,
     while t is bound to the variable, c's field terms, or its rows when c
@@ -601,8 +606,10 @@ def _compile_sum(e):
     a - hi is an integer >= 0: the rows go acc <- acc * B + X_k over the
     range, where X_k is the product of the other operands, and are
     multiplied by B^(a - hi) once at the end, so no step builds a power of
-    B.  Else the sum runs as written; a step where X_k fails runs the body
-    as written, which raises the product's error.
+    B; a step by B = 1+-t is a shift-add on the rows
+    (``polyverify._times_base``).  Else the sum runs as written; a step
+    where X_k fails runs the body as written, which raises the product's
+    error.
 
     A sum whose upper bound is v + c, for a variable v and a constant c,
     and whose lower bound and body read no v (``_carried_over``) is carried
@@ -611,24 +618,38 @@ def _compile_sum(e):
     previous step, kept in that evaluation's bindings, instead of starting
     again from the lower bound.  Its values, and the error and the step
     where a step fails, are those of the restart."""
-    from .polyverify import DensePoly, _add_one, _add_value, _convolve, _parts, _poly
+    from .polyverify import (_BASES, DensePoly, _add_one, _add_value, _convolve, _parts,
+                             _poly, _row_parts, _times_base)
     index = e.index
     lower = _compile_int(e.lower, "sum lower bound")
     upper = _compile_int(e.upper, "sum upper bound")
-    body = _compile(e.body)
+    operands = _operands(e.body)
     monomial = _monomial(e.body)
     horner = None if monomial is not None else _horner(e.body, index)
+    picked = horner if monomial is None else monomial
+    if picked is None:
+        body = _compile(e.body)
+    else:
+        # each operand compiled once, for the body as written and for the parts read apart:
+        # the picked operand t^m or B^E, and ``rest``, the product of the others
+        power = operands[picked][1]
+        if power == _TVAR:
+            power_exp, exponent, power_of = _ONE, _one, _compile(power)
+        else:
+            power_exp = power.exponent
+            base, exponent = _compile(power.base), _compile(power_exp)
+            power_of = _compile_pow(power, base, exponent)
+            exponent = _int_valued(exponent, "exponent")
+        closures = [power_of if i == picked else _compile(x) for i, (_, x) in enumerate(operands)]
+        others = operands[:picked] + operands[picked + 1:]
+        other_closures = closures[:picked] + closures[picked + 1:]
+        rest = _product_of(others, other_closures)
+        body = _product_of(operands, closures)
     if monomial is not None:
-        coeff = _compile(monomial[0])
-        exponent = _compile_int(monomial[1], "exponent")
         variable = DensePoly.variable()
         # outer variable v -> the monomial by its parts that read v and those that do not,
-        # compiled the first time the sum runs in a step over v
+        # built the first time the sum runs in a step over v
         free_parts = {}
-    elif horner is not None:
-        base = _compile(horner[0])
-        top = _compile_int(horner[1], "exponent")
-        rest = _compile(horner[2])
 
     def add(inner, lo, hi, scalars, rows, kept=None, values=None):
         """Add the body at index lo..hi, under the bindings ``inner``, into
@@ -642,7 +663,7 @@ def _compile_sum(e):
             if fast:
                 try:
                     if kept is None:
-                        value, m = coeff(inner), exponent(inner)
+                        value, m = rest(inner), exponent(inner)
                     else:
                         value, den, m = kept(inner, i, values)
                 except FinsumError:
@@ -665,11 +686,12 @@ def _compile_sum(e):
         is no polynomial or a - hi is no integer >= 0."""
         inner[index] = hi
         try:
-            b, a_hi = base(inner), top(inner)
+            b, a_hi = base(inner), exponent(inner)
         except FinsumError:
             return None
         if type(b) is not DensePoly or a_hi < 0:
             return None
+        step = _BASES.get(b.parts)      # 1+t or 1-t: a step is a shift-add in place
         rows = {}
         for i in range(lo, hi + 1):
             inner[index] = i
@@ -679,7 +701,10 @@ def _compile_sum(e):
                 body(inner)     # raises the error of the product as written
                 raise
             if rows:
-                rows = times(rows, b.parts)
+                if step is None:
+                    rows = times(rows, b.parts)
+                else:
+                    _times_base(rows, step)
             _add_value(rows, x, 0)
         if a_hi:
             rows = times(rows, (b ** a_hi).parts)
@@ -688,7 +713,7 @@ def _compile_sum(e):
     def times(rows, parts):
         """New rows: ``rows`` times the polynomial of ``parts``."""
         out = {}
-        _convolve(out, [(key, den, nums) for key, (den, nums) in rows.items()], parts)
+        _convolve(out, _row_parts(rows), parts)
         return out
 
     def total(scalars, rows):
@@ -712,7 +737,7 @@ def _compile_sum(e):
         v = b.get(_STEP)
         if monomial is not None and v is not None:
             if v not in free_parts:
-                free_parts[v] = _free_parts(*monomial, v)
+                free_parts[v] = _free_parts(others, other_closures, power_exp, exponent, v)
             kept = free_parts[v]
             if kept is not None:
                 values = b.setdefault(cache, {})
@@ -776,24 +801,26 @@ def _reads(e, name):
     return False
 
 
-def _free_parts(coeff, power, v):
-    """For a monomial coeff * t^power, a closure ``f(bindings, i, values)
-    -> (c, den, m)`` at index i: c / den is the product of the operands of
-    ``coeff`` that read v, run every time, with those that do not, and m
-    the exponent ``power``; the operands and the exponent that read no v
-    run once per i, kept in the dict ``values``.  den is 1 but where an
-    int meets a Fraction, which is then not built.  None unless some parts
-    read v and some do not."""
-    operands = _operands(coeff)
+def _free_parts(operands, closures, power, power_of, v):
+    """For a monomial coeff * t^power, where ``coeff`` is the chain of the
+    (divided, node) ``operands`` with the given ``closures`` and
+    ``power_of`` the int closure of ``power``, a closure ``f(bindings, i,
+    values) -> (c, den, m)`` at index i: c / den is the product of the
+    operands that read v, run every time, with those that do not, and m the
+    exponent; the operands and the exponent that read no v run once per i,
+    kept in the dict ``values``.  den is 1 but where an int meets a
+    Fraction, which is then not built.  None unless some parts read v and
+    some do not.  Nothing is compiled again."""
     reads = [_reads(x, v) for _, x in operands]
     fixed_power = not _reads(power, v)
     if all(reads) and not fixed_power or not any(reads) and fixed_power:
         return None
-    free = [x for x, read in zip(operands, reads) if not read]
-    bound = [x for x, read in zip(operands, reads) if read]
-    free_of = _compile(_chain(free))
-    bound_of = _compile(_chain(bound)) if bound else None
-    power_of = _compile_int(power, "exponent")
+
+    def product(read):
+        chosen = [(x, f) for x, f, r in zip(operands, closures, reads) if r is read]
+        return _product_of([x for x, _ in chosen], [f for _, f in chosen])
+    free_of = product(False)
+    bound_of = product(True) if any(reads) else None
 
     def kept(b, i, values):
         hit = values.get(i)
@@ -828,35 +855,43 @@ def _chain(operands):
     return Mul(nodes, inverted) if len(nodes) > 1 else nodes[0]
 
 
+def _product_of(operands, closures):
+    """The closure of ``_chain(operands)`` built from the ``closures`` of
+    its (divided, node) operands, none compiled again."""
+    node = _chain(operands)
+    if type(node) is not Mul:
+        return closures[0] if operands else _one
+    if len(node.operands) > len(closures):      # a 1 put first
+        closures = [_one] + closures
+    return _compile_product(node, closures)
+
+
+def _one(b):
+    return 1
+
+
 def _pick(e, match):
-    """(operand, rest) when exactly one operand of the ``* /`` chain ``e``,
-    or ``e`` itself when it is no chain, satisfies ``match`` and it is
-    multiplied: ``rest`` is the chain of the other operands, or 1.  Else
-    None."""
+    """The position of the one operand of the ``* /`` chain ``e``, or of
+    ``e`` itself when it is no chain, that satisfies ``match``, when it is
+    multiplied; else None."""
     operands = _operands(e)
     found = [i for i, (_, x) in enumerate(operands) if match(x)]
     if len(found) != 1 or operands[found[0]][0]:
         return None
-    picked = operands.pop(found[0])[1]
-    return picked, _chain(operands)
+    return found[0]
 
 
 def _monomial(e):
-    """(coefficient, exponent) nodes of ``t``, ``t^e``, or a ``* /`` chain
-    with one ``t``/``t^e`` operand, multiplied: the coefficient is the
-    chain of the other operands, or 1.  Else None."""
-    found = _pick(e, lambda x: x == _TVAR or type(x) is Pow and x.base == _TVAR)
-    if found is None:
-        return None
-    power, coeff = found
-    return coeff, _ONE if power == _TVAR else power.exponent
+    """The position of the ``t`` or ``t^e`` operand of ``t``, ``t^e``, or
+    a ``* /`` chain with one such operand, multiplied; else None."""
+    return _pick(e, lambda x: x == _TVAR or type(x) is Pow and x.base == _TVAR)
 
 
 def _horner(e, index):
-    """(B, E, rest) nodes of a ``* /`` chain, or a lone power, with one
-    multiplied operand B^E where B holds no sum and reads no ``index`` and
-    E is affine with coefficient -1 on ``index``: ``rest`` is the chain of
-    the other operands, or 1.  Else None."""
+    """The position of the operand B^E of a ``* /`` chain, or a lone power,
+    with one multiplied operand B^E where B holds no sum and reads no
+    ``index`` and E is affine with coefficient -1 on ``index``; else
+    None."""
     def steps_down(x):
         if type(x) is not Pow:
             return False
@@ -870,11 +905,7 @@ def _horner(e, index):
                 return False
             stack += children(y)
         return True
-    found = _pick(e, steps_down)
-    if found is None:
-        return None
-    power, rest = found
-    return power.base, power.exponent, rest
+    return _pick(e, steps_down)
 
 
 _TVAR = Var("t")
@@ -884,8 +915,11 @@ _ONE = Lit(Fraction(1))
 def _compile_int(e, what):
     """A closure for the integer value of an argument; EvalTypeError naming
     ``what`` when the value is not an integer."""
-    value = _compile(e)
+    return _int_valued(_compile(e), what)
 
+
+def _int_valued(value, what):
+    """The closure ``value`` with its value made an int, as ``_compile_int``."""
     def int_arg(b):
         v = value(b)
         try:

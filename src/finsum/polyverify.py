@@ -1,9 +1,9 @@
 """Exact polynomial-identity verification at concrete n.
 
 A side is expanded into a dense polynomial in t over the constant field:
-standard sides by the binomial theorem applied to each coeff * t^a * (1+-t)^b
-summand, free-form polynomial sides by their ``dsl.compile`` closure with t
-bound to ``DensePoly.variable()``.  ``compile_side`` compiles a side's
+standard sides by Horner's rule in 1+-t over their coeff * t^a * (1+-t)^b
+summands, taken in order of decreasing b, free-form polynomial sides by
+their ``dsl.compile`` closure with t bound to ``DensePoly.variable()``.  ``compile_side`` compiles a side's
 expressions once, and ``verify_poly_each`` expands both compiled sides at
 each n.  Two sides agree iff their coefficient vectors agree; there is no
 tolerance anywhere.  ``DensePoly`` is the one polynomial type, and
@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
 from math import gcd
+from operator import add, itemgetter, sub
 
 from . import dsl
 from .errors import DivisionByZero, EvalTypeError, NegativeExponent
@@ -49,7 +50,7 @@ class DensePoly:
     def __init__(self, coeffs=()):
         acc = {}
         for i, c in enumerate(coeffs):
-            _add_terms(acc, _terms(c), (1,), i)
+            _add_terms(acc, _terms(c), i)
         self.parts = _parts(acc)
 
     @classmethod
@@ -239,7 +240,7 @@ def _add_value(acc, value, shift):
     elif type(value) is int or type(value) is Fraction:
         _add_one(acc, (0, 0), value.numerator, value.denominator, shift)
     else:
-        _add_terms(acc, _terms(value), (1,), shift)
+        _add_terms(acc, _terms(value), shift)
 
 
 def _convolve(acc, left, right):
@@ -258,17 +259,26 @@ def _convolve(acc, left, right):
             _add(acc, (a + x, b + y), out, da * db)
 
 
-def _add_terms(acc, terms, row, shift):
-    """Add t^shift * row times each (monomial, numerator, denominator) of
-    ``terms`` into ``acc``: a standard summand's coefficient times its
-    binomial row, or a monomial c * t^m of a free-form sum with row (1,)."""
-    if len(row) == 1:
-        x, = row
-        for key, p, q in terms:
-            _add_one(acc, key, p * x, q, shift)
-        return
+def _times_base(rows, base):
+    """Multiply the accumulator ``rows`` by the base 1+t or 1-t in place:
+    one shift-add on each part's numerators."""
+    op = add if base == "1+t" else sub
+    for part in rows.values():
+        nums = part[1]
+        part[1] = list(map(op, nums + [0], [0] + nums))
+
+
+def _row_parts(rows):
+    """The (monomial, denominator, numerators) parts of the accumulator
+    ``rows``, unreduced, as ``_convolve`` reads them."""
+    return [(key, den, nums) for key, (den, nums) in rows.items()]
+
+
+def _add_terms(acc, terms, shift):
+    """Add t^shift times each (monomial, numerator, denominator) of
+    ``terms`` into ``acc``, one int per monomial."""
     for key, p, q in terms:
-        _add(acc, key, row, q, p, shift)
+        _add_one(acc, key, p, q, shift)
 
 
 def _parts(acc):
@@ -318,40 +328,81 @@ def compile_side(side):
     """One side of a polynomial identity as a closure ``expand(n)`` for its
     dense expansion at concrete n, each of its expressions compiled once.
 
-    Each standard summand coeff * t^a * (1+-t)^b adds coeff times the
-    binomial row of (1+-t)^b, shifted by a, into one int accumulator per
-    monomial of the coefficients.  A free-form side is its ``dsl.compile``
-    closure with t bound to the variable, a scalar value wrapped as a
-    constant."""
+    A standard side sums coeff * t^a * (1+-t)^b over each term's range in
+    two passes.  The first walks k upwards, skips a zero coefficient and
+    keeps (b, a, coeff) with a and b as ints, stepped in k from their first
+    twice-value; it raises any error at the k where it arises.  The second
+    folds the kept triples of each base by Horner's rule in 1+-t, in order
+    of decreasing b: rows <- rows * (1+-t)^(b_prev - b) + coeff * t^a, each
+    power of 1+-t one shift-add on the int rows (``_times_base``), then
+    multiplies by (1+-t)^(least b) once.  A free-form side is its
+    ``dsl.compile`` closure with t bound to the variable, a scalar value
+    wrapped as a constant."""
     if isinstance(side, StandardSide):
         terms = [(dsl.compile(term.lower), dsl.compile(term.upper), dsl.compile(term.coeff),
-                  term.t_exp.compile_twice(), term.base_exp.compile_twice(), term.base)
+                  term.t_exp.compile_twice(), 2 * term.t_exp.k,
+                  term.base_exp.compile_twice(), 2 * term.base_exp.k, term.base)
                  for term in side.terms]
 
         def expand(n):
-            base_bindings = {"n": half(n)}
-            acc = {}
-            for lower_of, upper_of, coeff_of, twice_a, twice_b, base in terms:
-                lo = to_int(lower_of(base_bindings))
-                hi = to_int(upper_of(base_bindings))
+            bindings = {"n": half(n)}
+            kept = {}   # base -> [(b, a, coefficient terms), ...]
+            for lower_of, upper_of, coeff_of, twice_a, step_a, twice_b, step_b, base in terms:
+                lo = to_int(lower_of(bindings))
+                hi = to_int(upper_of(bindings))
+                at = dict(bindings)
+                items = kept.setdefault(base, [])
+                a0 = b0 = None      # twice a and b at k = 0, from the first kept k
                 for k in range(lo, hi + 1):
-                    kb = dict(base_bindings)
-                    kb["k"] = k
-                    coeff = _terms(coeff_of(kb))
+                    at["k"] = k
+                    coeff = _terms(coeff_of(at))
                     if not coeff:
                         continue
-                    a = to_int(exact_div(twice_a(kb), 2))
+                    if a0 is None:
+                        a0 = twice_a(at) - step_a * k
+                    a = _half_of(a0 + step_a * k)
                     if a < 0:
                         raise NegativeExponent(f"t^{a} at k={k}, n={n}")
-                    b = to_int(exact_div(twice_b(kb), 2))
-                    (_, _, row), = binomial_power(base, b).parts
-                    _add_terms(acc, coeff, row, a)
+                    if b0 is None:
+                        b0 = twice_b(at) - step_b * k
+                    b = _half_of(b0 + step_b * k)
+                    if b < 0:
+                        raise NegativeExponent(f"({base})^{b} at k={k}, n={n}")
+                    items.append((b, a, coeff))
+            acc = {}
+            for base, items in kept.items():
+                if items:
+                    _fold(acc, base, items)
             return _poly(_parts(acc))
         return expand
     if isinstance(side, PolySide):
         value_of = dsl.compile(side.expr)
         return lambda n: _as_poly(value_of({"n": half(n), "t": DensePoly.variable()}))
     raise EvalTypeError(f"not a polynomial side: {side!r}")
+
+
+def _half_of(twice):
+    """The int half of a twice-value; EvalTypeError when it is odd."""
+    return twice >> 1 if not twice & 1 else to_int(exact_div(twice, 2))
+
+
+def _fold(acc, base, items):
+    """Add the sum of coeff * t^a * base^b over the (b, a, coeff terms) of
+    ``items`` into ``acc``, by Horner's rule in the base over decreasing b:
+    no power of the base is built but the least one."""
+    items.sort(key=itemgetter(0), reverse=True)
+    rows = {}
+    last = items[0][0]
+    for b, a, coeff in items:
+        for _ in range(last - b):
+            _times_base(rows, base)
+        last = b
+        _add_terms(rows, coeff, a)
+    if last:
+        _convolve(acc, _row_parts(rows), binomial_power(base, last).parts)
+    else:
+        for key, (den, nums) in rows.items():
+            _add(acc, key, nums, den)
 
 
 def expand_side(side, n):

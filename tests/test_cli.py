@@ -442,6 +442,12 @@ class TestVerify:
         code, out, err = run(capsys, "verify", write(tmp_path, doc))
         assert (code, out, err) == (2, "", "error: t^-1 at k=0, n=0\n")
 
+    def test_negative_base_exponent_names_the_step(self, capsys, tmp_path):
+        term = {"coeff": "1", "base": "1+t", "base_exp": [1, 0, -3]}
+        doc = dict(STANDARD, lhs={"kind": "standard", "terms": [term]})
+        code, out, err = run(capsys, "verify", write(tmp_path, doc))
+        assert (code, out, err) == (2, "", "error: (1+t)^-3 at k=0, n=0\n")
+
     def test_negative_polynomial_exponent_names_the_power(self, capsys, tmp_path):
         doc = dict(STANDARD, rhs={"kind": "poly", "expr": "sum(k,0,n,binom(n,k)*(1+t)^(n-1-k))"})
         code, out, err = run(capsys, "verify", write(tmp_path, doc))

@@ -552,6 +552,32 @@ def test_partial_sum_generating_function_rhs_runs_k_free_work_once(monkeypatch):
         entry.identity.lhs, 34)
 
 
+@pytest.mark.parametrize("text", [
+    "sum(k, 0, n - 1, sum(j, 0, k, binom(k, j)/(j + 1)^2*t^(j + 1))*(1 + t)^(n - 1 - k))",
+    "sum(k, 1, n, binom(n, k)*sum(j, 1, k, 1/j)*t^k)",
+    "sum(k, 0, n, t^k)",
+    "sum(k, 0, n, (1 - t)^(n - k)/(k + 1))",
+])
+def test_sum_compiles_each_node_once(text, monkeypatch):
+    """A sum's body that runs as a monomial or by Horner's rule compiles no
+    operand twice: the sum makes no more ``_compile`` calls than its
+    bounds and body compiled alone, and running it at many n makes none."""
+    expr = dsl.parse(text)
+    calls = []
+    compile_ = dsl._compile
+    monkeypatch.setattr(dsl, "_compile", lambda e: calls.append(e) or compile_(e))
+    for part in (expr.lower, expr.upper, expr.body):
+        dsl._compile(part)
+    alone = len(calls)
+    calls.clear()
+    compiled = dsl.compile(expr)
+    assert len(calls) <= 1 + alone
+    calls.clear()
+    for n in range(6):
+        compiled({"n": n, "t": DensePoly.variable()})
+    assert calls == []
+
+
 def test_sum_of_polynomials_builds_no_intermediate(monkeypatch):
     """sum(k, 0, 30, t^k) adds its 31 bodies into one accumulator; the left
     fold builds a new polynomial through ``DensePoly._combine`` at each."""

@@ -4,16 +4,19 @@ anchored by integral oracles over [0, 1]."""
 import hashlib
 import json
 import math
+import re
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import given
+from hypothesis import settings as hypothesis_settings
 from hypothesis import strategies as st
 
 from finsum import corpus, dsl, polyverify
-from finsum.errors import (DivisionByZero, EvalTypeError, NegativeExponent)
-from finsum.field import SymConst, half, lift
+from finsum.errors import DivisionByZero, EvalTypeError, FinsumError, NegativeExponent
+from finsum.field import SymConst, exact_div, half, lift, to_int
 from finsum.model import load_identity
 from finsum.polyverify import (DensePoly, binomial_power, eval_poly, expand_side,
                                verify_poly)
@@ -400,6 +403,177 @@ class TestExpandSide:
         assert not report.equal
         idx, lc, rc = report.first_difference
         assert idx == 1 and lc == R(2) and rc == R(3)
+
+
+def per_k_expansion(side, n):
+    """A standard side expanded term by term and k by k: the sum of
+    coeff * t^a * ``binomial_power(base, b)``, each row built on its own,
+    with the errors ``compile_side`` names."""
+    total = DensePoly()
+    bindings = {"n": n}
+    for term in side.terms:
+        lo = dsl.compile(term.lower)(bindings)
+        hi = dsl.compile(term.upper)(bindings)
+        for k in range(lo, hi + 1):
+            at = dict(bindings, k=k)
+            c = dsl.compile(term.coeff)(at)
+            if c == 0:
+                continue
+            a = to_int(exact_div(term.t_exp.compile_twice()(at), 2))
+            if a < 0:
+                raise NegativeExponent(f"t^{a} at k={k}, n={n}")
+            b = to_int(exact_div(term.base_exp.compile_twice()(at), 2))
+            if b < 0:
+                raise NegativeExponent(f"({term.base})^{b} at k={k}, n={n}")
+            total = total + DensePoly.variable() ** a * binomial_power(term.base, b) * c
+    return total
+
+
+def standard_side(*terms):
+    """A loaded standard side of (coeff, t_exp, base, base_exp, lower,
+    upper) terms."""
+    doc = {"name": "fold-oracle", "rhs": {"kind": "poly", "expr": "0*t"},
+           "lhs": {"kind": "standard", "terms": [
+               {"coeff": coeff, "t_exp": t_exp, "base": base, "base_exp": base_exp,
+                "lower": lower, "upper": upper}
+               for coeff, t_exp, base, base_exp, lower, upper in terms]}}
+    return load_identity(doc).lhs
+
+
+def assert_same_expansion(side, n_values):
+    """``compile_side`` gives the per-k expansion's parts at each n, or
+    raises its error, of the same class and with the same text."""
+    expand = polyverify.compile_side(side)
+    for n in n_values:
+        try:
+            want = per_k_expansion(side, n)
+        except FinsumError as exc:
+            with pytest.raises(type(exc)) as got:
+                expand(n)
+            assert str(got.value) == str(exc)
+        else:
+            assert expand(n).parts == want.parts
+
+
+# b's k coefficient, with an n part and a constant that keep b >= 0 on 0..n
+B_EXPONENTS = {-2: [-2, 2, 1], -1: [-1, 1, 0], 0: [0, 1, 2], 1: [1, 0, 0], 2: [2, 0, 1]}
+
+
+class TestStandardFold:
+    """The two-pass expansion of a standard side, Horner's rule in 1+-t over
+    decreasing b, against the per-k expansion it replaced."""
+
+    @pytest.mark.parametrize("base", ["1+t", "1-t"])
+    @pytest.mark.parametrize("step", sorted(B_EXPONENTS))
+    @pytest.mark.parametrize("t_exp", [[0, 0, 0], [1, 0, 0], [0, 1, 1], [2, 0, 1]])
+    def test_each_base_and_step(self, base, step, t_exp):
+        side = standard_side(("binom(n, k)*H(k + 1/2)/(k + 1)", t_exp, base,
+                              B_EXPONENTS[step], "0", "n"))
+        assert_same_expansion(side, range(7))
+
+    @pytest.mark.parametrize("zero_at", ["0", "2", "n"], ids=["first", "middle", "last"])
+    @pytest.mark.parametrize("step", [-1, 1])
+    def test_zero_coefficient_is_skipped(self, zero_at, step):
+        side = standard_side((f"(1 - kron(k, {zero_at}))*binom(n, k)", [1, 0, 0], "1-t",
+                              B_EXPONENTS[step], "0", "n"))
+        assert_same_expansion(side, range(3, 7))
+
+    def test_a_zero_coefficient_reads_no_exponent(self):
+        """b is negative only where the coefficient is zero: no error."""
+        side = standard_side(("kron(k, 0)", [0, 0, 0], "1+t", [-1, 0, 0], "0", "n"))
+        assert polyverify.compile_side(side)(4) == DensePoly.constant(1)
+
+    @pytest.mark.parametrize("base", ["1+t", "1-t"])
+    def test_base_exponent_negative_partway(self, base):
+        side = standard_side(("binom(n, k)", [1, 0, 0], base, [-1, 0, 2], "0", "n"))
+        assert_same_expansion(side, range(6))
+        with pytest.raises(NegativeExponent, match=rf"^\({re.escape(base)}\)\^-1 at k=3, n=5$"):
+            polyverify.compile_side(side)(5)
+
+    def test_t_exponent_negative_partway(self):
+        side = standard_side(("1", [-1, 0, 1], "1+t", [1, 0, 0], "0", "n"))
+        assert_same_expansion(side, range(4))
+
+    @pytest.mark.parametrize("coeff", ["binom(n, k)/(k - 2)", "H(k - 2)",
+                                       "binom(n, k)*(k - 2)^(-1)"])
+    def test_coefficient_failing_at_a_middle_k(self, coeff):
+        side = standard_side((coeff, [1, 0, 0], "1-t", [-1, 1, 0], "0", "n"))
+        assert_same_expansion(side, range(5))
+
+    def test_half_integer_exponent_fails_as_before(self):
+        side = standard_side(("1", [0, 0, 0], "1+t", [0, 0, 0], "0", "n"))
+        term = replace(side.terms[0], base_exp=dsl.Affine(k=1, const=Fraction(1, 2)))
+        assert_same_expansion(replace(side, terms=(term,)), range(3))
+
+    @pytest.mark.parametrize("lower, upper", [("n + 1", "n"), ("3", "1")])
+    def test_empty_range(self, lower, upper):
+        side = standard_side(("1/0", [1, 0, 0], "1+t", [1, 0, 0], lower, upper))
+        assert polyverify.compile_side(side)(2).is_zero
+
+    def test_several_terms(self):
+        side = standard_side(
+            ("H(n)", [0, 0, 0], "1+t", [0, 1, 0], "0", "0"),
+            ("binom(n, k)*sign(k)", [1, 0, 0], "1-t", [-1, 1, 0], "0", "n"),
+            ("H(k + 1/2)/k", [0, 0, 1], "1+t", [-1, 1, 0], "1", "n"),
+            ("k^2", [2, 0, 0], "1-t", [2, 0, 0], "1", "n - 1"),
+            ("1/(n - 3)", [0, 0, 0], "1+t", [0, 0, 0], "0", "0"))
+        assert_same_expansion(side, range(6))
+
+    @hypothesis_settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(["binom(n, k)", "H(k)", "kron(k, 1) - 1/2",
+                                               "sign(k)*binom(n + 1, k)/(n + 1 - k)"]),
+                              st.lists(st.integers(-2, 2), min_size=3, max_size=3),
+                              st.sampled_from(["1+t", "1-t"]),
+                              st.lists(st.integers(-2, 3), min_size=3, max_size=3),
+                              st.sampled_from(["0", "1", "n - 2"]),
+                              st.sampled_from(["n", "n - 1", "2"])),
+                    min_size=1, max_size=3),
+           st.integers(0, 6))
+    def test_random_sides(self, terms, n):
+        assert_same_expansion(standard_side(*terms), (n,))
+
+    @pytest.mark.parametrize("body", [
+        "binom(n, k)*H(k)*(1 - t)^(n - k)",
+        "(1 - t)^(n + 2 - k)*t^k/(k + 1)",
+        "binom(n, k)*(1 - t)^(n - 1 - k)",          # negative at k = n
+        "(1 - t)^(n - k)/(k - 2)",                  # X_k fails at k = 2
+    ])
+    def test_dsl_horner_sum_in_one_minus_t(self, body):
+        """A DSL sum that runs by Horner's rule in B = 1 - t has the parts,
+        or the error, of its body added up k by k."""
+        for n in range(5):
+            expr = dsl.parse(f"sum(k, 0, n, {body})")
+            try:
+                want = sum((eval_poly(dsl.parse(body), {"n": n, "k": k}) for k in range(n + 1)),
+                           DensePoly())
+            except FinsumError as exc:
+                with pytest.raises(type(exc)) as got:
+                    eval_poly(expr, {"n": n})
+                assert str(got.value) == str(exc)
+            else:
+                assert eval_poly(expr, {"n": n}).parts == want.parts
+
+
+@pytest.mark.parametrize("name", ["kb-standard-delta", "binom-sqharmonic-gf",
+                                  "partial-sum-gf-recip"])
+def test_expansion_builds_no_row_per_k(name, monkeypatch):
+    """At n = 34 a standard side calls ``binomial_power`` at most once per
+    term, not once per k, and the Horner sum of ``partial-sum-gf-recip``'s
+    rhs convolves at most once, not once per outer k."""
+    (entry,) = corpus.load_entries(names={name})
+    calls = []
+    for fn in ("binomial_power", "_convolve"):
+        original = getattr(polyverify, fn)
+        monkeypatch.setattr(polyverify, fn, lambda *args, fn=fn, original=original:
+                            calls.append(fn) or original(*args))
+    for side in (entry.identity.lhs, entry.identity.rhs):
+        expand = polyverify.compile_side(side)
+        calls.clear()
+        expand(34)
+        if hasattr(side, "terms"):
+            assert calls.count("binomial_power") <= len(side.terms)
+        else:
+            assert calls.count("_convolve") <= 1
 
 
 class TestIntegralOracles:
